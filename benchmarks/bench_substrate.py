@@ -20,7 +20,8 @@ Two ways to run:
   verifies the two paths produce **bit-identical** outputs, and emits the
   JSON that ``tools/bench_gate.py`` compares against the committed baselines
   (``benchmarks/BENCH_5.json`` for the fast-path cases,
-  ``benchmarks/BENCH_8.json`` for the event-driven sparse cases).
+  ``benchmarks/BENCH_8.json`` for the float32 eval, ``benchmarks/BENCH_10.json``
+  for the fused BPTT step and the tracing overhead).
 """
 
 from __future__ import annotations
@@ -42,15 +43,13 @@ from repro.core.objectives import EvaluationResult, Objective
 from repro.core.search_space import BlockSearchInfo, SearchSpace
 from repro.gp import GaussianProcessRegressor, HammingKernel
 from repro.models import get_template
-from repro.nn import Conv2d, CrossEntropyLoss, Flatten, GlobalAvgPool2d, Linear, Sequential
-from repro.snn import LeakyIntegrator, LIFNeuron, TemporalRunner
-from repro.snn.temporal import run_temporal
+from repro.nn import CrossEntropyLoss
+from repro.snn import LIFNeuron, TemporalRunner
 from repro.tensor import (
     Tensor,
     assert_float32_contract,
     conv2d,
     no_grad,
-    sparse_inference,
 )
 
 benchmark_case = pytest.mark.benchmark(group="substrate") if pytest else (lambda f: f)
@@ -173,21 +172,6 @@ def test_snn_temporal_eval_inference(benchmark):
     def run():
         with no_grad():
             runner(batch)
-
-    benchmark(run)
-
-
-@benchmark_case
-def test_snn_temporal_eval_sparse(benchmark):
-    """Event-driven sparse evaluation of a deep spiking conv chain at 1% firing rate."""
-    rng = np.random.default_rng(0)
-    model = _spiking_conv_chain()
-    model.eval()
-    batch = (rng.random((8, 6, 16, 16, 16)) < 0.01).astype(np.float64)
-
-    def run():
-        with no_grad(), sparse_inference():
-            run_temporal(model, batch, num_steps=6)
 
     benchmark(run)
 
@@ -327,55 +311,6 @@ def bench_temporal_eval(repeats: int, num_steps: int = 5) -> Dict[str, float]:
     row = _pair(_time(autograd, repeats), _time(inference, repeats))
     row["num_steps"] = float(num_steps)
     return row
-
-
-def _spiking_conv_chain(channels: int = 16, depth: int = 6, num_classes: int = 10) -> Sequential:
-    """Deep conv->LIF stack whose spikes feed the convolutions directly (no
-    BatchNorm in between), so event lists stay consumable by the sparse
-    dispatch all the way down; a pooled classifier keeps the non-conv floor
-    small so the measured ratio reflects the convolution dispatch."""
-    layers = []
-    for _ in range(depth):
-        layers.append(Conv2d(channels, channels, kernel_size=3, padding=1))
-        layers.append(LIFNeuron(beta=0.9, threshold=1.0))
-    layers += [GlobalAvgPool2d(), Flatten(), Linear(channels, num_classes), LeakyIntegrator(0.9)]
-    return Sequential(*layers)
-
-
-def bench_sparse_eval(repeats: int, rate: float, num_steps: int = 6) -> Dict[str, float]:
-    """Event-driven sparse SNN evaluation against the dense fast path.
-
-    The input is a binary spike train firing at ``rate``; both variants run
-    the graph-free inference path, the sparse one additionally inside
-    :func:`~repro.tensor.sparse.sparse_inference`.  Outputs are verified
-    bit-identical before timing (the sparse contract), so the ratio measures
-    pure dispatch benefit: below the crossover the gather/scatter kernels win,
-    above it the dispatcher falls back to dense and the ratio tends to 1.
-    """
-    rng = np.random.default_rng(0)
-    model = _spiking_conv_chain()
-    model.eval()
-    batch = (rng.random((8, num_steps, 16, 16, 16)) < rate).astype(np.float64)
-    with no_grad():
-        dense_out = run_temporal(model, batch, num_steps=num_steps).data.copy()
-        with sparse_inference():
-            sparse_out = run_temporal(model, batch, num_steps=num_steps).data
-    if not np.array_equal(dense_out, sparse_out):  # pragma: no cover - equality gate
-        raise AssertionError(f"sparse eval diverged from dense at rate {rate}")
-
-    def dense() -> None:
-        with no_grad():
-            run_temporal(model, batch, num_steps=num_steps)
-
-    def sparse() -> None:
-        with no_grad(), sparse_inference():
-            run_temporal(model, batch, num_steps=num_steps)
-
-    return {
-        "rate": float(rate),
-        "dense_ms": _time(dense, repeats) * 1e3,
-        "sparse_ms": _time(sparse, repeats) * 1e3,
-    }
 
 
 def bench_dtype_eval(repeats: int, num_steps: int = 5) -> Dict[str, float]:
@@ -554,13 +489,6 @@ def format_report(payload: Dict[str, Dict[str, float]]) -> str:
         "loss/logits/grads bit-identical before timing)"
     )
     lines.append("(fast-path outputs verified bit-identical to the autograd path before timing)")
-    lines.append("")
-    lines.append("Event-driven sparse eval vs dense fast path (bit-identical outputs)")
-    lines.append(f"{'case':>22} {'dense ms':>10} {'sparse ms':>10} {'gain':>7}")
-    for case in sorted(k for k in payload if k.startswith("sparse_eval_rate_")):
-        row = payload[case]
-        gain = row.get("speedup", row.get("ratio", 0.0))
-        lines.append(f"{case:>22} {row['dense_ms']:>10.3f} {row['sparse_ms']:>10.3f} {gain:>6.2f}x")
     dtype_row = payload["dtype_eval"]
     lines.append(
         f"float32 vs float64 eval: {dtype_row['float32_ms']:.3f} ms vs "
@@ -594,15 +522,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "tracing_overhead": bench_tracing_overhead(heavy_repeats),
         "smoke": bool(args.smoke),
     }
-    # Sparse-vs-dense at rates straddling the crossover.  Only the deep-sparse
-    # point carries a gated "speedup" key (tools/bench_gate.py floors it at
-    # 2x); the near/above-crossover points report an ungated "ratio" because
-    # they hover around 1x by design and would make the shrink check flaky.
-    for rate, gated in ((0.01, True), (0.05, False), (0.2, False)):
-        row = bench_sparse_eval(heavy_repeats, rate)
-        value = row["dense_ms"] / row["sparse_ms"] if row["sparse_ms"] > 0 else float("inf")
-        row["speedup" if gated else "ratio"] = value
-        payload[f"sparse_eval_rate_{rate}"] = row
     print(format_report(payload))
 
     if args.output:

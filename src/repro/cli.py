@@ -99,7 +99,7 @@ def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
         "--trace-ops",
         action="store_true",
         help="with --trace, also record per-operator substrate spans (op.conv2d, "
-        "op.matmul, op.neuron_step with sparse/dense routing) — voluminous",
+        "op.matmul, op.neuron_step with their shapes) — voluminous",
     )
 
 

@@ -20,9 +20,10 @@ example given in Section III-A of the paper.
 
 :class:`BlockAdjacency` stores the full ``(d+1, d+1)`` matrix but only the
 strictly-super-super-diagonal entries (``j > i + 1``) are free; everything
-else is structurally zero.  The class provides the encoding/decoding used by
-the Gaussian-process surrogate, random sampling, neighbourhood moves for local
-search, and conversion to :mod:`networkx` graphs for analysis/visualisation.
+else is structurally zero, so the matrix is strictly upper triangular and the
+block DAG it encodes is acyclic by construction.  The class provides the
+encoding/decoding used by the Gaussian-process surrogate, random sampling and
+neighbourhood moves for local search.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.tensor.random import default_rng
@@ -261,23 +261,6 @@ class BlockAdjacency:
     def encoding_length(self) -> int:
         """Length of the vector produced by :meth:`encode`."""
         return len(self.skip_positions())
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Export the block DAG (sequential + skip edges) as a networkx digraph."""
-        graph = nx.DiGraph()
-        graph.add_node(0, kind="input")
-        for layer in range(1, self.num_nodes):
-            graph.add_node(layer, kind="layer")
-            graph.add_edge(layer - 1, layer, kind="sequential")
-        for i, j in self.skip_positions():
-            code = int(self.matrix[i, j])
-            if code != NO_CONNECTION:
-                graph.add_edge(i, j, kind=connection_name(code))
-        return graph
-
-    def is_acyclic(self) -> bool:
-        """Sanity check used by property-based tests (always true by construction)."""
-        return nx.is_directed_acyclic_graph(self.to_networkx())
 
     # ------------------------------------------------------------------
     # dunder protocol

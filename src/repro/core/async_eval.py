@@ -48,7 +48,6 @@ from repro.core.cache import merge_store_counters, store_counters
 from repro.core.objectives import EvaluationResult
 from repro.core.search_space import ArchitectureSpec
 from repro.core.weight_sharing import WeightStore, WeightUpdate
-from repro.tensor.sparse import aggregate_sparse_counters, merge_sparse_counters
 from repro.trace import absorb, capture_context, remote_activation
 from repro.training.parallel import func_is_picklable, get_mp_context
 
@@ -69,9 +68,8 @@ class _TelemetryCall:
     Every pool submission is wrapped (the context is ``None`` while tracing is
     disabled): the worker runs the objective under
     :func:`~repro.trace.remote_activation` so its spans stitch under the
-    parent's open span, and ships back the spans plus its sparse-routing,
-    fused-training and store-lookup counter deltas on ``result.telemetry`` —
-    worker processes
+    parent's open span, and ships back the spans plus its fused-training and
+    store-lookup counter deltas on ``result.telemetry`` — worker processes
     bump their *own* process-wide tallies, which would otherwise be invisible
     to the parent's ``/metrics`` view.
     """
@@ -93,20 +91,15 @@ class _TelemetryCall:
         # this core module must not pull in at import time
         from repro.snn.fused_step import aggregate_fused_counters
 
-        sparse_before = aggregate_sparse_counters()
         fused_before = aggregate_fused_counters()
         store_before = store_counters()
         with remote_activation(self.context) as spans:
             result = self.objective(spec)
-        sparse_after = aggregate_sparse_counters()
         fused_after = aggregate_fused_counters()
         store_after = store_counters()
         result.telemetry = {
             "spans": spans,
             "counters": {
-                "sparse": {
-                    key: sparse_after[key] - sparse_before.get(key, 0) for key in sparse_after
-                },
                 "fused": {
                     key: fused_after[key] - fused_before.get(key, 0) for key in fused_after
                 },
@@ -132,7 +125,6 @@ def _absorb_telemetry(result: EvaluationResult) -> None:
         return
     absorb(telemetry.get("spans") or [])
     counters = telemetry.get("counters") or {}
-    merge_sparse_counters(counters.get("sparse") or {})
     merge_fused_counters(counters.get("fused") or {})
     merge_store_counters(counters.get("store") or {})
     result.telemetry = None

@@ -75,8 +75,8 @@ def spec_key(spec: ArchitectureSpec) -> str:
 # serving layer's ``/metrics`` endpoint needs one monotone view per process —
 # including lookups made by stores the server never sees (e.g. a job's
 # sharded store, or worker-pool children whose deltas are merged back by the
-# async executor).  Mirrors the sparse-routing aggregate in
-# :mod:`repro.tensor.sparse`.
+# async executor).  Mirrors the fused-training aggregate in
+# :mod:`repro.snn.fused_step`.
 # ---------------------------------------------------------------------------
 _STORE_AGGREGATE_LOCK = threading.Lock()
 _STORE_AGGREGATE: Dict[str, int] = {"hits": 0, "misses": 0}

@@ -20,12 +20,12 @@ from repro.core.weight_sharing import WeightStore, WeightUpdate
 from repro.data.loaders import DatasetSplits
 from repro.models.blocks import NeuronConfig
 from repro.models.template import NetworkTemplate
+from repro.snn.fused_step import fused_counters
 from repro.snn.mac import MACCounter
 from repro.trace import span
 from repro.training.callbacks import TrainingHistory
 from repro.training.snn_trainer import SNNTrainer, SNNTrainingConfig
 from repro.tensor.random import default_rng
-from repro.tensor.sparse import sparse_counters
 
 
 @dataclass
@@ -50,7 +50,7 @@ class EvaluationResult:
     ``telemetry`` carries observability payloads produced in a worker process
     back to the submitter: ``{"spans": [...], "counters": {...}}`` — the
     trace spans collected under a propagated trace context
-    (:mod:`repro.trace`) and the substrate routing / store-hit counter deltas.
+    (:mod:`repro.trace`) and the fused-training / store-hit counter deltas.
     It is transport-only: excluded from equality, never persisted into
     evaluation rows, and cleared once the parent absorbs it.
     """
@@ -208,7 +208,7 @@ class AccuracyDropObjective(Objective):
         with span("evaluate") as eval_span:
             if eval_span:
                 eval_span.set(arch=spec_fingerprint(spec))
-                routing_before = sparse_counters()
+                routing_before = fused_counters()
             with span("evaluate.build"):
                 model = self.build_model(spec)
             trainer = SNNTrainer(self.training_config)
@@ -233,7 +233,7 @@ class AccuracyDropObjective(Objective):
                 with span("evaluate.latency"):
                     latency_ms = self._measure_latency(model)
             if eval_span:
-                routing_after = sparse_counters()
+                routing_after = fused_counters()
                 eval_span.set(
                     val_accuracy=float(accuracy),
                     **{

@@ -47,7 +47,7 @@ from repro.server.routes import (
     TextResponse,
     resolve,
 )
-from repro.tensor.sparse import aggregate_sparse_counters
+from repro.snn.fused_step import aggregate_fused_counters
 
 
 def _store_lookup_hit_rate() -> float:
@@ -247,20 +247,16 @@ class ReproServer:
             "repro_job_events_dropped_total",
             "Events dropped from bounded per-job event logs",
         ).set_function(lambda: float(self.jobs.events_dropped_total()))
-        # process-wide substrate/store tallies (worker-process deltas are merged
+        # process-wide training/store tallies (worker-process deltas are merged
         # back by the async executor, so these cover pool evaluations too)
         self.registry.counter(
-            "repro_sparse_steps_total",
-            "Inference dispatches routed through the event-driven sparse kernels",
-        ).set_function(lambda: float(aggregate_sparse_counters()["sparse_steps"]))
+            "repro_fused_steps_total",
+            "Temporal training steps served by the fused BPTT kernel",
+        ).set_function(lambda: float(aggregate_fused_counters()["fused_steps"]))
         self.registry.counter(
-            "repro_dense_steps_total",
-            "Inference dispatches that fell back to the dense kernels while sparse mode was active",
-        ).set_function(lambda: float(aggregate_sparse_counters()["dense_steps"]))
-        self.registry.counter(
-            "repro_sparse_probe_failures_total",
-            "Per-shape GEMM certification probes that rejected the sparse path",
-        ).set_function(lambda: float(aggregate_sparse_counters()["probe_failures"]))
+            "repro_fused_fallback_steps_total",
+            "Temporal training steps that fell back to graph autograd",
+        ).set_function(lambda: float(aggregate_fused_counters()["fallback_steps"]))
         self.registry.counter(
             "repro_store_lookup_hits_total",
             "Evaluation-store lookups answered from a store (process-wide)",

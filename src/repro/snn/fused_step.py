@@ -38,13 +38,13 @@ contract (:mod:`repro.tensor.tolerance`).
 Dispatch
 --------
 
-:func:`fused_dispatch` mirrors the event-driven inference dispatch
-(:mod:`repro.tensor.sparse`): a thread-local mode (``"auto"`` by default —
-fuse whenever the model qualifies), a :func:`fused_training` context manager
-to force it ``"on"`` (raising with the reason when fusion is impossible) or
-``"off"``, per-thread ``fused_steps``/``fallback_steps`` tallies and
-process-wide aggregates that worker processes merge back into their parent
-(see :class:`repro.core.async_eval.AsyncEvaluationExecutor`).  Anything the
+:func:`fused_dispatch` follows a thread-local mode (``"auto"`` by default —
+fuse whenever the model qualifies), set by the :func:`fused_training`
+context manager to force it ``"on"`` (raising with the reason when fusion is
+impossible) or ``"off"``.  Routing is tallied in per-thread
+``fused_steps``/``fallback_steps`` counters and process-wide aggregates that
+worker processes merge back into their parent (see
+:class:`repro.core.async_eval.AsyncEvaluationExecutor`).  Anything the
 kernel does not cover — non-:class:`SkipConnectionNetwork` models, synaptic
 (second-order) neurons, truncated BPTT, eval-mode batch norm, active spike
 recording — falls back to the recorded-graph path, which stays the reference.
@@ -102,8 +102,8 @@ _STATE = _FusedState()
 
 #: process-wide routing aggregates (never reset by tests/workloads) exported
 #: as monotonic counters; training running in worker processes folds its
-#: delta back into the parent via the result telemetry channel, exactly like
-#: the sparse-inference tallies.
+#: delta back into the parent via the result telemetry channel (see
+#: :class:`repro.core.async_eval._TelemetryCall`).
 _AGGREGATE_LOCK = threading.Lock()
 _AGGREGATE: Dict[str, int] = {"fused_steps": 0, "fallback_steps": 0}
 

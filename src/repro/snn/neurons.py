@@ -43,7 +43,6 @@ import numpy as np
 
 from repro.nn.module import Module
 from repro.tensor import Tensor
-from repro.tensor.sparse import spike_events
 from repro.tensor.tensor import graph_free, is_grad_enabled
 from repro.trace import ops_span
 from repro.snn.surrogate import FastSigmoidSurrogate, SurrogateGradient, get_surrogate, spike_function
@@ -204,19 +203,10 @@ class SpikingNeuron(Module):
             self.membrane = graph_free(mem)
             spikes = graph_free(spk)
             self.previous_spikes = spikes
-            # under sparse inference, low-activity steps ship their nonzero index
-            # list with the spike tensor (fresh flatnonzero output, never scratch)
-            events = spike_events(spike_bool, spk.dtype)
-            if events is not None:
-                spikes._events = events
             if self.record_spikes:
                 self._record(spk)
             if op:
-                op.set(
-                    kind=type(self).__name__,
-                    size=int(mem.size),
-                    route="sparse" if events is not None else "dense",
-                )
+                op.set(kind=type(self).__name__, size=int(mem.size))
             # repro-lint: disable=buffer-escape (intentional alias: the fast path hands out the persistent spike buffer; run_temporal copies at every retention boundary — see tests/test_inference_fastpath.py)
             return spikes
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.tensor import Tensor
 from repro.tensor.primitives import Primitive, apply as _apply, register
-from repro.tensor.tensor import ensure_tensor, graph_free, is_grad_enabled
+from repro.tensor.tensor import ensure_tensor
 
 
 class SurrogateGradient:
@@ -128,11 +128,6 @@ def _spike_vjp(ctx, g, needs, *, threshold, surrogate):
     return ((g * pseudo_derivative) if needs[0] else None,)
 
 
-def _spike_jvp(ctx, tangents, *, threshold, surrogate):
-    (pseudo_derivative,) = ctx
-    return pseudo_derivative * tangents[0]
-
-
 def _spike_sample(rng, dtype):
     return (rng.standard_normal((3, 4)).astype(dtype, copy=False) + 1.0,), {
         "threshold": 1.0,
@@ -142,13 +137,13 @@ def _spike_sample(rng, dtype):
 
 #: the surrogate spike is *deliberately* not the true derivative of its
 #: Heaviside forward (that derivative is zero a.e.), so finite differences
-#: must not be checked against it — only jvp/vjp mutual consistency.
+#: must not be checked against it (``tests/test_snn_neurons.py`` pins the
+#: vjp against :meth:`SurrogateGradient.derivative` instead).
 SPIKE = register(
     Primitive(
         "spike",
         forward=_spike_fwd,
         vjp=_spike_vjp,
-        jvp=_spike_jvp,
         samples=[_spike_sample],
         fd_exempt=True,
     )
@@ -161,7 +156,4 @@ def spike_function(membrane, threshold: float, surrogate: SurrogateGradient) -> 
     Forward: ``S = (membrane >= threshold)`` as floats in {0, 1}.
     Backward: ``dL/d(membrane) = dL/dS * surrogate.derivative(membrane - threshold)``.
     """
-    membrane = ensure_tensor(membrane)
-    if not (is_grad_enabled() and membrane.requires_grad):
-        return graph_free((membrane.data - threshold >= 0.0).astype(membrane.data.dtype))
-    return _apply(SPIKE, (membrane,), threshold=threshold, surrogate=surrogate)
+    return _apply(SPIKE, (ensure_tensor(membrane),), threshold=threshold, surrogate=surrogate)

@@ -26,7 +26,6 @@ import numpy as np
 from repro.nn.module import Module
 from repro.snn.encoding import SpikeEncoder, encode_batch
 from repro.tensor import Tensor, ops
-from repro.tensor.sparse import annotate_frame
 from repro.tensor.tensor import graph_free, is_grad_enabled
 
 #: valid values for the ``readout`` argument
@@ -119,11 +118,6 @@ def run_temporal(
     accumulator: Optional[np.ndarray] = None
     out: Optional[Tensor] = None
     for t, frame in enumerate(steps):
-        if not grad_mode:
-            # under sparse inference, hand binary low-activity encoder frames
-            # to the first layer with their event list attached (no-op when
-            # sparse mode is off or the frame is dense/non-binary)
-            annotate_frame(frame)
         out = model(frame)
         if step_callback is not None:
             if grad_mode:

@@ -8,17 +8,15 @@ this environment we implement the required machinery from scratch:
 * :class:`repro.tensor.Tensor` — an n-dimensional array with a ``grad`` buffer
   and a recorded backward graph (define-by-run, reverse-mode).
 * :mod:`repro.tensor.primitives` — the primitive IR: a registry declaring
-  every op's forward, vjp and jvp explicitly, shared by the graph autograd
-  (the reference) and the fused temporal training kernels.
+  every op's forward and vjp explicitly, shared by graph autograd, the
+  graph-free inference path and the fused temporal training kernels.
 * :mod:`repro.tensor.ops` — differentiable primitives (arithmetic, matmul,
-  reductions, reshaping, concatenation, indexing, nonlinearities), expressed
-  on the primitive IR.
+  reductions, reshaping, concatenation, indexing, nonlinearities), each one
+  :func:`~repro.tensor.primitives.apply` call on the primitive IR.
 * :mod:`repro.tensor.conv` — im2col-based 2-D convolution and pooling with
   hand-written backward passes (the hot path of every experiment).
 * :mod:`repro.tensor.gradcheck` — finite-difference gradient checking used by
   the test-suite to validate every primitive.
-* :mod:`repro.tensor.sparse` — event-driven sparse inference: spike-event
-  lists, per-shape GEMM certification and the gather/scatter kernels.
 * :mod:`repro.tensor.tolerance` — the pinned float32-vs-float64 tolerance
   contract for the dtype-parametrised substrate.
 
@@ -29,16 +27,6 @@ accumulation for gradients).
 
 from repro.tensor.tensor import Tensor, graph_free, no_grad, is_grad_enabled
 from repro.tensor.workspace import WorkspacePool, clear_workspaces
-from repro.tensor.sparse import (
-    SPARSE_CROSSOVER,
-    aggregate_sparse_counters,
-    merge_sparse_counters,
-    reset_sparse_counters,
-    sparse_counters,
-    sparse_crossover,
-    sparse_enabled,
-    sparse_inference,
-)
 from repro.tensor.tolerance import (
     FLOAT32_SAFETY,
     assert_float32_contract,
@@ -88,14 +76,6 @@ __all__ = [
     "is_grad_enabled",
     "WorkspacePool",
     "clear_workspaces",
-    "SPARSE_CROSSOVER",
-    "sparse_inference",
-    "sparse_enabled",
-    "sparse_crossover",
-    "sparse_counters",
-    "aggregate_sparse_counters",
-    "merge_sparse_counters",
-    "reset_sparse_counters",
     "FLOAT32_SAFETY",
     "float32_tolerance",
     "float32_within_contract",

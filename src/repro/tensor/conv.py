@@ -12,17 +12,18 @@ implementation is fully vectorised:
 * the backward col2im accumulation loops only over the *kernel* positions
   (e.g. 9 iterations for a 3x3 kernel), never over batch or spatial positions.
 
-When no gradient will ever be needed — under
-:func:`~repro.tensor.tensor.no_grad`, or when neither input requires grad —
-the convolution dispatches to a **graph-free inference kernel** instead: the
-grouped im2col view is copied once into a per-thread workspace column matrix
-(:mod:`repro.tensor.workspace`) and contracted with a single batched GEMM
-(``np.matmul``).  The GEMM reduces over the same ``(channel, kh, kw)`` axis
-order as the einsum path, so the two paths produce bit-identical outputs
+Each op is one registered primitive.  Its ``want_ctx=False`` forward — the
+branch :func:`~repro.tensor.primitives.apply` takes when no gradient will
+ever be needed — is the **graph-free inference kernel**: the convolution
+copies the grouped im2col view once into a per-thread workspace column matrix
+(:mod:`repro.tensor.workspace`) and contracts it with a single batched GEMM
+(``np.matmul``), and the pools reduce the strided window view of a pooled
+padded buffer directly.  The GEMM reduces over the same ``(channel, kh, kw)``
+axis order as the einsum, so both branches produce bit-identical outputs
 (pinned by ``tests/test_inference_fastpath.py``) while the inference kernel
 avoids the einsum dispatch overhead, the per-call padded-buffer allocation
-and all graph bookkeeping — the im2col scratch is reused across the time
-steps of an SNN simulation instead of being reallocated per step.
+and every residual — the im2col scratch is reused across the time steps of an
+SNN simulation instead of being reallocated per step.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from repro.tensor.primitives import Primitive, apply as _apply, register
-from repro.tensor.sparse import conv_dispatch, sparse_conv2d
-from repro.tensor.tensor import Tensor, ensure_tensor, graph_free, is_grad_enabled
+from repro.tensor.tensor import Tensor, ensure_tensor
 from repro.trace import ops_span
 from repro.tensor.workspace import workspace
 
@@ -208,6 +208,8 @@ def _conv2d_fwd(*arrays, want_ctx=False, stride, padding, groups):
     sh, sw = stride
     ph, pw = padding
     out_h, out_w = conv_output_shape(h, w, (kh, kw), (sh, sw), (ph, pw))
+    if not want_ctx:
+        return _conv2d_infer(x, weight, bias, groups, sh, sw, ph, pw, out_h, out_w), None
     if ph or pw:
         padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     else:
@@ -220,8 +222,6 @@ def _conv2d_fwd(*arrays, want_ctx=False, stride, padding, groups):
     out = out.reshape(n, c_out, out_h, out_w)
     if bias is not None:
         out = out + bias.reshape(1, c_out, 1, 1)
-    if not want_ctx:
-        return out, None
     geometry = (n, c_in, h, w, kh, kw, sh, sw, ph, pw, out_h, out_w, c_out, weight.shape)
     return out, (col_g, w_g, geometry)
 
@@ -265,26 +265,6 @@ def _conv2d_vjp(ctx, g, needs, *, stride, padding, groups):
     return tuple(grads)
 
 
-def _conv2d_jvp(ctx, tangents, *, stride, padding, groups):
-    col_g, w_g, geometry = ctx
-    n, c_in, h, w, kh, kw, sh, sw, ph, pw, out_h, out_w, c_out, weight_shape = geometry
-    tx, tw = tangents[0], tangents[1]
-    c_in_per_group = weight_shape[1]
-    if ph or pw:
-        t_padded = np.pad(tx, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    else:
-        t_padded = tx
-    t_col = _im2col_view(t_padded, kh, kw, sh, sw, out_h, out_w)
-    t_col_g = t_col.reshape(n, groups, c_in_per_group, kh, kw, out_h, out_w)
-    tw_g = tw.reshape(groups, c_out // groups, c_in_per_group, kh, kw)
-    out = np.einsum("ngcuvhw,gocuv->ngohw", t_col_g, w_g, optimize=True)
-    out = out + np.einsum("ngcuvhw,gocuv->ngohw", col_g, tw_g, optimize=True)
-    out = out.reshape(n, c_out, out_h, out_w)
-    if len(tangents) > 2:
-        out = out + tangents[2].reshape(1, c_out, 1, 1)
-    return out
-
-
 def _conv2d_sample(shapes, **params):
     def make(rng, dtype):
         inputs = tuple(rng.standard_normal(shape).astype(dtype, copy=False) for shape in shapes)
@@ -298,7 +278,6 @@ CONV2D = register(
         "conv2d",
         forward=_conv2d_fwd,
         vjp=_conv2d_vjp,
-        jvp=_conv2d_jvp,
         samples=[
             _conv2d_sample(
                 [(2, 3, 5, 5), (4, 3, 3, 3), (4,)], stride=(1, 1), padding=(1, 1), groups=1
@@ -318,6 +297,10 @@ def _max_pool2d_fwd(x, want_ctx=False, *, kernel, stride, padding):
     ph, pw = padding
     n, c, h, w = x.shape
     out_h, out_w = conv_output_shape(h, w, (kh, kw), (sh, sw), (ph, pw))
+    if not want_ctx:
+        # reduce the window view directly: no argmax map, no window copy
+        padded = _padded_workspace(x, ph, pw, "max_pool2d.pad", fill=-np.inf) if ph or pw else x
+        return _im2col_view(padded, kh, kw, sh, sw, out_h, out_w).max(axis=(2, 3)), None
     if ph or pw:
         padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
     else:
@@ -326,8 +309,6 @@ def _max_pool2d_fwd(x, want_ctx=False, *, kernel, stride, padding):
     col_flat = col.reshape(n, c, kh * kw, out_h, out_w)
     arg = col_flat.argmax(axis=2)
     out = np.take_along_axis(col_flat, arg[:, :, None], axis=2)[:, :, 0]
-    if not want_ctx:
-        return out, None
     return out, (arg, (n, c, h, w, kh, kw, sh, sw, ph, pw, out_h, out_w))
 
 
@@ -339,18 +320,6 @@ def _max_pool2d_vjp(ctx, g, needs, *, kernel, stride, padding):
     np.put_along_axis(grad_col, arg[:, :, None], g[:, :, None], axis=2)
     grad_col = grad_col.reshape(n, c, kh, kw, out_h, out_w)
     return (_col2im(grad_col, (n, c, h, w), kh, kw, sh, sw, ph, pw),)
-
-
-def _max_pool2d_jvp(ctx, tangents, *, kernel, stride, padding):
-    arg, (n, c, h, w, kh, kw, sh, sw, ph, pw, out_h, out_w) = ctx
-    tx = tangents[0]
-    if ph or pw:
-        t_padded = np.pad(tx, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    else:
-        t_padded = tx
-    t_col = _im2col_view(t_padded, kh, kw, sh, sw, out_h, out_w)
-    t_flat = t_col.reshape(n, c, kh * kw, out_h, out_w)
-    return np.take_along_axis(t_flat, arg[:, :, None], axis=2)[:, :, 0]
 
 
 def _pool_sample(shape, **params):
@@ -365,7 +334,6 @@ MAX_POOL2D = register(
         "max_pool2d",
         forward=_max_pool2d_fwd,
         vjp=_max_pool2d_vjp,
-        jvp=_max_pool2d_jvp,
         samples=[
             _pool_sample((2, 3, 6, 6), kernel=(2, 2), stride=(2, 2), padding=(0, 0)),
             _pool_sample((2, 3, 5, 5), kernel=(3, 3), stride=(2, 2), padding=(1, 1)),
@@ -380,13 +348,16 @@ def _avg_pool2d_fwd(x, want_ctx=False, *, kernel, stride, padding):
     ph, pw = padding
     n, c, h, w = x.shape
     out_h, out_w = conv_output_shape(h, w, (kh, kw), (sh, sw), (ph, pw))
+    if not want_ctx:
+        padded = _padded_workspace(x, ph, pw, "avg_pool2d.pad") if ph or pw else x
+        return _im2col_view(padded, kh, kw, sh, sw, out_h, out_w).mean(axis=(2, 3)), None
     if ph or pw:
         padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     else:
         padded = x
     col = _im2col_view(padded, kh, kw, sh, sw, out_h, out_w)
     out = col.mean(axis=(2, 3))
-    return out, ((n, c, h, w, kh, kw, sh, sw, ph, pw, out_h, out_w) if want_ctx else None)
+    return out, (n, c, h, w, kh, kw, sh, sw, ph, pw, out_h, out_w)
 
 
 def _avg_pool2d_vjp(ctx, g, needs, *, kernel, stride, padding):
@@ -400,17 +371,11 @@ def _avg_pool2d_vjp(ctx, g, needs, *, kernel, stride, padding):
     return (_col2im(grad_col, (n, c, h, w), kh, kw, sh, sw, ph, pw),)
 
 
-def _avg_pool2d_jvp(ctx, tangents, *, kernel, stride, padding):
-    out, _ = _avg_pool2d_fwd(tangents[0], kernel=kernel, stride=stride, padding=padding)
-    return out
-
-
 AVG_POOL2D = register(
     Primitive(
         "avg_pool2d",
         forward=_avg_pool2d_fwd,
         vjp=_avg_pool2d_vjp,
-        jvp=_avg_pool2d_jvp,
         samples=[
             _pool_sample((2, 3, 6, 6), kernel=(2, 2), stride=(2, 2), padding=(0, 0)),
             _pool_sample((2, 3, 5, 5), kernel=(3, 3), stride=(2, 2), padding=(1, 1)),
@@ -459,78 +424,25 @@ def conv2d(
     ph, pw = _pair(padding)
     out_h, out_w = conv_output_shape(h, w, (kh, kw), (sh, sw), (ph, pw))
 
-    parents = [p for p in (x, weight, bias) if p is not None]
-    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-    if not requires:
-        bias_data = bias.data if bias is not None else None
-        # event-driven kernel when the input carries a spike-event list and
-        # the geometry is certified (see repro.tensor.sparse); bit-identical
-        # to the dense kernel below, just never materialising the im2col
-        with ops_span("op.conv2d") as op:
-            events = conv_dispatch(x, weight, bias, groups, out_h, out_w)
-            if op:
-                op.set(
-                    route="sparse" if events is not None else "dense",
-                    shape=f"{n}x{c_in}x{h}x{w}->{c_out}x{out_h}x{out_w}",
-                    events=-1 if events is None else int(events.size),
-                )
-            if events is not None:
-                return graph_free(
-                    sparse_conv2d(
-                        x.shape, weight.data, bias_data, events, sh, sw, ph, pw, out_h, out_w
-                    )
-                )
-            return graph_free(
-                _conv2d_infer(x.data, weight.data, bias_data, groups, sh, sw, ph, pw, out_h, out_w)
-            )
-
-    return _apply(CONV2D, parents, stride=(sh, sw), padding=(ph, pw), groups=groups)
+    with ops_span("op.conv2d") as op:
+        if op:
+            op.set(shape=f"{n}x{c_in}x{h}x{w}->{c_out}x{out_h}x{out_w}")
+        parents = [p for p in (x, weight, bias) if p is not None]
+        return _apply(CONV2D, parents, stride=(sh, sw), padding=(ph, pw), groups=groups)
 
 
 def max_pool2d(x, kernel_size: IntOrPair, stride: IntOrPair = None, padding: IntOrPair = 0) -> Tensor:
     """2-D max pooling over an NCHW tensor."""
-    x = ensure_tensor(x)
-    kh, kw = _pair(kernel_size)
-    if stride is None:
-        stride = (kh, kw)
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
-    n, c, h, w = x.shape
-    out_h, out_w = conv_output_shape(h, w, (kh, kw), (sh, sw), (ph, pw))
-
-    if not (is_grad_enabled() and x.requires_grad):
-        # graph-free: reduce the strided window view directly — no argmax map,
-        # no (N, C, KH*KW, OH, OW) copy, pooled padded buffer
-        if ph or pw:
-            padded = _padded_workspace(x.data, ph, pw, "max_pool2d.pad", fill=-np.inf)
-        else:
-            padded = x.data
-        col = _im2col_view(padded, kh, kw, sh, sw, out_h, out_w)
-        return graph_free(col.max(axis=(2, 3)))
-
-    return _apply(MAX_POOL2D, (x,), kernel=(kh, kw), stride=(sh, sw), padding=(ph, pw))
+    kernel = _pair(kernel_size)
+    stride = kernel if stride is None else _pair(stride)
+    return _apply(MAX_POOL2D, (ensure_tensor(x),), kernel=kernel, stride=stride, padding=_pair(padding))
 
 
 def avg_pool2d(x, kernel_size: IntOrPair, stride: IntOrPair = None, padding: IntOrPair = 0) -> Tensor:
     """2-D average pooling over an NCHW tensor."""
-    x = ensure_tensor(x)
-    kh, kw = _pair(kernel_size)
-    if stride is None:
-        stride = (kh, kw)
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
-    n, c, h, w = x.shape
-    out_h, out_w = conv_output_shape(h, w, (kh, kw), (sh, sw), (ph, pw))
-
-    if not (is_grad_enabled() and x.requires_grad):
-        if ph or pw:
-            padded = _padded_workspace(x.data, ph, pw, "avg_pool2d.pad")
-        else:
-            padded = x.data
-        col = _im2col_view(padded, kh, kw, sh, sw, out_h, out_w)
-        return graph_free(col.mean(axis=(2, 3)))
-
-    return _apply(AVG_POOL2D, (x,), kernel=(kh, kw), stride=(sh, sw), padding=(ph, pw))
+    kernel = _pair(kernel_size)
+    stride = kernel if stride is None else _pair(stride)
+    return _apply(AVG_POOL2D, (ensure_tensor(x),), kernel=kernel, stride=stride, padding=_pair(padding))
 
 
 def global_avg_pool2d(x) -> Tensor:

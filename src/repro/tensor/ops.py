@@ -1,23 +1,16 @@
 """Differentiable ops on :class:`repro.tensor.Tensor`, on the primitive IR.
 
-Every function here follows the same pattern:
-
-1. coerce operands and check whether the backward graph must be recorded;
-2. on the **graph-free fast path** run the forward NumPy computation inline
-   and return through :func:`repro.tensor.tensor.graph_free`, skipping parent
-   bookkeeping and every intermediate (masks, argmax maps, inverse
-   permutations) that only the backward pass would read;
-3. otherwise dispatch to :func:`repro.tensor.primitives.apply`, which runs
-   the registered :class:`~repro.tensor.primitives.Primitive`'s forward with
-   residual capture and wires its explicit vjp into the tape.
-
-The fast path is what the evaluation substrate runs on: an SNN validation
-pass under :func:`~repro.tensor.tensor.no_grad` executes thousands of these
-ops per batch (one per op per layer per time step), so the per-op constant
-matters as much as the kernels themselves.  The tracked path is the
-*reference* implementation of each op's derivative: the fused temporal
-training kernels (:mod:`repro.snn.fused_step`) reuse the same registered
-vjp formulas outside the tape and are pinned bit-for-bit against this path.
+Every function here is operand coercion plus one call to
+:func:`repro.tensor.primitives.apply`, which runs the registered
+:class:`~repro.tensor.primitives.Primitive`'s forward and either returns the
+result through :func:`repro.tensor.tensor.graph_free` (no gradient needed:
+no parent bookkeeping, no residuals) or captures the residuals and wires the
+primitive's vjp into the tape.  Each op's forward therefore has exactly one
+definition, shared by the evaluation substrate (an SNN validation pass under
+:func:`~repro.tensor.tensor.no_grad` executes thousands of these ops per
+batch) and by graph autograd.  The fused temporal training kernels
+(:mod:`repro.snn.fused_step`) reuse the same registered vjp formulas outside
+the tape and are pinned bit-for-bit against the graph path.
 """
 
 from __future__ import annotations
@@ -28,26 +21,10 @@ import numpy as np
 
 from repro.tensor import primitives as P
 from repro.tensor.primitives import apply as _apply
-from repro.tensor.sparse import matmul_dispatch, sparse_matmul
+from repro.tensor.tensor import Tensor, _as_array, ensure_tensor, graph_free
 from repro.trace import ops_span
-from repro.tensor.tensor import (
-    Tensor,
-    _as_array,
-    ensure_tensor,
-    graph_free,
-    is_grad_enabled,
-)
 
 Axis = Union[None, int, Tuple[int, ...]]
-
-
-def _tracked(a: Tensor, b: Optional[Tensor] = None) -> bool:
-    """Whether an op over these inputs must record the backward graph."""
-    if not is_grad_enabled():
-        return False
-    if b is None:
-        return a.requires_grad
-    return a.requires_grad or b.requires_grad
 
 
 def _ensure_pair(a, b) -> Tuple[Tensor, Tensor]:
@@ -72,73 +49,41 @@ def _ensure_pair(a, b) -> Tuple[Tensor, Tensor]:
 
 def add(a, b) -> Tensor:
     """Elementwise/broadcasted addition."""
-    a, b = _ensure_pair(a, b)
-    if not _tracked(a, b):
-        return graph_free(a.data + b.data)
-    return _apply(P.ADD, (a, b))
+    return _apply(P.ADD, _ensure_pair(a, b))
 
 
 def sub(a, b) -> Tensor:
     """Elementwise/broadcasted subtraction ``a - b``."""
-    a, b = _ensure_pair(a, b)
-    if not _tracked(a, b):
-        return graph_free(a.data - b.data)
-    return _apply(P.SUB, (a, b))
+    return _apply(P.SUB, _ensure_pair(a, b))
 
 
 def mul(a, b) -> Tensor:
     """Elementwise/broadcasted multiplication."""
-    a, b = _ensure_pair(a, b)
-    if not _tracked(a, b):
-        return graph_free(a.data * b.data)
-    return _apply(P.MUL, (a, b))
+    return _apply(P.MUL, _ensure_pair(a, b))
 
 
 def div(a, b) -> Tensor:
     """Elementwise/broadcasted division ``a / b``."""
-    a, b = _ensure_pair(a, b)
-    if not _tracked(a, b):
-        return graph_free(a.data / b.data)
-    return _apply(P.DIV, (a, b))
+    return _apply(P.DIV, _ensure_pair(a, b))
 
 
 def neg(a) -> Tensor:
     """Elementwise negation."""
-    a = ensure_tensor(a)
-    if not _tracked(a):
-        return graph_free(-a.data)
-    return _apply(P.NEG, (a,))
+    return _apply(P.NEG, (ensure_tensor(a),))
 
 
 def power(a, exponent: float) -> Tensor:
     """Elementwise power with a constant exponent."""
-    a = ensure_tensor(a)
-    if not _tracked(a):
-        return graph_free(a.data ** exponent)
-    return _apply(P.POWER, (a,), exponent=exponent)
+    return _apply(P.POWER, (ensure_tensor(a),), exponent=exponent)
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product supporting 2-D weight matrices and batched inputs.
-
-    On the graph-free path, a 2-D left operand carrying a spike-event list
-    (attached by a trusted producer under :func:`repro.tensor.sparse.
-    sparse_inference`) is served by the event-driven gather/scatter kernel —
-    bit-identical to the dense GEMM for certified shapes — instead of BLAS.
-    """
+    """Matrix product supporting 2-D weight matrices and batched inputs."""
     a, b = ensure_tensor(a), ensure_tensor(b)
-    if not _tracked(a, b):
-        with ops_span("op.matmul") as op:
-            events = matmul_dispatch(a, b)
-            if op:
-                op.set(
-                    route="sparse" if events is not None else "dense",
-                    shape=f"{'x'.join(map(str, a.data.shape))}@{'x'.join(map(str, b.data.shape))}",
-                )
-            if events is not None:
-                return graph_free(sparse_matmul(a.data.shape, b.data, events))
-            return graph_free(a.data @ b.data)
-    return _apply(P.MATMUL, (a, b))
+    with ops_span("op.matmul") as op:
+        if op:
+            op.set(shape=f"{'x'.join(map(str, a.data.shape))}@{'x'.join(map(str, b.data.shape))}")
+        return _apply(P.MATMUL, (a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -147,76 +92,48 @@ def matmul(a, b) -> Tensor:
 
 def exp(a) -> Tensor:
     """Elementwise exponential."""
-    a = ensure_tensor(a)
-    if not _tracked(a):
-        return graph_free(np.exp(a.data))
-    return _apply(P.EXP, (a,))
+    return _apply(P.EXP, (ensure_tensor(a),))
 
 
 def log(a) -> Tensor:
     """Elementwise natural logarithm."""
-    a = ensure_tensor(a)
-    if not _tracked(a):
-        return graph_free(np.log(a.data))
-    return _apply(P.LOG, (a,))
+    return _apply(P.LOG, (ensure_tensor(a),))
 
 
 def tanh(a) -> Tensor:
     """Elementwise hyperbolic tangent."""
-    a = ensure_tensor(a)
-    if not _tracked(a):
-        return graph_free(np.tanh(a.data))
-    return _apply(P.TANH, (a,))
+    return _apply(P.TANH, (ensure_tensor(a),))
 
 
 def sigmoid(a) -> Tensor:
     """Numerically stable elementwise logistic sigmoid."""
-    a = ensure_tensor(a)
-    if not _tracked(a):
-        data, _ = P.SIGMOID.forward(a.data)
-        return graph_free(data)
-    return _apply(P.SIGMOID, (a,))
+    return _apply(P.SIGMOID, (ensure_tensor(a),))
 
 
 def relu(a) -> Tensor:
     """Elementwise rectified linear unit."""
-    a = ensure_tensor(a)
-    if not _tracked(a):
-        return graph_free(a.data * (a.data > 0))
-    return _apply(P.RELU, (a,))
+    return _apply(P.RELU, (ensure_tensor(a),))
 
 
 def clip(a, low: float, high: float) -> Tensor:
     """Clamp values to ``[low, high]``; gradient is zero outside the range."""
-    a = ensure_tensor(a)
-    if not _tracked(a):
-        return graph_free(np.clip(a.data, low, high))
-    return _apply(P.CLIP, (a,), low=low, high=high)
+    return _apply(P.CLIP, (ensure_tensor(a),), low=low, high=high)
 
 
 def maximum(a, b) -> Tensor:
     """Elementwise maximum; gradient routed to the winning input (ties split)."""
-    a, b = _ensure_pair(a, b)
-    if not _tracked(a, b):
-        return graph_free(np.maximum(a.data, b.data))
-    return _apply(P.MAXIMUM, (a, b))
+    return _apply(P.MAXIMUM, _ensure_pair(a, b))
 
 
 def minimum(a, b) -> Tensor:
     """Elementwise minimum; gradient routed to the winning input (ties split)."""
-    a, b = _ensure_pair(a, b)
-    if not _tracked(a, b):
-        return graph_free(np.minimum(a.data, b.data))
-    return _apply(P.MINIMUM, (a, b))
+    return _apply(P.MINIMUM, _ensure_pair(a, b))
 
 
 def where(condition, a, b) -> Tensor:
     """Select ``a`` where ``condition`` else ``b``; condition is non-differentiable."""
     cond = _as_array(condition).astype(bool)
-    a, b = ensure_tensor(a), ensure_tensor(b)
-    if not _tracked(a, b):
-        return graph_free(np.where(cond, a.data, b.data))
-    return _apply(P.WHERE, (a, b), cond=cond)
+    return _apply(P.WHERE, (ensure_tensor(a), ensure_tensor(b)), cond=cond)
 
 
 # ---------------------------------------------------------------------------
@@ -225,26 +142,17 @@ def where(condition, a, b) -> Tensor:
 
 def sum(a, axis: Axis = None, keepdims: bool = False) -> Tensor:
     """Sum over ``axis`` (all axes by default)."""
-    a = ensure_tensor(a)
-    if not _tracked(a):
-        return graph_free(a.data.sum(axis=axis, keepdims=keepdims))
-    return _apply(P.SUM, (a,), axis=axis, keepdims=keepdims)
+    return _apply(P.SUM, (ensure_tensor(a),), axis=axis, keepdims=keepdims)
 
 
 def mean(a, axis: Axis = None, keepdims: bool = False) -> Tensor:
     """Mean over ``axis`` (all axes by default)."""
-    a = ensure_tensor(a)
-    if not _tracked(a):
-        return graph_free(a.data.mean(axis=axis, keepdims=keepdims))
-    return _apply(P.MEAN, (a,), axis=axis, keepdims=keepdims)
+    return _apply(P.MEAN, (ensure_tensor(a),), axis=axis, keepdims=keepdims)
 
 
 def max(a, axis: Axis = None, keepdims: bool = False) -> Tensor:
     """Maximum over ``axis``; gradient flows to (all) argmax positions."""
-    a = ensure_tensor(a)
-    if not _tracked(a):
-        return graph_free(a.data.max(axis=axis, keepdims=keepdims))
-    return _apply(P.MAX, (a,), axis=axis, keepdims=keepdims)
+    return _apply(P.MAX, (ensure_tensor(a),), axis=axis, keepdims=keepdims)
 
 
 # ---------------------------------------------------------------------------
@@ -253,55 +161,32 @@ def max(a, axis: Axis = None, keepdims: bool = False) -> Tensor:
 
 def reshape(a, shape: Sequence[int]) -> Tensor:
     """Reshape without copying data."""
-    a = ensure_tensor(a)
-    if not _tracked(a):
-        out = graph_free(a.data.reshape(shape))
-        # flat C-order event indices are invariant under reshape, so a spike
-        # tensor stays sparse through Flatten -> Linear
-        if a._events is not None:
-            out._events = a._events
-        return out
-    return _apply(P.RESHAPE, (a,), shape=shape)
+    return _apply(P.RESHAPE, (ensure_tensor(a),), shape=shape)
 
 
 def transpose(a, axes: Optional[Sequence[int]] = None) -> Tensor:
     """Permute axes (reverse order by default)."""
-    a = ensure_tensor(a)
-    if not _tracked(a):
-        return graph_free(np.transpose(a.data, axes=axes))
-    return _apply(P.TRANSPOSE, (a,), axes=axes)
+    return _apply(P.TRANSPOSE, (ensure_tensor(a),), axes=axes)
 
 
 def broadcast_to(a, shape: Sequence[int]) -> Tensor:
     """Broadcast to ``shape``; backward sums over expanded axes."""
-    a = ensure_tensor(a)
-    if not _tracked(a):
-        return graph_free(np.broadcast_to(a.data, shape).copy())
-    return _apply(P.BROADCAST_TO, (a,), shape=shape)
+    return _apply(P.BROADCAST_TO, (ensure_tensor(a),), shape=shape)
 
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` — the DSC (DenseNet-like) skip primitive."""
-    tensors = [ensure_tensor(t) for t in tensors]
-    if not (is_grad_enabled() and any(t.requires_grad for t in tensors)):
-        return graph_free(np.concatenate([t.data for t in tensors], axis=axis))
-    return _apply(P.CONCAT, tensors, axis=axis)
+    return _apply(P.CONCAT, [ensure_tensor(t) for t in tensors], axis=axis)
 
 
 def stack(tensors: Sequence, axis: int = 0) -> Tensor:
     """Stack tensors along a new axis (used to collect per-time-step outputs)."""
-    tensors = [ensure_tensor(t) for t in tensors]
-    if not (is_grad_enabled() and any(t.requires_grad for t in tensors)):
-        return graph_free(np.stack([t.data for t in tensors], axis=axis))
-    return _apply(P.STACK, tensors, axis=axis)
+    return _apply(P.STACK, [ensure_tensor(t) for t in tensors], axis=axis)
 
 
 def getitem(a, index) -> Tensor:
     """Differentiable indexing/slicing."""
-    a = ensure_tensor(a)
-    if not _tracked(a):
-        return graph_free(a.data[index])
-    return _apply(P.GETITEM, (a,), index=index)
+    return _apply(P.GETITEM, (ensure_tensor(a),), index=index)
 
 
 def pad2d(a, padding: int) -> Tensor:
@@ -309,9 +194,6 @@ def pad2d(a, padding: int) -> Tensor:
     a = ensure_tensor(a)
     if padding == 0:
         return a
-    if not _tracked(a):
-        pad_width = [(0, 0)] * (a.data.ndim - 2) + [(padding, padding), (padding, padding)]
-        return graph_free(np.pad(a.data, pad_width))
     return _apply(P.PAD2D, (a,), padding=padding)
 
 
@@ -321,20 +203,12 @@ def pad2d(a, padding: int) -> Tensor:
 
 def softmax(a, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
-    a = ensure_tensor(a)
-    if not _tracked(a):
-        data, _ = P.SOFTMAX.forward(a.data, axis=axis)
-        return graph_free(data)
-    return _apply(P.SOFTMAX, (a,), axis=axis)
+    return _apply(P.SOFTMAX, (ensure_tensor(a),), axis=axis)
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
-    a = ensure_tensor(a)
-    if not _tracked(a):
-        data, _ = P.LOG_SOFTMAX.forward(a.data, axis=axis)
-        return graph_free(data)
-    return _apply(P.LOG_SOFTMAX, (a,), axis=axis)
+    return _apply(P.LOG_SOFTMAX, (ensure_tensor(a),), axis=axis)
 
 
 def dropout_mask(a, drop_probability: float, rng: np.random.Generator) -> Tensor:
@@ -343,9 +217,5 @@ def dropout_mask(a, drop_probability: float, rng: np.random.Generator) -> Tensor
     if drop_probability <= 0.0:
         return a
     keep = 1.0 - drop_probability
-    # the mask is drawn unconditionally so the RNG stream does not depend on
-    # whether gradients are being recorded
     mask = (rng.random(a.shape) < keep).astype(np.float64) / keep
-    if not _tracked(a):
-        return graph_free(a.data * mask)
     return _apply(P.DROPOUT, (a,), mask=mask)

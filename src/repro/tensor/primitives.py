@@ -1,30 +1,22 @@
-"""Primitive IR: explicit forward / vjp / jvp declarations for every op.
+"""Primitive IR: explicit forward / vjp declarations for every op.
 
-The autograd layer used to define each operation twice — once as a NumPy
-forward and once as a hand-written ``_backward`` closure buried inside
-:mod:`repro.tensor.ops`.  This module lifts that knowledge into a small
-intermediate representation: a :class:`Primitive` is a named record holding
+Each operation of the substrate is defined once, as a named
+:class:`Primitive` record holding
 
 * ``forward(*arrays, want_ctx=False, **params) -> (out, ctx)`` — the pure
   NumPy forward.  ``ctx`` is the tuple of residuals the backward pass needs
   (input shapes, masks, the output itself, ...) and is only computed when
-  ``want_ctx`` is true, so the graph-free inference path pays nothing for it;
+  ``want_ctx`` is true.  The ``want_ctx=False`` branch is the graph-free
+  inference kernel: it skips every residual and may take a cheaper route to
+  the same bits (pooled workspaces, a GEMM instead of an einsum);
 * ``vjp(ctx, grad, needs, **params) -> grads`` — the vector-Jacobian product
   mapping the output cotangent to one cotangent per input.  ``needs`` is a
   tuple of booleans (one per input); entries that are not needed may be
-  returned as ``None`` and must not be computed (this mirrors the old
-  closures, which skipped gradient work for untracked inputs);
-* ``jvp(ctx, tangents, **params) -> tangent`` — the Jacobian-vector product
-  (forward-mode directional derivative), used by the registry-driven
-  differential harness in :mod:`repro.tensor.gradcheck` to cross-check the
-  vjp via the dot-product identity ``<w, J v> == <J^T w, v>``.
+  returned as ``None`` and must not be computed.
 
-The graph layer (:func:`apply`) wires a primitive into the define-by-run tape
-exactly the way the old closures did: same fast-path check, same ``_prev``
-filtering, same accumulation order (inputs in declaration order), same
-``_unbroadcast`` handling — so re-expressing :mod:`repro.tensor.ops` and
-:mod:`repro.tensor.conv` on top of the registry is behaviour-preserving
-bit for bit.  The fused temporal training kernels
+:func:`apply` is the only place where IR meets tape: the ops in
+:mod:`repro.tensor.ops` and :mod:`repro.tensor.conv` are operand coercion
+plus one ``apply`` call.  The fused temporal training kernels
 (:mod:`repro.snn.fused_step`) are built directly on the registered vjp
 formulas instead of the tape.
 
@@ -37,13 +29,12 @@ Every primitive also carries ``samples`` — callables ``(rng, dtype) ->
 (inputs, params)`` producing representative inputs — so the test-suite can
 check the whole registry automatically (``tests/test_primitives.py``).
 ``fd_exempt`` marks primitives whose vjp is intentionally *not* the true
-derivative (the surrogate spike), for which only the jvp/vjp consistency
-check applies.
+derivative (the surrogate spike), which the finite-difference check skips.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -53,9 +44,9 @@ Array = np.ndarray
 
 
 class Primitive:
-    """One differentiable operation: named forward with explicit adjoints."""
+    """One differentiable operation: named forward with an explicit adjoint."""
 
-    __slots__ = ("name", "forward", "vjp", "jvp", "samples", "fd_exempt")
+    __slots__ = ("name", "forward", "vjp", "samples", "fd_exempt")
 
     def __init__(
         self,
@@ -63,18 +54,14 @@ class Primitive:
         *,
         forward: Callable,
         vjp: Callable,
-        jvp: Callable,
         samples: Sequence[Callable] = (),
         fd_exempt: bool = False,
     ) -> None:
         if vjp is None:
             raise ValueError(f"primitive {name!r} must declare a vjp")
-        if jvp is None:
-            raise ValueError(f"primitive {name!r} must declare a jvp")
         self.name = str(name)
         self.forward = forward
         self.vjp = vjp
-        self.jvp = jvp
         self.samples = tuple(samples)
         self.fd_exempt = bool(fd_exempt)
 
@@ -109,15 +96,24 @@ def all_primitives() -> Dict[str, Primitive]:
 def apply(primitive: Primitive, inputs: Sequence[Tensor], **params) -> Tensor:
     """Apply ``primitive`` to tensors, recording the graph when grad is on.
 
-    This is the single place where IR meets tape: the fast-path check, the
-    ``_prev`` filtering and the per-input accumulation order are identical to
-    the hand-written closures this replaces.
+    When no input requires grad (or under :func:`~repro.tensor.tensor.no_grad`)
+    the forward runs without residuals and the result is wrapped by
+    :func:`~repro.tensor.tensor.graph_free`; this branch serves every op of
+    an evaluation pass, so it stays a bare loop.  Otherwise the residuals are
+    captured and the vjp is wired into the tape, accumulating into the inputs
+    in declaration order.
     """
-    arrays = tuple(t.data for t in inputs)
-    if not (is_grad_enabled() and any(t.requires_grad for t in inputs)):
-        out, _ = primitive.forward(*arrays, **params)
-        return graph_free(out)
-    data, ctx = primitive.forward(*arrays, want_ctx=True, **params)
+    if is_grad_enabled():
+        for t in inputs:
+            if t.requires_grad:
+                return _record(primitive, inputs, params)
+    out, _ = primitive.forward(*[t.data for t in inputs], **params)
+    return graph_free(out)
+
+
+def _record(primitive: Primitive, inputs: Sequence[Tensor], params) -> Tensor:
+    """Tracked branch of :func:`apply`: forward with residuals plus a tape node."""
+    data, ctx = primitive.forward(*[t.data for t in inputs], want_ctx=True, **params)
     out = Tensor(
         data, requires_grad=True, _prev=[t for t in inputs if t.requires_grad or t._prev]
     )
@@ -189,17 +185,11 @@ def _add_vjp(ctx, g, needs):
     )
 
 
-def _add_jvp(ctx, tangents):
-    ta, tb = tangents
-    return ta + tb
-
-
 ADD = register(
     Primitive(
         "add",
         forward=_add_fwd,
         vjp=_add_vjp,
-        jvp=_add_jvp,
         samples=[_sample([(3, 4), (3, 4)]), _sample([(3, 4), (4,)]), _sample([(2, 1, 3), (1, 4, 3)])],
     )
 )
@@ -218,17 +208,11 @@ def _sub_vjp(ctx, g, needs):
     )
 
 
-def _sub_jvp(ctx, tangents):
-    ta, tb = tangents
-    return ta - tb
-
-
 SUB = register(
     Primitive(
         "sub",
         forward=_sub_fwd,
         vjp=_sub_vjp,
-        jvp=_sub_jvp,
         samples=[_sample([(3, 4), (3, 4)]), _sample([(3, 4), (4,)])],
     )
 )
@@ -247,18 +231,11 @@ def _mul_vjp(ctx, g, needs):
     )
 
 
-def _mul_jvp(ctx, tangents):
-    a, b = ctx
-    ta, tb = tangents
-    return ta * b + a * tb
-
-
 MUL = register(
     Primitive(
         "mul",
         forward=_mul_fwd,
         vjp=_mul_vjp,
-        jvp=_mul_jvp,
         samples=[_sample([(3, 4), (3, 4)]), _sample([(3, 4), (4,)])],
     )
 )
@@ -277,18 +254,11 @@ def _div_vjp(ctx, g, needs):
     )
 
 
-def _div_jvp(ctx, tangents):
-    a, b = ctx
-    ta, tb = tangents
-    return ta / b - a * tb / (b ** 2)
-
-
 DIV = register(
     Primitive(
         "div",
         forward=_div_fwd,
         vjp=_div_vjp,
-        jvp=_div_jvp,
         samples=[_positive_sample([(3, 4), (3, 4)]), _positive_sample([(3, 4), (4,)])],
     )
 )
@@ -302,11 +272,7 @@ def _neg_vjp(ctx, g, needs):
     return ((-g) if needs[0] else None,)
 
 
-def _neg_jvp(ctx, tangents):
-    return -tangents[0]
-
-
-NEG = register(Primitive("neg", forward=_neg_fwd, vjp=_neg_vjp, jvp=_neg_jvp, samples=[_sample([(3, 4)])]))
+NEG = register(Primitive("neg", forward=_neg_fwd, vjp=_neg_vjp, samples=[_sample([(3, 4)])]))
 
 
 def _power_fwd(a, want_ctx=False, *, exponent):
@@ -319,17 +285,11 @@ def _power_vjp(ctx, g, needs, *, exponent):
     return ((g * exponent * a ** (exponent - 1)) if needs[0] else None,)
 
 
-def _power_jvp(ctx, tangents, *, exponent):
-    (a,) = ctx
-    return tangents[0] * exponent * a ** (exponent - 1)
-
-
 POWER = register(
     Primitive(
         "power",
         forward=_power_fwd,
         vjp=_power_vjp,
-        jvp=_power_jvp,
         samples=[_positive_sample([(3, 4)], exponent=2.0), _positive_sample([(3, 4)], exponent=0.5)],
     )
 )
@@ -350,18 +310,11 @@ def _matmul_vjp(ctx, g, needs):
     return grad_a, grad_b
 
 
-def _matmul_jvp(ctx, tangents):
-    a, b = ctx
-    ta, tb = tangents
-    return ta @ b + a @ tb
-
-
 MATMUL = register(
     Primitive(
         "matmul",
         forward=_matmul_fwd,
         vjp=_matmul_vjp,
-        jvp=_matmul_jvp,
         samples=[_sample([(3, 4), (4, 5)]), _sample([(2, 3, 4), (4, 5)])],
     )
 )
@@ -381,12 +334,7 @@ def _exp_vjp(ctx, g, needs):
     return ((g * out) if needs[0] else None,)
 
 
-def _exp_jvp(ctx, tangents):
-    (out,) = ctx
-    return tangents[0] * out
-
-
-EXP = register(Primitive("exp", forward=_exp_fwd, vjp=_exp_vjp, jvp=_exp_jvp, samples=[_sample([(3, 4)])]))
+EXP = register(Primitive("exp", forward=_exp_fwd, vjp=_exp_vjp, samples=[_sample([(3, 4)])]))
 
 
 def _log_fwd(a, want_ctx=False):
@@ -399,12 +347,7 @@ def _log_vjp(ctx, g, needs):
     return ((g / a) if needs[0] else None,)
 
 
-def _log_jvp(ctx, tangents):
-    (a,) = ctx
-    return tangents[0] / a
-
-
-LOG = register(Primitive("log", forward=_log_fwd, vjp=_log_vjp, jvp=_log_jvp, samples=[_positive_sample([(3, 4)])]))
+LOG = register(Primitive("log", forward=_log_fwd, vjp=_log_vjp, samples=[_positive_sample([(3, 4)])]))
 
 
 def _tanh_fwd(a, want_ctx=False):
@@ -417,12 +360,7 @@ def _tanh_vjp(ctx, g, needs):
     return ((g * (1.0 - out ** 2)) if needs[0] else None,)
 
 
-def _tanh_jvp(ctx, tangents):
-    (out,) = ctx
-    return tangents[0] * (1.0 - out ** 2)
-
-
-TANH = register(Primitive("tanh", forward=_tanh_fwd, vjp=_tanh_vjp, jvp=_tanh_jvp, samples=[_sample([(3, 4)])]))
+TANH = register(Primitive("tanh", forward=_tanh_fwd, vjp=_tanh_vjp, samples=[_sample([(3, 4)])]))
 
 
 def _sigmoid_fwd(a, want_ctx=False):
@@ -439,13 +377,8 @@ def _sigmoid_vjp(ctx, g, needs):
     return ((g * out * (1.0 - out)) if needs[0] else None,)
 
 
-def _sigmoid_jvp(ctx, tangents):
-    (out,) = ctx
-    return tangents[0] * out * (1.0 - out)
-
-
 SIGMOID = register(
-    Primitive("sigmoid", forward=_sigmoid_fwd, vjp=_sigmoid_vjp, jvp=_sigmoid_jvp, samples=[_sample([(3, 4)])])
+    Primitive("sigmoid", forward=_sigmoid_fwd, vjp=_sigmoid_vjp, samples=[_sample([(3, 4)])])
 )
 
 
@@ -460,16 +393,11 @@ def _relu_vjp(ctx, g, needs):
     return ((g * mask) if needs[0] else None,)
 
 
-def _relu_jvp(ctx, tangents):
-    (mask,) = ctx
-    return tangents[0] * mask
-
-
 def _relu_sample(rng, dtype):
     return (_away(rng.standard_normal((3, 4)), 0.0).astype(dtype, copy=False),), {}
 
 
-RELU = register(Primitive("relu", forward=_relu_fwd, vjp=_relu_vjp, jvp=_relu_jvp, samples=[_relu_sample]))
+RELU = register(Primitive("relu", forward=_relu_fwd, vjp=_relu_vjp, samples=[_relu_sample]))
 
 
 def _clip_fwd(a, want_ctx=False, *, low, high):
@@ -484,17 +412,12 @@ def _clip_vjp(ctx, g, needs, *, low, high):
     return ((g * mask) if needs[0] else None,)
 
 
-def _clip_jvp(ctx, tangents, *, low, high):
-    (mask,) = ctx
-    return tangents[0] * mask
-
-
 def _clip_sample(rng, dtype):
     values = _away(rng.standard_normal((3, 4)), -0.7, 0.7)
     return (values.astype(dtype, copy=False),), {"low": -0.7, "high": 0.7}
 
 
-CLIP = register(Primitive("clip", forward=_clip_fwd, vjp=_clip_vjp, jvp=_clip_jvp, samples=[_clip_sample]))
+CLIP = register(Primitive("clip", forward=_clip_fwd, vjp=_clip_vjp, samples=[_clip_sample]))
 
 
 def _extrema_ctx(a, b, a_wins):
@@ -524,18 +447,11 @@ def _extrema_vjp(ctx, g, needs):
     )
 
 
-def _extrema_jvp(ctx, tangents):
-    a_wins, tie, _, _ = ctx
-    ta, tb = tangents
-    return ta * (a_wins + 0.5 * tie) + tb * ((~a_wins & ~tie) + 0.5 * tie)
-
-
 MAXIMUM = register(
     Primitive(
         "maximum",
         forward=_maximum_fwd,
         vjp=_extrema_vjp,
-        jvp=_extrema_jvp,
         samples=[_sample([(3, 4), (3, 4)])],
     )
 )
@@ -545,7 +461,6 @@ MINIMUM = register(
         "minimum",
         forward=_minimum_fwd,
         vjp=_extrema_vjp,
-        jvp=_extrema_jvp,
         samples=[_sample([(3, 4), (3, 4)])],
     )
 )
@@ -564,17 +479,12 @@ def _where_vjp(ctx, g, needs, *, cond):
     )
 
 
-def _where_jvp(ctx, tangents, *, cond):
-    ta, tb = tangents
-    return np.where(cond, ta, tb)
-
-
 def _where_sample(rng, dtype):
     inputs = tuple(rng.standard_normal((3, 4)).astype(dtype, copy=False) for _ in range(2))
     return inputs, {"cond": rng.random((3, 4)) > 0.5}
 
 
-WHERE = register(Primitive("where", forward=_where_fwd, vjp=_where_vjp, jvp=_where_jvp, samples=[_where_sample]))
+WHERE = register(Primitive("where", forward=_where_fwd, vjp=_where_vjp, samples=[_where_sample]))
 
 
 # ---------------------------------------------------------------------------
@@ -602,16 +512,11 @@ def _sum_vjp(ctx, g, needs, *, axis=None, keepdims=False):
     return (np.broadcast_to(grad, shape).astype(np.float64),)
 
 
-def _sum_jvp(ctx, tangents, *, axis=None, keepdims=False):
-    return tangents[0].sum(axis=axis, keepdims=keepdims)
-
-
 SUM = register(
     Primitive(
         "sum",
         forward=_sum_fwd,
         vjp=_sum_vjp,
-        jvp=_sum_jvp,
         samples=[
             _sample([(3, 4)]),
             _sample([(3, 4)], axis=0),
@@ -648,16 +553,11 @@ def _mean_vjp(ctx, g, needs, *, axis=None, keepdims=False):
     return (np.broadcast_to(grad, shape).astype(np.float64),)
 
 
-def _mean_jvp(ctx, tangents, *, axis=None, keepdims=False):
-    return tangents[0].mean(axis=axis, keepdims=keepdims)
-
-
 MEAN = register(
     Primitive(
         "mean",
         forward=_mean_fwd,
         vjp=_mean_vjp,
-        jvp=_mean_jvp,
         samples=[
             _sample([(3, 4)]),
             _sample([(2, 3, 4)], axis=(0, 2)),
@@ -691,17 +591,11 @@ def _max_vjp(ctx, g, needs, *, axis=None, keepdims=False):
     return (np.broadcast_to(grad, shape) * mask_norm,)
 
 
-def _max_jvp(ctx, tangents, *, axis=None, keepdims=False):
-    mask_norm, _ = ctx
-    return (mask_norm * tangents[0]).sum(axis=axis, keepdims=keepdims)
-
-
 MAX = register(
     Primitive(
         "max",
         forward=_max_fwd,
         vjp=_max_vjp,
-        jvp=_max_jvp,
         samples=[_sample([(3, 4)]), _sample([(3, 4)], axis=1), _sample([(2, 3, 4)], axis=(1,), keepdims=True)],
     )
 )
@@ -721,16 +615,11 @@ def _reshape_vjp(ctx, g, needs, *, shape):
     return (g.reshape(a_shape) if needs[0] else None,)
 
 
-def _reshape_jvp(ctx, tangents, *, shape):
-    return tangents[0].reshape(shape)
-
-
 RESHAPE = register(
     Primitive(
         "reshape",
         forward=_reshape_fwd,
         vjp=_reshape_vjp,
-        jvp=_reshape_jvp,
         samples=[_sample([(3, 4)], shape=(2, 6)), _sample([(2, 3, 4)], shape=(6, 4))],
     )
 )
@@ -749,16 +638,11 @@ def _transpose_vjp(ctx, g, needs, *, axes=None):
     return (np.transpose(g, axes=inverse) if needs[0] else None,)
 
 
-def _transpose_jvp(ctx, tangents, *, axes=None):
-    return np.transpose(tangents[0], axes=axes)
-
-
 TRANSPOSE = register(
     Primitive(
         "transpose",
         forward=_transpose_fwd,
         vjp=_transpose_vjp,
-        jvp=_transpose_jvp,
         samples=[_sample([(3, 4)]), _sample([(2, 3, 4)], axes=(1, 2, 0))],
     )
 )
@@ -774,16 +658,11 @@ def _broadcast_to_vjp(ctx, g, needs, *, shape):
     return (_unbroadcast(g, a_shape) if needs[0] else None,)
 
 
-def _broadcast_to_jvp(ctx, tangents, *, shape):
-    return np.broadcast_to(tangents[0], shape).copy()
-
-
 BROADCAST_TO = register(
     Primitive(
         "broadcast_to",
         forward=_broadcast_to_fwd,
         vjp=_broadcast_to_vjp,
-        jvp=_broadcast_to_jvp,
         samples=[_sample([(1, 4)], shape=(3, 4)), _sample([(3, 1)], shape=(3, 5))],
     )
 )
@@ -811,16 +690,11 @@ def _concat_vjp(ctx, g, needs, *, axis=0):
     return grads
 
 
-def _concat_jvp(ctx, tangents, *, axis=0):
-    return np.concatenate(tangents, axis=axis)
-
-
 CONCAT = register(
     Primitive(
         "concat",
         forward=_concat_fwd,
         vjp=_concat_vjp,
-        jvp=_concat_jvp,
         samples=[_sample([(2, 3), (2, 3), (2, 3)], axis=0), _sample([(2, 2), (2, 3)], axis=1)],
     )
 )
@@ -839,16 +713,11 @@ def _stack_vjp(ctx, g, needs, *, axis=0):
     ]
 
 
-def _stack_jvp(ctx, tangents, *, axis=0):
-    return np.stack(tangents, axis=axis)
-
-
 STACK = register(
     Primitive(
         "stack",
         forward=_stack_fwd,
         vjp=_stack_vjp,
-        jvp=_stack_jvp,
         samples=[_sample([(2, 3), (2, 3)], axis=0), _sample([(2, 3), (2, 3), (2, 3)], axis=1)],
     )
 )
@@ -868,17 +737,13 @@ def _getitem_vjp(ctx, g, needs, *, index):
     return (grad,)
 
 
-def _getitem_jvp(ctx, tangents, *, index):
-    return tangents[0][index]
-
-
 def _getitem_sample(rng, dtype):
     values = rng.standard_normal((4, 3)).astype(dtype, copy=False)
     return (values,), {"index": np.array([0, 2, 2, 1])}
 
 
 GETITEM = register(
-    Primitive("getitem", forward=_getitem_fwd, vjp=_getitem_vjp, jvp=_getitem_jvp, samples=[_getitem_sample])
+    Primitive("getitem", forward=_getitem_fwd, vjp=_getitem_vjp, samples=[_getitem_sample])
 )
 
 
@@ -896,18 +761,11 @@ def _pad2d_vjp(ctx, g, needs, *, padding):
     return (g[slices],)
 
 
-def _pad2d_jvp(ctx, tangents, *, padding):
-    ta = tangents[0]
-    pad_width = [(0, 0)] * (ta.ndim - 2) + [(padding, padding), (padding, padding)]
-    return np.pad(ta, pad_width)
-
-
 PAD2D = register(
     Primitive(
         "pad2d",
         forward=_pad2d_fwd,
         vjp=_pad2d_vjp,
-        jvp=_pad2d_jvp,
         samples=[_sample([(2, 3, 4, 4)], padding=1)],
     )
 )
@@ -932,18 +790,11 @@ def _softmax_vjp(ctx, g, needs, *, axis=-1):
     return (out * (g - dot),)
 
 
-def _softmax_jvp(ctx, tangents, *, axis=-1):
-    (out,) = ctx
-    ta = tangents[0]
-    return out * (ta - (out * ta).sum(axis=axis, keepdims=True))
-
-
 SOFTMAX = register(
     Primitive(
         "softmax",
         forward=_softmax_fwd,
         vjp=_softmax_vjp,
-        jvp=_softmax_jvp,
         samples=[_sample([(3, 4)]), _sample([(2, 3, 4)], axis=1)],
     )
 )
@@ -965,18 +816,11 @@ def _log_softmax_vjp(ctx, g, needs, *, axis=-1):
     return (g - softmax_vals * grad_sum,)
 
 
-def _log_softmax_jvp(ctx, tangents, *, axis=-1):
-    (out,) = ctx
-    ta = tangents[0]
-    return ta - (np.exp(out) * ta).sum(axis=axis, keepdims=True)
-
-
 LOG_SOFTMAX = register(
     Primitive(
         "log_softmax",
         forward=_log_softmax_fwd,
         vjp=_log_softmax_vjp,
-        jvp=_log_softmax_jvp,
         samples=[_sample([(3, 4)]), _sample([(2, 3, 4)], axis=1)],
     )
 )
@@ -991,10 +835,6 @@ def _dropout_vjp(ctx, g, needs, *, mask):
     return ((g * mask) if needs[0] else None,)
 
 
-def _dropout_jvp(ctx, tangents, *, mask):
-    return tangents[0] * mask
-
-
 def _dropout_sample(rng, dtype):
     values = rng.standard_normal((3, 4)).astype(dtype, copy=False)
     keep = 0.75
@@ -1003,5 +843,5 @@ def _dropout_sample(rng, dtype):
 
 
 DROPOUT = register(
-    Primitive("dropout", forward=_dropout_fwd, vjp=_dropout_vjp, jvp=_dropout_jvp, samples=[_dropout_sample])
+    Primitive("dropout", forward=_dropout_fwd, vjp=_dropout_vjp, samples=[_dropout_sample])
 )

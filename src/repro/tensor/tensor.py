@@ -99,7 +99,7 @@ class Tensor:
         Optional label used by debugging helpers and the parameter registry.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "name", "_events")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "name")
 
     def __init__(
         self,
@@ -115,10 +115,6 @@ class Tensor:
         self._backward: Optional[Callable[[], None]] = _backward
         self._prev: Tuple[Tensor, ...] = tuple(_prev)
         self.name: str = name
-        # flat C-order indices of the nonzero entries, attached by trusted
-        # producers when event-driven sparse inference is active (see
-        # repro.tensor.sparse); None for ordinary dense tensors
-        self._events: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -439,5 +435,4 @@ def graph_free(data: np.ndarray) -> Tensor:
     out._backward = None
     out._prev = ()
     out.name = ""
-    out._events = None
     return out

@@ -108,9 +108,8 @@ def measure_latency_ms(
     reported number covers the full simulation window (every time step), not
     a single step.  ``dtype`` selects the batch dtype: ``None`` (default)
     keeps a float batch's dtype (non-float input is promoted to float64), so
-    the objective measures whichever substrate — float64, float32, or the
-    event-driven sparse mode (enable :func:`repro.tensor.sparse.
-    sparse_inference` around the call) — the caller set up.
+    the objective measures whichever substrate — float64 or float32 — the
+    caller set up.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")

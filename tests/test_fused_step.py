@@ -281,10 +281,10 @@ class TestWorkerTelemetry:
     def test_fused_counter_deltas_ride_result_telemetry(self):
         """The async-eval telemetry channel ships fused routing deltas.
 
-        Mirrors the sparse-inference plumbing: the worker wrapper snapshots
-        the process aggregate around the objective, ships the delta on the
-        result, and the parent folds it into its own aggregate on absorb —
-        so ``async_workers=N`` searches keep a complete routing picture.
+        The worker wrapper snapshots the process aggregate around the
+        objective, ships the delta on the result, and the parent folds it
+        into its own aggregate on absorb — so ``async_workers=N`` searches
+        keep a complete routing picture.
         """
         call = _TelemetryCall(_FusedObjective(), None)
         result = call("spec-placeholder")

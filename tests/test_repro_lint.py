@@ -218,42 +218,6 @@ class TestBufferEscape:
         )
         assert "buffer-escape" not in rules_of(report)
 
-    def test_pooled_index_list_through_attach_events_is_flagged(self, tmp_path):
-        # PR 8: attach_events pins the index array to a tensor consumed on a
-        # later step, so a pooled index buffer escapes through it
-        report = lint(
-            tmp_path,
-            {
-                "sparse_bad.py": """
-                def emit(pool, spikes, out):
-                    events = pool.get_workspace(spikes.size)
-                    return attach_events(out, events)
-                """
-            },
-        )
-        escapes = [f for f in report.findings if f.rule == "buffer-escape"]
-        assert len(escapes) == 1
-        assert "'events'" in escapes[0].message
-
-    def test_fresh_or_copied_index_list_is_clean(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "sparse_good.py": """
-                import numpy as np
-
-                def emit_fresh(spikes, out):
-                    events = np.flatnonzero(spikes)  # owning array, no pool
-                    return attach_events(out, events)
-
-                def emit_copied(pool, spikes, out):
-                    events = pool.get_workspace(spikes.size)
-                    return attach_events(out, events.copy())
-                """
-            },
-        )
-        assert "buffer-escape" not in rules_of(report)
-
 
 # ---------------------------------------------------------------------------
 # rule: metrics-hygiene
@@ -413,11 +377,8 @@ class TestPrimitiveCoverage:
                 def _gelu_fwd(a, want_ctx=False):
                     return a, None
 
-                def _gelu_jvp(ctx, tangents):
-                    return tangents[0]
-
-                GELU = register(Primitive("gelu", forward=_gelu_fwd, jvp=_gelu_jvp))
-                BAD = Primitive("bad", forward=_gelu_fwd, vjp=None, jvp=_gelu_jvp)
+                GELU = register(Primitive("gelu", forward=_gelu_fwd))
+                BAD = Primitive("bad", forward=_gelu_fwd, vjp=None)
                 """
             },
         )
@@ -460,10 +421,7 @@ class TestPrimitiveCoverage:
                 def _relu_vjp(ctx, g, needs):
                     return (g * (ctx > 0),)
 
-                def _relu_jvp(ctx, tangents):
-                    return tangents[0]
-
-                RELU = Primitive("relu", forward=_relu_fwd, vjp=_relu_vjp, jvp=_relu_jvp)
+                RELU = Primitive("relu", forward=_relu_fwd, vjp=_relu_vjp)
 
                 class FusedKernel:
                     def forward(self, t, x):

@@ -346,9 +346,8 @@ class TestJobTrace:
         for name in (
             "repro_worker_occupancy",
             "repro_job_events_dropped_total",
-            "repro_sparse_steps_total",
-            "repro_dense_steps_total",
-            "repro_sparse_probe_failures_total",
+            "repro_fused_steps_total",
+            "repro_fused_fallback_steps_total",
             "repro_store_lookup_hits_total",
             "repro_store_lookup_misses_total",
             "repro_store_lookup_hit_rate",
@@ -356,6 +355,12 @@ class TestJobTrace:
             assert f"# TYPE {name}" in page, name
         # idle server: no running jobs, so occupancy scrapes as zero
         assert "repro_worker_occupancy 0" in page
+        # the fused-training series read the process-wide aggregates
+        from repro.snn.fused_step import aggregate_fused_counters
+
+        fused = aggregate_fused_counters()
+        assert f"repro_fused_steps_total {fused['fused_steps']}" in page
+        assert f"repro_fused_fallback_steps_total {fused['fallback_steps']}" in page
 
     def test_concurrent_metrics_scrapes_stay_consistent(self, server):
         """Satellite acceptance: parallel /metrics scrapes during a live job

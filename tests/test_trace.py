@@ -345,14 +345,13 @@ class TestPropagation:
 
     def test_worker_counter_deltas_merge_into_aggregates(self):
         from repro.core.cache import merge_store_counters, store_counters
-        from repro.tensor.sparse import aggregate_sparse_counters, merge_sparse_counters
+        from repro.snn.fused_step import aggregate_fused_counters, merge_fused_counters
 
-        sparse_before = aggregate_sparse_counters()
-        merge_sparse_counters({"sparse_steps": 2, "dense_steps": 1, "probe_failures": 1})
-        sparse_after = aggregate_sparse_counters()
-        assert sparse_after["sparse_steps"] - sparse_before["sparse_steps"] == 2
-        assert sparse_after["dense_steps"] - sparse_before["dense_steps"] == 1
-        assert sparse_after["probe_failures"] - sparse_before["probe_failures"] == 1
+        fused_before = aggregate_fused_counters()
+        merge_fused_counters({"fused_steps": 2, "fallback_steps": 1})
+        fused_after = aggregate_fused_counters()
+        assert fused_after["fused_steps"] - fused_before["fused_steps"] == 2
+        assert fused_after["fallback_steps"] - fused_before["fallback_steps"] == 1
 
         store_before = store_counters()
         merge_store_counters({"hits": 3, "misses": 2})
@@ -409,7 +408,6 @@ class TestBenchGateCeiling:
     OK = {
         "conv2d_forward": {"speedup": 3.0},
         "lif_step": {"speedup": 3.0},
-        "sparse_eval_rate_0.01": {"speedup": 3.0},
         "bptt_step": {"speedup": 3.0},
         "tracing_overhead": {"overhead_ratio": 1.005},
     }

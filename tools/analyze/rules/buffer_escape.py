@@ -8,16 +8,11 @@ hardening — is that nothing reachable from a *returned* value may live in a
 reused buffer, because the next call (or the next thread's interleaved
 evaluation) overwrites it in place.
 
-PR 8's event-driven sparse mode adds a second escape surface: spike-index
-lists attached to tensors via ``attach_events`` are read on *later* steps by
-the sparse kernels, so an index array borrowed from a pool and attached
-without a copy is a use-after-overwrite waiting to happen.
-
 This rule taints names assigned from buffer-providing calls (any callable
 whose name contains ``workspace`` or ``buffer``), propagates taint through
 view-producing operations (``reshape``/``transpose``/slicing/``graph_free``/
-``Tensor``/``attach_events`` wrapping) and flags ``return``/``yield`` of a
-tainted name unless it passes through ``.copy()`` first.  Functions whose own name marks them as
+``Tensor`` wrapping) and flags ``return``/``yield`` of a tainted name unless
+it passes through ``.copy()`` first.  Functions whose own name marks them as
 buffer providers (``workspace``/``buffer`` in the name) are exempt — handing
 out scratch is their job.
 
@@ -40,11 +35,8 @@ PROVIDER_MARKERS = ("workspace", "buffer")
 #: attribute calls on a tainted array that return a view of the same storage
 VIEW_METHODS = {"reshape", "ravel", "transpose", "squeeze", "swapaxes", "view"}
 
-#: wrapper callables that keep referencing their argument's storage;
-#: ``attach_events`` (PR 8) pins a spike-index list to a tensor that outlives
-#: the call, so a pooled index buffer passed through it escapes just like one
-#: passed to ``Tensor``
-WRAPPERS = {"graph_free", "Tensor", "asarray", "atleast_1d", "attach_events"}
+#: wrapper callables that keep referencing their argument's storage
+WRAPPERS = {"graph_free", "Tensor", "asarray", "atleast_1d"}
 
 
 def _terminal_name(func: ast.expr) -> str:
