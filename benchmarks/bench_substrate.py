@@ -74,7 +74,7 @@ def test_conv2d_forward(benchmark):
 
 
 @benchmark_case
-def test_conv2d_forward_inference(benchmark):
+def test_conv2d_forward_no_grad(benchmark):
     """Graph-free conv forward: pooled im2col workspace + one batched GEMM."""
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(8, 8, 16, 16)))
@@ -256,7 +256,7 @@ def bench_conv_forward(repeats: int) -> Dict[str, float]:
 
 
 def bench_lif_step(repeats: int, steps: int = 8) -> Dict[str, float]:
-    """Per-step cost of a LIF sequence: autograd vs fused in-place stepping.
+    """Per-step cost of a LIF sequence: autograd vs the graph-free array step.
 
     The autograd variant drives the neuron with a grad-tracked input — as in
     training, where the preceding convolution's output carries the graph — so

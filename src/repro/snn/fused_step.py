@@ -22,18 +22,20 @@ Bit-equality contract
 
 The fused path is **bit-identical** to graph autograd (pinned by
 ``tests/test_fused_step.py`` and asserted before every timing run in
-``benchmarks/bench_substrate.py``): every forward expression replicates the
-layer forwards verbatim (including the dtype-matched scalar promotion of
-:func:`repro.tensor.ops._ensure_pair` and the batch-norm running-statistics
-updates), and every adjoint expression replicates the registered primitive
-vjps (:mod:`repro.tensor.primitives`) — the conv and pooling adjoints *call*
-the registered vjp functions directly on contexts rebuilt from the stashed
-residuals.  Gradient accumulation follows the exact order of the graph's
-reverse topological sweep: strictly reverse time, and within one step the
-reverse creation order of the layer ops (differences limited to IEEE signed
-zeros, which compare equal and cannot affect parameter updates).  The float32
-substrate follows the same expressions and is covered by the pinned tolerance
-contract (:mod:`repro.tensor.tolerance`).
+``benchmarks/bench_substrate.py``): each neuron step calls the neuron's own
+:meth:`~repro.snn.neurons.SpikingNeuron.dynamics` on arrays, every other
+forward expression replicates the layer forwards verbatim (including the
+dtype-matched scalar promotion of :func:`repro.tensor.ops._ensure_pair` and
+the batch-norm running-statistics updates), and every adjoint expression
+replicates the registered primitive vjps (:mod:`repro.tensor.primitives`) —
+the conv and pooling adjoints *call* the registered vjp functions directly on
+contexts rebuilt from the stashed residuals.  Gradient accumulation follows
+the exact order of the graph's reverse topological sweep: strictly reverse
+time, and within one step the reverse creation order of the layer ops
+(differences limited to IEEE signed zeros, which compare equal and cannot
+affect parameter updates).  The float32 substrate follows the same
+expressions and is covered by the pinned tolerance contract
+(:mod:`repro.tensor.tolerance`).
 
 Dispatch
 --------
@@ -64,11 +66,12 @@ from __future__ import annotations
 import contextlib
 import itertools
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.snn.encoding import encode_batch
+from repro.snn.surrogate import _spike_fwd
 from repro.tensor.conv import (
     _avg_pool2d_fwd,
     _avg_pool2d_vjp,
@@ -203,16 +206,15 @@ class _ConvOp:
 class _CBN:
     """A conv -> batch-norm -> spiking-neuron pipeline (stem/layer/transition)."""
 
-    __slots__ = ("op", "norm", "neuron", "index", "decay", "adaptive", "reset")
+    __slots__ = ("op", "norm", "neuron", "index", "decay", "reset")
 
-    def __init__(self, op: _ConvOp, norm, neuron, index: int, decay, adaptive: bool) -> None:
+    def __init__(self, op: _ConvOp, norm, neuron, index: int, decay) -> None:
         self.op = op
         self.norm = norm
         self.neuron = neuron
         self.index = index
         #: membrane decay factor (``None`` for the non-leaky IF neuron)
         self.decay = decay
-        self.adaptive = adaptive
         self.reset = neuron.reset_mechanism
 
 
@@ -308,14 +310,12 @@ def _compile(runner):
         neuron = holder.activation
         kind = type(neuron)
         if kind is IFNeuron:
-            decay, adaptive = None, False
-        elif kind is LIFNeuron:
-            decay, adaptive = neuron.beta, False
-        elif kind is ALIFNeuron:
-            decay, adaptive = neuron.beta, True
+            decay = None
+        elif kind is LIFNeuron or kind is ALIFNeuron:
+            decay = neuron.beta
         else:
             return f"{context}: activation {kind.__name__} is not a fused neuron type"
-        cbn = _CBN(op, holder.norm, neuron, len(cbns), decay, adaptive)
+        cbn = _CBN(op, holder.norm, neuron, len(cbns), decay)
         cbns.append(cbn)
         return cbn
 
@@ -523,11 +523,8 @@ class _FusedKernel:
         self._cmajor: set = set()
         self._scratches: Dict[str, np.ndarray] = {}
         self._geom: Dict[str, tuple] = {}
-        # per-neuron temporal state: membrane, spikes, adaptation, scalar arrays
-        self._nstate = [
-            {"m": None, "s": None, "a": None, "beta": None, "thr": None, "one": None}
-            for _ in plan.cbns
-        ]
+        # per-neuron temporal state, keyed like each neuron's ``dynamics`` state
+        self._nstate = [dict.fromkeys(cbn.neuron.state_names) for cbn in plan.cbns]
         self._fc_wt = np.transpose(plan.fc.weight.data)
         self._int_beta = None
         self._score_dtype = None
@@ -603,11 +600,8 @@ class _FusedKernel:
         workspace storage would break the aliasing contract.
         """
         for cbn, state in zip(self.plan.cbns, self._nstate):
-            neuron = cbn.neuron
-            neuron.membrane = graph_free(state["m"])
-            neuron.previous_spikes = graph_free(state["s"])
-            if cbn.adaptive:
-                neuron._adaptive_component = state["a"]
+            for name, value in state.items():
+                setattr(cbn.neuron, name, None if value is None else graph_free(value))
         if self.plan.integrator is not None and integrator_state is not None:
             self.plan.integrator.membrane = graph_free(integrator_state)
 
@@ -680,49 +674,21 @@ class _FusedKernel:
         return out
 
     def _neuron_forward(self, cbn: _CBN, t: int, drive: np.ndarray) -> np.ndarray:
+        # the neuron's own update, run on arrays; the spike primitive's
+        # forward yields the spikes and the pseudo-derivative the adjoint reads
         neuron = cbn.neuron
         state = self._nstate[cbn.index]
-        m_prev, s_prev = state["m"], state["s"]
-        if m_prev is None:
-            membrane = drive
-        else:
-            if s_prev is None or cbn.reset == "none":
-                inner = m_prev
-            elif cbn.reset == "subtract":
-                if state["thr"] is None:
-                    state["thr"] = np.asarray(neuron.threshold, dtype=s_prev.dtype)
-                inner = m_prev - s_prev * state["thr"]
-            else:  # zero (hard reset)
-                if state["one"] is None:
-                    state["one"] = np.asarray(1.0, dtype=s_prev.dtype)
-                inner = m_prev * (state["one"] - s_prev)
-            if cbn.decay is None:
-                membrane = inner + drive
-            else:
-                if state["beta"] is None:
-                    state["beta"] = np.asarray(cbn.decay, dtype=inner.dtype)
-                membrane = inner * state["beta"] + drive
-        if cbn.adaptive:
-            adaptation = state["a"]
-            if adaptation is None:
-                adaptation = np.zeros_like(membrane)
-            else:
-                adaptation = neuron.adaptation_decay * adaptation
-                if s_prev is not None:
-                    adaptation = adaptation + neuron.adaptation * s_prev
-            state["a"] = adaptation
-            shifted = (membrane - adaptation) - neuron.threshold
-        else:
-            shifted = membrane - neuron.threshold
-        spikes = (shifted >= 0.0).astype(membrane.dtype)
-        pseudo = neuron.surrogate.derivative(shifted)
+        update, spike_input = neuron.dynamics(state, drive)
+        spikes, (pseudo,) = _spike_fwd(
+            spike_input, True, threshold=neuron.threshold, surrogate=neuron.surrogate
+        )
         pseudo_buf = self.stash(f"n{cbn.index}.pseudo", pseudo.shape, pseudo.dtype)
         pseudo_buf[t] = pseudo
         if cbn.reset == "zero":
             spikes_buf = self.stash(f"n{cbn.index}.spikes", spikes.shape, spikes.dtype)
             spikes_buf[t] = spikes
-        state["m"] = membrane
-        state["s"] = spikes
+        state.update(update)
+        state["previous_spikes"] = spikes
         return spikes
 
     def _cbn_forward(self, cbn: _CBN, t: int, x: np.ndarray) -> np.ndarray:
@@ -835,15 +801,16 @@ class _FusedKernel:
         if carry is not None:
             g_membrane += carry
         if t > 0:
-            state = self._nstate[cbn.index]
             if cbn.decay is None:
                 # integrate is a plain add, so the carry is the membrane grad
                 # itself — copied, because the scratch is rewritten at t - 1
                 g_inner = g_membrane.copy()
             else:
-                g_inner = g_membrane * state["beta"]
+                # the decay in the forward dtype, as the graph's scalar operand
+                dtype = self._nstate[cbn.index]["membrane"].dtype
+                g_inner = g_membrane * dtype.type(cbn.decay)
             if cbn.reset == "zero":
-                g_inner = g_inner * (state["one"] - self.stashed(f"n{cbn.index}.spikes", t - 1))
+                g_inner = g_inner * (1.0 - self.stashed(f"n{cbn.index}.spikes", t - 1))
             # reset terms are detached, so the subtract reset carries unchanged
             self._ncarry[cbn.index] = g_inner
         else:

@@ -16,48 +16,50 @@ with either *soft reset* (subtract ``theta`` whenever a spike was emitted at
 the previous step) or *hard reset* (zero the membrane), matching
 ``snntorch.Leaky(beta, threshold, reset_mechanism)``.
 
-Inference fast path
--------------------
+One definition per neuron
+-------------------------
 
-Under :func:`~repro.tensor.tensor.no_grad` every neuron dispatches to a fused
-graph-free step: the decay, integration, reset and threshold comparison run as
-a handful of in-place NumPy calls over **preallocated state buffers** that are
-reused across time steps (and across batches of the same shape), instead of
-one freshly allocated tensor per op per step.  The fused step performs exactly
-the same elementwise operations in the same order as the autograd path, so
-membrane trajectories and spike trains are bit-identical between the two paths
-(pinned by ``tests/test_inference_fastpath.py``); training/BPTT behaviour is
-untouched.  The state tensors (:attr:`SpikingNeuron.membrane`,
-:attr:`SpikingNeuron.previous_spikes`) wrap the live buffers, so mixing
-grad-mode and no-grad steps within one sequence stays consistent — but a
-tensor returned by a fused step is only valid until the same neuron's next
-step; consumers that retain per-step outputs must copy
-(:meth:`repro.snn.temporal.run_temporal` does this where needed).
+Each neuron defines its update once, as :meth:`SpikingNeuron.dynamics` — a
+pure ``(state, drive) -> (state, spike input)`` step written in operator
+syntax, so the same expressions run on :class:`~repro.tensor.Tensor` operands
+(recording the BPTT graph) and on plain ndarrays.  :meth:`SpikingNeuron.forward`
+runs it on Tensors in grad mode and on the ``.data`` arrays under
+:func:`~repro.tensor.tensor.no_grad` (emitting through the SPIKE primitive's
+forward, with no graph), and the fused BPTT kernel
+(:mod:`repro.snn.fused_step`) runs it on its own arrays.  Every path performs
+the same elementwise operations in the same order, so membrane trajectories
+and spike trains are bit-identical between them (pinned by
+``tests/test_inference_fastpath.py`` and ``tests/test_fused_step.py``).
+Every step allocates its results, so a returned spike tensor or a state
+tensor stays valid after later steps.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.nn.module import Module
 from repro.tensor import Tensor
 from repro.tensor.tensor import graph_free, is_grad_enabled
 from repro.trace import ops_span
-from repro.snn.surrogate import FastSigmoidSurrogate, SurrogateGradient, get_surrogate, spike_function
+from repro.snn.surrogate import SurrogateGradient, _spike_fwd, get_surrogate, spike_function
 
 
 class SpikingNeuron(Module):
     """Base class for stateful spiking neuron layers.
 
-    Subclasses implement :meth:`forward` and use :attr:`membrane` /
-    :attr:`previous_spikes` to carry state between time steps.  The base class
-    handles state reset, detachment (for truncated BPTT), the fused inference
-    buffers and the running spike-rate bookkeeping used by the firing-rate
-    monitors (rates are maintained as running sums while recording, so a
-    query never re-reduces the whole :attr:`spike_record`).
+    Subclasses implement :meth:`dynamics` and list the attributes carrying
+    their temporal state in :attr:`state_names`.  The base class runs the
+    step in grad or no-grad mode, handles state reset, detachment (for
+    truncated BPTT) and the running spike-rate bookkeeping used by the
+    firing-rate monitors (rates are maintained as running sums while
+    recording, so a query never re-reduces the whole :attr:`spike_record`).
     """
+
+    #: attributes holding the temporal state (``None`` at a sequence start);
+    #: :meth:`dynamics` reads them from and returns them in a dict keyed by
+    #: these names
+    state_names = ("membrane", "previous_spikes")
 
     def __init__(
         self,
@@ -86,21 +88,61 @@ class SpikingNeuron(Module):
         self._rate_sum = 0.0
         self._spike_sum = 0.0
         self._record_steps = 0
-        # fused-inference buffers, reused across steps and same-shape batches
-        self._fast: Dict[str, np.ndarray] = {}
+
+    # ------------------------------------------------------------------
+    # the neuron update
+    # ------------------------------------------------------------------
+    def dynamics(self, state: Dict, drive):
+        """One step: ``(state, drive) -> (updated state, spike input)``.
+
+        ``state`` maps every name of :attr:`state_names` to its value at the
+        previous step; ``drive`` is this step's synaptic input.  Returns the
+        updated entries except ``previous_spikes`` (the caller emits the new
+        spikes from the spike input: ``S = H(spike_input - threshold)``).
+        Written in operator syntax, so it runs unchanged on Tensors and on
+        ndarrays.
+        """
+        raise NotImplementedError
+
+    def _reset(self, membrane, spikes):
+        """Apply the configured reset using the spikes from the previous step."""
+        if spikes is None or self.reset_mechanism == "none":
+            return membrane
+        if self.reset_mechanism == "subtract":
+            return membrane - spikes * self.threshold
+        # hard reset: zero the membrane wherever the neuron fired
+        return membrane * (1.0 - spikes)
+
+    def forward(self, synaptic_input: Tensor) -> Tensor:
+        state = {name: getattr(self, name) for name in self.state_names}
+        if is_grad_enabled():
+            if state["previous_spikes"] is not None:
+                state["previous_spikes"] = state["previous_spikes"].detach()
+            update, spike_input = self.dynamics(state, synaptic_input)
+            spikes = spike_function(spike_input, self.threshold, self.surrogate)
+        else:
+            with ops_span("op.neuron_step") as op:
+                arrays = {name: None if value is None else value.data for name, value in state.items()}
+                update, spike_input = self.dynamics(arrays, synaptic_input.data)
+                spike_data, _ = _spike_fwd(spike_input, threshold=self.threshold, surrogate=self.surrogate)
+                update = {name: None if value is None else graph_free(value) for name, value in update.items()}
+                spikes = graph_free(spike_data)
+                if op:
+                    op.set(kind=type(self).__name__, size=int(spike_data.size))
+        for name, value in update.items():
+            setattr(self, name, value)
+        self.previous_spikes = spikes
+        if self.record_spikes:
+            self._record(spikes.data)
+        return spikes
 
     # ------------------------------------------------------------------
     # state handling
     # ------------------------------------------------------------------
     def reset_state(self) -> None:
-        """Clear membrane potential and spike history (start of a sequence).
-
-        The fused-inference buffers survive the reset — only the *state* is
-        cleared — so back-to-back sequences of the same batch shape perform
-        no allocations at all.
-        """
-        self.membrane = None
-        self.previous_spikes = None
+        """Clear the temporal state and spike history (start of a sequence)."""
+        for name in self.state_names:
+            setattr(self, name, None)
         self.clear_spike_record()
 
     def clear_spike_record(self) -> None:
@@ -112,36 +154,18 @@ class SpikingNeuron(Module):
 
     def detach_state(self) -> None:
         """Cut the state from the autodiff graph (truncated BPTT boundary)."""
-        if self.membrane is not None:
-            self.membrane = Tensor(self.membrane.data.copy(), requires_grad=False)
-        if self.previous_spikes is not None:
-            self.previous_spikes = Tensor(self.previous_spikes.data.copy(), requires_grad=False)
+        for name in self.state_names:
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, value.detach())
 
-    def _apply_reset(self, membrane: Tensor) -> Tensor:
-        """Apply the configured reset using the spikes from the previous step."""
-        if self.previous_spikes is None or self.reset_mechanism == "none":
-            return membrane
-        if self.reset_mechanism == "subtract":
-            return membrane - self.previous_spikes.detach() * self.threshold
-        # hard reset: zero the membrane wherever the neuron fired
-        return membrane * (1.0 - self.previous_spikes.detach())
-
-    def _record(self, spikes_data: np.ndarray) -> None:
+    def _record(self, spikes_data) -> None:
         """Record one step: update the running sums, optionally keep the array."""
         if self.record_history:
-            self.spike_record.append(spikes_data.copy())
+            self.spike_record.append(spikes_data)
         self._rate_sum += float(spikes_data.mean())
         self._spike_sum += float(spikes_data.sum())
         self._record_steps += 1
-
-    def _emit(self, membrane: Tensor) -> Tensor:
-        """Emit spikes from ``membrane``, updating state and optional records."""
-        spikes = spike_function(membrane, self.threshold, self.surrogate)
-        self.membrane = membrane
-        self.previous_spikes = spikes
-        if self.record_spikes:
-            self._record(spikes.data)
-        return spikes
 
     def firing_rate(self) -> float:
         """Mean firing probability over the recorded steps (requires recording)."""
@@ -156,59 +180,6 @@ class SpikingNeuron(Module):
     def recorded_steps(self) -> int:
         """Number of steps currently recorded."""
         return self._record_steps
-
-    # ------------------------------------------------------------------
-    # fused inference machinery
-    # ------------------------------------------------------------------
-    def _fast_buffer(self, name: str, shape, dtype=np.float64) -> np.ndarray:
-        """Lazily (re)allocate one named state buffer for the fused step."""
-        buf = self._fast.get(name)
-        if buf is None or buf.shape != tuple(shape) or buf.dtype != np.dtype(dtype):
-            buf = np.empty(shape, dtype=dtype)
-            self._fast[name] = buf
-        return buf
-
-    def _state_into(self, buffer: np.ndarray, state: Optional[Tensor]) -> None:
-        """Copy carried state into ``buffer`` unless it already lives there."""
-        if state is not None and state.data is not buffer:
-            np.copyto(buffer, state.data)
-
-    def _membrane_update_inference(
-        self, mem: np.ndarray, drive: np.ndarray, scratch: np.ndarray, decay: Optional[float]
-    ) -> None:
-        """Fused ``mem <- reset(mem) * decay + drive`` (in place).
-
-        Performs the same elementwise operations in the same order as
-        :meth:`_apply_reset` followed by the decay/integrate ops, so the
-        result is bit-identical to the autograd path.
-        """
-        previous = self.previous_spikes
-        if previous is not None and self.reset_mechanism == "subtract":
-            np.multiply(previous.data, self.threshold, out=scratch)
-            np.subtract(mem, scratch, out=mem)
-        elif previous is not None and self.reset_mechanism == "zero":
-            np.subtract(1.0, previous.data, out=scratch)
-            np.multiply(mem, scratch, out=mem)
-        if decay is not None:
-            np.multiply(mem, decay, out=mem)
-        np.add(mem, drive, out=mem)
-
-    def _emit_inference(self, mem: np.ndarray, shifted: np.ndarray) -> Tensor:
-        """Threshold ``shifted`` (membrane minus threshold shift) into spikes."""
-        with ops_span("op.neuron_step") as op:
-            spk = self._fast_buffer("spikes", mem.shape, mem.dtype)
-            spike_bool = self._fast_buffer("spike_bool", mem.shape, bool)
-            np.greater_equal(shifted, 0.0, out=spike_bool)
-            np.copyto(spk, spike_bool, casting="unsafe")
-            self.membrane = graph_free(mem)
-            spikes = graph_free(spk)
-            self.previous_spikes = spikes
-            if self.record_spikes:
-                self._record(spk)
-            if op:
-                op.set(kind=type(self).__name__, size=int(mem.size))
-            # repro-lint: disable=buffer-escape (intentional alias: the fast path hands out the persistent spike buffer; run_temporal copies at every retention boundary — see tests/test_inference_fastpath.py)
-            return spikes
 
 
 class LIFNeuron(SpikingNeuron):
@@ -246,26 +217,13 @@ class LIFNeuron(SpikingNeuron):
             raise NotImplementedError("learnable beta is not supported in this reproduction")
         self.beta = float(beta)
 
-    def forward(self, synaptic_input: Tensor) -> Tensor:
-        if not is_grad_enabled():
-            return self._forward_inference(synaptic_input)
-        if self.membrane is None:
-            membrane = synaptic_input
+    def dynamics(self, state, drive):
+        membrane = state["membrane"]
+        if membrane is None:
+            membrane = drive
         else:
-            membrane = self._apply_reset(self.membrane) * self.beta + synaptic_input
-        return self._emit(membrane)
-
-    def _forward_inference(self, synaptic_input: Tensor) -> Tensor:
-        data = synaptic_input.data
-        mem = self._fast_buffer("membrane", data.shape, data.dtype)
-        scratch = self._fast_buffer("scratch", data.shape, data.dtype)
-        if self.membrane is None:
-            np.copyto(mem, data)
-        else:
-            self._state_into(mem, self.membrane)
-            self._membrane_update_inference(mem, data, scratch, self.beta)
-        np.subtract(mem, self.threshold, out=scratch)
-        return self._emit_inference(mem, scratch)
+            membrane = self._reset(membrane, state["previous_spikes"]) * self.beta + drive
+        return {"membrane": membrane}, membrane
 
     def extra_repr(self) -> str:
         return (
@@ -285,26 +243,13 @@ class IFNeuron(SpikingNeuron):
     ) -> None:
         super().__init__(threshold=threshold, surrogate=surrogate, reset_mechanism=reset_mechanism)
 
-    def forward(self, synaptic_input: Tensor) -> Tensor:
-        if not is_grad_enabled():
-            return self._forward_inference(synaptic_input)
-        if self.membrane is None:
-            membrane = synaptic_input
+    def dynamics(self, state, drive):
+        membrane = state["membrane"]
+        if membrane is None:
+            membrane = drive
         else:
-            membrane = self._apply_reset(self.membrane) + synaptic_input
-        return self._emit(membrane)
-
-    def _forward_inference(self, synaptic_input: Tensor) -> Tensor:
-        data = synaptic_input.data
-        mem = self._fast_buffer("membrane", data.shape, data.dtype)
-        scratch = self._fast_buffer("scratch", data.shape, data.dtype)
-        if self.membrane is None:
-            np.copyto(mem, data)
-        else:
-            self._state_into(mem, self.membrane)
-            self._membrane_update_inference(mem, data, scratch, decay=None)
-        np.subtract(mem, self.threshold, out=scratch)
-        return self._emit_inference(mem, scratch)
+            membrane = self._reset(membrane, state["previous_spikes"]) + drive
+        return {"membrane": membrane}, membrane
 
     def extra_repr(self) -> str:
         return f"threshold={self.threshold}, reset={self.reset_mechanism!r}"
@@ -327,6 +272,8 @@ class ALIFNeuron(SpikingNeuron):
     ``NeuronConfig``-like factory).
     """
 
+    state_names = SpikingNeuron.state_names + ("_adaptive_component",)
+
     def __init__(
         self,
         beta: float = 0.9,
@@ -346,58 +293,27 @@ class ALIFNeuron(SpikingNeuron):
         self.beta = float(beta)
         self.adaptation = float(adaptation)
         self.adaptation_decay = float(adaptation_decay)
-        self._adaptive_component = None  # numpy array, not part of the autodiff graph
+        #: threshold adaptation ``a[t]``, built from detached spikes (never
+        #: part of the autodiff graph); ``None`` while it is still zero
+        self._adaptive_component: Optional[Tensor] = None
 
-    def reset_state(self) -> None:
-        super().reset_state()
-        self._adaptive_component = None
-
-    def forward(self, synaptic_input: Tensor) -> Tensor:
-        if not is_grad_enabled():
-            return self._forward_inference(synaptic_input)
-        if self.membrane is None:
-            membrane = synaptic_input
+    def dynamics(self, state, drive):
+        membrane, spikes = state["membrane"], state["previous_spikes"]
+        if membrane is None:
+            membrane = drive
         else:
-            membrane = self._apply_reset(self.membrane) * self.beta + synaptic_input
-        # update the (non-differentiable) threshold adaptation from past spikes
-        if self._adaptive_component is None:
-            self._adaptive_component = np.zeros_like(membrane.data)
-        else:
-            self._adaptive_component = self.adaptation_decay * self._adaptive_component
-            if self.previous_spikes is not None:
-                self._adaptive_component = self._adaptive_component + self.adaptation * self.previous_spikes.data
-        # effective threshold shift is applied to the input of the spike function
-        shifted = membrane - Tensor(self._adaptive_component)
-        spikes = spike_function(shifted, self.threshold, self.surrogate)
-        self.membrane = membrane
-        self.previous_spikes = spikes
-        if self.record_spikes:
-            self._record(spikes.data)
-        return spikes
-
-    def _forward_inference(self, synaptic_input: Tensor) -> Tensor:
-        data = synaptic_input.data
-        mem = self._fast_buffer("membrane", data.shape, data.dtype)
-        scratch = self._fast_buffer("scratch", data.shape, data.dtype)
-        if self.membrane is None:
-            np.copyto(mem, data)
-        else:
-            self._state_into(mem, self.membrane)
-            self._membrane_update_inference(mem, data, scratch, self.beta)
-        adaptive = self._fast_buffer("adaptive", data.shape, data.dtype)
-        if self._adaptive_component is None:
-            adaptive[...] = 0.0
-        else:
-            if self._adaptive_component is not adaptive:
-                np.copyto(adaptive, self._adaptive_component)
-            np.multiply(adaptive, self.adaptation_decay, out=adaptive)
-            if self.previous_spikes is not None:
-                np.multiply(self.previous_spikes.data, self.adaptation, out=scratch)
-                np.add(adaptive, scratch, out=adaptive)
-        self._adaptive_component = adaptive
-        np.subtract(mem, adaptive, out=scratch)
-        np.subtract(scratch, self.threshold, out=scratch)
-        return self._emit_inference(mem, scratch)
+            membrane = self._reset(membrane, spikes) * self.beta + drive
+        # a zero adaptation is carried as None: adding the first spike kick
+        # to it, or subtracting it from the membrane, is exact either way
+        adaptive = state["_adaptive_component"]
+        if adaptive is not None:
+            adaptive = self.adaptation_decay * adaptive
+        if spikes is not None:
+            kick = self.adaptation * spikes
+            adaptive = kick if adaptive is None else adaptive + kick
+        # the adaptation shifts the input of the spike function
+        spike_input = membrane if adaptive is None else membrane - adaptive
+        return {"membrane": membrane, "_adaptive_component": adaptive}, spike_input
 
     def extra_repr(self) -> str:
         return (
@@ -418,6 +334,8 @@ class SynapticNeuron(SpikingNeuron):
     trajectories — often easier to train on event data with sparse frames.
     """
 
+    state_names = SpikingNeuron.state_names + ("current",)
+
     def __init__(
         self,
         alpha: float = 0.8,
@@ -435,48 +353,14 @@ class SynapticNeuron(SpikingNeuron):
         self.beta = float(beta)
         self.current: Optional[Tensor] = None
 
-    def reset_state(self) -> None:
-        super().reset_state()
-        self.current = None
-
-    def detach_state(self) -> None:
-        super().detach_state()
-        if self.current is not None:
-            self.current = Tensor(self.current.data.copy(), requires_grad=False)
-
-    def forward(self, synaptic_input: Tensor) -> Tensor:
-        if not is_grad_enabled():
-            return self._forward_inference(synaptic_input)
-        if self.current is None:
-            current = synaptic_input
-        else:
-            current = self.current * self.alpha + synaptic_input
-        if self.membrane is None:
+    def dynamics(self, state, drive):
+        current, membrane = state["current"], state["membrane"]
+        current = drive if current is None else current * self.alpha + drive
+        if membrane is None:
             membrane = current
         else:
-            membrane = self._apply_reset(self.membrane) * self.beta + current
-        self.current = current
-        return self._emit(membrane)
-
-    def _forward_inference(self, synaptic_input: Tensor) -> Tensor:
-        data = synaptic_input.data
-        current = self._fast_buffer("current", data.shape, data.dtype)
-        mem = self._fast_buffer("membrane", data.shape, data.dtype)
-        scratch = self._fast_buffer("scratch", data.shape, data.dtype)
-        if self.current is None:
-            np.copyto(current, data)
-        else:
-            self._state_into(current, self.current)
-            np.multiply(current, self.alpha, out=current)
-            np.add(current, data, out=current)
-        if self.membrane is None:
-            np.copyto(mem, current)
-        else:
-            self._state_into(mem, self.membrane)
-            self._membrane_update_inference(mem, current, scratch, self.beta)
-        self.current = graph_free(current)
-        np.subtract(mem, self.threshold, out=scratch)
-        return self._emit_inference(mem, scratch)
+            membrane = self._reset(membrane, state["previous_spikes"]) * self.beta + current
+        return {"membrane": membrane, "current": current}, membrane
 
     def extra_repr(self) -> str:
         return f"alpha={self.alpha}, beta={self.beta}, threshold={self.threshold}"
@@ -489,11 +373,6 @@ class LeakyIntegrator(Module):
     ``U[t] = beta * U[t-1] + I[t]``; classification uses the final (or
     time-averaged) membrane value.  This mirrors the common snnTorch practice
     of reading class scores from membrane potentials rather than spikes.
-
-    Under :func:`~repro.tensor.tensor.no_grad` the update runs in place on a
-    preallocated buffer; the returned tensor is a view of that buffer, valid
-    until the next step (the temporal runner copies where a longer lifetime
-    is needed).
     """
 
     def __init__(self, beta: float = 0.9) -> None:
@@ -502,7 +381,6 @@ class LeakyIntegrator(Module):
             raise ValueError(f"beta must be in (0, 1], got {beta}")
         self.beta = float(beta)
         self.membrane: Optional[Tensor] = None
-        self._fast: Dict[str, np.ndarray] = {}
 
     def reset_state(self) -> None:
         """Clear the accumulated membrane potential."""
@@ -511,24 +389,9 @@ class LeakyIntegrator(Module):
     def detach_state(self) -> None:
         """Cut the membrane from the autodiff graph."""
         if self.membrane is not None:
-            self.membrane = Tensor(self.membrane.data.copy(), requires_grad=False)
+            self.membrane = self.membrane.detach()
 
     def forward(self, synaptic_input: Tensor) -> Tensor:
-        if not is_grad_enabled():
-            data = synaptic_input.data
-            mem = self._fast.get("membrane")
-            if mem is None or mem.shape != data.shape or mem.dtype != data.dtype:
-                mem = np.empty_like(data)
-                self._fast["membrane"] = mem
-            if self.membrane is None:
-                np.copyto(mem, data)
-            else:
-                if self.membrane.data is not mem:
-                    np.copyto(mem, self.membrane.data)
-                np.multiply(mem, self.beta, out=mem)
-                np.add(mem, data, out=mem)
-            self.membrane = graph_free(mem)
-            return self.membrane
         if self.membrane is None:
             self.membrane = synaptic_input
         else:

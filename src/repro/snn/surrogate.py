@@ -116,11 +116,12 @@ def get_surrogate(name_or_instance, **kwargs) -> SurrogateGradient:
 
 
 def _spike_fwd(membrane, want_ctx=False, *, threshold, surrogate):
-    shifted = membrane - threshold
-    spikes = (shifted >= 0.0).astype(membrane.dtype)
+    # ``membrane >= threshold`` is exactly ``membrane - threshold >= 0``: an
+    # IEEE difference is zero only for equal operands and keeps their order
+    spikes = (membrane >= threshold).astype(membrane.dtype)
     if not want_ctx:
         return spikes, None
-    return spikes, (surrogate.derivative(shifted),)
+    return spikes, (surrogate.derivative(membrane - threshold),)
 
 
 def _spike_vjp(ctx, g, needs, *, threshold, surrogate):

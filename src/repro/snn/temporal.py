@@ -26,7 +26,7 @@ import numpy as np
 from repro.nn.module import Module
 from repro.snn.encoding import SpikeEncoder, encode_batch
 from repro.tensor import Tensor, ops
-from repro.tensor.tensor import graph_free, is_grad_enabled
+from repro.tensor.tensor import is_grad_enabled
 
 #: valid values for the ``readout`` argument
 READOUTS = ("membrane_mean", "membrane_last", "spike_count", "spike_rate")
@@ -93,19 +93,14 @@ def run_temporal(
     step_callback:
         Optional hook called with ``(step_index, step_output)`` — used by the
         spike-based losses (which retain the per-step outputs) and by
-        visualisation examples.  The tensor handed to the callback is always
-        safe to retain: under :func:`~repro.tensor.tensor.no_grad` the raw
-        model output may be a view of a reused neuron buffer, so the runner
-        hands the callback a copy instead (model outputs are readout-sized,
-        so the per-step cost is negligible and only paid when a callback is
-        installed).
+        visualisation examples.
 
     The per-step outputs are folded into a **running sum** as the loop
     advances (for the ``count``/``mean``/``rate`` readouts) instead of being
     retained and stacked at the end, so peak memory of a long-horizon run is
-    one output tensor rather than ``num_steps`` of them.  The sequential
-    accumulation is performed identically in grad mode and under ``no_grad``,
-    so the two paths return bit-identical scores.
+    one output tensor rather than ``num_steps`` of them.  The same loop runs
+    in grad mode and under ``no_grad``, so the two return bit-identical
+    scores.
     """
     if readout not in READOUTS:
         raise ValueError(f"readout must be one of {READOUTS}, got {readout!r}")
@@ -113,44 +108,22 @@ def run_temporal(
     if not steps:
         raise ValueError("no outputs to aggregate")
     reset_states(model)
-    grad_mode = is_grad_enabled()
     total: Optional[Tensor] = None
-    accumulator: Optional[np.ndarray] = None
     out: Optional[Tensor] = None
     for t, frame in enumerate(steps):
         out = model(frame)
         if step_callback is not None:
-            if grad_mode:
-                step_callback(t, out)
-            else:
-                # the raw output may alias a reused neuron buffer; callbacks
-                # (e.g. the spike-based losses) are documented to retain
-                # their per-step outputs, so hand them an owning copy
-                step_callback(t, graph_free(np.array(out.data, copy=True)))
+            step_callback(t, out)
         if readout != "membrane_last":
-            if grad_mode:
-                total = out if total is None else total + out
-            elif accumulator is None:
-                # fresh accumulator per call: the step output may alias a
-                # neuron buffer that later steps (or the next batch) overwrite
-                # (dtype preserved — the float32 substrate aggregates in
-                # float32; the tolerance contract covers the difference)
-                accumulator = np.array(out.data, copy=True)
-            else:
-                accumulator += out.data
+            total = out if total is None else total + out
         if truncation and (t + 1) % truncation == 0 and t + 1 < len(steps):
             detach_states(model)
     if readout == "membrane_last":
-        if grad_mode:
-            return out
-        return graph_free(np.array(out.data, copy=True))
+        return out
     if readout == "spike_count":
-        return total if grad_mode else graph_free(accumulator)
+        return total
     # membrane_mean / spike_rate
-    if grad_mode:
-        return total / float(len(steps))
-    accumulator /= float(len(steps))
-    return graph_free(accumulator)
+    return total / float(len(steps))
 
 
 class TemporalRunner(Module):

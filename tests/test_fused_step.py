@@ -2,8 +2,9 @@
 
 The fused path's contract has three legs, each pinned here:
 
-* **bit-identity** — for every supported (reset mechanism x readout) pair the
-  fused step reproduces graph autograd exactly: same loss, same logits, same
+* **bit-identity** — for every fused neuron kind (LIF, IF, ALIF) and every
+  (reset mechanism x readout) pair the fused step reproduces graph autograd
+  exactly: same loss, same logits, same
   bits in every parameter gradient and batch-norm running statistic;
 * **dispatch discipline** — ``auto`` fuses only when the compiled plan
   qualifies and silently falls back otherwise, ``on`` raises with the
@@ -33,7 +34,7 @@ from repro.snn.fused_step import (
     fused_training,
     reset_fused_counters,
 )
-from repro.snn.neurons import LIFNeuron
+from repro.snn.neurons import ALIFNeuron, IFNeuron, LIFNeuron
 from repro.tensor import Tensor
 from repro.tensor.tolerance import assert_float32_contract
 from repro.training import Trainer, TrainingConfig
@@ -41,8 +42,17 @@ from repro.training import Trainer, TrainingConfig
 RESETS = ("subtract", "zero", "none")
 READOUTS = ("membrane_mean", "membrane_last", "spike_count", "spike_rate")
 
+#: the neuron kinds the kernel fuses, each built from the template's LIF neuron
+NEURON_KINDS = {
+    "lif": None,
+    "if": lambda lif: IFNeuron(threshold=lif.threshold, reset_mechanism=lif.reset_mechanism),
+    "alif": lambda lif: ALIFNeuron(
+        beta=lif.beta, threshold=lif.threshold, adaptation=0.3, reset_mechanism=lif.reset_mechanism
+    ),
+}
 
-def build_model(reset: str = "subtract"):
+
+def build_model(reset: str = "subtract", kind: str = "lif"):
     """A small spiking SkipConnectionNetwork with deterministic weights."""
     template = get_template("resnet18", input_channels=2, num_classes=10, stage_channels=(6, 8))
     model = template.build(spiking=True, rng=0)
@@ -50,6 +60,11 @@ def build_model(reset: str = "subtract"):
         for module in model.modules():
             if isinstance(module, LIFNeuron):
                 module.reset_mechanism = reset
+    make_neuron = NEURON_KINDS[kind]
+    if make_neuron is not None:
+        for module in list(model.modules()):
+            if isinstance(getattr(module, "activation", None), LIFNeuron):
+                module.activation = make_neuron(module.activation)
     return model
 
 
@@ -58,10 +73,10 @@ def make_batch(batch_size: int = 4, seed: int = 0):
     return rng.random((batch_size, 2, 12, 12)), rng.integers(0, 10, size=batch_size)
 
 
-def one_step(mode: str, reset: str, readout: str, num_steps: int = 3):
+def one_step(mode: str, reset: str, readout: str, num_steps: int = 3, kind: str = "lif"):
     """One training step from a fresh seeded model; returns all observables."""
     batch, targets = make_batch()
-    model = build_model(reset)
+    model = build_model(reset, kind)
     runner = TemporalRunner(model, num_steps=num_steps, readout=readout)
     model.zero_grad()
     with fused_training(mode):
@@ -81,13 +96,21 @@ def one_step(mode: str, reset: str, readout: str, num_steps: int = 3):
     return float(loss.item()), np.array(logits.data), grads, stats
 
 
+#: (kind, reset, readout) cases; LIF cases keep their ``readout-reset`` ids
+BIT_IDENTITY_CASES = [
+    pytest.param(kind, reset, readout, id=f"{readout}-{reset}" + ("" if kind == "lif" else f"-{kind}"))
+    for kind in NEURON_KINDS
+    for reset in RESETS
+    for readout in READOUTS
+]
+
+
 class TestBitIdentity:
-    @pytest.mark.parametrize("reset", RESETS)
-    @pytest.mark.parametrize("readout", READOUTS)
-    def test_fused_step_matches_graph_autograd_exactly(self, reset, readout):
+    @pytest.mark.parametrize("kind,reset,readout", BIT_IDENTITY_CASES)
+    def test_fused_step_matches_graph_autograd_exactly(self, kind, reset, readout):
         reset_fused_counters()
-        graph_loss, graph_logits, graph_grads, graph_stats = one_step("off", reset, readout)
-        fused_loss, fused_logits, fused_grads, fused_stats = one_step("on", reset, readout)
+        graph_loss, graph_logits, graph_grads, graph_stats = one_step("off", reset, readout, kind=kind)
+        fused_loss, fused_logits, fused_grads, fused_stats = one_step("on", reset, readout, kind=kind)
         assert fused_loss == graph_loss
         assert np.array_equal(fused_logits, graph_logits)
         assert set(fused_grads) == set(graph_grads)

@@ -204,7 +204,7 @@ class TestBufferEscape:
 
     def test_helper_call_arguments_are_not_escapes(self, tmp_path):
         # passing a buffer to a helper is the helper's responsibility, not
-        # an escape at the call site (the neuron fast path's exact shape)
+        # an escape at the call site
         report = lint(
             tmp_path,
             {

@@ -10,8 +10,8 @@ only pinned with runtime tests:
   start method (``spawn-safety``);
 * state shared across server/executor threads must be read and written under
   the lock that guards it (``lock-discipline``);
-* arrays borrowed from workspace pools or persistent neuron state buffers
-  must not escape without a copy (``buffer-escape``);
+* arrays borrowed from workspace pools must not escape without a copy
+  (``buffer-escape``);
 * Prometheus metrics must be registered once, with literal names and bounded
   label sets (``metrics-hygiene``);
 * every field ``result_to_row`` persists must be read back (or explicitly
@@ -30,7 +30,7 @@ or via the CLI::
 
 Suppress a finding *with a reason* (reason is mandatory)::
 
-    return spikes  # repro-lint: disable=buffer-escape (aliasing is the documented fast-path contract)
+    return buf  # repro-lint: disable=buffer-escape (the caller copies before the pool is reused)
 
 Grandfathered findings live in ``tools/analyze/baseline.json``; stale entries
 (findings that no longer occur) fail the run so the baseline only shrinks.

@@ -1,12 +1,12 @@
-"""buffer-escape: pooled scratch and persistent state buffers must not escape.
+"""buffer-escape: pooled scratch buffers must not escape.
 
-PR 5's inference fast path reuses buffers aggressively: per-thread workspace
-pools (:mod:`repro.tensor.workspace`) and per-neuron persistent state arrays
-(``SpikingNeuron._fast_buffer``).  The aliasing contract — pinned by
-``tests/test_inference_fastpath.py`` and chased by hand during PR 5's review
-hardening — is that nothing reachable from a *returned* value may live in a
-reused buffer, because the next call (or the next thread's interleaved
-evaluation) overwrites it in place.
+The graph-free substrate reuses buffers: per-thread workspace pools
+(:mod:`repro.tensor.workspace`) back the convolution workspace and the fused
+BPTT kernel's residual stash.  The aliasing contract — pinned by
+``tests/test_inference_fastpath.py`` and ``tests/test_fused_step.py`` — is
+that nothing reachable from a *returned* value may live in a reused buffer,
+because the next call (or the next thread's interleaved evaluation)
+overwrites it in place.
 
 This rule taints names assigned from buffer-providing calls (any callable
 whose name contains ``workspace`` or ``buffer``), propagates taint through
@@ -16,9 +16,9 @@ it passes through ``.copy()`` first.  Functions whose own name marks them as
 buffer providers (``workspace``/``buffer`` in the name) are exempt — handing
 out scratch is their job.
 
-Deliberate aliasing (e.g. the neuron fast path's spike output, copied by
-``run_temporal`` at every retention boundary) must be suppressed with the
-contract as the reason — that keeps every escape point enumerable.
+Deliberate aliasing (e.g. the fused kernel's ``stash`` handing out its
+residual buffer) must be suppressed with the contract as the reason — that
+keeps every escape point enumerable.
 """
 
 from __future__ import annotations
