@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from repro.snn import (
+    ALIFNeuron,
     ATanSurrogate,
     FastSigmoidSurrogate,
     IFNeuron,
     LeakyIntegrator,
     LIFNeuron,
+    SynapticNeuron,
     StraightThroughSurrogate,
     TriangularSurrogate,
     get_surrogate,
     spike_function,
 )
-from repro.tensor import Tensor
+from repro.tensor import Tensor, no_grad
 
 
 class TestSurrogates:
@@ -190,6 +192,91 @@ class TestIFNeuron:
         neuron.reset_state()
         outputs = [neuron(Tensor(np.array([0.5]))).data[0] for _ in range(2)]
         assert outputs == [0.0, 1.0]
+
+
+NEURONS = {
+    "lif": lambda reset: LIFNeuron(beta=0.9, reset_mechanism=reset),
+    "if": lambda reset: IFNeuron(reset_mechanism=reset),
+    "alif": lambda reset: ALIFNeuron(beta=0.85, adaptation=0.3, reset_mechanism=reset),
+    "synaptic": lambda reset: SynapticNeuron(alpha=0.7, beta=0.9, reset_mechanism=reset),
+}
+
+
+class TestNeuronDynamics:
+    """The one ``dynamics`` step per neuron, shared by every execution mode."""
+
+    @staticmethod
+    def _drives(seed=0, steps=5):
+        rng = np.random.default_rng(seed)
+        return [rng.normal(size=(3, 4)) * 0.9 for _ in range(steps)]
+
+    @pytest.mark.parametrize("kind", sorted(NEURONS))
+    @pytest.mark.parametrize("reset", ["subtract", "zero", "none"])
+    def test_same_expressions_on_tensors_and_arrays(self, kind, reset):
+        neuron = NEURONS[kind](reset)
+        tensor_state = {name: None for name in neuron.state_names}
+        array_state = dict(tensor_state)
+        for drive in self._drives():
+            t_update, t_input = neuron.dynamics(tensor_state, Tensor(drive))
+            a_update, a_input = neuron.dynamics(array_state, drive)
+            assert isinstance(t_input, Tensor) and isinstance(a_input, np.ndarray)
+            assert np.array_equal(t_input.data, a_input)
+            assert set(t_update) == set(a_update)
+            for name, value in a_update.items():
+                assert (value is None) == (t_update[name] is None)
+                if value is not None:
+                    assert np.array_equal(t_update[name].data, value)
+            spikes = (a_input >= neuron.threshold).astype(a_input.dtype)
+            tensor_state = {**tensor_state, **t_update, "previous_spikes": Tensor(spikes)}
+            array_state = {**array_state, **a_update, "previous_spikes": spikes}
+
+    @pytest.mark.parametrize("kind", sorted(NEURONS))
+    def test_dynamics_is_pure(self, kind):
+        neuron = NEURONS[kind]("subtract")
+        with no_grad():
+            for drive in self._drives(steps=3):
+                neuron(Tensor(drive))
+        state = {name: getattr(neuron, name).data for name in neuron.state_names}
+        before = {name: value.copy() for name, value in state.items()}
+        update, _ = neuron.dynamics(state, self._drives(seed=1, steps=1)[0])
+        assert set(update) <= set(neuron.state_names) - {"previous_spikes"}
+        for name, value in state.items():
+            assert np.array_equal(value, before[name])
+            assert getattr(neuron, name).data is value
+        for value in update.values():
+            assert all(not np.shares_memory(value, old) for old in state.values())
+
+    @pytest.mark.parametrize("kind", sorted(NEURONS))
+    @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
+    def test_step_outputs_survive_later_steps(self, kind, grad):
+        neuron = NEURONS[kind]("subtract")
+        kept = []
+        for drive in self._drives():
+            if grad:
+                spikes = neuron(Tensor(drive))
+            else:
+                with no_grad():
+                    spikes = neuron(Tensor(drive))
+            # ALIF carries a zero adaptation as None on the first step
+            state = {name: getattr(neuron, name) for name in neuron.state_names if getattr(neuron, name) is not None}
+            kept.append((spikes, spikes.data.copy(), state, {n: v.data.copy() for n, v in state.items()}))
+        for spikes, spikes_copy, state, state_copy in kept:
+            assert np.array_equal(spikes.data, spikes_copy)
+            for name, value in state.items():
+                assert np.array_equal(value.data, state_copy[name])
+
+    @pytest.mark.parametrize("kind", sorted(NEURONS))
+    def test_detach_and_reset_cover_every_state_name(self, kind):
+        neuron = NEURONS[kind]("subtract")
+        for drive in self._drives():
+            neuron(Tensor(drive, requires_grad=True))
+        assert all(getattr(neuron, name) is not None for name in neuron.state_names)
+        assert neuron.membrane.requires_grad
+        neuron.detach_state()
+        for name in neuron.state_names:
+            assert not getattr(neuron, name).requires_grad
+        neuron.reset_state()
+        assert all(getattr(neuron, name) is None for name in neuron.state_names)
 
 
 class TestLeakyIntegrator:
