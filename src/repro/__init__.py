@@ -30,6 +30,12 @@ Quickstart::
     print(result.summary())
 """
 
+from time import perf_counter as _perf_counter
+
+#: ``perf_counter`` reading taken before the package imports anything else;
+#: ``repro pareto --trace`` records the start-up up to ``main()`` from it
+_IMPORT_STARTED = _perf_counter()
+
 __version__ = "1.0.0"
 
 from repro import core, data, experiments, gp, models, nn, snn, tensor, training

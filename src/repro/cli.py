@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import List, Optional, Sequence
 
 from repro.data import available_datasets
@@ -336,10 +337,15 @@ def _command_adapt(args) -> int:
     return 0
 
 
+#: ``perf_counter`` reading at this process's first ``main()`` entry
+_MAIN_ENTERED: Optional[float] = None
+
+
 def _command_pareto(args) -> int:
     import contextlib
 
-    from repro.trace import FlightRecorder, tracing
+    import repro
+    from repro.trace import FlightRecorder, record_span, tracing
 
     scale = get_scale(args.scale)
     objectives = [name.strip() for name in args.objectives.split(",") if name.strip()]
@@ -350,6 +356,8 @@ def _command_pareto(args) -> int:
         recorder = None
         scope = contextlib.nullcontext()
     with scope:
+        if _MAIN_ENTERED is not None:
+            record_span("process.startup", repro._IMPORT_STARTED, _MAIN_ENTERED)
         result = run_pareto_front(
             scale=scale,
             dataset=args.dataset,
@@ -503,6 +511,9 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
+    global _MAIN_ENTERED
+    if _MAIN_ENTERED is None:
+        _MAIN_ENTERED = time.perf_counter()
     parser = build_parser()
     args = parser.parse_args(argv)
     return _COMMANDS[args.command](args)

@@ -41,6 +41,7 @@ evaluations without losing any completed result.
 from __future__ import annotations
 
 import concurrent.futures
+import pickle
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
@@ -72,29 +73,34 @@ class _TelemetryCall:
     store-lookup counter deltas on ``result.telemetry`` — worker processes
     bump their *own* process-wide tallies, which would otherwise be invisible
     to the parent's ``/metrics`` view.
+
+    The objective is pickled here, at submission: the pool pickles a task
+    later, in its feeder thread, and by then the parent may have absorbed a
+    weight update the task must not see.
     """
 
-    __slots__ = ("objective", "context")
+    __slots__ = ("payload", "context")
 
     def __init__(self, objective, context) -> None:
-        self.objective = objective
+        self.payload = pickle.dumps(objective)
         self.context = context
 
     def __getstate__(self):
-        return (self.objective, self.context)
+        return (self.payload, self.context)
 
     def __setstate__(self, state) -> None:
-        self.objective, self.context = state
+        self.payload, self.context = state
 
     def __call__(self, spec: ArchitectureSpec) -> EvaluationResult:
         # local import: the fused kernel module reaches the model zoo, which
         # this core module must not pull in at import time
         from repro.snn.fused_step import aggregate_fused_counters
 
+        objective = pickle.loads(self.payload)
         fused_before = aggregate_fused_counters()
         store_before = store_counters()
         with remote_activation(self.context) as spans:
-            result = self.objective(spec)
+            result = objective(spec)
         fused_after = aggregate_fused_counters()
         store_after = store_counters()
         result.telemetry = {
@@ -174,8 +180,8 @@ class AsyncEvaluationExecutor:
     ----------
     objective:
         Callable evaluating one :class:`ArchitectureSpec`.  It is pickled per
-        task (exactly like the batch path's ``pool.map``), so workers always
-        see the objective state as of the submission.
+        task inside :meth:`submit`, so workers always see the objective state
+        as of the submission.
     workers:
         Worker processes.  ``<= 1`` selects the serial mode: submissions are
         queued and evaluated on demand in the parent process, preserving the

@@ -18,7 +18,12 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
+
+
+def _norm_pdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal density, written exactly as SciPy's own ``_norm_pdf``."""
+    return np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)
 
 
 class AcquisitionFunction:
@@ -87,7 +92,7 @@ class ExpectedImprovement(AcquisitionFunction):
         std = np.maximum(std, 1e-12)
         improvement = best_observed - mean - self.xi
         z = improvement / std
-        return improvement * norm.cdf(z) + std * norm.pdf(z)
+        return improvement * ndtr(z) + std * _norm_pdf(z)
 
 
 class ProbabilityOfImprovement(AcquisitionFunction):
@@ -103,7 +108,7 @@ class ProbabilityOfImprovement(AcquisitionFunction):
     def __call__(self, mean, std, best_observed, iteration: int = 0) -> np.ndarray:
         std = np.maximum(std, 1e-12)
         z = (best_observed - mean - self.xi) / std
-        return norm.cdf(z)
+        return ndtr(z)
 
 
 def probability_in_bounds(
@@ -124,8 +129,8 @@ def probability_in_bounds(
     """
     std = np.maximum(np.asarray(std, dtype=np.float64), 1e-12)
     mean = np.asarray(mean, dtype=np.float64)
-    upper_cdf = norm.cdf((float(upper) - mean) / std) if upper is not None else np.ones_like(mean)
-    lower_cdf = norm.cdf((float(lower) - mean) / std) if lower is not None else np.zeros_like(mean)
+    upper_cdf = ndtr((float(upper) - mean) / std) if upper is not None else np.ones_like(mean)
+    lower_cdf = ndtr((float(lower) - mean) / std) if lower is not None else np.zeros_like(mean)
     return np.maximum(upper_cdf - lower_cdf, 0.0)
 
 

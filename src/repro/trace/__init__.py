@@ -29,6 +29,7 @@ from repro.trace.spans import (
     is_enabled,
     ops_enabled,
     ops_span,
+    record_span,
     remote_activation,
     span,
     tracing,
@@ -48,6 +49,7 @@ __all__ = [
     "load_trace",
     "ops_enabled",
     "ops_span",
+    "record_span",
     "remote_activation",
     "span",
     "summarize",

@@ -184,6 +184,11 @@ def span(name: str, **attrs: Any):
     enabled = state.enabled if state.enabled is not None else _CONFIG.enabled
     if not enabled:
         return _NULL_SPAN
+    return _new_span(state, name, attrs)
+
+
+def _new_span(state: _State, name: str, attrs: Dict[str, Any]) -> Span:
+    """A live span parented under ``state``'s innermost open span (or its remote parent)."""
     if state.stack:
         top = state.stack[-1]
         parent_id: Optional[str] = top.span_id
@@ -197,6 +202,23 @@ def span(name: str, **attrs: Any):
     if attrs:
         live.attrs = dict(attrs)
     return live
+
+
+def record_span(name: str, start: float, end: float, **attrs: Any) -> None:
+    """Record a region that finished before tracing began.
+
+    ``start`` and ``end`` are ``time.perf_counter()`` readings.  The span is
+    parented as if it had been opened here, but it never enters the span stack.
+    Used for the process start-up, which ends before any tracing scope opens.
+    No-op while tracing is disabled.
+    """
+    if not is_enabled():
+        return
+    live = _new_span(_STATE, name, attrs)
+    live.start, live.end = _EPOCH + start, _EPOCH + end
+    recorder = active_recorder()
+    if recorder is not None:
+        recorder.record(live.to_dict())
 
 
 def ops_span(name: str, **attrs: Any):

@@ -30,10 +30,20 @@ from repro.core.async_eval import (
 )
 from repro.core.bayes_opt import BayesianOptimizer
 from repro.core.multi_fidelity import FidelitySchedule, MultiFidelityObjective, SuccessiveHalvingSearch
-from repro.core.objectives import SyntheticWeightObjective
+from repro.core.objectives import EvaluationResult, SyntheticWeightObjective
 from repro.core.search_space import BlockSearchInfo, SearchSpace
 from repro.core.weight_sharing import WeightStore, WeightUpdate
 from repro.training.snn_trainer import SNNTrainingConfig
+
+
+class _StateEcho:
+    """Objective whose score is whatever ``state`` held when it was shipped."""
+
+    def __init__(self) -> None:
+        self.state = 0.0
+
+    def __call__(self, spec):
+        return EvaluationResult(spec=spec, objective_value=self.state, accuracy=0.0)
 
 
 def make_space(depth: int = 4) -> SearchSpace:
@@ -111,6 +121,19 @@ class TestAsyncEvaluationExecutor:
             np.testing.assert_array_equal(completed[ticket].spec.encode(), spec.encode())
             # results must describe the submitted spec, whatever worker ran it
             np.testing.assert_array_equal(completed[ticket].result.spec.encode(), spec.encode())
+
+    def test_worker_sees_the_objective_as_of_submission(self):
+        """A state change right after ``submit`` must not reach the submitted task."""
+        objective = _StateEcho()
+        specs = make_space().sample_batch(4, rng=2)
+        with AsyncEvaluationExecutor(objective, workers=2) as executor:
+            assert executor.is_parallel
+            for value, spec in enumerate(specs):
+                objective.state = float(value)
+                executor.submit(spec)
+                objective.state = -1.0
+            completed = {done.ticket: done.result.objective_value for done in executor.drain()}
+        assert completed == {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0}
 
     def test_unpicklable_objective_falls_back_to_serial(self):
         store = WeightStore()

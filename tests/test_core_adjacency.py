@@ -181,6 +181,16 @@ def test_cli_imports_without_undeclared_dependencies():
     assert completed.returncode == 0, completed.stderr
 
 
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone costs ~0.7 s of every process start; the acquisitions use scipy.special
+    script = "import sys, repro.cli; print('scipy.stats' in sys.modules)"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    completed = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"
+
+
 class TestNeighbors:
     def test_neighbor_count(self):
         block = BlockAdjacency(3)  # 3 positions x 2 alternative codes each

@@ -314,10 +314,10 @@ class TestFeasibilityProbability:
         from repro.gp.acquisition import probability_in_bounds
 
         mean, std = np.array([0.0, 1.0]), np.array([1.0, 2.0])
-        np.testing.assert_allclose(
+        assert np.array_equal(
             probability_in_bounds(mean, std, upper=0.5), norm.cdf((0.5 - mean) / std)
         )
-        np.testing.assert_allclose(
+        assert np.array_equal(
             probability_in_bounds(mean, std, lower=0.5), 1.0 - norm.cdf((0.5 - mean) / std)
         )
 
@@ -328,10 +328,46 @@ class TestFeasibilityProbability:
         from repro.gp.acquisition import probability_in_bounds
 
         prob = probability_in_bounds(np.zeros(1), np.ones(1), lower=-0.5, upper=0.5)
-        np.testing.assert_allclose(prob, norm.cdf(0.5) - norm.cdf(-0.5))
+        assert np.array_equal(prob, [norm.cdf(0.5) - norm.cdf(-0.5)])
 
     def test_degenerate_posterior_is_an_indicator(self):
         from repro.gp.acquisition import probability_in_bounds
 
         prob = probability_in_bounds(np.array([1.0, 3.0]), np.zeros(2), upper=2.0)
         np.testing.assert_allclose(prob, [1.0, 0.0])
+
+
+class TestAcquisitionMatchesScipyNorm:
+    """EI and PI score exactly as the ``scipy.stats.norm`` formulas would."""
+
+    @staticmethod
+    def _grid():
+        # std 0 and 1e-12 both land on the 1e-12 floor; the means give |z| up to ~1e12
+        mean = np.array([-1e3, -40.0, -8.0, -1.0, 0.0, 0.25, 0.5, 1.0, 8.0, 40.0, 1e3])
+        std = np.array([0.0, 1e-12, 1e-6, 0.01, 0.5, 1.0, 3.0, 1e3])
+        mean, std = np.meshgrid(mean, std)
+        return mean.ravel(), std.ravel()
+
+    def test_expected_improvement_is_exact(self):
+        from scipy.stats import norm
+
+        from repro.gp.acquisition import ExpectedImprovement
+
+        mean, std = self._grid()
+        acquisition = ExpectedImprovement(xi=0.01)
+        floored = np.maximum(std, 1e-12)
+        improvement = 0.5 - mean - 0.01
+        z = improvement / floored
+        expected = improvement * norm.cdf(z) + floored * norm.pdf(z)
+        assert np.abs(z).max() > 1e12
+        assert np.array_equal(acquisition(mean, std, 0.5), expected)
+
+    def test_probability_of_improvement_is_exact(self):
+        from scipy.stats import norm
+
+        from repro.gp.acquisition import ProbabilityOfImprovement
+
+        mean, std = self._grid()
+        acquisition = ProbabilityOfImprovement(xi=0.01)
+        z = (0.5 - mean - 0.01) / np.maximum(std, 1e-12)
+        assert np.array_equal(acquisition(mean, std, 0.5), norm.cdf(z))

@@ -36,6 +36,7 @@ from repro.trace import (
     is_enabled,
     load_trace,
     ops_span,
+    record_span,
     remote_activation,
     span,
     summarize,
@@ -105,6 +106,18 @@ class TestSpans:
             assert is_enabled()
         assert not is_enabled()
         assert not span("after")
+
+    def test_record_span_keeps_the_given_times_and_parent(self):
+        record_span("before", 1.0, 2.0)  # tracing off: nothing to record into
+        recorder = FlightRecorder(capacity=4)
+        with tracing(recorder=recorder, trace_id="t-rec"):
+            with span("outer"):
+                record_span("earlier", 1.0, 1.5, kind="test")
+        earlier, outer = recorder.spans()
+        assert earlier["name"] == "earlier" and earlier["attrs"] == {"kind": "test"}
+        assert earlier["parent_id"] == outer["span_id"] and earlier["trace_id"] == "t-rec"
+        assert earlier["end"] - earlier["start"] == pytest.approx(0.5)
+        assert earlier["end"] < outer["start"]
 
     def test_ops_spans_are_gated_separately(self):
         plain = FlightRecorder(capacity=16)
@@ -388,6 +401,20 @@ class TestTraceCommand:
         assert "Critical path" in out
         payload = json.loads(chrome_path.read_text())
         assert sum(1 for event in payload["traceEvents"] if event["ph"] == "X") == 3
+
+    def test_traced_pareto_records_the_process_startup(self, tmp_path, capsys):
+        from repro.cli import main
+
+        trace_path = tmp_path / "pareto.jsonl"
+        argv = ["pareto", "--scale", "smoke", "--model", "single_block", "--iterations", "2"]
+        assert main(argv + ["--trace", str(trace_path)]) == 0
+        spans = load_trace(trace_path)
+        startup = [span for span in spans if span["name"] == "process.startup"]
+        front = [span for span in spans if span["name"] == "pareto_front"]
+        assert len(startup) == 1 and len(front) == 1
+        assert startup[0]["trace_id"] == front[0]["trace_id"]
+        assert startup[0]["start"] < startup[0]["end"] <= front[0]["start"]
+        capsys.readouterr()
 
     def test_missing_and_empty_files_exit_nonzero(self, tmp_path, capsys):
         from repro.cli import main
