@@ -1,7 +1,7 @@
 """End-to-end benchmark of the incremental GP search engine.
 
-Five measurements, so the speedup of the incremental engine — and the cost
-of the weight-snapshot tier — are tracked numbers instead of claims:
+Five measurements, so the cost of the incremental engine — and of the
+weight-snapshot tier — are tracked numbers instead of claims:
 
 1. **GP posterior update vs. full refit** — time to absorb one new
    observation into an ``n``-point posterior, either by refitting from
@@ -10,7 +10,7 @@ of the weight-snapshot tier — are tracked numbers instead of claims:
    n in {50, 200, 800}.
 2. **End-to-end BO iteration throughput** — wall-clock per Bayesian
    optimization iteration on a synthetic objective (batch_size=4,
-   constant-liar batches) with the incremental engine on and off.
+   constant-liar batches).
 3. **Weight-snapshot overhead** — put (content hash + atomic ``.npz``
    write) and replay (load + merge into a ``WeightStore``) latency of one
    trained-state snapshot, against the cost of the candidate evaluation it
@@ -159,34 +159,30 @@ def bench_bo_iterations(
     batch_size: int = 4,
     pool_size: int = 64,
 ) -> Dict[str, float]:
-    """Time BO iterations with the incremental engine on and off.
+    """Time BO iterations at a realistic history size.
 
     The history is preseeded with ``preseed`` evaluations so the GP is at a
     realistic production size when timing starts; the synthetic objective is
     free, so the per-iteration time is dominated by the surrogate machinery.
     """
-    timings: Dict[str, float] = {}
-    for label, incremental in (("incremental", True), ("legacy", False)):
-        space = make_search_space()
-        optimizer = BayesianOptimizer(
-            space,
-            SyntheticObjective(),
-            initial_points=preseed,
-            batch_size=batch_size,
-            candidate_pool_size=pool_size,
-            incremental=incremental,
-            rng=0,
-        )
-        optimizer.optimize(0)  # evaluate the preseed points only
-        start = time.perf_counter()
-        optimizer.optimize(iterations)
-        elapsed = time.perf_counter() - start
-        timings[f"{label}_s_per_iter"] = elapsed / iterations
-    timings["speedup"] = timings["legacy_s_per_iter"] / timings["incremental_s_per_iter"]
-    timings["preseed"] = float(preseed)
-    timings["iterations"] = float(iterations)
-    timings["batch_size"] = float(batch_size)
-    return timings
+    optimizer = BayesianOptimizer(
+        make_search_space(),
+        SyntheticObjective(),
+        initial_points=preseed,
+        batch_size=batch_size,
+        candidate_pool_size=pool_size,
+        rng=0,
+    )
+    optimizer.optimize(0)  # evaluate the preseed points only
+    start = time.perf_counter()
+    optimizer.optimize(iterations)
+    elapsed = time.perf_counter() - start
+    return {
+        "s_per_iter": elapsed / iterations,
+        "preseed": float(preseed),
+        "iterations": float(iterations),
+        "batch_size": float(batch_size),
+    }
 
 
 def bench_snapshot_store(repeats: int) -> Dict[str, float]:
@@ -371,9 +367,7 @@ def format_report(
     lines.append("")
     lines.append(
         f"BO end-to-end (batch_size={int(bo['batch_size'])}, history preseed={int(bo['preseed'])}): "
-        f"legacy {bo['legacy_s_per_iter'] * 1e3:.1f} ms/iter, "
-        f"incremental {bo['incremental_s_per_iter'] * 1e3:.1f} ms/iter "
-        f"({bo['speedup']:.1f}x)"
+        f"{bo['s_per_iter'] * 1e3:.1f} ms/iter"
     )
     lines.append("")
     lines.append(

@@ -1,16 +1,17 @@
-"""Asynchronous sharded evaluation executor: no straggler barriers.
+"""The search's one evaluation worker pool: no straggler barriers.
 
-The batch evaluation path (:meth:`~repro.core.bayes_opt.BayesianOptimizer._evaluate_batch`)
-ships one proposal batch to a worker pool and blocks until *every* candidate
-returns — so a single slow candidate (a straggler: larger model, more skip
-connections, a cold cache) idles every other worker until the barrier clears.
-This module removes the barrier:
+Every parallel evaluation in the search runs here.  The batch path
+(:meth:`~repro.core.bayes_opt.BayesianOptimizer._evaluate_batch`, through
+:func:`evaluate_ordered`) submits one proposal batch and collects it in
+submission order; the asynchronous engines keep the pool busy across the
+whole search instead, so a single slow candidate (a straggler: larger model,
+more skip connections, a cold cache) never idles the other workers:
 
 * :class:`AsyncEvaluationExecutor` keeps a **persistent** pool of worker
-  processes alive across the whole search and exposes a submit/next-completed
-  interface: evaluations are handed out one at a time and results are
-  collected in *completion* order, so a free worker can start the next
-  candidate while a straggler is still running;
+  processes alive and exposes a submit/next-completed interface:
+  evaluations are handed out one at a time and results are collected in
+  *completion* order, so a free worker can start the next candidate while a
+  straggler is still running;
 * :class:`WeightUpdateSequencer` re-imposes determinism where it matters —
   result-carried :class:`~repro.core.weight_sharing.WeightUpdate` payloads are
   applied to the shared :class:`~repro.core.weight_sharing.WeightStore` in
@@ -18,12 +19,18 @@ This module removes the barrier:
   accumulates exactly the state a sequential run would produce whatever the
   worker count or scheduling jitter.
 
-The executor degrades gracefully exactly like
-:func:`~repro.training.parallel.parallel_map`: with ``workers <= 1``, an
-unpicklable workload, or a sandbox that cannot create processes, submissions
-are queued and evaluated lazily in the parent process — identical results,
-identical ordering guarantees, no subprocess machinery.  The worker start
-method honours ``REPRO_MP_START_METHOD`` (see :mod:`repro.training.parallel`).
+With ``workers <= 1``, an unpicklable objective, or a sandbox that cannot
+create processes, submissions are queued and evaluated lazily in the parent
+process — identical results, identical ordering guarantees, no subprocess
+machinery.  Fallback happens only for these *infrastructure* problems,
+established before any work runs; an exception raised by the objective
+always propagates.
+
+The worker start method defaults to ``fork`` where available (cheapest,
+shares the parent's loaded datasets) and can be forced with the
+``REPRO_MP_START_METHOD`` environment variable (``fork``/``spawn``/
+``forkserver``) — CI uses ``spawn`` to prove the workload survives a fresh
+interpreter.
 
 Evaluation workers were made stateless in the result-carried-update refactor
 (objectives defer local store mutation, trained state rides back on the
@@ -41,7 +48,10 @@ evaluations without losing any completed result.
 from __future__ import annotations
 
 import concurrent.futures
+import multiprocessing
+import os
 import pickle
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
@@ -50,7 +60,52 @@ from repro.core.objectives import EvaluationResult
 from repro.core.search_space import ArchitectureSpec
 from repro.core.weight_sharing import WeightStore, WeightUpdate
 from repro.trace import absorb, capture_context, remote_activation
-from repro.training.parallel import func_is_picklable, get_mp_context
+
+#: environment variable forcing the multiprocessing start method
+START_METHOD_ENV = "REPRO_MP_START_METHOD"
+
+
+def start_method() -> str:
+    """The configured multiprocessing start method."""
+    method = os.environ.get(START_METHOD_ENV)
+    if method:
+        return method
+    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+
+
+def get_mp_context():
+    """The multiprocessing context for the configured start method.
+
+    An invalid ``REPRO_MP_START_METHOD`` raises here rather than degrading
+    silently — a misconfigured run must not masquerade as a parallel one.
+    """
+    return multiprocessing.get_context(start_method())
+
+
+#: objectives already probed for picklability; the executor pickles an
+#: objective on every submission anyway, so the probe result is worth
+#: remembering (the object — e.g. a CachedObjective holding the dataset —
+#: can be large)
+_PICKLABLE_FUNCS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def func_is_picklable(func) -> bool:
+    """Whether ``func`` can be shipped to worker processes (result cached)."""
+    try:
+        known = _PICKLABLE_FUNCS.get(func)
+    except TypeError:  # unhashable/unweakrefable func
+        known = None
+    if known is None:
+        try:
+            pickle.dumps(func)
+            known = True
+        except Exception:  # repro-lint: disable=swallowed-exception (any serialisation failure means "cannot ship"; the probe's only output is the boolean)
+            known = False
+        try:
+            _PICKLABLE_FUNCS[func] = known
+        except TypeError:
+            pass
+    return known
 
 
 @dataclass
@@ -196,8 +251,8 @@ class AsyncEvaluationExecutor:
                 done = executor.next_completed()
 
     Exceptions raised by the objective propagate from :meth:`next_completed`
-    — mirroring :func:`~repro.training.parallel.parallel_map`, a failing
-    evaluation must not be silently retried or dropped.
+    with any worker count: a failing evaluation must not be silently retried
+    or dropped.
     """
 
     def __init__(
@@ -322,18 +377,22 @@ def evaluate_ordered(
 ) -> List[EvaluationResult]:
     """Evaluate ``specs`` concurrently; return results in submission order.
 
-    A convenience wrapper for barrier-shaped callers (e.g. one rung of a
-    successive-halving ladder) that still want the persistent pool and the
-    sequenced weight merging: results come back as a list aligned with
-    ``specs``, and any result-carried weight updates are applied to
-    ``weight_store`` in submission order as they become releasable.
+    The barrier-shaped entry point to the pool, behind the batch search path
+    and each rung of a successive-halving ladder: results come back as a list
+    aligned with ``specs``, and any result-carried weight updates are applied
+    to ``weight_store`` in submission order once the whole batch has
+    returned.  No candidate therefore sees another's update, in the pool and
+    in the lazy serial mode alike, so the results do not depend on
+    ``workers``.  A batch of one spec starts no pool.
     """
-    sequencer = WeightUpdateSequencer(weight_store)
     ordered: List[Optional[EvaluationResult]] = [None] * len(specs)
-    with AsyncEvaluationExecutor(objective, workers=workers) as executor:
+    with AsyncEvaluationExecutor(objective, workers=min(workers, len(specs))) as executor:
         for spec in specs:
             executor.submit(spec)
         for done in executor.drain():
-            sequencer.add(done.ticket, done.result.weight_update)
             ordered[done.ticket] = done.result
+    if weight_store is not None:
+        for result in ordered:
+            if result.weight_update is not None:
+                result.weight_update.apply(weight_store)
     return list(ordered)  # type: ignore[arg-type]

@@ -16,15 +16,17 @@ The optimizer follows Section III-B of the paper:
   :class:`~repro.core.weight_sharing.WeightStore`, so each evaluation is only
   a short fine-tune.
 
-The search engine is **incremental** by default: the GP surrogate is fitted
-once and every subsequent observation extends its cached Cholesky factor in
-O(n^2) (:meth:`~repro.gp.gp.GaussianProcessRegressor.update`), and the
-constant-liar inner loop conditions a
-:class:`~repro.gp.gp.FantasizedPosterior` instead of refitting per lie — the
-train-pool cross-kernel block is computed once per iteration and grown by one
-row per fantasy.  ``incremental=False`` restores the legacy
-refit-from-scratch engine (kept for A/B benchmarking in
-``benchmarks/bench_search.py``).
+The search engine is **incremental**: the GP surrogate is fitted once and
+every subsequent observation extends its cached Cholesky factor in O(n^2)
+(:meth:`~repro.gp.gp.GaussianProcessRegressor.update`), and the constant-liar
+inner loop conditions a :class:`~repro.gp.gp.FantasizedPosterior` instead of
+refitting per lie — the train-pool cross-kernel block is computed once per
+iteration and grown by one row per fantasy.
+
+Both evaluation paths run on the one worker pool of
+:mod:`repro.core.async_eval`: the batch path hands each proposal batch to
+:func:`~repro.core.async_eval.evaluate_ordered`, the asynchronous engine
+drives an :class:`~repro.core.async_eval.AsyncEvaluationExecutor` directly.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.async_eval import AsyncEvaluationExecutor, WeightUpdateSequencer, evaluate_ordered
 from repro.core.objectives import EvaluationResult, Objective, resolve_weight_context
 from repro.core.search_space import ArchitectureSpec, SearchSpace
 from repro.core.weight_sharing import WeightStore
@@ -42,7 +45,6 @@ from repro.gp.gp import GaussianProcessRegressor
 from repro.gp.kernels import HammingKernel, Kernel
 from repro.tensor.random import default_rng
 from repro.trace import span
-from repro.training.parallel import parallel_map
 
 
 @dataclass
@@ -170,13 +172,14 @@ class BayesianOptimizer:
         Number of random unevaluated candidates scored by the acquisition at
         every iteration.
     workers:
-        Worker processes used to evaluate a proposal batch (1 = sequential).
-        Weight-sharing updates are **result-carried**: each evaluation returns
-        its trained state on the result and the optimizer merges the payloads
-        into the shared :class:`~repro.core.weight_sharing.WeightStore` in the
-        parent after the batch returns, so no update is lost to a worker
-        process (and a batch accumulates identical store contents whatever
-        the worker count).
+        Worker processes used to evaluate a proposal batch (1 = sequential),
+        via :func:`~repro.core.async_eval.evaluate_ordered`.  Weight-sharing
+        updates are **result-carried**: each evaluation returns its trained
+        state on the result and the payloads are merged into the shared
+        :class:`~repro.core.weight_sharing.WeightStore` in the parent, in
+        submission order, after the batch returns — so no update is lost to
+        a worker process, and a batch accumulates identical store contents
+        whatever the worker count.
     async_workers:
         When ``>= 1``, :meth:`optimize` runs the **asynchronous** engine
         instead of the batch path: a persistent
@@ -197,11 +200,6 @@ class BayesianOptimizer:
         discovered on the objective itself (walking wrapper chains such as
         ``CachedObjective(EnergyAwareObjective(AccuracyDropObjective))``);
         pass it explicitly when the objective is an opaque callable.
-    incremental:
-        When ``True`` (default) the surrogate persists across iterations and
-        new observations extend its Cholesky factor in O(n^2); the
-        constant-liar loop uses rank-1 fantasy updates.  ``False`` refits from
-        scratch every iteration and once per lie (the legacy engine).
     hyperopt_every:
         Re-tune the kernel hyperparameters (length scale / gamma and signal
         variance, via :func:`~repro.gp.gp.tune_kernel` marginal-likelihood
@@ -226,7 +224,6 @@ class BayesianOptimizer:
         include_default: bool = True,
         workers: int = 1,
         async_workers: int = 0,
-        incremental: bool = True,
         hyperopt_every: Optional[int] = None,
         weight_store: Optional[WeightStore] = None,
         rng=None,
@@ -250,7 +247,6 @@ class BayesianOptimizer:
             raise ValueError("async_workers must be >= 0")
         self.workers = int(workers)
         self.async_workers = int(async_workers)
-        self.incremental = bool(incremental)
         if hyperopt_every is not None and hyperopt_every < 1:
             raise ValueError("hyperopt_every must be >= 1 (or None to disable)")
         self.hyperopt_every = int(hyperopt_every) if hyperopt_every is not None else None
@@ -272,10 +268,10 @@ class BayesianOptimizer:
         self._keys_watermark = 0
         self._keys_tail: Optional[OptimizationRecord] = None
         self._history_ref = self.history
-        # persistent candidate pool (incremental engine only): unevaluated
-        # candidates survive across iterations, and the encoded matrix handed
-        # to the GP is grown by the fresh draws instead of being rebuilt — so
-        # the per-iteration encoding cost is O(top-up), not O(pool).
+        # persistent candidate pool: unevaluated candidates survive across
+        # iterations, and the encoded matrix handed to the GP is grown by the
+        # fresh draws instead of being rebuilt — so the per-iteration encoding
+        # cost is O(top-up), not O(pool).
         self._pool_specs: List[ArchitectureSpec] = []
         self._pool_keys: List[bytes] = []
         self._pool_matrix: Optional[np.ndarray] = None
@@ -291,23 +287,24 @@ class BayesianOptimizer:
         duration of the batch: every candidate then trains from the
         batch-start shared weights (workers become stateless, and worker
         count cannot change any result), and the trained states returned on
-        the results are merged into :attr:`weight_store` here, in the parent
-        — which is also the only place updates can survive a
-        ``multiprocessing`` child or a persistent-store replay.
+        the results are merged into :attr:`weight_store` in the parent by
+        :func:`~repro.core.async_eval.evaluate_ordered` — which is also the
+        only place updates can survive a ``multiprocessing`` child or a
+        persistent-store replay.
         """
         defer = self._weight_base is not None and self.weight_store is not None
         if defer:
             previous_defer = self._weight_base.defer_updates
             self._weight_base.defer_updates = True
         try:
-            results = parallel_map(self.objective, list(specs), workers=self.workers)
+            results = evaluate_ordered(
+                self.objective, list(specs), workers=self.workers, weight_store=self.weight_store
+            )
         finally:
             if defer:
                 self._weight_base.defer_updates = previous_defer
         records = []
         for result in results:
-            if self.weight_store is not None and result.weight_update is not None:
-                result.weight_update.apply(self.weight_store)
             record = OptimizationRecord.from_result(iteration, result, source=source)
             self.history.append(record)
             self._on_record(record)
@@ -416,8 +413,8 @@ class BayesianOptimizer:
             # the factored matrix depends on the kernel: rebuild once, then
             # resume incremental rank-k updates on the new factor
             self._surrogate = None
-        if not self.incremental or self._surrogate is None:
-            # full (re)fit: first iteration, legacy engine, or a history swap
+        if self._surrogate is None:
+            # full (re)fit: first iteration, a kernel retune, or a history swap
             encodings = np.array([record.spec.encode() for record in self.history], dtype=np.float64)
             values = np.array([record.objective_value for record in self.history], dtype=np.float64)
             model = GaussianProcessRegressor(kernel=self.kernel, noise=self.noise)
@@ -484,19 +481,10 @@ class BayesianOptimizer:
 
     def _propose_batch(self, surrogate: GaussianProcessRegressor, iteration: int) -> List[ArchitectureSpec]:
         with span("propose", iteration=iteration) as propose_span:
-            if self.incremental:
-                self._refresh_pool()
-                if not self._pool_specs:
-                    return []
-                proposals = self._propose_batch_incremental(surrogate, iteration)
-            else:
-                evaluated = self._dedup_keys()
-                pool = self.search_space.sample_batch(
-                    self.candidate_pool_size, rng=self._rng, exclude=evaluated
-                )
-                if not pool:
-                    return []
-                proposals = self._propose_batch_legacy(surrogate, pool, iteration)
+            self._refresh_pool()
+            if not self._pool_specs:
+                return []
+            proposals = self._propose_batch_incremental(surrogate, iteration)
             if propose_span:
                 propose_span.set(proposals=len(proposals))
             return proposals
@@ -525,40 +513,6 @@ class BayesianOptimizer:
                 encoding = fantasy.remove(chosen_index)
                 # constant liar: pretend the pick returned the current best
                 fantasy.condition(encoding, best_value)
-        return proposals
-
-    def _propose_batch_legacy(
-        self, surrogate: GaussianProcessRegressor, pool: List[ArchitectureSpec], iteration: int
-    ) -> List[ArchitectureSpec]:
-        """Seed engine: rebuild encoding arrays and refit the GP once per lie."""
-        best_value = self.history.best().objective_value
-        proposals: List[ArchitectureSpec] = []
-        # constant-liar batch proposal: after choosing a candidate, pretend it
-        # returned the current best value so the next pick explores elsewhere.
-        lie_x: List[np.ndarray] = []
-        lie_y: List[float] = []
-        for _ in range(self.batch_size):
-            if not pool:
-                break
-            encodings = np.array([spec.encode() for spec in pool], dtype=np.float64)
-            mean, std = surrogate.predict(encodings)
-            if lie_x:
-                # refit a temporary surrogate including the lies
-                all_x = np.concatenate(
-                    [np.array([r.spec.encode() for r in self.history], dtype=np.float64), np.array(lie_x)], axis=0
-                )
-                all_y = np.concatenate(
-                    [np.array([r.objective_value for r in self.history], dtype=np.float64), np.array(lie_y)]
-                )
-                temp = GaussianProcessRegressor(kernel=self.kernel, noise=self.noise)
-                temp.fit(all_x, all_y)
-                mean, std = temp.predict(encodings)
-            scores = self.acquisition(mean, std, best_observed=best_value, iteration=iteration)
-            chosen_index = int(np.argmax(scores))
-            chosen = pool.pop(chosen_index)
-            proposals.append(chosen)
-            lie_x.append(chosen.encode().astype(np.float64))
-            lie_y.append(best_value)
         return proposals
 
     # ------------------------------------------------------------------
@@ -611,8 +565,6 @@ class BayesianOptimizer:
         evaluation budget, the history/record shape and the shared-store
         accumulation semantics all match the batch path.
         """
-        from repro.core.async_eval import AsyncEvaluationExecutor, WeightUpdateSequencer
-
         budget = num_iterations * self.batch_size
         sequencer = WeightUpdateSequencer(self.weight_store)
         defer = self._weight_base is not None and self.weight_store is not None

@@ -332,7 +332,7 @@ class MultiObjectiveBayesianOptimizer(BayesianOptimizer):
             x_all: Optional[np.ndarray] = None
             for spec in self.objectives:
                 model = self._models.get(spec.name)
-                if model is None or not self.incremental:
+                if model is None:
                     if x_all is None:
                         # shared across objectives: only the targets differ
                         x_all = np.array(

@@ -11,7 +11,6 @@ from repro.training.callbacks import EarlyStopping, TrainingHistory
 from repro.training.evaluation import evaluate_classifier, evaluate_with_spikes
 from repro.training.trainer import Trainer, TrainingConfig
 from repro.training.snn_trainer import SNNTrainer, SNNTrainingConfig
-from repro.training.parallel import parallel_map
 
 __all__ = [
     "EarlyStopping",
@@ -22,5 +21,4 @@ __all__ = [
     "TrainingConfig",
     "SNNTrainer",
     "SNNTrainingConfig",
-    "parallel_map",
 ]

@@ -29,6 +29,7 @@ from repro.core.async_eval import (
     evaluate_ordered,
 )
 from repro.core.bayes_opt import BayesianOptimizer
+from repro.core.cache import CachedObjective, PersistentEvaluationStore, store_counters
 from repro.core.multi_fidelity import FidelitySchedule, MultiFidelityObjective, SuccessiveHalvingSearch
 from repro.core.objectives import EvaluationResult, SyntheticWeightObjective
 from repro.core.search_space import BlockSearchInfo, SearchSpace
@@ -44,6 +45,20 @@ class _StateEcho:
 
     def __call__(self, spec):
         return EvaluationResult(spec=spec, objective_value=self.state, accuracy=0.0)
+
+
+class _StoreReadingObjective(SyntheticWeightObjective):
+    """Synthetic objective whose score is the shared store's total when it runs.
+
+    Any update that reaches the store before an evaluation changes that
+    evaluation's result, so results expose when updates were applied.
+    """
+
+    def __call__(self, spec):
+        seen = float(sum(np.sum(value) for value in self.weight_store.state_dict().values()))
+        result = super().__call__(spec)
+        result.objective_value = seen
+        return result
 
 
 def make_space(depth: int = 4) -> SearchSpace:
@@ -166,6 +181,39 @@ class TestAsyncEvaluationExecutor:
             [r.objective_value for r in expected]
         )
         assert_stores_equal(sequential.weight_store, objective.weight_store)
+
+    def test_evaluate_ordered_is_worker_count_independent(self):
+        """Updates land after the whole batch returns, so a store-reading
+        objective scores the same in the lazy serial mode as in the pool."""
+        specs = make_space().sample_batch(3, rng=4)
+        runs = {}
+        for workers in (1, 2):
+            objective = _StoreReadingObjective(weight_store=WeightStore())
+            objective.defer_updates = True
+            results = evaluate_ordered(objective, specs, workers=workers, weight_store=objective.weight_store)
+            runs[workers] = ([r.objective_value for r in results], objective.weight_store)
+        assert runs[1][0] == runs[2][0] == [0.0, 0.0, 0.0]
+        assert not runs[1][1].is_empty
+        assert_stores_equal(runs[1][1], runs[2][1])
+
+
+class TestBatchPathTelemetry:
+    def test_worker_store_counters_reach_the_parent(self, tmp_path):
+        """Every store lookup a ``workers=2`` batch search makes in its
+        workers shows up in the parent's process-wide tallies."""
+        objective = CachedObjective(
+            SyntheticWeightObjective(weight_store=WeightStore()),
+            store=PersistentEvaluationStore(tmp_path),
+        )
+        optimizer = BayesianOptimizer(
+            make_space(), objective, initial_points=4, batch_size=2,
+            candidate_pool_size=12, workers=2, rng=7,
+        )
+        before = store_counters()
+        history = optimizer.optimize(3)
+        after = store_counters()
+        lookups = sum(after[key] - before[key] for key in ("hits", "misses"))
+        assert lookups == len(history) == 4 + 3 * 2
 
 
 class TestAsyncBayesianOptimizer:

@@ -208,7 +208,6 @@ class TestIncrementalOptimizerEngine:
             initial_points=4,
             batch_size=batch_size,
             candidate_pool_size=16,
-            incremental=True,
             rng=0,
         )
         history = optimizer.optimize(3)
@@ -217,37 +216,17 @@ class TestIncrementalOptimizerEngine:
         # no architecture evaluated twice
         assert len(history.evaluated_keys()) == len(history)
 
-    def test_incremental_and_legacy_find_comparable_optima(self):
-        """Both engines search the same space with the same budget; neither
-        should be catastrophically worse (they share every component except
-        the linear-algebra path)."""
-        results = {}
-        for incremental in (True, False):
-            objective = _CountingObjective()
-            optimizer = BayesianOptimizer(
-                self._space(),
-                objective,
-                initial_points=5,
-                batch_size=2,
-                candidate_pool_size=24,
-                incremental=incremental,
-                rng=12,
-            )
-            history = optimizer.optimize(5)
-            results[incremental] = history.best().objective_value
-        assert abs(results[True] - results[False]) < 2.0
-
     def test_history_replacement_resets_incremental_state(self):
         """Swapping in a different (equal-length or longer) history must not
         blend the old run's observations into the surrogate or dedup keys."""
         first = BayesianOptimizer(
             self._space(), _CountingObjective(), initial_points=4, batch_size=1,
-            candidate_pool_size=8, incremental=True, rng=2,
+            candidate_pool_size=8, rng=2,
         )
         first.optimize(2)
         donor = BayesianOptimizer(
             self._space(), _CountingObjective(), initial_points=4, batch_size=1,
-            candidate_pool_size=8, incremental=True, rng=99,
+            candidate_pool_size=8, rng=99,
         )
         donor.optimize(2)
 
@@ -267,7 +246,6 @@ class TestIncrementalOptimizerEngine:
             initial_points=3,
             batch_size=1,
             candidate_pool_size=8,
-            incremental=True,
             rng=1,
         )
         optimizer.optimize(2)

@@ -51,8 +51,8 @@ class TestSpawnSafety:
                 "bad.py": """
                 def run(items):
                     square = lambda x: x * x
-                    first = parallel_map(square, items)
-                    second = parallel_map(lambda x: x + 1, items)
+                    first = evaluate_ordered(square, items)
+                    second = AsyncEvaluationExecutor(lambda x: x + 1, workers=2)
 
                     def inner(x):
                         return x
@@ -76,7 +76,7 @@ class TestSpawnSafety:
                     return x * x
 
                 def run(items):
-                    return parallel_map(work, items)
+                    return evaluate_ordered(work, items)
                 """
             },
         )
@@ -648,7 +648,7 @@ class TestEngine:
                     func()
                 except Exception:
                     pass
-                return parallel_map(lambda x: x, items)
+                return evaluate_ordered(lambda x: x, items)
             """
         }
         only_spawn = lint(tmp_path, dict(sources), select=["spawn-safety"])

@@ -22,7 +22,7 @@ from repro.core.cache import (
 )
 from repro.core.objectives import SyntheticWeightObjective
 from repro.core.search_space import BlockSearchInfo, SearchSpace
-from repro.training.parallel import get_mp_context
+from repro.core.async_eval import get_mp_context
 
 
 def make_space(depth: int = 4) -> SearchSpace:

@@ -4,9 +4,9 @@ Covers the span contract (falsy no-op while disabled, thread-local nesting,
 error capture, scoped enablement), the bounded flight recorder (ring with a
 counted drop policy, JSONL mirror), trace analysis/export (summaries, the
 critical path, Chrome trace events), cross-process propagation through the
-async evaluation executor and ``parallel_map`` (spans recorded in a worker
-stitch under the parent's open span; counter deltas merge into the parent's
-process-wide tallies), the ``repro trace`` CLI, and the bench-gate ceiling
+async evaluation executor and the ``workers=2`` batch search (spans recorded
+in a worker stitch under the parent's open span; counter deltas merge into
+the parent's process-wide tallies), the ``repro trace`` CLI, and the bench-gate ceiling
 that pins the disabled-tracing overhead contract.
 """
 
@@ -24,6 +24,7 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 from repro.core.async_eval import AsyncEvaluationExecutor
+from repro.core.bayes_opt import BayesianOptimizer
 from repro.core.objectives import EvaluationResult, Objective
 from repro.core.search_space import BlockSearchInfo, SearchSpace
 from repro.trace import (
@@ -42,7 +43,6 @@ from repro.trace import (
     summarize,
     tracing,
 )
-from repro.training.parallel import parallel_map
 
 
 def make_space(depth: int = 4) -> SearchSpace:
@@ -58,13 +58,6 @@ class SpanningObjective(Objective):
                 current.set(arch=",".join(str(v) for v in spec.encode()))
             value = float(spec.total_skips()) / max(spec.encode().size, 1)
         return EvaluationResult(spec=spec, objective_value=value, accuracy=1 - value)
-
-
-def _traced_square(value: int) -> int:
-    with span("map.item") as current:
-        if current:
-            current.set(value=value)
-    return value * value
 
 
 # ---------------------------------------------------------------------------
@@ -344,17 +337,23 @@ class TestPropagation:
         for done in completed:
             assert done.result.telemetry is None
 
-    def test_parallel_map_stitches_item_spans(self):
-        recorder = FlightRecorder(capacity=256)
-        with tracing(recorder=recorder, trace_id="t-map"):
-            with span("measure") as root:
-                results = parallel_map(_traced_square, [1, 2, 3], workers=2)
-        assert results == [1, 4, 9]
-        items = [entry for entry in recorder.spans() if entry["name"] == "map.item"]
-        assert sorted(entry["attrs"]["value"] for entry in items) == [1, 2, 3]
-        for entry in items:
-            assert entry["trace_id"] == "t-map"
-            assert entry["parent_id"] == root.span_id
+    def test_batch_search_stitches_worker_spans(self):
+        optimizer = BayesianOptimizer(
+            make_space(), SpanningObjective(), initial_points=3, batch_size=2,
+            candidate_pool_size=8, workers=2, rng=0,
+        )
+        recorder = FlightRecorder(capacity=1024)
+        with tracing(recorder=recorder, trace_id="t-batch"):
+            history = optimizer.optimize(1)
+        (search,) = [entry for entry in recorder.spans() if entry["name"] == "search"]
+        evaluates = [entry for entry in recorder.spans() if entry["name"] == "evaluate"]
+        assert len(evaluates) == len(history) == 5
+        assert sorted(entry["attrs"]["arch"] for entry in evaluates) == sorted(
+            ",".join(str(v) for v in record.spec.encode()) for record in history
+        )
+        for entry in evaluates:
+            assert entry["trace_id"] == "t-batch"
+            assert entry["parent_id"] == search["span_id"]
 
     def test_worker_counter_deltas_merge_into_aggregates(self):
         from repro.core.cache import merge_store_counters, store_counters

@@ -1,8 +1,13 @@
-"""Tests of the training harness: trainers, callbacks, evaluation, parallel map."""
+"""Tests of the training harness: trainers, callbacks, evaluation, batch evaluation."""
+
+import os
 
 import numpy as np
 import pytest
 
+from repro.core.async_eval import evaluate_ordered
+from repro.core.objectives import EvaluationResult, SyntheticWeightObjective
+from repro.core.search_space import BlockSearchInfo, SearchSpace
 from repro.data.loaders import ArrayDataset
 from repro.models import build_single_block_template
 from repro.nn import Conv2d, GlobalAvgPool2d, Linear, ReLU, Sequential
@@ -16,7 +21,6 @@ from repro.training import (
     TrainingHistory,
     evaluate_classifier,
     evaluate_with_spikes,
-    parallel_map,
 )
 from repro.training.trainer import _build_optimizer, _build_scheduler
 from repro.nn.optim import SGD, Adam
@@ -171,20 +175,33 @@ class TestSNNTrainer:
         assert 0.0 <= accuracy <= 1.0 and len(stats.per_layer_rate) == 1
 
 
-class TestParallelMap:
+class TestBatchEvaluation:
     def test_sequential_fallback(self):
-        assert parallel_map(lambda x: x * 2, [1, 2, 3], workers=1) == [2, 4, 6]
+        specs = _space().sample_batch(3, rng=0)
+        objective = SyntheticWeightObjective()
+        results = evaluate_ordered(objective, specs, workers=1)
+        assert [r.objective_value for r in results] == [objective(spec).objective_value for spec in specs]
 
     def test_preserves_order_with_workers(self):
-        result = parallel_map(_square, list(range(8)), workers=2)
-        assert result == [x * x for x in range(8)]
+        specs = _space().sample_batch(8, rng=1)
+        results = evaluate_ordered(SyntheticWeightObjective(), specs, workers=2)
+        assert [r.spec.encode().tolist() for r in results] == [spec.encode().tolist() for spec in specs]
 
     def test_empty_input(self):
-        assert parallel_map(_square, [], workers=4) == []
+        assert evaluate_ordered(SyntheticWeightObjective(), [], workers=4) == []
 
     def test_single_item_stays_sequential(self):
-        assert parallel_map(lambda x: x + 1, [41], workers=8) == [42]
+        spec = _space().sample(rng=2)
+        (result,) = evaluate_ordered(_PidObjective(), [spec], workers=8)
+        assert result.metrics["pid"] == os.getpid()
 
 
-def _square(x):
-    return x * x
+def _space() -> SearchSpace:
+    return SearchSpace([BlockSearchInfo(depth=4, name="block")], name="training-test")
+
+
+class _PidObjective:
+    """Records the id of the process that evaluated the spec."""
+
+    def __call__(self, spec) -> EvaluationResult:
+        return EvaluationResult(spec=spec, objective_value=0.0, accuracy=0.0, metrics={"pid": os.getpid()})

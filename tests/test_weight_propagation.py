@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.async_eval import START_METHOD_ENV, evaluate_ordered
 from repro.core.bayes_opt import BayesianOptimizer
 from repro.core.cache import (
     CachedObjective,
@@ -33,7 +34,6 @@ from repro.core.objectives import (
 from repro.core.search_space import BlockSearchInfo, SearchSpace
 from repro.core.snapshots import WeightSnapshotStore, state_digest
 from repro.core.weight_sharing import WeightStore, WeightUpdate
-from repro.training.parallel import parallel_map
 from repro.training.snn_trainer import SNNTrainingConfig
 
 
@@ -61,10 +61,6 @@ def _raise_value_error(item):
 
 def _raise_attribute_error(item):
     raise AttributeError("raised inside the objective, not by pickling")
-
-
-def _identity(item):
-    return item
 
 
 class TestWeightSnapshotStore:
@@ -170,35 +166,39 @@ class TestWeightStoreCopySemantics:
             np.testing.assert_array_equal(store.get(key), value)
 
 
-class TestParallelMapErrorHandling:
+class TestBatchEvaluationErrorHandling:
     def test_objective_value_error_propagates_with_workers(self):
         with pytest.raises(ValueError, match="objective failed"):
-            parallel_map(_raise_value_error, [1, 2], workers=2)
+            evaluate_ordered(_raise_value_error, make_space().sample_batch(2, rng=0), workers=2)
 
     def test_objective_attribute_error_propagates_with_workers(self):
         """The old sandbox fallback swallowed AttributeError and silently
         re-ran the batch sequentially — masking the bug and doubling cost."""
         with pytest.raises(AttributeError, match="inside the objective"):
-            parallel_map(_raise_attribute_error, [1, 2], workers=2)
+            evaluate_ordered(_raise_attribute_error, make_space().sample_batch(2, rng=0), workers=2)
 
     def test_objective_errors_propagate_sequentially(self):
         with pytest.raises(ValueError):
-            parallel_map(_raise_value_error, [1, 2], workers=1)
+            evaluate_ordered(_raise_value_error, make_space().sample_batch(2, rng=0), workers=1)
 
     def test_unpicklable_workload_falls_back_to_sequential(self):
-        assert parallel_map(lambda x: x + 1, [1, 2, 3], workers=4) == [2, 3, 4]
+        specs = make_space().sample_batch(3, rng=1)
+        base = SyntheticWeightObjective()
+        results = evaluate_ordered(lambda spec: base(spec), specs, workers=4)
+        assert base.num_evaluations == 3  # ran in this process
+        assert [r.spec.encode().tolist() for r in results] == [s.encode().tolist() for s in specs]
 
     def test_picklable_workload_preserves_order(self):
-        assert parallel_map(_identity, list(range(6)), workers=2) == list(range(6))
+        specs = make_space().sample_batch(6, rng=2)
+        results = evaluate_ordered(SyntheticWeightObjective(), specs, workers=2)
+        assert [r.spec.encode().tolist() for r in results] == [s.encode().tolist() for s in specs]
 
     def test_invalid_start_method_raises(self, monkeypatch):
         """A misconfigured REPRO_MP_START_METHOD must fail loudly, not
         silently degrade a workers>1 run to sequential execution."""
-        from repro.training.parallel import START_METHOD_ENV
-
         monkeypatch.setenv(START_METHOD_ENV, "not-a-start-method")
         with pytest.raises(ValueError):
-            parallel_map(_identity, [1, 2], workers=2)
+            evaluate_ordered(SyntheticWeightObjective(), make_space().sample_batch(2, rng=0), workers=2)
 
 
 class TestResultCarriedUpdates:

@@ -1,7 +1,7 @@
 """spawn-safety: workloads shipped to worker processes must be picklable.
 
 The invariant (established by PR 2's result-carried updates and pinned by the
-CI spawn-mode smoke): anything handed to :func:`repro.training.parallel.parallel_map`,
+CI spawn-mode smoke): anything handed to
 :func:`repro.core.async_eval.evaluate_ordered` or an
 :class:`~repro.core.async_eval.AsyncEvaluationExecutor` may cross a
 fresh-interpreter process boundary, so it must be picklable.  Lambdas and
@@ -18,10 +18,9 @@ from typing import Dict, Iterator
 
 from tools.analyze.core import Finding, Module, Rule, register
 
-#: callables whose first argument (or ``func=`` / ``objective=`` keyword) is
-#: shipped to worker processes
+#: callables whose first argument (or ``objective=`` keyword) is shipped to
+#: worker processes
 TARGETS = {
-    "parallel_map": ("func",),
     "evaluate_ordered": ("objective",),
     "AsyncEvaluationExecutor": ("objective",),
 }
@@ -42,7 +41,7 @@ def _callable_name(func: ast.expr) -> str:
 class SpawnSafetyRule(Rule):
     name = "spawn-safety"
     description = (
-        "lambdas and nested functions passed to parallel_map / evaluate_ordered / "
+        "lambdas and nested functions passed to evaluate_ordered / "
         "AsyncEvaluationExecutor cannot be pickled for spawn-mode workers"
     )
 
