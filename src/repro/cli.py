@@ -47,6 +47,7 @@ from repro.experiments.io import save_result
 from repro.experiments.plots import plot_figure1, plot_figure3
 from repro.experiments.table1 import DEFAULT_DATASETS, DEFAULT_MODELS, run_table1_cell, Table1Result, Table1Row
 from repro.models import available_models
+from repro.tensor.blas import blas_threads, use_one_blas_thread
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
@@ -357,7 +358,12 @@ def _command_pareto(args) -> int:
         scope = contextlib.nullcontext()
     with scope:
         if _MAIN_ENTERED is not None:
-            record_span("process.startup", repro._IMPORT_STARTED, _MAIN_ENTERED)
+            record_span(
+                "process.startup",
+                repro._IMPORT_STARTED,
+                _MAIN_ENTERED,
+                blas_threads=max(blas_threads().values(), default=None),
+            )
         result = run_pareto_front(
             scale=scale,
             dataset=args.dataset,
@@ -489,9 +495,17 @@ def _command_trace(args) -> int:
 
 
 def _command_info(_args) -> int:
+    from pathlib import Path
+
     print("datasets:", ", ".join(available_datasets()))
     print("models:  ", ", ".join(available_models()))
     print("scales:   smoke, default, paper (select with --scale or REPRO_SCALE)")
+    threads = blas_threads()
+    if threads:
+        described = (f"{Path(path).name} ({n} thread{'' if n == 1 else 's'})" for path, n in threads.items())
+        print("blas:    ", ", ".join(described))
+    else:
+        print("blas:     no OpenBLAS loaded (thread count left to the BLAS library)")
     return 0
 
 
@@ -516,6 +530,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _MAIN_ENTERED = time.perf_counter()
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the search parallelises across processes; BLAS threads in each would
+    # only spin-wait on the substrate's small GEMMs (see repro.tensor.blas)
+    use_one_blas_thread()
     return _COMMANDS[args.command](args)
 
 

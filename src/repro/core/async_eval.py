@@ -30,7 +30,10 @@ The worker start method defaults to ``fork`` where available (cheapest,
 shares the parent's loaded datasets) and can be forced with the
 ``REPRO_MP_START_METHOD`` environment variable (``fork``/``spawn``/
 ``forkserver``) — CI uses ``spawn`` to prove the workload survives a fresh
-interpreter.
+interpreter.  Every worker runs
+:func:`~repro.tensor.blas.use_one_blas_thread` as its pool initializer, so
+whatever the start method each worker runs BLAS on one thread: the
+parallelism is across processes.
 
 Evaluation workers were made stateless in the result-carried-update refactor
 (objectives defer local store mutation, trained state rides back on the
@@ -59,6 +62,7 @@ from repro.core.cache import merge_store_counters, store_counters
 from repro.core.objectives import EvaluationResult
 from repro.core.search_space import ArchitectureSpec
 from repro.core.weight_sharing import WeightStore, WeightUpdate
+from repro.tensor.blas import use_one_blas_thread
 from repro.trace import absorb, capture_context, remote_activation
 
 #: environment variable forcing the multiprocessing start method
@@ -270,7 +274,9 @@ class AsyncEvaluationExecutor:
         if self.workers > 1 and func_is_picklable(objective):
             try:
                 self._pool = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=self.workers, mp_context=get_mp_context()
+                    max_workers=self.workers,
+                    mp_context=get_mp_context(),
+                    initializer=use_one_blas_thread,
                 )
             except (OSError, PermissionError):  # pragma: no cover - sandbox fallback
                 self._pool = None

@@ -128,8 +128,12 @@ class OptimizationHistory:
     def incumbent_accuracies(self) -> List[float]:
         """Accuracy of the best-so-far candidate after each evaluation.
 
-        This is the quantity plotted in Fig. 3 (test accuracy of the incumbent
-        as a function of search iterations).
+        The incumbent is the candidate with the lowest objective value so
+        far.  The objectives score candidates on the validation split, so the
+        incumbent is selected on validation accuracy, and the accuracy
+        returned is that same validation accuracy (``EvaluationResult.accuracy``),
+        not a test-split score.  As the best of several noisy scores it is
+        biased upward.  This is the quantity plotted in Fig. 3.
         """
         accuracies: List[float] = []
         best_value = float("inf")

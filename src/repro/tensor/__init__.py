@@ -17,6 +17,8 @@ this environment we implement the required machinery from scratch:
   hand-written backward passes (the hot path of every experiment).
 * :mod:`repro.tensor.gradcheck` — finite-difference gradient checking used by
   the test-suite to validate every primitive.
+* :mod:`repro.tensor.blas` — thread control for the loaded OpenBLAS
+  libraries: every search process runs BLAS on one thread.
 * :mod:`repro.tensor.tolerance` — the pinned float32-vs-float64 tolerance
   contract for the dtype-parametrised substrate.
 

@@ -1,0 +1,91 @@
+"""Thread control for the OpenBLAS libraries loaded into this process.
+
+At smoke and default scale the substrate's GEMMs (im2col convolutions over
+a few channels and small spatial maps, per-timestep linear layers) are too
+small for OpenBLAS's threads to cut their time: the extra threads spin-wait
+and burn CPU.  The search already runs candidate evaluations in parallel
+across worker processes, so each process runs BLAS on one thread.
+:func:`use_one_blas_thread` does that; ``repro.cli.main`` calls it before
+dispatching a command, and the evaluation pool runs it as every worker's
+initializer.
+
+NumPy and SciPy wheels each bundle their own OpenBLAS (``libscipy_openblas64_``
+and ``libscipy_openblas``), so every function here acts on each OpenBLAS
+mapped into the process, found through ``/proc/self/maps``.  Where none is
+found (MKL, Accelerate, a non-Linux system) they do nothing.  OpenBLAS
+threads split a GEMM's output, not its reductions, so the thread count does
+not change any result.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+from pathlib import Path
+from typing import Dict, Mapping, Optional, Union
+
+#: the variables OpenBLAS reads its thread count from; a user who sets one
+#: has chosen the count, and :func:`use_one_blas_thread` leaves it alone
+THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _loaded_openblas() -> Dict[str, ctypes.CDLL]:
+    """Every OpenBLAS mapped into this process, keyed by file path."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return {}
+    paths = sorted({line.split(None, 5)[-1] for line in maps.splitlines() if "openblas" in line.lower()})
+    libraries = {}
+    for path in paths:
+        try:
+            libraries[path] = ctypes.CDLL(path)
+        except OSError:
+            continue
+    return libraries
+
+
+def _export(library: ctypes.CDLL, name: str, argtypes, restype):
+    """``openblas_<name>`` under whichever of its export names ``library`` uses."""
+    for symbol in (f"openblas_{name}", f"openblas_{name}64_", f"scipy_openblas_{name}64_", f"scipy_openblas_{name}"):
+        function = getattr(library, symbol, None)
+        if function is not None:
+            function.argtypes = argtypes
+            function.restype = restype
+            return function
+    return None
+
+
+def blas_threads() -> Dict[str, int]:
+    """The thread count of each loaded OpenBLAS, keyed by library path."""
+    threads = {}
+    for path, library in _loaded_openblas().items():
+        get = _export(library, "get_num_threads", [], ctypes.c_int)
+        if get is not None:
+            threads[path] = int(get())
+    return threads
+
+
+def set_blas_threads(threads: Union[int, Mapping[str, int]]) -> None:
+    """Set the thread count of the loaded OpenBLAS libraries.
+
+    ``threads`` is one count for every library, or a per-library mapping as
+    :func:`blas_threads` returns it (libraries it does not name are left
+    alone).
+    """
+    for path, library in _loaded_openblas().items():
+        wanted: Optional[int] = threads if isinstance(threads, int) else threads.get(path)
+        setter = _export(library, "set_num_threads", [ctypes.c_int], None)
+        if wanted is not None and setter is not None:
+            setter(int(wanted))
+
+
+def use_one_blas_thread() -> None:
+    """Run every loaded OpenBLAS on one thread, unless the user chose a count.
+
+    Call it only where the code owns the process: a command-line entry point
+    or a worker-pool initializer.
+    """
+    if not any(os.environ.get(name) for name in THREAD_ENV_VARS):
+        set_blas_threads(1)
+

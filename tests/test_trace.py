@@ -27,6 +27,7 @@ from repro.core.async_eval import AsyncEvaluationExecutor
 from repro.core.bayes_opt import BayesianOptimizer
 from repro.core.objectives import EvaluationResult, Objective
 from repro.core.search_space import BlockSearchInfo, SearchSpace
+from repro.tensor.blas import blas_threads
 from repro.trace import (
     FlightRecorder,
     absorb,
@@ -413,6 +414,7 @@ class TestTraceCommand:
         assert len(startup) == 1 and len(front) == 1
         assert startup[0]["trace_id"] == front[0]["trace_id"]
         assert startup[0]["start"] < startup[0]["end"] <= front[0]["start"]
+        assert startup[0]["attrs"]["blas_threads"] == max(blas_threads().values(), default=None)
         capsys.readouterr()
 
     def test_missing_and_empty_files_exit_nonzero(self, tmp_path, capsys):
