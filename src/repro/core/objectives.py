@@ -22,7 +22,7 @@ from repro.models.blocks import NeuronConfig
 from repro.models.template import NetworkTemplate
 from repro.snn.fused_step import fused_counters
 from repro.snn.mac import MACCounter
-from repro.trace import span
+from repro.trace import max_rss_mb, span
 from repro.training.callbacks import TrainingHistory
 from repro.training.snn_trainer import SNNTrainer, SNNTrainingConfig
 from repro.tensor.random import default_rng
@@ -209,6 +209,7 @@ class AccuracyDropObjective(Objective):
             if eval_span:
                 eval_span.set(arch=spec_fingerprint(spec))
                 routing_before = fused_counters()
+                rss_before = max_rss_mb()
             with span("evaluate.build"):
                 model = self.build_model(spec)
             trainer = SNNTrainer(self.training_config)
@@ -241,6 +242,10 @@ class AccuracyDropObjective(Objective):
                         for key in routing_after
                     },
                 )
+                if rss_before is not None:
+                    # how far this evaluation raised the process's peak RSS: a
+                    # leak shows as a positive delta on every evaluation
+                    eval_span.set(maxrss_delta_mb=round(max_rss_mb() - rss_before, 3))
 
         # only measured quantities enter the metrics dict: a constant 0.0 for
         # an unmeasured firing rate would silently satisfy ObjectiveSpec's

@@ -59,6 +59,7 @@ from repro.snn.fused_step import (
     fused_mode,
     fused_training,
     merge_fused_counters,
+    release_fused,
     reset_fused_counters,
 )
 from repro.snn.metrics import FiringRateMonitor, SpikeStatistics, average_firing_rate
@@ -100,6 +101,7 @@ __all__ = [
     "reset_fused_counters",
     "aggregate_fused_counters",
     "merge_fused_counters",
+    "release_fused",
     "FiringRateMonitor",
     "SpikeStatistics",
     "average_firing_rate",

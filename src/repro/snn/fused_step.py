@@ -11,8 +11,8 @@ neurons) by
 * one **fused forward** that walks the time loop with plain NumPy calls,
   stashing only the *minimal residuals* the backward pass needs (padded conv
   inputs, batch-norm centred activations and inverse-std terms, surrogate
-  pseudo-derivatives, pooled head features) into per-thread workspace pools
-  (:mod:`repro.tensor.workspace`) reused across steps, and
+  pseudo-derivatives, pooled head features) into buffers the kernel owns and
+  reuses across its own training steps, and
 * one **hand-written adjoint** that walks the time steps in reverse, reusing
   those buffers — no per-step graph construction, no per-intermediate
   allocation beyond the gradients themselves.
@@ -51,14 +51,23 @@ kernel does not cover — non-:class:`SkipConnectionNetwork` models, synaptic
 (second-order) neurons, truncated BPTT, eval-mode batch norm, active spike
 recording — falls back to the recorded-graph path, which stays the reference.
 
-Aliasing: the residual stash lives in workspace pools, so nothing that
-escapes a step may alias it — module states written back after a fused
-forward (membrane, previous spikes, adaptation, readout membrane) are the
-freshly allocated update arrays, never pooled storage, and the returned score
-tensor owns its data.  One kernel instance serves one runner on one thread at
-a time; a second fused forward before ``backward()`` invalidates the first
-step's residuals and the stale adjoint raises instead of silently reusing
-overwritten buffers.
+Aliasing and lifetime
+---------------------
+
+Each kernel owns its residual stash and channel-major scratches: they are
+allocated on its first forward, reused by its later steps, and belong to no
+process-wide pool, so two runners training interleaved never share storage.
+Nothing that escapes a step may alias them — module states written back after
+a fused forward (membrane, previous spikes, adaptation, readout membrane) are
+the freshly allocated update arrays, and the returned score tensor owns its
+data.  One kernel instance serves one runner on one thread at a time; a
+second fused forward before ``backward()`` invalidates the first step's
+residuals and the stale adjoint raises instead of silently reusing
+overwritten buffers.  :func:`release_fused` (called when
+:meth:`repro.training.SNNTrainer.fit` ends) frees the buffers at once — the
+recorded loss graph is cyclic garbage that could otherwise keep them alive
+until the next cyclic collection — and a backward after release raises the
+same stale-residual error.
 """
 
 from __future__ import annotations
@@ -82,7 +91,6 @@ from repro.tensor.conv import (
     conv_output_shape,
 )
 from repro.tensor.tensor import Tensor, _unbroadcast, graph_free, is_grad_enabled
-from repro.tensor.workspace import workspace
 from repro.trace import span
 
 # ---------------------------------------------------------------------------
@@ -109,8 +117,6 @@ _STATE = _FusedState()
 #: :class:`repro.core.async_eval._TelemetryCall`).
 _AGGREGATE_LOCK = threading.Lock()
 _AGGREGATE: Dict[str, int] = {"fused_steps": 0, "fallback_steps": 0}
-
-_PLAN_IDS = itertools.count()
 
 
 def _normalise_mode(mode) -> str:
@@ -257,8 +263,6 @@ class _FusedPlan:
         self.fc = fc
         self.integrator = integrator
         self.readout = readout
-        self.key = f"fused.{next(_PLAN_IDS)}"
-        self.kernel = _FusedKernel(self)
 
     def runtime_blocker(self) -> Optional[str]:
         """Per-call disqualifiers that cheap structural compilation can't see."""
@@ -395,14 +399,30 @@ def _compile(runner):
     return _FusedPlan(model, units, cbns, head.fc, head.readout, runner.readout)
 
 
-def _plan_for(runner):
+def _kernel_for(runner):
+    """The runner's cached kernel (compiled on first use), or a rejection reason."""
     signature = (id(runner.model), runner.num_steps, runner.readout, runner.truncation)
-    cached = getattr(runner, "_fused_plan", None)
+    cached = getattr(runner, "_fused_kernel", None)
     if cached is not None and cached[0] == signature:
         return cached[1]
     plan = _compile(runner)
-    runner._fused_plan = (signature, plan)
-    return plan
+    kernel = plan if isinstance(plan, str) else _FusedKernel(plan)
+    runner._fused_kernel = (signature, kernel)
+    return kernel
+
+
+def release_fused(runner) -> None:
+    """Free the fused kernel ``runner`` trained with, residuals and scratch included.
+
+    A no-op for anything that never fused.  The next fused step recompiles;
+    a ``backward()`` through a score the released kernel produced raises.
+    """
+    cached = getattr(runner, "_fused_kernel", None)
+    if cached is None:
+        return
+    runner._fused_kernel = None
+    if not isinstance(cached[1], str):
+        cached[1].release()
 
 
 def fused_dispatch(runner, batch) -> Optional[Tensor]:
@@ -419,8 +439,8 @@ def fused_dispatch(runner, batch) -> Optional[Tensor]:
     if mode == "off":
         _count("fallback_steps")
         return None
-    plan = _plan_for(runner)
-    reason = plan if isinstance(plan, str) else plan.runtime_blocker()
+    kernel = _kernel_for(runner)
+    reason = kernel if isinstance(kernel, str) else kernel.plan.runtime_blocker()
     if reason is not None:
         if mode == "on":
             raise RuntimeError(f"fused_training(mode='on') but the step cannot fuse: {reason}")
@@ -431,7 +451,7 @@ def fused_dispatch(runner, batch) -> Optional[Tensor]:
     if not frames:
         raise ValueError("no outputs to aggregate")
     with span("train.fused_forward", num_steps=len(frames)) as fwd_span:
-        score = plan.kernel.forward(frames)
+        score = kernel.forward(frames)
         if fwd_span:
             fwd_span.set(batch=int(score.shape[0]))
     _count("fused_steps")
@@ -446,8 +466,8 @@ def fused_dispatch(runner, batch) -> Optional[Tensor]:
 class _FusedKernel:
     """Fused forward + hand-written reverse-time adjoint for one plan.
 
-    Residuals are stashed with :meth:`stash`/:meth:`stashed` into per-thread
-    workspace buffers of shape ``(num_steps, *per_step_shape)`` — the lint
+    Residuals are stashed with :meth:`stash`/:meth:`stashed` into buffers of
+    shape ``(num_steps, *per_step_shape)`` that the kernel owns — the lint
     rule ``primitive-coverage`` checks that everything a fused forward
     stashes, its adjoint actually reads.
     """
@@ -455,11 +475,25 @@ class _FusedKernel:
     def __init__(self, plan: _FusedPlan) -> None:
         self.plan = plan
         self.generation = 0
+        #: owned residual buffers: name -> (signature, (T, ...) array)
+        self._stash: Dict[str, tuple] = {}
+        #: owned channel-major scratch views, keyed by role
+        self._scratches: Dict[str, np.ndarray] = {}
+
+    def release(self) -> None:
+        """Drop every owned buffer and invalidate any outstanding adjoint."""
+        self.generation += 1
+        self._stash = {}
+        self._scratches = {}
+        self._residuals = {}
 
     # -- residual stash -------------------------------------------------
     def stash(self, name: str, shape, dtype=np.float64, fill=None, cmajor=False) -> np.ndarray:
-        """Borrow (once per forward) the pooled ``(T, *shape)`` residual buffer.
+        """The kernel's ``(T, *shape)`` residual buffer for ``name``.
 
+        Allocated on first use and reused by later forwards while its
+        signature (shape, dtype, fill, layout) is unchanged — so a ``fill``
+        (e.g. a zero padding border) is written only when the buffer is new.
         With ``cmajor`` the per-step slots are channel-major ``(N, C, H, W)``
         views (storage order ``(T, C, N, H, W)``), mirroring the layout the
         graph path would hold for the same residual — see :meth:`_cm_scratch`
@@ -474,11 +508,15 @@ class _FusedKernel:
                 self._cmajor.add(name)
             full = (self._num_steps,) + shape
             signature = (full, dtype.str, fill, cmajor)
-            buf, matched = workspace(f"{self.plan.key}.{name}", full, dtype, signature=signature)
-            if fill is not None and not matched:
-                buf[...] = fill
+            owned = self._stash.get(name)
+            if owned is not None and owned[0] == signature:
+                buf = owned[1]
+            else:
+                buf = np.empty(full, dtype)
+                if fill is not None:
+                    buf[...] = fill
+                self._stash[name] = (signature, buf)
             self._residuals[name] = buf
-        # repro-lint: disable=buffer-escape (stash() is the fused kernel's residual provider: callers write per-step slots the adjoint reads back within the same step's backward; the generation guard invalidates the tape before any later forward reuses the pool)
         return buf
 
     def stashed(self, name: str, t: int) -> np.ndarray:
@@ -489,7 +527,7 @@ class _FusedKernel:
         return view
 
     def _cm_scratch(self, key: str, shape, dtype=np.float64) -> np.ndarray:
-        """A pooled channel-major ``(N, C, H, W)`` scratch view.
+        """The kernel's channel-major ``(N, C, H, W)`` scratch view for ``key``.
 
         Graph autograd's gradient buffers are ``np.zeros_like`` of the conv
         outputs, which are channel-major views — and NumPy's pairwise-summed
@@ -497,17 +535,15 @@ class _FusedKernel:
         NOT bit-identical to sums over the same values channel-major.  Every
         fused array that feeds a reduction (batch-norm statistics and their
         ``_unbroadcast`` sums) is therefore materialised into one of these
-        scratches first.  Views are cached per forward (the hot loops request
-        the same scratch once per layer per time step).
+        scratches first.  Each is allocated once and reused while its shape
+        and dtype hold (the hot loops request the same scratch once per layer
+        per time step).
         """
-        cached = self._scratches.get(key)
-        if cached is not None and cached.shape == shape:
-            return cached
-        n, c, h, w = shape
-        buf, _ = workspace(f"{self.plan.key}.{key}", (c, n, h, w), np.dtype(dtype))
-        view = buf.transpose(1, 0, 2, 3)
-        self._scratches[key] = view
-        # repro-lint: disable=buffer-escape (_cm_scratch() is a provider: scratch holds transient per-layer values; anything escaping the kernel — returned grads, write-back states — is copied at the boundary, pinned by test_fused_step.py interleaving tests)
+        view = self._scratches.get(key)
+        if view is None or view.shape != shape or view.dtype != dtype:
+            n, c, h, w = shape
+            view = np.empty((c, n, h, w), dtype).transpose(1, 0, 2, 3)
+            self._scratches[key] = view
         return view
 
     # -- forward --------------------------------------------------------
@@ -521,7 +557,6 @@ class _FusedKernel:
         self._num_steps = len(frames)
         self._residuals: Dict[str, np.ndarray] = {}
         self._cmajor: set = set()
-        self._scratches: Dict[str, np.ndarray] = {}
         self._geom: Dict[str, tuple] = {}
         # per-neuron temporal state, keyed like each neuron's ``dynamics`` state
         self._nstate = [dict.fromkeys(cbn.neuron.state_names) for cbn in plan.cbns]
@@ -583,8 +618,8 @@ class _FusedKernel:
                 return
             if kernel.generation != generation:
                 raise RuntimeError(
-                    "fused BPTT residuals were overwritten by a newer fused forward; "
-                    "run backward() before taking the next training step"
+                    "fused BPTT residuals were overwritten by a newer fused forward "
+                    "or released; run backward() before taking the next training step"
                 )
             with span("train.fused_backward", num_steps=kernel._num_steps):
                 kernel.adjoint(score.grad)
@@ -596,8 +631,8 @@ class _FusedKernel:
         """Publish final temporal states exactly like the graph path would.
 
         Everything handed out is an owning array (the last update's fresh
-        result), never a slice of the pooled residual stash — escaping
-        workspace storage would break the aliasing contract.
+        result), never a slice of the kernel's residual stash — escaping
+        reused storage would break the aliasing contract.
         """
         for cbn, state in zip(self.plan.cbns, self._nstate):
             for name, value in state.items():
@@ -666,7 +701,7 @@ class _FusedKernel:
         normalized = xc / denom
         scale = norm.weight.data.reshape(1, features, 1, 1)
         shift = norm.bias.data.reshape(1, features, 1, 1)
-        # fresh (not pooled — it escapes as membrane state at t=0) output in
+        # fresh (not stashed — it escapes as membrane state at t=0) output in
         # the conv output's channel-major order, like the graph's ufunc chain
         out = np.empty_like(x)
         np.multiply(normalized, scale, out=out)

@@ -248,14 +248,20 @@ def _conv2d_vjp(ctx, g, needs, *, stride, padding, groups):
         if sh == 1 and sw == 1:
             # stride-1 input gradient as one GEMM: correlate the zero-padded
             # output gradient with the spatially flipped, channel-transposed
-            # weight — no column gradient, no overlapping scatter-add
+            # weight — no column gradient, no overlapping scatter-add.  Only
+            # the h x w interior is computed: padding the output gradient by
+            # k-1-p (cropping it where that is negative) lines its taps up
+            # with the input pixels, never the forward's padding border
             wf = w_g[:, :, :, ::-1, ::-1].transpose(0, 2, 1, 3, 4)
             wf = np.ascontiguousarray(wf).reshape(c_in, out_per_group, kh, kw)
-            grad_pad = _conv2d_infer(
-                grad_out.reshape(n, c_out, out_h, out_w),
-                wf, None, groups, 1, 1, kh - 1, kw - 1, h + 2 * ph, w + 2 * pw,
+            qh, qw = kh - 1 - ph, kw - 1 - pw
+            go = grad_out.reshape(n, c_out, out_h, out_w)
+            if qh < 0 or qw < 0:
+                ch, cw = max(-qh, 0), max(-qw, 0)
+                go = go[:, :, ch : out_h - ch, cw : out_w - cw]
+            grads[0] = _conv2d_infer(
+                go, wf, None, groups, 1, 1, max(qh, 0), max(qw, 0), h, w
             )
-            grads[0] = grad_pad[:, :, ph : ph + h, pw : pw + w]
         else:
             grad_col = np.matmul(
                 w_g.reshape(groups, out_per_group, cpg * kh * kw).swapaxes(-1, -2), go_mat

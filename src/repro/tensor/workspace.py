@@ -8,6 +8,12 @@ feature-map sizes the experiments use.  This module keeps one reusable buffer
 per ``(thread, key)``; a kernel borrows it for the duration of a single call
 and releases it implicitly by returning.
 
+Only the inference kernels (:mod:`repro.tensor.conv`) borrow from the pool.
+The fused training kernel (:mod:`repro.snn.fused_step`) keeps its residual
+stash in buffers it owns and frees when training ends: a pool entry lives as
+long as the thread, so a stash keyed here per compiled kernel would pile up,
+one per candidate a search trains.
+
 Aliasing contract (pinned by ``tests/test_inference_fastpath.py``):
 
 * workspace buffers hold **transient scratch only**.  Nothing reachable from

@@ -27,6 +27,7 @@ from repro.trace.spans import (
     capture_context,
     configure,
     is_enabled,
+    max_rss_mb,
     ops_enabled,
     ops_span,
     record_span,
@@ -47,6 +48,7 @@ __all__ = [
     "format_summary",
     "is_enabled",
     "load_trace",
+    "max_rss_mb",
     "ops_enabled",
     "ops_span",
     "record_span",

@@ -112,6 +112,17 @@ def summarize(spans: Sequence[Dict[str, Any]], top: int = 5) -> Dict[str, Any]:
     phase_rows.sort(key=lambda row: row["self_ms"], reverse=True)
 
     evaluations = [span for span in spans if span.get("name") == "evaluate"]
+    rss_growth: Dict[int, Dict[str, float]] = {}
+    for span in evaluations:
+        delta = span.get("attrs", {}).get("maxrss_delta_mb")
+        if delta is None:
+            continue
+        row = rss_growth.setdefault(
+            int(span.get("pid", 0)), {"evaluations": 0, "raised": 0, "total_mb": 0.0}
+        )
+        row["evaluations"] += 1
+        row["raised"] += int(delta > 0)
+        row["total_mb"] += float(delta)
     evaluations.sort(key=_duration_ms, reverse=True)
     slowest = [
         {
@@ -139,6 +150,7 @@ def summarize(spans: Sequence[Dict[str, Any]], top: int = 5) -> Dict[str, Any]:
         "critical_path": critical_path(spans),
         "slowest_evaluations": slowest,
         "evaluation_count": len(evaluations),
+        "rss_growth": [{"pid": pid, **row} for pid, row in sorted(rss_growth.items())],
     }
 
 
@@ -161,6 +173,14 @@ def format_summary(summary: Dict[str, Any]) -> str:
         lines.append("Critical path (longest root, descending into the longest child)")
         for depth, step in enumerate(summary["critical_path"]):
             lines.append(f"  {'  ' * depth}{step['name']}  {step['duration_ms']:.2f} ms  (pid {step['pid']})")
+    if summary.get("rss_growth"):
+        lines.append("")
+        lines.append("Peak-RSS growth inside evaluations (a leak raises it every time)")
+        for row in summary["rss_growth"]:
+            lines.append(
+                f"  pid {row['pid']}: +{row['total_mb']:.1f} MB, raised by "
+                f"{row['raised']} of {row['evaluations']} evaluations"
+            )
     if summary["slowest_evaluations"]:
         lines.append("")
         lines.append("Slowest evaluations")

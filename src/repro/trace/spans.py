@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -219,6 +220,22 @@ def record_span(name: str, start: float, end: float, **attrs: Any) -> None:
     recorder = active_recorder()
     if recorder is not None:
         recorder.record(live.to_dict())
+
+
+def max_rss_mb() -> Optional[float]:
+    """This process's peak resident set size so far, in MB (``None`` if unknown).
+
+    The peak only ever grows, so the difference across a region is how far
+    that region pushed it — zero when the region fit in memory the process
+    had already used, and positive every time for a region that leaks.
+    """
+    try:
+        import resource  # only traced runs ask, so untraced start-up never loads it
+    except ImportError:  # pragma: no cover - no getrusage on Windows
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    return peak / (1024.0 * 1024.0) if sys.platform == "darwin" else peak / 1024.0
 
 
 def ops_span(name: str, **attrs: Any):

@@ -15,6 +15,7 @@ from typing import Optional, Tuple
 from repro.data.loaders import ArrayDataset, DatasetSplits
 from repro.nn.module import Module
 from repro.snn.encoding import SpikeEncoder
+from repro.snn.fused_step import release_fused
 from repro.snn.metrics import SpikeStatistics
 from repro.snn.temporal import TemporalRunner
 from repro.training.callbacks import TrainingHistory
@@ -58,7 +59,13 @@ class SNNTrainer:
     ) -> TrainingHistory:
         """Train the spiking model with surrogate-gradient BPTT."""
         runner = self.make_runner(model)
-        return self._trainer.fit(runner, train_dataset, val_dataset, loss_fn=loss_fn)
+        try:
+            return self._trainer.fit(runner, train_dataset, val_dataset, loss_fn=loss_fn)
+        finally:
+            # the last step's loss graph is cyclic garbage that would keep the
+            # fused kernel's residual stash alive until the next cyclic
+            # collection; a long search must not hold one stash per evaluation
+            release_fused(runner)
 
     def fit_splits(self, model: Module, splits: DatasetSplits, loss_fn=None) -> TrainingHistory:
         """Convenience: train on ``splits.train`` with validation on ``splits.val``."""

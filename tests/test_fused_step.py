@@ -10,13 +10,20 @@ The fused path's contract has three legs, each pinned here:
   qualifies and silently falls back otherwise, ``on`` raises with the
   disqualifying reason, ``off`` always takes the recorded graph, and the
   routing counters account for every step either way;
-* **residual lifetime** — pooled residual stashes never alias anything that
-  escapes a step: interleaved training of two models produces the same bits
-  as training them separately, and a backward against residuals overwritten
-  by a newer forward fails loudly instead of computing garbage.
+* **residual lifetime** — a kernel's residual stash never aliases anything
+  that escapes a step: interleaved training of two models produces the same
+  bits as training them separately, and a backward against residuals
+  overwritten by a newer forward fails loudly instead of computing garbage;
+* **residual ownership** — each kernel owns its stash, nothing of it stays
+  in the process-wide workspace pool, and it is freed the moment
+  ``SNNTrainer.fit`` returns, so a long search does not hold one stash per
+  evaluation.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -28,16 +35,19 @@ from repro.models import get_template
 from repro.nn import CrossEntropyLoss, Linear, Sequential
 from repro.snn import TemporalRunner
 from repro.snn.fused_step import (
+    _FusedKernel,
     aggregate_fused_counters,
     fused_counters,
     fused_mode,
     fused_training,
+    release_fused,
     reset_fused_counters,
 )
 from repro.snn.neurons import ALIFNeuron, IFNeuron, LIFNeuron
 from repro.tensor import Tensor
 from repro.tensor.tolerance import assert_float32_contract
-from repro.training import Trainer, TrainingConfig
+from repro.tensor.workspace import _POOL
+from repro.training import SNNTrainer, SNNTrainingConfig, Trainer, TrainingConfig
 
 RESETS = ("subtract", "zero", "none")
 READOUTS = ("membrane_mean", "membrane_last", "spike_count", "spike_rate")
@@ -285,6 +295,70 @@ class TestResidualLifetime:
             runner(batch)  # overwrites the pooled residuals
             with pytest.raises(RuntimeError, match="overwritten|generation|newer"):
                 stale.backward()
+
+
+def fit_candidate(seed: int = 0) -> None:
+    """One candidate-style fine-tune: a fresh model, runner and fused kernel."""
+    rng = np.random.default_rng(seed)
+    dataset = ArrayDataset(rng.random((8, 2, 12, 12)), rng.integers(0, 10, size=8))
+    config = SNNTrainingConfig(epochs=1, batch_size=4, num_steps=3, fused="on")
+    SNNTrainer(config).fit(build_model(), dataset)
+
+
+def pool_bytes() -> int:
+    """Bytes the calling thread's workspace pool holds."""
+    return sum(entry["flat"].nbytes for entry in _POOL._entries().values())
+
+
+@pytest.fixture
+def kernel_buffers(monkeypatch):
+    """Weak references to every kernel and stash/scratch buffer created meanwhile."""
+    refs = []
+    stash, scratch = _FusedKernel.stash, _FusedKernel._cm_scratch
+
+    def recording(method):
+        def wrapper(self, *args, **kwargs):
+            buf = method(self, *args, **kwargs)
+            refs.append(weakref.ref(buf.base if buf.base is not None else buf))
+            return buf
+
+        return wrapper
+
+    monkeypatch.setattr(_FusedKernel, "stash", recording(stash))
+    monkeypatch.setattr(_FusedKernel, "_cm_scratch", recording(scratch))
+    return refs
+
+
+class TestResidualOwnership:
+    def test_fit_frees_the_stash_without_cyclic_gc(self, kernel_buffers):
+        gc.collect()
+        gc.disable()  # only reference counting may free the buffers
+        try:
+            fit_candidate()
+            assert kernel_buffers, "the fit never stashed a residual"
+            alive = [ref for ref in kernel_buffers if ref() is not None]
+        finally:
+            gc.enable()
+        assert not alive, f"{len(alive)} residual/scratch buffers outlived SNNTrainer.fit"
+
+    def test_pool_does_not_grow_across_candidate_fits(self):
+        fit_candidate(0)
+        baseline = pool_bytes()
+        for seed in range(1, 5):
+            fit_candidate(seed)
+            assert pool_bytes() == baseline, f"pool grew on fit {seed + 1}"
+        assert not [key for key in _POOL._entries() if key.startswith("fused")]
+
+    def test_backward_after_release_raises(self):
+        batch, targets = make_batch()
+        runner = TemporalRunner(build_model(), num_steps=3)
+        with fused_training("on"):
+            loss = CrossEntropyLoss()(runner(batch), targets)
+            release_fused(runner)
+            with pytest.raises(RuntimeError, match="released"):
+                loss.backward()
+            # the runner recompiles and trains on after a release
+            CrossEntropyLoss()(runner(batch), targets).backward()
 
 
 class _FusedObjective:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.tensor import Tensor, avg_pool2d, conv2d, global_avg_pool2d, gradcheck, max_pool2d
-from repro.tensor.conv import conv_output_shape
+from repro.tensor.conv import _conv2d_fwd, _conv2d_infer, _conv2d_vjp, conv_output_shape
 
 
 def naive_conv2d(x, w, b=None, stride=1, padding=0, groups=1):
@@ -117,6 +117,68 @@ class TestConv2dBackward:
         with no_grad():
             out = conv2d(x, w, padding=1)
         assert not out.requires_grad
+
+
+def full_correlation_input_grad(g, w_g, geometry, groups):
+    """Stride-1 input gradient as the crop of the full padded-plane correlation."""
+    n, c_in, h, w, kh, kw, _sh, _sw, ph, pw, out_h, out_w, c_out, _shape = geometry
+    wf = w_g[:, :, :, ::-1, ::-1].transpose(0, 2, 1, 3, 4)
+    wf = np.ascontiguousarray(wf).reshape(c_in, c_out // groups, kh, kw)
+    full = _conv2d_infer(
+        g.reshape(n, c_out, out_h, out_w),
+        wf, None, groups, 1, 1, kh - 1, kw - 1, h + 2 * ph, w + 2 * pw,
+    )
+    return full[:, :, ph : ph + h, pw : pw + w]
+
+
+STRIDE1_GEOMETRIES = [((k, k), (p, p)) for k in (1, 3, 5) for p in (0, 1, 2)] + [
+    ((1, 3), (2, 0)),
+    ((3, 1), (0, 2)),
+    ((5, 3), (2, 1)),
+]
+
+
+def stride1_input_grads(rng, batch, size, kernel, padding, groups, channel_major):
+    """(interior-only vjp input grad, cropped full correlation) for one geometry."""
+    (kh, kw), (ph, pw) = kernel, padding
+    x = rng.normal(size=(batch, 4, size, size))
+    weight = rng.normal(size=(6, 4 // groups, kh, kw))
+    out, ctx = _conv2d_fwd(x, weight, want_ctx=True, stride=(1, 1), padding=(ph, pw), groups=groups)
+    g = rng.normal(size=out.shape)
+    if channel_major:
+        # conv outputs (and the fused kernel's scratches) are (C, N, H, W)-backed
+        g = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    grads = _conv2d_vjp(ctx, g, (True, True), stride=(1, 1), padding=(ph, pw), groups=groups)
+    assert grads[0].shape == x.shape
+    return grads[0], full_correlation_input_grad(g, ctx[1], ctx[2], groups)
+
+
+class TestStride1InputGradient:
+    """The interior-only input gradient against the crop of the full correlation."""
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("kernel,padding", STRIDE1_GEOMETRIES)
+    @pytest.mark.parametrize("size", [12, 6, 5])
+    @pytest.mark.parametrize("channel_major", [False, True])
+    def test_bit_identical_at_training_batch(self, rng, groups, kernel, padding, size, channel_major):
+        # batch 16 is what the smoke and default scales train with
+        interior, reference = stride1_input_grads(
+            rng, 16, size, kernel, padding, groups, channel_major
+        )
+        assert np.array_equal(interior, reference)
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("kernel,padding", STRIDE1_GEOMETRIES)
+    def test_odd_batch_agrees_to_rounding(self, rng, groups, kernel, padding):
+        # both formulas make one GEMM column per input pixel, and each column
+        # is the same dot product.  An optimised BLAS may compute the last
+        # few columns of a GEMM with a narrower kernel: OpenBLAS on AVX-512
+        # does so when the column count leaves 1-4 over a multiple of 8
+        # (here 3 * 6 * 6 = 108).  The full correlation's last columns are
+        # border pixels it crops away, so the last interior pixels can differ
+        # by an ulp; the graph and fused paths share this vjp either way
+        interior, reference = stride1_input_grads(rng, 3, 6, kernel, padding, groups, True)
+        np.testing.assert_allclose(interior, reference, rtol=1e-12, atol=1e-12)
 
 
 class TestPooling:

@@ -236,6 +236,23 @@ class TestAnalysis:
         assert "Slowest evaluations" in text
         assert "evaluate" in text
 
+    def test_summary_totals_peak_rss_growth_per_process(self):
+        def evaluate(span_id, pid, delta):
+            return {"name": "evaluate", "span_id": span_id, "parent_id": None, "trace_id": "t",
+                    "start": 0.0, "end": 0.001, "pid": pid, "thread": "main",
+                    "attrs": {"maxrss_delta_mb": delta}}
+
+        spans = [evaluate("a", 7, 8.0), evaluate("b", 7, 7.5), evaluate("c", 8, 9.0),
+                 evaluate("d", 8, 0.0)]
+        summary = summarize(spans)
+        assert summary["rss_growth"] == [
+            {"pid": 7, "evaluations": 2, "raised": 2, "total_mb": 15.5},
+            {"pid": 8, "evaluations": 2, "raised": 1, "total_mb": 9.0},
+        ]
+        text = format_summary(summary)
+        assert "pid 7: +15.5 MB, raised by 2 of 2 evaluations" in text
+        assert "Peak-RSS growth" not in format_summary(summarize(_synthetic_spans()))
+
     def test_chrome_trace_events_are_valid(self):
         payload = chrome_trace(_synthetic_spans())
         events = payload["traceEvents"]

@@ -1,11 +1,10 @@
 """buffer-escape: pooled scratch buffers must not escape.
 
 The graph-free substrate reuses buffers: per-thread workspace pools
-(:mod:`repro.tensor.workspace`) back the convolution workspace and the fused
-BPTT kernel's residual stash.  The aliasing contract — pinned by
-``tests/test_inference_fastpath.py`` and ``tests/test_fused_step.py`` — is
-that nothing reachable from a *returned* value may live in a reused buffer,
-because the next call (or the next thread's interleaved evaluation)
+(:mod:`repro.tensor.workspace`) back the inference kernels' convolution and
+pooling scratch.  The aliasing contract — pinned by
+``tests/test_inference_fastpath.py`` — is that nothing reachable from a
+*returned* value may live in a pooled buffer, because the next call
 overwrites it in place.
 
 This rule taints names assigned from buffer-providing calls (any callable
@@ -16,9 +15,8 @@ it passes through ``.copy()`` first.  Functions whose own name marks them as
 buffer providers (``workspace``/``buffer`` in the name) are exempt — handing
 out scratch is their job.
 
-Deliberate aliasing (e.g. the fused kernel's ``stash`` handing out its
-residual buffer) must be suppressed with the contract as the reason — that
-keeps every escape point enumerable.
+Deliberate aliasing must be suppressed with the contract as the reason —
+that keeps every escape point enumerable.
 """
 
 from __future__ import annotations
