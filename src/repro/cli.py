@@ -346,7 +346,7 @@ def _command_pareto(args) -> int:
     import contextlib
 
     import repro
-    from repro.trace import FlightRecorder, record_span, tracing
+    from repro.trace import FlightRecorder, is_enabled, max_rss_mb, record_span, tracing
 
     scale = get_scale(args.scale)
     objectives = [name.strip() for name in args.objectives.split(",") if name.strip()]
@@ -357,12 +357,14 @@ def _command_pareto(args) -> int:
         recorder = None
         scope = contextlib.nullcontext()
     with scope:
-        if _MAIN_ENTERED is not None:
+        # the attributes are read only when the span is recorded
+        if _MAIN_ENTERED is not None and is_enabled():
             record_span(
                 "process.startup",
                 repro._IMPORT_STARTED,
                 _MAIN_ENTERED,
                 blas_threads=max(blas_threads().values(), default=None),
+                maxrss_mb=max_rss_mb(),
             )
         result = run_pareto_front(
             scale=scale,

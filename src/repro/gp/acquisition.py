@@ -18,7 +18,18 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
+
+
+def _ndtr(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, ``scipy.special.ndtr``, imported on first use.
+
+    UCB, the paper's acquisition and the default, needs no CDF, so a search
+    without constraints never loads ``scipy.special``; EI, PI and
+    :func:`probability_in_bounds` pay for the import at their first call.
+    """
+    from scipy.special import ndtr
+
+    return ndtr(z)
 
 
 def _norm_pdf(z: np.ndarray) -> np.ndarray:
@@ -92,7 +103,7 @@ class ExpectedImprovement(AcquisitionFunction):
         std = np.maximum(std, 1e-12)
         improvement = best_observed - mean - self.xi
         z = improvement / std
-        return improvement * ndtr(z) + std * _norm_pdf(z)
+        return improvement * _ndtr(z) + std * _norm_pdf(z)
 
 
 class ProbabilityOfImprovement(AcquisitionFunction):
@@ -108,7 +119,7 @@ class ProbabilityOfImprovement(AcquisitionFunction):
     def __call__(self, mean, std, best_observed, iteration: int = 0) -> np.ndarray:
         std = np.maximum(std, 1e-12)
         z = (best_observed - mean - self.xi) / std
-        return ndtr(z)
+        return _ndtr(z)
 
 
 def probability_in_bounds(
@@ -129,8 +140,8 @@ def probability_in_bounds(
     """
     std = np.maximum(np.asarray(std, dtype=np.float64), 1e-12)
     mean = np.asarray(mean, dtype=np.float64)
-    upper_cdf = ndtr((float(upper) - mean) / std) if upper is not None else np.ones_like(mean)
-    lower_cdf = ndtr((float(lower) - mean) / std) if lower is not None else np.zeros_like(mean)
+    upper_cdf = _ndtr((float(upper) - mean) / std) if upper is not None else np.ones_like(mean)
+    lower_cdf = _ndtr((float(lower) - mean) / std) if lower is not None else np.zeros_like(mean)
     return np.maximum(upper_cdf - lower_cdf, 0.0)
 
 

@@ -33,9 +33,9 @@ import copy
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from repro.gp.kernels import Kernel, Matern52Kernel
+from repro.gp.lapack import cholesky, solve_triangular
 
 
 def _ensure_capacity(
@@ -120,9 +120,9 @@ class GaussianProcessRegressor:
         jitter = 1e-10
         for _ in range(8):
             try:
-                factor = scipy.linalg.cholesky(gram + jitter * np.eye(len(x)), lower=True)
+                factor = cholesky(gram + jitter * np.eye(len(x)))
                 break
-            except scipy.linalg.LinAlgError:
+            except np.linalg.LinAlgError:
                 jitter *= 10.0
         else:  # pragma: no cover - pathological kernels only
             raise RuntimeError("GP covariance matrix is not positive definite even with jitter")
@@ -158,14 +158,10 @@ class GaussianProcessRegressor:
         else:
             self._y_mean, self._y_std = 0.0, 1.0
         self._y_train = (y - self._y_mean) / self._y_std
-        # two triangular solves instead of cho_solve: skips scipy's O(n^2)
-        # finiteness re-validation of a factor we built and already trust
-        beta = scipy.linalg.solve_triangular(
-            self._cholesky, self._y_train, lower=True, check_finite=False
-        )
-        self._alpha = scipy.linalg.solve_triangular(
-            self._cholesky, beta, lower=True, trans="T", check_finite=False
-        )
+        # two triangular solves instead of cho_solve: no O(n^2) finiteness
+        # re-validation of a factor we built and already trust
+        beta = solve_triangular(self._cholesky, self._y_train)
+        self._alpha = solve_triangular(self._cholesky, beta, trans="T")
 
     def update(self, x_new: np.ndarray, y_new: np.ndarray) -> "GaussianProcessRegressor":
         """Observe new points with a rank-k Cholesky extension — O(n^2 k).
@@ -202,9 +198,7 @@ class GaussianProcessRegressor:
         k_cross = self.kernel(self._x_train, x_new)  # (n, k)
         k_new = self.kernel(x_new, x_new)  # (k, k)
         k_new[np.diag_indices_from(k_new)] += self.noise + self._jitter
-        l21 = scipy.linalg.solve_triangular(
-            self._cholesky, k_cross, lower=True, check_finite=False
-        )  # (n, k)
+        l21 = solve_triangular(self._cholesky, k_cross)  # (n, k)
         schur = k_new - l21.T @ l21
         # conditioning guard: a near-singular Schur complement (new points
         # duplicating training points) would make the extension numerically
@@ -213,8 +207,8 @@ class GaussianProcessRegressor:
         if np.any(np.diag(schur) <= tiny):
             return self.fit(x_all, y_all)
         try:
-            l22 = scipy.linalg.cholesky(schur, lower=True)
-        except scipy.linalg.LinAlgError:
+            l22 = cholesky(schur)
+        except np.linalg.LinAlgError:
             return self.fit(x_all, y_all)
 
         n, k = self._cholesky.shape[0], x_new.shape[0]
@@ -249,7 +243,7 @@ class GaussianProcessRegressor:
         mean = mean * self._y_std + self._y_mean
         if not return_std:
             return mean, np.zeros_like(mean)
-        v = scipy.linalg.solve_triangular(self._cholesky, k_star, lower=True, check_finite=False)
+        v = solve_triangular(self._cholesky, k_star)
         prior_var = self.kernel.diag(x)
         var = np.maximum(prior_var - (v ** 2).sum(axis=0), 1e-12)
         std = np.sqrt(var) * self._y_std
@@ -274,7 +268,7 @@ class GaussianProcessRegressor:
             cov = self.kernel(x, x)
         else:
             k_star = self.kernel(self._x_train, x)
-            v = scipy.linalg.solve_triangular(self._cholesky, k_star, lower=True, check_finite=False)
+            v = solve_triangular(self._cholesky, k_star)
             cov = self.kernel(x, x) - v.T @ v
             cov *= self._y_std ** 2
         cov[np.diag_indices_from(cov)] += 1e-10
@@ -327,7 +321,7 @@ def tune_kernel(
                 setattr(candidate, name, current * factor)
                 try:
                     candidate_lml = lml(candidate)
-                except (scipy.linalg.LinAlgError, RuntimeError):  # pragma: no cover
+                except (np.linalg.LinAlgError, RuntimeError):  # pragma: no cover
                     continue
                 if candidate_lml > best_lml + 1e-12:
                     best, best_lml = candidate, candidate_lml
@@ -376,13 +370,9 @@ class FantasizedPosterior:
         n = gp._cholesky.shape[0]
         self._buffer = _ensure_capacity(None, gp._cholesky, n, 8)
         self._chol = self._buffer[:n, :n]
-        self._beta = scipy.linalg.solve_triangular(
-            gp._cholesky, gp._y_train, lower=True, check_finite=False
-        )
+        self._beta = solve_triangular(gp._cholesky, gp._y_train)
         self._pool = pool
-        self._v = scipy.linalg.solve_triangular(
-            gp._cholesky, self.kernel(gp._x_train, pool), lower=True, check_finite=False
-        )  # (n, m)
+        self._v = solve_triangular(gp._cholesky, self.kernel(gp._x_train, pool))  # (n, m)
         self._prior_diag = self.kernel.diag(pool)
         self.num_fantasies = 0
 
@@ -411,7 +401,7 @@ class FantasizedPosterior:
         """Add one fantasy observation ``(x, y)`` via a rank-1 extension."""
         x = np.asarray(x, dtype=np.float64).reshape(1, -1)
         k_x = self.kernel(self._x, x)[:, 0]  # (n,)
-        ell = scipy.linalg.solve_triangular(self._chol, k_x, lower=True, check_finite=False)
+        ell = solve_triangular(self._chol, k_x)
         k_self = float(self.kernel.diag(x)[0]) + self._diag_shift
         # clamp rather than escalate jitter: lies near training points carry no
         # new information, and the fantasy posterior only steers one proposal

@@ -37,6 +37,7 @@ from repro.trace import (
     format_summary,
     is_enabled,
     load_trace,
+    max_rss_mb,
     ops_span,
     record_span,
     remote_activation,
@@ -432,6 +433,9 @@ class TestTraceCommand:
         assert startup[0]["trace_id"] == front[0]["trace_id"]
         assert startup[0]["start"] < startup[0]["end"] <= front[0]["start"]
         assert startup[0]["attrs"]["blas_threads"] == max(blas_threads().values(), default=None)
+        # the peak RSS so far, read when the span is recorded, so never above this process's peak now
+        maxrss = startup[0]["attrs"]["maxrss_mb"]
+        assert maxrss is None or 0 < maxrss <= max_rss_mb()
         capsys.readouterr()
 
     def test_missing_and_empty_files_exit_nonzero(self, tmp_path, capsys):
