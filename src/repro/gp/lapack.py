@@ -10,7 +10,12 @@ directly, under its real name, so a later ``import scipy.linalg`` finds it
 in ``sys.modules`` and reuses it: ``scipy.linalg.lapack.dpotrf`` is the
 function the GP calls.  If the file is not where scipy's package layout puts
 it, the module falls back to the normal import, which yields the same
-extension, so there is only ever one arithmetic path.
+extension, so there is only ever one arithmetic path.  The extension's
+OpenBLAS is loaded with it and starts on one thread unless the user set a
+count (:func:`repro.tensor.blas.one_thread_at_load`): the GP's matrices
+never need more, and a thread pool started during the import spins for
+about 0.1 s, often on the importing core.  If ``scipy.linalg`` was imported
+first, the library is already loaded and keeps its count.
 
 :func:`cholesky` and :func:`solve_triangular` hand LAPACK the same operands
 with the same flags as scipy 1.17's ``_cholesky`` and ``_solve_triangular``,
@@ -29,6 +34,8 @@ import os
 import sys
 
 import numpy as np
+
+from repro.tensor.blas import one_thread_at_load
 
 _FLAPACK = "scipy.linalg._flapack"
 
@@ -57,7 +64,10 @@ def _load_flapack():
     return _flapack
 
 
-_flapack = _load_flapack()
+# the GP's matrices are far too small for BLAS threads to help, and a thread
+# pool started here would spin through the rest of the import
+with one_thread_at_load():
+    _flapack = _load_flapack()
 dpotrf = _flapack.dpotrf
 dtrtrs = _flapack.dtrtrs
 

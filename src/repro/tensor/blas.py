@@ -7,7 +7,8 @@ and burn CPU.  The search already runs candidate evaluations in parallel
 across worker processes, so each process runs BLAS on one thread.
 :func:`use_one_blas_thread` does that; ``repro.cli.main`` calls it before
 dispatching a command, and the evaluation pool runs it as every worker's
-initializer.
+initializer.  A library the program loads itself, the GP's LAPACK, starts
+on one thread from the outset (:func:`one_thread_at_load`).
 
 NumPy and SciPy wheels each bundle their own OpenBLAS (``libscipy_openblas64_``
 and ``libscipy_openblas``), so every function here acts on each OpenBLAS
@@ -19,10 +20,11 @@ not change any result.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Union
+from typing import Dict, Iterator, Mapping, Optional, Union
 
 #: the variables OpenBLAS reads its thread count from; a user who sets one
 #: has chosen the count, and :func:`use_one_blas_thread` leaves it alone
@@ -89,3 +91,25 @@ def use_one_blas_thread() -> None:
     if not any(os.environ.get(name) for name in THREAD_ENV_VARS):
         set_blas_threads(1)
 
+
+@contextlib.contextmanager
+def one_thread_at_load() -> Iterator[None]:
+    """Start an OpenBLAS loaded inside the block on one thread, unless the user chose a count.
+
+    OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once, when it is loaded, and
+    starts its worker threads right then.  A new worker spins for about 0.1 s
+    before it sleeps, often on the core of the thread that loaded it, so a
+    library loaded during an import slows that import by up to the spin, by
+    more or less depending on where the scheduler puts the worker.  Inside
+    the block the variable is set to 1, so the library starts no worker; it
+    is removed again on exit.  :func:`set_blas_threads` can still raise the
+    count later.
+    """
+    if any(os.environ.get(name) for name in THREAD_ENV_VARS):
+        yield
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)

@@ -9,6 +9,8 @@ evaluation worker pin every loaded OpenBLAS to one thread
   forked worker cannot pass by inheriting the parent's count;
 * a count the user sets through ``OPENBLAS_NUM_THREADS`` or
   ``OMP_NUM_THREADS`` is kept;
+* ``one_thread_at_load`` sets ``OPENBLAS_NUM_THREADS`` only inside its
+  block, and not at all when the user chose a count;
 * the thread count does not change a training step's gradients.
 
 Every case is skipped where no OpenBLAS is loaded (MKL, Accelerate,
@@ -33,7 +35,7 @@ from repro.models import get_template
 from repro.nn import CrossEntropyLoss
 from repro.snn import TemporalRunner
 from repro.snn.fused_step import fused_training
-from repro.tensor.blas import THREAD_ENV_VARS, blas_threads, set_blas_threads
+from repro.tensor.blas import THREAD_ENV_VARS, blas_threads, one_thread_at_load, set_blas_threads
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -105,6 +107,17 @@ def test_a_user_set_thread_count_is_kept(variable):
     blas_line = [line for line in completed.stdout.splitlines() if line.startswith("blas:")]
     assert len(blas_line) == 1
     assert "(2 threads)" in blas_line[0] and "(1 thread)" not in blas_line[0]
+
+
+def test_one_thread_at_load_sets_the_variable_only_inside_the_block(monkeypatch):
+    for name in THREAD_ENV_VARS:
+        monkeypatch.delenv(name, raising=False)
+    with one_thread_at_load():
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    with one_thread_at_load():
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 def _training_step_gradients():

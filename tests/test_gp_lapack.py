@@ -14,7 +14,9 @@ importing ``scipy.linalg`` and mirrors scipy's ``cholesky`` and
   GP's jitter escalation and refit fallback still fire;
 * importing ``repro.cli`` loads no scipy module but ``_flapack``, and a
   later ``import scipy.linalg`` reuses that one copy, whose OpenBLAS is
-  mapped early enough for ``use_one_blas_thread`` to pin it.
+  mapped early enough for ``use_one_blas_thread`` to pin it;
+* that OpenBLAS starts on one thread, so no worker thread of it spins
+  through the rest of the import, unless the user set a count.
 
 NumPy's own LAPACK links a different OpenBLAS build and fails the
 bit-equality cases, so these tests tell the two apart.
@@ -116,10 +118,11 @@ def test_gp_fit_escalates_jitter_until_the_gram_is_positive_definite():
     assert model._jitter == pytest.approx(1e-8)
 
 
-def _run(script: str) -> subprocess.CompletedProcess:
+def _run(script: str, **variables) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         env.pop(name, None)
+    env.update({name: value for name, value in variables.items() if value is not None})
     return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
 
 
@@ -143,6 +146,27 @@ print(sorted(set(blas_threads().values())))
     completed = _run(script)
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip() in ("[1]", "[]")
+
+
+@pytest.mark.parametrize("user_count", [None, "2"])
+def test_the_gp_openblas_starts_on_one_thread_unless_the_user_set_a_count(user_count):
+    script = """
+import os
+def openblas():
+    return {line.split(None, 5)[-1].strip() for line in open("/proc/self/maps") if "openblas" in line.lower()}
+import numpy
+before = openblas()
+import repro.cli
+from repro.tensor.blas import blas_threads
+threads = blas_threads()
+print([threads[path] for path in sorted(openblas() - before)], os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+    completed = _run(script, OPENBLAS_NUM_THREADS=user_count)
+    assert completed.returncode == 0, completed.stderr
+    if completed.stdout.startswith("[] "):
+        pytest.skip("the GP's LAPACK links no separate OpenBLAS")
+    expected = ["[1]", "None"] if user_count is None else ["[2]", "2"]
+    assert completed.stdout.split() == expected
 
 
 def test_without_the_extension_file_the_normal_import_gives_the_same_routines():
