@@ -19,9 +19,9 @@ Two ways to run:
   — the standalone script CI runs: times each hot path on both paths,
   verifies the two paths produce **bit-identical** outputs, and emits the
   JSON that ``tools/bench_gate.py`` compares against the committed baselines
-  (``benchmarks/BENCH_5.json`` for the fast-path cases,
-  ``benchmarks/BENCH_8.json`` for the float32 eval, ``benchmarks/BENCH_10.json``
-  for the fused BPTT step and the tracing overhead).
+  (``benchmarks/BENCH_5.json`` and ``benchmarks/BENCH_8.json`` for the
+  fast-path cases, ``benchmarks/BENCH_10.json`` for the fused BPTT step and the
+  tracing overhead).
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from repro.nn import CrossEntropyLoss
 from repro.snn import LIFNeuron, TemporalRunner
 from repro.tensor import (
     Tensor,
-    assert_float32_contract,
     conv2d,
     no_grad,
 )
@@ -313,51 +312,6 @@ def bench_temporal_eval(repeats: int, num_steps: int = 5) -> Dict[str, float]:
     return row
 
 
-def bench_dtype_eval(repeats: int, num_steps: int = 5) -> Dict[str, float]:
-    """float32 vs float64 bandwidth of the whole-model evaluation fast path.
-
-    Two identically-initialised models, one cast with ``Module.to_dtype``;
-    the float32 output is checked against the pinned tolerance contract
-    before timing.  The ratio (f64 time / f32 time) is reported for tracking,
-    not gated: it measures memory-bandwidth relief, which varies by host.
-    """
-    rng = np.random.default_rng(0)
-    batch64 = rng.random((8, 2, 12, 12))
-    batch32 = batch64.astype(np.float32)
-
-    def build():
-        template = get_template("resnet18", input_channels=2, num_classes=10, stage_channels=(6, 8))
-        model = template.build(spiking=True, rng=0)
-        model.eval()
-        return TemporalRunner(model, num_steps=num_steps)
-
-    runner64 = build()
-    runner32 = build()
-    runner32.to_dtype(np.float32)
-    with no_grad():
-        reference = runner64(batch64).data.copy()
-        out32 = runner32(batch32).data
-    if out32.dtype != np.float32:  # pragma: no cover - dtype gate
-        raise AssertionError("float32 evaluation produced a non-float32 output")
-    assert_float32_contract(out32, reference, accumulation_length=4096, context="bench_dtype_eval")
-
-    def run64() -> None:
-        with no_grad():
-            runner64(batch64)
-
-    def run32() -> None:
-        with no_grad():
-            runner32(batch32)
-
-    f64_s = _time(run64, repeats)
-    f32_s = _time(run32, repeats)
-    return {
-        "float64_ms": f64_s * 1e3,
-        "float32_ms": f32_s * 1e3,
-        "ratio": f64_s / f32_s if f32_s > 0 else float("inf"),
-    }
-
-
 def bench_tracing_overhead(repeats: int, num_steps: int = 5) -> Dict[str, float]:
     """Disabled-tracing overhead of the span instrumentation on the eval path.
 
@@ -489,11 +443,6 @@ def format_report(payload: Dict[str, Dict[str, float]]) -> str:
         "loss/logits/grads bit-identical before timing)"
     )
     lines.append("(fast-path outputs verified bit-identical to the autograd path before timing)")
-    dtype_row = payload["dtype_eval"]
-    lines.append(
-        f"float32 vs float64 eval: {dtype_row['float32_ms']:.3f} ms vs "
-        f"{dtype_row['float64_ms']:.3f} ms ({dtype_row['ratio']:.2f}x, contract-checked)"
-    )
     trace_row = payload["tracing_overhead"]
     lines.append(
         f"disabled-tracing overhead: {trace_row['overhead_ratio']:.4f}x over "
@@ -518,7 +467,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "lif_step": bench_lif_step(repeats),
         "temporal_eval": bench_temporal_eval(heavy_repeats),
         "bptt_step": bench_bptt_step(heavy_repeats),
-        "dtype_eval": bench_dtype_eval(heavy_repeats),
         "tracing_overhead": bench_tracing_overhead(heavy_repeats),
         "smoke": bool(args.smoke),
     }

@@ -16,7 +16,7 @@ The package is organised bottom-up:
   stand-ins;
 * :mod:`repro.training` — shared training/evaluation harness;
 * :mod:`repro.experiments` — harnesses regenerating Fig. 1, Table I, Fig. 3
-  and the ablations.
+  and the accuracy–energy–latency Pareto front.
 
 Quickstart::
 

@@ -80,11 +80,6 @@ __all__ = [
     "AsyncEvaluationExecutor",
     "WeightUpdateSequencer",
     "evaluate_ordered",
-    "FidelitySchedule",
-    "MultiFidelityObjective",
-    "SuccessiveHalvingSearch",
-    "LocalSearch",
-    "EvolutionarySearch",
     "ParetoFront",
     "ParetoPoint",
     "dominates",
@@ -117,11 +112,6 @@ _LAZY_EXPORTS = {
     "AsyncEvaluationExecutor": "repro.core.async_eval",
     "WeightUpdateSequencer": "repro.core.async_eval",
     "evaluate_ordered": "repro.core.async_eval",
-    "FidelitySchedule": "repro.core.multi_fidelity",
-    "MultiFidelityObjective": "repro.core.multi_fidelity",
-    "SuccessiveHalvingSearch": "repro.core.multi_fidelity",
-    "LocalSearch": "repro.core.local_search",
-    "EvolutionarySearch": "repro.core.local_search",
     "ObjectiveSpec": "repro.core.multi_objective",
     "ObjectiveConstraint": "repro.core.multi_objective",
     "MultiObjectiveBayesianOptimizer": "repro.core.multi_objective",

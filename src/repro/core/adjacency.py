@@ -23,7 +23,7 @@ strictly-super-super-diagonal entries (``j > i + 1``) are free; everything
 else is structurally zero, so the matrix is strictly upper triangular and the
 block DAG it encodes is acyclic by construction.  The class provides the
 encoding/decoding used by the Gaussian-process surrogate, random sampling and
-neighbourhood moves for local search.
+single-entry neighbourhood moves.
 """
 
 from __future__ import annotations

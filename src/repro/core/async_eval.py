@@ -383,13 +383,12 @@ def evaluate_ordered(
 ) -> List[EvaluationResult]:
     """Evaluate ``specs`` concurrently; return results in submission order.
 
-    The barrier-shaped entry point to the pool, behind the batch search path
-    and each rung of a successive-halving ladder: results come back as a list
-    aligned with ``specs``, and any result-carried weight updates are applied
-    to ``weight_store`` in submission order once the whole batch has
-    returned.  No candidate therefore sees another's update, in the pool and
-    in the lazy serial mode alike, so the results do not depend on
-    ``workers``.  A batch of one spec starts no pool.
+    The barrier-shaped entry point to the pool, behind the batch search path:
+    results come back as a list aligned with ``specs``, and any result-carried
+    weight updates are applied to ``weight_store`` in submission order once
+    the whole batch has returned.  No candidate therefore sees another's
+    update, in the pool and in the lazy serial mode alike, so the results do
+    not depend on ``workers``.  A batch of one spec starts no pool.
     """
     ordered: List[Optional[EvaluationResult]] = [None] * len(specs)
     with AsyncEvaluationExecutor(objective, workers=min(workers, len(specs))) as executor:

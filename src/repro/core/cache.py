@@ -1,18 +1,17 @@
 """Evaluation cache: memoisation and persistence of architecture evaluations.
 
 Search methods occasionally revisit an architecture (e.g. random restarts,
-ablation sweeps that share configurations, the incumbent being re-evaluated at
-higher fidelity).  Re-training it would waste the dominant cost of the whole
-pipeline, so :class:`CachedObjective` wraps any
-:class:`~repro.core.objectives.Objective` with an exact-match cache keyed by
-the architecture encoding.  The cache also doubles as a tabular record of the
-search (a miniature NAS-bench for the explored region) that can be exported
-and re-loaded across runs.
+repeated runs over the same search space, a re-run of an interrupted search).
+Re-training it would waste the dominant cost of the whole pipeline, so
+:class:`CachedObjective` wraps any :class:`~repro.core.objectives.Objective`
+with an exact-match cache keyed by the architecture encoding.  The cache also
+doubles as a tabular record of the search (a miniature NAS-bench for the
+explored region) that can be exported and re-loaded across runs.
 
 :class:`PersistentEvaluationStore` is the disk-backed tier: an append-only
 JSONL file keyed by :func:`spec_key`.  Every record is written with a single
 ``O_APPEND`` write (atomic on POSIX for writes well under ``PIPE_BUF``-scale
-sizes), so concurrent runs — BO, random search, local search, multi-fidelity —
+sizes), so concurrent runs — BO, random search, multi-objective search —
 can safely share one store, and a torn trailing line from a crashed run is
 skipped on load instead of poisoning the file.  Plug a store into
 :class:`CachedObjective` (or pass ``--cache-dir`` to the CLI) and evaluations
@@ -171,23 +170,6 @@ def snapshot_store_for(
     """
     base = getattr(store, "base_path", store.path)
     return WeightSnapshotStore(base.with_suffix(".weights"), keep_best=keep_best)
-
-
-def persist_weight_snapshot(
-    snapshots: Optional[WeightSnapshotStore], result: EvaluationResult, row: Dict[str, object]
-) -> None:
-    """Write the result's trained state to ``snapshots`` and reference it from ``row``.
-
-    Shared by every store writer (:class:`CachedObjective`,
-    :class:`~repro.core.multi_fidelity.MultiFidelityObjective`), so the row
-    reference format cannot drift between them.  No-op without a snapshot
-    store or a weight payload.
-    """
-    if snapshots is None or result.weight_update is None:
-        return
-    digest = snapshots.put(result.weight_update.state, score=result.weight_update.score)
-    result.weight_update.snapshot = digest
-    row["weights"] = {"snapshot": digest, "score": result.weight_update.score}
 
 
 def replay_weight_snapshot(
@@ -680,7 +662,10 @@ class CachedObjective(Objective):
         self._remember(key, result)
         if self.store is not None:
             row = result_to_row(result)
-            persist_weight_snapshot(self.snapshots, result, row)
+            update = result.weight_update
+            if self.snapshots is not None and update is not None:
+                update.snapshot = self.snapshots.put(update.state, score=update.score)
+                row["weights"] = {"snapshot": update.snapshot, "score": update.score}
             self.store.put(key, row)
         return result
 

@@ -176,8 +176,8 @@ class AccuracyDropObjective(Objective):
         self.num_evaluations = 0
         #: MAC counts are a pure function of the architecture (weights never
         #: change layer geometry), so the forward trace is memoised per
-        #: architecture fingerprint; re-evaluating a candidate — or replaying
-        #: it at another fidelity — reuses the count instead of re-tracing
+        #: architecture fingerprint; re-evaluating a candidate reuses the
+        #: count instead of re-tracing
         self._mac_cache: Dict[bytes, float] = {}
         #: number of actual MACCounter forward traces performed (cache misses)
         self.mac_traces = 0
@@ -364,10 +364,10 @@ def resolve_weight_context(objective) -> Tuple[Optional[AccuracyDropObjective], 
     """Find the weight-sharing base objective behind a chain of wrappers.
 
     Orchestrators need two things the objective may hide behind wrappers
-    (:class:`EnergyAwareObjective`, :class:`~repro.core.cache.CachedObjective`,
-    :class:`~repro.core.multi_fidelity.MultiFidelityObjective`): the base
-    objective whose ``defer_updates`` flag controls local store mutation, and
-    the shared :class:`WeightStore` that result-carried updates merge into.
+    (:class:`EnergyAwareObjective`, :class:`~repro.core.cache.CachedObjective`):
+    the base objective whose ``defer_updates`` flag controls local store
+    mutation, and the shared :class:`WeightStore` that result-carried updates
+    merge into.
     Wrappers are followed through their ``objective``/``base`` attributes;
     returns ``(None, None)`` for opaque callables or store-less objectives.
     """

@@ -5,7 +5,7 @@ replacement* and evaluates each one; in the paper every random-search
 candidate is trained from scratch (no weight sharing), "which requires a
 massive computing budget".  The class accepts any objective, so the
 experiments can reproduce both the paper's setting (a from-scratch objective)
-and an ablation where random search also benefits from weight sharing.
+and a variant where random search also benefits from weight sharing.
 """
 
 from __future__ import annotations

@@ -13,9 +13,6 @@
 * :mod:`repro.experiments.pareto_front` — the multi-objective search:
   accuracy–energy–latency Pareto front and hypervolume trace over the same
   search space (the trade-off the paper's scalar objective collapses);
-* :mod:`repro.experiments.ablations` — additional studies of the design
-  choices (acquisition function, kernel, weight sharing, surrogate slope,
-  DSC-vs-ASC energy trade-off);
 * :mod:`repro.experiments.reporting` — plain-text table/series formatting used
   by the benchmark harness and the examples.
 """
@@ -30,13 +27,6 @@ from repro.experiments.pareto_front import (
     format_pareto,
     plot_pareto,
     run_pareto_front,
-)
-from repro.experiments.ablations import (
-    AblationResult,
-    run_acquisition_ablation,
-    run_dsc_vs_asc_energy,
-    run_kernel_ablation,
-    run_weight_sharing_ablation,
 )
 from repro.experiments.reporting import format_figure1, format_figure3, format_series, format_table, format_table1
 from repro.experiments.plots import (
@@ -67,11 +57,6 @@ __all__ = [
     "format_pareto",
     "plot_pareto",
     "run_pareto_front",
-    "AblationResult",
-    "run_acquisition_ablation",
-    "run_dsc_vs_asc_energy",
-    "run_kernel_ablation",
-    "run_weight_sharing_ablation",
     "format_figure1",
     "format_figure3",
     "format_series",

@@ -28,13 +28,6 @@ from repro.models.resnet import build_resnet18_template
 from repro.models.densenet import build_densenet121_template
 from repro.models.mobilenet import build_mobilenetv2_template
 from repro.models.registry import available_models, get_template
-from repro.models.recurrent import (
-    BackwardConnection,
-    BackwardSearchSpace,
-    RecurrentDAGBlock,
-    enumerate_backward_positions,
-    extend_search_space_with_backward,
-)
 
 __all__ = [
     "ClassifierHead",
@@ -53,9 +46,4 @@ __all__ = [
     "build_mobilenetv2_template",
     "available_models",
     "get_template",
-    "BackwardConnection",
-    "BackwardSearchSpace",
-    "RecurrentDAGBlock",
-    "enumerate_backward_positions",
-    "extend_search_space_with_backward",
 ]

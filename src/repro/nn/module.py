@@ -150,28 +150,6 @@ class Module:
             target = target._modules[part]
         target.update_buffer(parts[-1], value)
 
-    def to_dtype(self, dtype) -> "Module":
-        """Cast every float parameter and float buffer of the subtree to ``dtype``.
-
-        The dtype-parametrised substrate (float32/float64) derives each op's
-        output dtype from its inputs, so casting the leaves here is all it
-        takes to run a model in float32 end to end.  Non-float buffers (e.g.
-        integer step counters) are left untouched; gradients stay float64
-        (this is an inference feature — see the tolerance contract in
-        ``docs/architecture.md``).
-        """
-        dtype = np.dtype(dtype)
-        if dtype.kind != "f":
-            raise ValueError(f"to_dtype expects a float dtype, got {dtype}")
-        for _, param in self.named_parameters():
-            if param.data.dtype.kind == "f" and param.data.dtype != dtype:
-                param.data = param.data.astype(dtype)
-        for name, buffer in self.named_buffers():
-            array = np.asarray(buffer)
-            if array.dtype.kind == "f" and array.dtype != dtype:
-                self._assign_buffer_by_path(name, array.astype(dtype))
-        return self
-
     # ------------------------------------------------------------------
     # train / eval, gradients
     # ------------------------------------------------------------------

@@ -21,18 +21,6 @@ from repro.tensor import Tensor
 from repro.tensor.random import default_rng
 
 
-def _as_float_batch(batch) -> np.ndarray:
-    """Coerce a batch to a float array, preserving an existing float dtype.
-
-    float32 inputs stay float32 (the substrate is dtype-parametrised end to
-    end); everything else — ints, bools, lists — lands on float64 as before.
-    """
-    batch = np.asarray(batch)
-    if batch.dtype.kind != "f":
-        batch = batch.astype(np.float64)
-    return batch
-
-
 class SpikeEncoder:
     """Base encoder interface."""
 
@@ -46,7 +34,7 @@ class SpikeEncoder:
         raise NotImplementedError
 
     def __call__(self, batch: np.ndarray) -> List[Tensor]:
-        return [Tensor(step) for step in self.encode(_as_float_batch(batch))]
+        return [Tensor(step) for step in self.encode(np.asarray(batch, dtype=np.float64))]
 
 
 class RateEncoder(SpikeEncoder):
@@ -136,7 +124,7 @@ def encode_batch(batch: np.ndarray, encoder: Optional[SpikeEncoder], num_steps: 
     Temporal batches (ndim >= 5, i.e. ``(N, T, C, H, W)``) are passed through
     :class:`EventFrameEncoder` automatically when no encoder is given.
     """
-    batch = _as_float_batch(batch)
+    batch = np.asarray(batch, dtype=np.float64)
     if encoder is None:
         if batch.ndim >= 5:
             encoder = EventFrameEncoder(num_steps)

@@ -33,9 +33,7 @@ contexts rebuilt from the stashed residuals.  Gradient accumulation follows
 the exact order of the graph's reverse topological sweep: strictly reverse
 time, and within one step the reverse creation order of the layer ops
 (differences limited to IEEE signed zeros, which compare equal and cannot
-affect parameter updates).  The float32 substrate follows the same
-expressions and is covered by the pinned tolerance contract
-(:mod:`repro.tensor.tolerance`).
+affect parameter updates).
 
 Dispatch
 --------
@@ -800,7 +798,8 @@ class _FusedKernel:
             )
             g_pooled = _unbroadcast(g_logits @ np.swapaxes(self._fc_wt, -1, -2), pooled.shape)
             grad = g_pooled / pool_count
-            g_x = np.broadcast_to(np.expand_dims(grad, axis=(2, 3)), head_shape).astype(np.float64)
+            # a read-only broadcast view: every consumer below reads it elementwise
+            g_x = np.broadcast_to(np.expand_dims(grad, axis=(2, 3)), head_shape)
 
             # ---- trunk, reversed
             for unit in reversed(plan.units):
@@ -891,7 +890,7 @@ class _FusedKernel:
         # centered * centered contributes the same term through both factor
         # slots (the broadcast happens inside the ufunc — elementwise values
         # are layout-free, and prod is done carrying the g_denom operand)
-        np.multiply((g_var / count).astype(np.float64), xc, out=prod)
+        np.multiply(g_var / count, xc, out=prod)
         g_centered += prod
         g_centered += prod
         # centered = x - mean: identity into x plus the mean's fan-out; the
@@ -899,7 +898,7 @@ class _FusedKernel:
         # through its own C-order reshape) before this layer's next borrow
         np.negative(g_centered, out=prod)
         g_mean = prod.sum(axis=(0, 2, 3), keepdims=True)
-        np.add(g_centered, (g_mean / count).astype(np.float64), out=g_centered)
+        np.add(g_centered, g_mean / count, out=g_centered)
         return g_centered
 
     def _conv_backward(

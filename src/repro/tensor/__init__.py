@@ -19,8 +19,6 @@ this environment we implement the required machinery from scratch:
   the test-suite to validate every primitive.
 * :mod:`repro.tensor.blas` — thread control for the loaded OpenBLAS
   libraries: every search process runs BLAS on one thread.
-* :mod:`repro.tensor.tolerance` — the pinned float32-vs-float64 tolerance
-  contract for the dtype-parametrised substrate.
 
 Only vectorised NumPy is used in the hot paths (see the HPC guide: avoid
 Python-level loops over array elements, prefer views over copies, use in-place
@@ -29,12 +27,6 @@ accumulation for gradients).
 
 from repro.tensor.tensor import Tensor, graph_free, no_grad, is_grad_enabled
 from repro.tensor.workspace import WorkspacePool, clear_workspaces
-from repro.tensor.tolerance import (
-    FLOAT32_SAFETY,
-    assert_float32_contract,
-    float32_tolerance,
-    float32_within_contract,
-)
 from repro.tensor import ops
 from repro.tensor.ops import (
     add,
@@ -78,10 +70,6 @@ __all__ = [
     "is_grad_enabled",
     "WorkspacePool",
     "clear_workspaces",
-    "FLOAT32_SAFETY",
-    "float32_tolerance",
-    "float32_within_contract",
-    "assert_float32_contract",
     "ops",
     "add",
     "broadcast_to",

@@ -10,14 +10,9 @@ applied element by element to each input that requires gradients.
 :func:`check_primitive` extends this into a differential harness over the
 primitive IR (:mod:`repro.tensor.primitives`): every registered
 :class:`~repro.tensor.primitives.Primitive` carries sample inputs, and for
-each sample the harness runs
-
-* a finite-difference check of the declared vjp (float64 only — central
-  differences are meaningless at float32 precision), skipped for primitives
-  marked ``fd_exempt`` (the surrogate spike, whose vjp is deliberately not
-  the derivative of its Heaviside forward);
-* at float32, a forward/vjp comparison against the float64 reference under
-  the pinned tolerance contract (:mod:`repro.tensor.tolerance`).
+each sample the harness runs a finite-difference check of the declared vjp,
+skipped for primitives marked ``fd_exempt`` (the surrogate spike, whose vjp is
+deliberately not the derivative of its Heaviside forward).
 """
 
 from __future__ import annotations
@@ -134,7 +129,6 @@ def _fd_vjp_check(primitive, inputs, params, eps, atol, rtol) -> float:
 def check_primitive(
     primitive,
     rng: Optional[np.random.Generator] = None,
-    dtype=np.float64,
     eps: float = 1e-5,
     atol: float = 1e-4,
     rtol: float = 1e-3,
@@ -144,43 +138,14 @@ def check_primitive(
     Returns the number of samples checked (so callers can assert coverage).
     Raises :class:`AssertionError` on the first violated check.
     """
-    from repro.tensor.tolerance import assert_float32_contract
-
     if rng is None:
         rng = np.random.default_rng(0)
     if not primitive.samples:
         raise ValueError(f"primitive {primitive.name!r} declares no samples to check")
-    dtype = np.dtype(dtype)
     checked = 0
     for sample in primitive.samples:
-        inputs, params = sample(rng, dtype.type)
-        if dtype == np.float64:
-            if not primitive.fd_exempt:
-                _fd_vjp_check(primitive, inputs, params, eps, atol, rtol)
-        else:
-            # float32: compare forward and vjp against the float64 reference
-            # under the pinned tolerance contract; the accumulation length is
-            # bounded above by the largest input extent
-            inputs64 = tuple(np.asarray(arr, dtype=np.float64) for arr in inputs)
-            out32, ctx32 = primitive.forward(*inputs, want_ctx=True, **params)
-            out64, ctx64 = primitive.forward(*inputs64, want_ctx=True, **params)
-            length = max(int(arr.size) for arr in inputs) if inputs else 1
-            assert_float32_contract(
-                np.asarray(out32, dtype=np.float64),
-                out64,
-                accumulation_length=length,
-                context=f"primitive {primitive.name} forward",
-            )
-            cotangent = rng.standard_normal(out64.shape)
-            needs = tuple(True for _ in inputs)
-            grads32 = primitive.vjp(ctx32, cotangent.astype(dtype.type), needs, **params)
-            grads64 = primitive.vjp(ctx64, cotangent, needs, **params)
-            for index, (g32, g64) in enumerate(zip(grads32, grads64)):
-                assert_float32_contract(
-                    np.asarray(g32, dtype=np.float64),
-                    np.asarray(g64, dtype=np.float64),
-                    accumulation_length=length,
-                    context=f"primitive {primitive.name} vjp input {index}",
-                )
+        inputs, params = sample(rng, np.float64)
+        if not primitive.fd_exempt:
+            _fd_vjp_check(primitive, inputs, params, eps, atol, rtol)
         checked += 1
     return checked

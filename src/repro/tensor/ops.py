@@ -30,11 +30,10 @@ Axis = Union[None, int, Tuple[int, ...]]
 def _ensure_pair(a, b) -> Tuple[Tensor, Tensor]:
     """:func:`ensure_tensor` for binary-op operands, dtype-aware for scalars.
 
-    A bare Python scalar wrapped by :func:`ensure_tensor` becomes a float64
-    0-d array, which under NEP 50 promotion would silently upcast a float32
-    tensor operand to float64.  Scalars therefore adopt the tensor operand's
-    dtype, keeping the substrate's dtype parametrisation end to end.  (Bools
-    are excluded: ``True * x`` should keep its established semantics.)
+    A bare Python ``int``/``float`` operand becomes a 0-d array in the tensor
+    operand's dtype; the fused training kernels replicate this promotion
+    (:mod:`repro.snn.fused_step`).  (Bools are excluded: ``True * x`` should
+    keep its established semantics.)
     """
     if isinstance(a, Tensor) and not isinstance(b, Tensor) and type(b) in (int, float):
         return a, graph_free(np.asarray(b, dtype=a.data.dtype))

@@ -92,7 +92,6 @@ def measure_latency_ms(
     batch: np.ndarray,
     runs: int = 5,
     warmup: int = 1,
-    dtype=None,
 ) -> float:
     """Wall-clock latency of one inference forward pass, in milliseconds.
 
@@ -106,19 +105,13 @@ def measure_latency_ms(
     ``model`` must map an input batch to scores; spiking models should be
     wrapped in :class:`repro.snn.temporal.TemporalRunner` first, so the
     reported number covers the full simulation window (every time step), not
-    a single step.  ``dtype`` selects the batch dtype: ``None`` (default)
-    keeps a float batch's dtype (non-float input is promoted to float64), so
-    the objective measures whichever substrate — float64 or float32 — the
-    caller set up.
+    a single step.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if warmup < 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
-    batch = np.asarray(batch) if dtype is None else np.asarray(batch, dtype=dtype)
-    if batch.dtype.kind != "f":
-        batch = batch.astype(np.float64)
-    inputs = Tensor(batch)
+    inputs = Tensor(np.asarray(batch, dtype=np.float64))
     was_training = model.training
     model.eval()
     # One span around the whole protocol (never per-run: entering a span per

@@ -30,11 +30,9 @@ from repro.core.async_eval import (
 )
 from repro.core.bayes_opt import BayesianOptimizer
 from repro.core.cache import CachedObjective, PersistentEvaluationStore, store_counters
-from repro.core.multi_fidelity import FidelitySchedule, MultiFidelityObjective, SuccessiveHalvingSearch
 from repro.core.objectives import EvaluationResult, SyntheticWeightObjective
 from repro.core.search_space import BlockSearchInfo, SearchSpace
 from repro.core.weight_sharing import WeightStore, WeightUpdate
-from repro.training.snn_trainer import SNNTrainingConfig
 
 
 class _StateEcho:
@@ -316,44 +314,3 @@ class TestAsyncBayesianOptimizer:
     def test_negative_async_workers_rejected(self):
         with pytest.raises(ValueError):
             BayesianOptimizer(make_space(), SyntheticWeightObjective(), async_workers=-1)
-
-
-class TestSuccessiveHalvingWorkers:
-    def make_objective(self) -> MultiFidelityObjective:
-        base = SyntheticWeightObjective(weight_store=WeightStore())
-        # MultiFidelityObjective swaps the epoch count per rung; the synthetic
-        # objective ignores it, which is exactly what makes the worker-count
-        # comparison deterministic
-        base.training_config = SNNTrainingConfig(epochs=1, batch_size=8)
-        return MultiFidelityObjective(base)
-
-    def run(self, workers: int):
-        objective = self.make_objective()
-        search = SuccessiveHalvingSearch(
-            make_space(),
-            objective,
-            schedule=FidelitySchedule.geometric(1, 4),
-            initial_candidates=6,
-            workers=workers,
-            rng=13,
-        )
-        history = search.optimize()
-        return objective.base, history
-
-    def test_workers2_matches_sequential_history_and_store(self):
-        base_seq, history_seq = self.run(workers=1)
-        base_par, history_par = self.run(workers=2)
-        assert not base_seq.weight_store.is_empty
-        assert [r.objective_value for r in history_par] == pytest.approx(
-            [r.objective_value for r in history_seq]
-        )
-        assert_stores_equal(base_seq.weight_store, base_par.weight_store)
-        assert base_par.defer_updates is False
-
-    def test_at_fidelity_is_picklable(self):
-        import pickle
-
-        evaluator = self.make_objective().at_fidelity(2)
-        clone = pickle.loads(pickle.dumps(evaluator))
-        spec = make_space().sample(rng=2)
-        assert clone(spec).objective_value == pytest.approx(evaluator(spec).objective_value)

@@ -18,9 +18,7 @@ from repro.core.cache import (
     PersistentEvaluationStore,
     result_to_row,
     row_to_result,
-    spec_key,
 )
-from repro.core.multi_fidelity import MultiFidelityObjective
 from repro.core.objectives import EvaluationResult, Objective
 from repro.core.search_space import BlockSearchInfo, SearchSpace
 
@@ -163,36 +161,6 @@ print(f"HIT {{result.objective_value:.6f}}")
         cached(spec)
         cached(spec)
         assert cached.hits == 1 and cached.misses == 1
-
-
-class TestMultiFidelityStore:
-    def test_fidelity_qualified_keys_do_not_collide(self, tmp_path):
-        space = make_space()
-        spec = space.sample(rng=4)
-        key_low = MultiFidelityObjective.fidelity_key(spec, 1)
-        key_high = MultiFidelityObjective.fidelity_key(spec, 4)
-        assert key_low != key_high
-        assert key_low.startswith(spec_key(spec))
-
-    def test_store_roundtrip_through_wrapper(self, tmp_path, single_block_template, tiny_dvs_splits):
-        from repro.core.objectives import AccuracyDropObjective
-        from repro.training.snn_trainer import SNNTrainingConfig
-
-        store = PersistentEvaluationStore(tmp_path)
-        base = AccuracyDropObjective(
-            template=single_block_template,
-            splits=tiny_dvs_splits,
-            training_config=SNNTrainingConfig(epochs=1, batch_size=8, num_steps=4),
-            measure_firing_rate=False,
-        )
-        wrapper = MultiFidelityObjective(base, store=store)
-        spec = single_block_template.search_space().default_spec()
-        first = wrapper.evaluate(spec, epochs=1)
-        evaluations = base.num_evaluations
-        second = wrapper.evaluate(spec, epochs=1)
-        assert base.num_evaluations == evaluations  # answered from the store
-        assert second.objective_value == pytest.approx(first.objective_value)
-        assert MultiFidelityObjective.fidelity_key(spec, 1) in store
 
 
 class TestAdapterWithPersistentCache:

@@ -1,20 +1,12 @@
-"""Tests of the search extensions: caching, multi-fidelity, local/evolutionary search."""
+"""Tests of the search extensions: the cached objective and the energy/MAC metrics."""
 
 import numpy as np
 import pytest
 
 from repro.core.adjacency import ASC
 from repro.core.cache import CachedObjective, spec_key
-from repro.core.local_search import EvolutionarySearch, LocalSearch
-from repro.core.multi_fidelity import (
-    FidelityRung,
-    FidelitySchedule,
-    MultiFidelityObjective,
-    SuccessiveHalvingSearch,
-)
 from repro.core.objectives import AccuracyDropObjective, EvaluationResult, Objective
 from repro.core.search_space import ArchitectureSpec, BlockSearchInfo, SearchSpace
-from repro.core.weight_sharing import WeightStore
 from repro.training.snn_trainer import SNNTrainingConfig
 
 
@@ -85,144 +77,6 @@ class TestCachedObjective:
                 loaded(unseen)
             else:  # pragma: no cover - astronomically unlikely collision
                 raise KeyError
-
-
-class TestFidelitySchedule:
-    def test_default_schedule_valid(self):
-        schedule = FidelitySchedule()
-        assert len(schedule) == 3
-
-    def test_geometric_ladder(self):
-        schedule = FidelitySchedule.geometric(1, 8, eta=2.0)
-        assert [rung.epochs for rung in schedule.rungs] == [1, 2, 4, 8]
-        assert schedule.rungs[-1].keep_fraction == 1.0
-
-    def test_invalid_rungs(self):
-        with pytest.raises(ValueError):
-            FidelityRung(0, 0.5)
-        with pytest.raises(ValueError):
-            FidelityRung(2, 0.0)
-        with pytest.raises(ValueError):
-            FidelitySchedule([FidelityRung(4, 0.5), FidelityRung(2, 0.5)])
-        with pytest.raises(ValueError):
-            FidelitySchedule([])
-        with pytest.raises(ValueError):
-            FidelitySchedule.geometric(4, 2)
-
-
-class TestMultiFidelity:
-    def test_objective_fidelity_switch(self, single_block_template, tiny_dvs_splits):
-        base = AccuracyDropObjective(
-            template=single_block_template,
-            splits=tiny_dvs_splits,
-            training_config=SNNTrainingConfig(epochs=3, batch_size=16, num_steps=3, seed=0),
-            measure_firing_rate=False,
-        )
-        mf = MultiFidelityObjective(base)
-        result = mf.evaluate(single_block_template.default_architecture(), epochs=1)
-        assert result.extra["fidelity_epochs"] == 1.0
-        assert result.history.num_epochs == 1
-        # the base configuration is restored after the call
-        assert base.training_config.epochs == 3
-        with pytest.raises(ValueError):
-            mf.evaluate(single_block_template.default_architecture(), epochs=0)
-
-    def test_successive_halving_promotes_best(self):
-        """On the synthetic objective the final rung must contain the best low-fidelity candidates."""
-
-        class SyntheticMF:
-            """Multi-fidelity view of the counting objective (fidelity-independent)."""
-
-            def __init__(self):
-                self.base = CountingObjective()
-
-            def evaluate(self, spec, epochs):
-                result = self.base(spec)
-                result.extra["fidelity_epochs"] = float(epochs)
-                return result
-
-            def __call__(self, spec):
-                return self.evaluate(spec, 1)
-
-        space = _space(depth=4)
-        search = SuccessiveHalvingSearch(
-            space,
-            SyntheticMF(),
-            schedule=FidelitySchedule([FidelityRung(1, 0.5), FidelityRung(2, 1.0)]),
-            initial_candidates=6,
-            rng=0,
-        )
-        history = search.optimize()
-        # 6 at rung 0 + 3 survivors at rung 1
-        assert history.num_evaluations == 9
-        rung1 = [record for record in history if record.source == "sh-rung1"]
-        rung0 = [record for record in history if record.source == "sh-rung0"]
-        best_rung0 = sorted(r.objective_value for r in rung0)[:3]
-        assert sorted(r.objective_value for r in rung1) == pytest.approx(best_rung0)
-        assert search.best_spec() == history.best().spec
-
-    def test_successive_halving_validation(self):
-        with pytest.raises(ValueError):
-            SuccessiveHalvingSearch(_space(), MultiFidelityObjective.__new__(MultiFidelityObjective), initial_candidates=0)
-
-
-class TestLocalSearch:
-    def test_improves_over_start_on_synthetic_objective(self):
-        space = _space(depth=4)
-        objective = CountingObjective()
-        search = LocalSearch(space, objective, rng=0)
-        history = search.optimize(max_evaluations=30)
-        start_value = list(history)[0].objective_value
-        assert history.best().objective_value <= start_value
-        assert objective.calls == history.num_evaluations <= 30
-
-    def test_stops_at_local_optimum(self):
-        space = SearchSpace([BlockSearchInfo(depth=2)])  # 3 architectures, optimum easy to reach
-        search = LocalSearch(space, CountingObjective(), rng=0)
-        history = search.optimize(max_evaluations=50)
-        assert history.best().objective_value == 0.0
-        assert history.num_evaluations < 50
-
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            LocalSearch(_space(), CountingObjective()).optimize(0)
-
-
-class TestEvolutionarySearch:
-    def test_reaches_good_solutions(self):
-        space = _space(depth=4)
-        search = EvolutionarySearch(space, CountingObjective(), population_size=6, rng=0)
-        history = search.optimize(max_evaluations=40)
-        assert history.num_evaluations == 40
-        assert history.best().objective_value <= 0.5
-        assert search.best_spec() == history.best().spec
-
-    def test_respects_budget_smaller_than_population(self):
-        space = _space(depth=3)
-        search = EvolutionarySearch(space, CountingObjective(), population_size=8, rng=0)
-        history = search.optimize(max_evaluations=5)
-        assert history.num_evaluations == 5
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            EvolutionarySearch(_space(), CountingObjective(), population_size=1)
-        with pytest.raises(ValueError):
-            EvolutionarySearch(_space(), CountingObjective(), tournament_size=0)
-        with pytest.raises(ValueError):
-            EvolutionarySearch(_space(), CountingObjective()).optimize(0)
-
-    def test_weight_sharing_compatible(self, single_block_template, tiny_dvs_splits):
-        """Evolutionary search can drive the real training objective with shared weights."""
-        objective = AccuracyDropObjective(
-            template=single_block_template,
-            splits=tiny_dvs_splits,
-            training_config=SNNTrainingConfig(epochs=1, batch_size=16, num_steps=3, seed=0),
-            weight_store=WeightStore(),
-            measure_firing_rate=False,
-        )
-        search = EvolutionarySearch(single_block_template.search_space(), objective, population_size=2, rng=0)
-        history = search.optimize(max_evaluations=3)
-        assert history.num_evaluations == 3
 
 
 class TestEnergyMetricsAndMACMemoisation:

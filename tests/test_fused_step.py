@@ -45,7 +45,6 @@ from repro.snn.fused_step import (
 )
 from repro.snn.neurons import ALIFNeuron, IFNeuron, LIFNeuron
 from repro.tensor import Tensor
-from repro.tensor.tolerance import assert_float32_contract
 from repro.tensor.workspace import _POOL
 from repro.training import SNNTrainer, SNNTrainingConfig, Trainer, TrainingConfig
 
@@ -138,14 +137,12 @@ class TestBitIdentity:
         assert counters["fallback_steps"] == 1
 
 
-def fit_smoke(fused: str, dtype=np.float64):
+def fit_smoke(fused: str):
     """A deterministic two-epoch training run; returns the final weights."""
     rng = np.random.default_rng(7)
-    inputs = rng.random((12, 2, 12, 12)).astype(dtype)
+    inputs = rng.random((12, 2, 12, 12))
     targets = rng.integers(0, 10, size=12)
     model = build_model()
-    if dtype is not np.float64:
-        model.to_dtype(dtype)
     runner = TemporalRunner(model, num_steps=3)
     config = TrainingConfig(epochs=2, batch_size=4, learning_rate=0.05, seed=3, fused=fused)
     Trainer(config).fit(runner, ArrayDataset(inputs, targets))
@@ -163,20 +160,6 @@ class TestTrainerIntegration:
         assert set(fused_weights) == set(graph_weights)
         for name, reference in graph_weights.items():
             assert np.array_equal(fused_weights[name], reference), f"weight {name} diverged"
-
-    def test_float32_run_stays_within_tolerance_contract(self):
-        graph_weights = fit_smoke("off", dtype=np.float32)
-        fused_weights = fit_smoke("auto", dtype=np.float32)
-        # six optimizer steps over a 3-step unroll on 4x2x12x12 batches: the
-        # longest float32 accumulation chain is bounded by the per-layer
-        # reduction size times the unroll, far under this conservative bound
-        for name, reference in graph_weights.items():
-            assert_float32_contract(
-                np.asarray(fused_weights[name], dtype=np.float64),
-                np.asarray(reference, dtype=np.float64),
-                accumulation_length=50_000,
-                context=f"fused float32 weight {name}",
-            )
 
 
 class TestDispatch:

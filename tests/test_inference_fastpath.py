@@ -57,10 +57,9 @@ class TestOpsFastPath:
         assert out._prev == ()
         assert out._backward is None
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_elementwise_and_reductions_match_grad_path(self, rng, dtype):
-        a = Tensor(rng.normal(size=(4, 5)).astype(dtype), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 5)).astype(dtype), requires_grad=True)
+    def test_elementwise_and_reductions_match_grad_path(self, rng):
+        a = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         cases = [
             lambda: a + b,
             lambda: a - b,
@@ -80,8 +79,7 @@ class TestOpsFastPath:
             with no_grad():
                 fast = case().data
             assert np.array_equal(reference, fast)
-            # the dtype-parametrised substrate must not silently promote
-            assert fast.dtype == np.dtype(dtype)
+            assert fast.dtype == np.float64
 
 
 class TestConvFastPath:
@@ -94,18 +92,17 @@ class TestConvFastPath:
             (16, 16, 16, 1, 1, False),  # depthwise (MobileNetV2)
         ],
     )
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_bit_identical_to_autograd_path(self, rng, groups, c_in, c_out, padding, stride, bias, dtype):
-        x = Tensor(rng.normal(size=(4, c_in, 11, 11)).astype(dtype))
-        w = Tensor(rng.normal(size=(c_out, c_in // groups, 3, 3)).astype(dtype), requires_grad=True)
-        b = Tensor(rng.normal(size=(c_out,)).astype(dtype), requires_grad=True) if bias else None
+    def test_bit_identical_to_autograd_path(self, rng, groups, c_in, c_out, padding, stride, bias):
+        x = Tensor(rng.normal(size=(4, c_in, 11, 11)))
+        w = Tensor(rng.normal(size=(c_out, c_in // groups, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(c_out,)), requires_grad=True) if bias else None
         reference = conv2d(x, w, b, stride=stride, padding=padding, groups=groups)
         assert reference.requires_grad
         with no_grad():
             fast = conv2d(x, w, b, stride=stride, padding=padding, groups=groups)
         assert not fast.requires_grad
         assert np.array_equal(reference.data, fast.data)
-        assert fast.data.dtype == np.dtype(dtype)
+        assert fast.data.dtype == np.float64
 
     def test_chained_convs_handle_strided_inputs(self, rng):
         """A fast-path conv output is a transposed view; the next conv must cope."""
@@ -191,9 +188,8 @@ NEURON_FACTORIES = {
 class TestNeuronFastPath:
     @pytest.mark.parametrize("kind", sorted(NEURON_FACTORIES))
     @pytest.mark.parametrize("reset", ["subtract", "zero", "none"])
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_sequence_bit_identical(self, rng, kind, reset, dtype):
-        inputs = [(rng.normal(size=(3, 4, 5, 5)) * 0.8).astype(dtype) for _ in range(6)]
+    def test_sequence_bit_identical(self, rng, kind, reset):
+        inputs = [rng.normal(size=(3, 4, 5, 5)) * 0.8 for _ in range(6)]
 
         def run(fast):
             neuron = NEURON_FACTORIES[kind](reset)
@@ -205,7 +201,7 @@ class TestNeuronFastPath:
                         out = neuron(Tensor(frame))
                 else:
                     out = neuron(Tensor(frame))
-                assert out.data.dtype == np.dtype(dtype)
+                assert out.data.dtype == np.float64
                 membranes.append(neuron.membrane.data.copy())
                 spikes.append(out.data.copy())
             return membranes, spikes

@@ -2,12 +2,9 @@
 
 Every :class:`~repro.tensor.primitives.Primitive` ships its own sample
 generators, so this module is intentionally thin: it sweeps the registry and
-delegates to :func:`repro.tensor.gradcheck.check_primitive`, which runs
-
-* float64 — finite-difference vjp validation (the FD-exempt surrogate spike
-  is pinned against its surrogate derivative in ``tests/test_snn_neurons.py``);
-* float32 — forward and vjp compared against the float64 reference under the
-  pinned tolerance contract (:mod:`repro.tensor.tolerance`).
+delegates to :func:`repro.tensor.gradcheck.check_primitive`, which runs a
+finite-difference vjp validation (the FD-exempt surrogate spike is pinned
+against its surrogate derivative in ``tests/test_snn_neurons.py``).
 
 A primitive added without samples, without a vjp, or with a wrong adjoint
 fails here without anyone writing a bespoke test for it.
@@ -41,12 +38,6 @@ def test_primitive_declares_contract(name):
 @pytest.mark.parametrize("name", PRIMITIVE_NAMES)
 def test_primitive_gradcheck_float64(name):
     rng = np.random.default_rng(1234)
-    checked = check_primitive(get_primitive(name), rng=rng, dtype=np.float64)
+    checked = check_primitive(get_primitive(name), rng=rng)
     assert checked >= 1
 
-
-@pytest.mark.parametrize("name", PRIMITIVE_NAMES)
-def test_primitive_float32_contract(name):
-    rng = np.random.default_rng(4321)
-    checked = check_primitive(get_primitive(name), rng=rng, dtype=np.float32)
-    assert checked >= 1

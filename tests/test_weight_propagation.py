@@ -340,35 +340,6 @@ class TestSnapshotReplayThroughCache:
         assert second.num_evaluations == 0
         assert_stores_equal(first.weight_store, second.weight_store)
 
-    def test_multi_fidelity_hit_replays_snapshot(
-        self, tmp_path, single_block_template, tiny_dvs_splits
-    ):
-        from repro.core.multi_fidelity import MultiFidelityObjective
-
-        def make(store_dir):
-            evaluations = PersistentEvaluationStore(store_dir)
-            base = AccuracyDropObjective(
-                template=single_block_template,
-                splits=tiny_dvs_splits,
-                training_config=SNNTrainingConfig(epochs=1, batch_size=8, num_steps=3, seed=0),
-                weight_store=WeightStore(),
-                measure_firing_rate=False,
-            )
-            return base, MultiFidelityObjective(
-                base, store=evaluations, snapshots=snapshot_store_for(evaluations)
-            )
-
-        spec = single_block_template.search_space().default_spec()
-        warm_base, warm = make(tmp_path)
-        warm.evaluate(spec, epochs=1)
-        assert not warm_base.weight_store.is_empty
-
-        cold_base, cold = make(tmp_path)
-        result = cold.evaluate(spec, epochs=1)
-        assert cold_base.num_evaluations == 0
-        assert result.weight_update is not None
-        assert_stores_equal(warm_base.weight_store, cold_base.weight_store)
-
 
 class TestAdapterFallbackConsistency:
     def test_vanilla_fallback_resets_validation_accuracy(
