@@ -11,10 +11,10 @@ weight-snapshot tier — are tracked numbers instead of claims:
 2. **End-to-end BO iteration throughput** — wall-clock per Bayesian
    optimization iteration on a synthetic objective (batch_size=4,
    constant-liar batches).
-3. **Weight-snapshot overhead** — put (content hash + atomic ``.npz``
-   write) and replay (load + merge into a ``WeightStore``) latency of one
-   trained-state snapshot, against the cost of the candidate evaluation it
-   saves on a cache hit (a real tiny fine-tune).
+3. **Weight-snapshot overhead** — put (content hash + atomic flat ``.snap``
+   write) and replay (one file read + merge into a ``WeightStore``) latency
+   of one trained-state snapshot, against the cost of the candidate
+   evaluation it saves on a cache hit (a real tiny fine-tune).
 4. **Async executor vs. batch barrier** — wall-clock per evaluation of the
    asynchronous engine (``async_workers=N``, no barrier) against the batch
    path (``workers=N``) on a straggler-skewed synthetic objective, where a

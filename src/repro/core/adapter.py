@@ -67,7 +67,7 @@ class AdaptationConfig:
     #: directory of the persistent evaluation store (None = in-memory only);
     #: candidate evaluations are re-used across runs sharing the directory and
     #: the same evaluation configuration.  Each evaluation row also references
-    #: a content-addressed weight snapshot (``<store>.weights/<digest>.npz``),
+    #: a content-addressed weight snapshot (``<store>.weights/<digest>.snap``),
     #: and a store hit replays that snapshot into the shared WeightStore — so
     #: a fully- or partially-cached run accumulates the same shared weights
     #: as the run that originally trained the candidates, and the final

@@ -22,14 +22,13 @@ example given in Section III-A of the paper.
 strictly-super-super-diagonal entries (``j > i + 1``) are free; everything
 else is structurally zero, so the matrix is strictly upper triangular and the
 block DAG it encodes is acyclic by construction.  The class provides the
-encoding/decoding used by the Gaussian-process surrogate, random sampling and
-single-entry neighbourhood moves.
+encoding/decoding used by the Gaussian-process surrogate and random sampling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -224,14 +223,6 @@ class BlockAdjacency:
             if rng.random() < density:
                 block.matrix[i, j] = int(rng.choice(allowed)) if allowed else NO_CONNECTION
         return block
-
-    def neighbors(self) -> Iterator["BlockAdjacency"]:
-        """Yield every adjacency differing from this one in exactly one entry."""
-        for i, j in self.skip_positions():
-            current = int(self.matrix[i, j])
-            for code in SKIP_TYPES:
-                if code != current:
-                    yield self.with_connection(i, j, code)
 
     # ------------------------------------------------------------------
     # encoding (GP input) and graph export

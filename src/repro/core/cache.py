@@ -648,8 +648,10 @@ class CachedObjective(Objective):
                 if row is not None:
                     result = row_to_result(row, spec)
                     base, weight_store = resolve_weight_context(self.objective)
-                    with span("cache.replay_snapshot"):
+                    with span("cache.replay_snapshot") as replay_span:
                         replay_weight_snapshot(self.snapshots, row, result, base, weight_store)
+                        if replay_span:
+                            replay_span.set(replayed=result.weight_update is not None)
                     self._remember(key, result)
                     self.hits += 1
                     if lookup_span:

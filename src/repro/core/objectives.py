@@ -23,7 +23,6 @@ from repro.models.template import NetworkTemplate
 from repro.snn.fused_step import fused_counters
 from repro.snn.mac import MACCounter
 from repro.trace import max_rss_mb, span
-from repro.training.callbacks import TrainingHistory
 from repro.training.snn_trainer import SNNTrainer, SNNTrainingConfig
 from repro.tensor.random import default_rng
 
@@ -60,7 +59,6 @@ class EvaluationResult:
     accuracy: float
     firing_rate: float = 0.0
     macs: float = 0.0
-    history: Optional[TrainingHistory] = None
     extra: Dict[str, float] = field(default_factory=dict)
     metrics: Dict[str, float] = field(default_factory=dict)
     weight_update: Optional[WeightUpdate] = None
@@ -213,8 +211,11 @@ class AccuracyDropObjective(Objective):
             with span("evaluate.build"):
                 model = self.build_model(spec)
             trainer = SNNTrainer(self.training_config)
+            # the score below is the one validation pass; fit validates after
+            # every epoch only when early stopping needs those values
+            val = self.splits.val if self.training_config.early_stopping_patience else None
             with span("evaluate.train", epochs=self.training_config.epochs):
-                history = trainer.fit(model, self.splits.train, self.splits.val)
+                trainer.fit(model, self.splits.train, val)
 
             firing_rate = 0.0
             with span("evaluate.accuracy"):
@@ -278,7 +279,6 @@ class AccuracyDropObjective(Objective):
             accuracy=accuracy,
             firing_rate=firing_rate,
             macs=macs,
-            history=history,
             extra={"num_skips": float(spec.total_skips())},
             metrics=metrics,
             weight_update=weight_update,
@@ -352,7 +352,6 @@ class EnergyAwareObjective(Objective):
             accuracy=result.accuracy,
             firing_rate=result.firing_rate,
             macs=result.macs,
-            history=result.history,
             extra={**result.extra, "penalty": penalty, "raw_objective": result.objective_value},
             metrics=result.metrics,
             weight_update=result.weight_update,

@@ -9,8 +9,8 @@ the per-block choices; an :class:`ArchitectureSpec` is one point of that
 product — a full assignment of adjacency matrices, one per block.
 
 The space also provides the integer encoding consumed by the Gaussian-process
-surrogate, uniform random sampling (with or without replacement), exhaustive
-enumeration for small spaces, and single-entry neighbourhood moves.
+surrogate, uniform random sampling (with or without replacement) and
+exhaustive enumeration for small spaces.
 """
 
 from __future__ import annotations
@@ -281,19 +281,6 @@ class SearchSpace:
     def default_spec(self) -> ArchitectureSpec:
         """The all-zero (no extra skip connections) architecture."""
         return ArchitectureSpec([BlockAdjacency(info.depth) for info in self.block_infos], name=self.name)
-
-    def neighbors(self, spec: ArchitectureSpec) -> Iterator[ArchitectureSpec]:
-        """Yield admissible architectures differing from ``spec`` in one entry."""
-        self._check_spec(spec)
-        for block_index, (block, info) in enumerate(zip(spec.blocks, self.block_infos)):
-            for position in info.positions():
-                current = int(block.matrix[position])
-                for code in info.allowed_at(position):
-                    if code == current:
-                        continue
-                    new_blocks = list(spec.blocks)
-                    new_blocks[block_index] = block.with_connection(position[0], position[1], code)
-                    yield ArchitectureSpec(new_blocks, name=self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

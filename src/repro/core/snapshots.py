@@ -7,12 +7,26 @@ candidate's weight updates into its :class:`~repro.core.weight_sharing.WeightSto
 instead of fine-tuning its final model from cold, vanilla weights.
 
 Snapshots are **content-addressed**: each trained state is written once as
-``<digest>.npz`` (digest over sorted keys, dtypes, shapes and raw bytes), so
+``<digest>.snap`` (digest over sorted keys, dtypes, shapes and raw bytes), so
 identical states produced by different candidates or repeated runs share one
 file, and a snapshot reference stored in an evaluation row is stable across
 processes.  Writes are atomic (write to a temporary file in the same
 directory, then ``os.replace``), so concurrent runs sharing a cache directory
-can never observe a torn ``.npz``.
+can never observe a torn snapshot.
+
+A ``.snap`` file is flat, so a replay is one file read and a view per tensor:
+
+* 8 bytes of magic (``REPROWS1``), then the index length as a little-endian
+  ``uint64``;
+* the index, a JSON list of ``[key, dtype.str, shape, offset]`` entries in
+  the state's key order, zero-padded so the data starts on a 64-byte
+  boundary;
+* each tensor's raw C-order bytes at ``offset`` from the data start, every
+  offset a multiple of 64; the file ends with the last tensor's bytes.
+
+Snapshots written before this format are ``<digest>.npz`` archives.  They are
+still read (a flat file wins when both exist) and counted for eviction, but
+never written; a put of the same content replaces the ``.npz``.
 
 Snapshot metadata (score, size) lives in a per-digest ``<digest>.meta.json``
 sidecar rather than one shared index file: every piece of on-disk state is
@@ -32,7 +46,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import struct
 import tempfile
 import zipfile
 from pathlib import Path
@@ -40,8 +56,20 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-#: default per-store snapshot budget (each snapshot is one small .npz file)
+#: default per-store snapshot budget (each snapshot is one small flat file)
 DEFAULT_KEEP_BEST = 32
+
+SUFFIX = ".snap"
+#: the suffix of snapshots written before the flat format; read, never written
+LEGACY_SUFFIX = ".npz"
+
+_MAGIC = b"REPROWS1"
+_PREFIX = struct.Struct("<8sQ")
+_ALIGN = 64
+
+
+def _aligned(size: int) -> int:
+    return -(-size // _ALIGN) * _ALIGN
 
 
 def state_digest(state: Dict[str, np.ndarray]) -> str:
@@ -56,8 +84,62 @@ def state_digest(state: Dict[str, np.ndarray]) -> str:
     return hasher.hexdigest()[:16]
 
 
+def encode_state(state: Dict[str, np.ndarray]) -> bytes:
+    """The flat ``.snap`` bytes of ``state`` (see the module docstring)."""
+    index = []
+    chunks = []
+    end = 0
+    for key, value in state.items():
+        array = np.asarray(value)
+        if array.dtype.hasobject:
+            raise ValueError(f"snapshot tensor {key!r} has object dtype {array.dtype}")
+        offset = _aligned(end)
+        index.append([key, array.dtype.str, list(array.shape), offset])
+        chunks += [bytes(offset - end), np.ascontiguousarray(array).reshape(-1).view(np.uint8)]
+        end = offset + array.nbytes
+    header = json.dumps(index, separators=(",", ":")).encode("utf-8")
+    head = _PREFIX.pack(_MAGIC, len(header)) + header
+    return b"".join([head, bytes(_aligned(len(head)) - len(head)), *chunks])
+
+
+def decode_state(raw: np.ndarray) -> Dict[str, np.ndarray]:
+    """Views, one per tensor, into the ``uint8`` buffer of a ``.snap`` file.
+
+    Raises ``ValueError`` on anything that is not a whole, well-formed
+    snapshot: wrong magic, a truncated index or tensor, an offset outside the
+    file, or an object dtype.
+    """
+    if raw.size < _PREFIX.size:
+        raise ValueError("snapshot shorter than its prefix")
+    magic, header_len = _PREFIX.unpack(raw[: _PREFIX.size].tobytes())
+    if magic != _MAGIC or _PREFIX.size + header_len > raw.size:
+        raise ValueError("not a snapshot, or a truncated index")
+    index = json.loads(raw[_PREFIX.size : _PREFIX.size + header_len].tobytes())
+    data_start = _aligned(_PREFIX.size + header_len)
+    if not isinstance(index, list):
+        raise ValueError("snapshot index is not a list")
+    state: Dict[str, np.ndarray] = {}
+    for entry in index:
+        key, dtype_str, shape, offset = entry
+        dtype = np.dtype(dtype_str)
+        if (
+            not isinstance(key, str)
+            or dtype.hasobject
+            or not isinstance(offset, int)
+            or offset < 0
+            or not all(isinstance(dim, int) and dim >= 0 for dim in shape)
+        ):
+            raise ValueError(f"bad snapshot index entry {entry!r}")
+        start = data_start + offset
+        stop = start + dtype.itemsize * math.prod(shape)
+        if stop > raw.size:
+            raise ValueError(f"snapshot tensor {key!r} runs past the end of the file")
+        state[key] = raw[start:stop].view(dtype).reshape(shape)
+    return state
+
+
 class WeightSnapshotStore:
-    """Content-addressed ``.npz`` snapshots of trained weight states.
+    """Content-addressed flat-file snapshots of trained weight states.
 
     Parameters
     ----------
@@ -83,7 +165,10 @@ class WeightSnapshotStore:
 
     # ------------------------------------------------------------------
     def _snapshot_path(self, digest: str) -> Path:
-        return self.directory / f"{digest}.npz"
+        return self.directory / f"{digest}{SUFFIX}"
+
+    def _legacy_path(self, digest: str) -> Path:
+        return self.directory / f"{digest}{LEGACY_SUFFIX}"
 
     def _meta_path(self, digest: str) -> Path:
         return self.directory / f"{digest}.meta.json"
@@ -106,7 +191,13 @@ class WeightSnapshotStore:
             return {}
         return meta if isinstance(meta, dict) else {}
 
-    def _scan(self) -> Dict[str, Dict[str, float]]:
+    def _files(self) -> Dict[str, Path]:
+        """The snapshot file of every digest on disk (flat over legacy)."""
+        files = {path.stem: path for path in self.directory.glob(f"*{LEGACY_SUFFIX}")}
+        files.update((path.stem, path) for path in self.directory.glob(f"*{SUFFIX}"))
+        return files
+
+    def _scan(self, files: Optional[Dict[str, Path]] = None) -> Dict[str, Dict[str, float]]:
         """Every snapshot currently on disk, with its sidecar metadata.
 
         Derived from the directory listing (the single source of truth), so
@@ -114,8 +205,7 @@ class WeightSnapshotStore:
         eviction and accounting.
         """
         entries: Dict[str, Dict[str, float]] = {}
-        for path in self.directory.glob("*.npz"):
-            digest = path.stem
+        for digest, path in (self._files() if files is None else files).items():
             meta = self._read_meta(digest)
             if "bytes" not in meta:
                 try:
@@ -135,15 +225,15 @@ class WeightSnapshotStore:
         """
         digest = state_digest(state)
         path = self._snapshot_path(digest)
-        if not path.exists():
-            self._write_atomically(path, lambda handle: np.savez(handle, **state))
         try:
             size = float(path.stat().st_size)
         except OSError:
-            # a concurrent store evicted this digest between our existence
-            # check and the stat; re-write it — this put is its newest use
-            self._write_atomically(path, lambda handle: np.savez(handle, **state))
-            size = float(path.stat().st_size)
+            # new content, or a concurrent store evicted this digest: write
+            # it — this put is its newest use — and retire any legacy copy
+            payload = encode_state(state)
+            self._write_atomically(path, lambda handle: handle.write(payload))
+            size = float(len(payload))
+            self._legacy_path(digest).unlink(missing_ok=True)
         meta = self._read_meta(digest)
         previous = meta.get("score")
         if score is not None:
@@ -157,23 +247,37 @@ class WeightSnapshotStore:
         return digest
 
     def get(self, digest: str) -> Optional[Dict[str, np.ndarray]]:
-        """Load the snapshot ``digest`` (``None`` if missing/evicted/corrupt)."""
-        path = self._snapshot_path(digest)
-        if not path.exists():
-            return None
+        """Load the snapshot ``digest`` (``None`` if missing/evicted/corrupt).
+
+        The tensors of a flat snapshot are views into one writable buffer
+        read from the file.
+        """
         try:
-            with np.load(path) as archive:
-                state = {key: np.array(archive[key]) for key in archive.files}
-        except (OSError, ValueError, zipfile.BadZipFile):  # pragma: no cover - torn external writer
-            return None
-        self.replays += 1
+            state = decode_state(np.fromfile(self._snapshot_path(digest), dtype=np.uint8))
+        except FileNotFoundError:
+            state = self._get_legacy(digest)
+        except (OSError, ValueError, TypeError):
+            state = None
+        if state is not None:
+            self.replays += 1
         return state
 
+    def _get_legacy(self, digest: str) -> Optional[Dict[str, np.ndarray]]:
+        try:
+            with np.load(self._legacy_path(digest)) as archive:
+                return {key: np.array(archive[key]) for key in archive.files}
+        except (OSError, EOFError, ValueError, TypeError, zipfile.BadZipFile):
+            return None
+
     def _evict(self) -> None:
-        """Drop the lowest-scoring snapshots beyond the ``keep_best`` budget."""
-        entries = self._scan()
-        if len(entries) <= self.keep_best:
+        """Drop the lowest-scoring snapshots beyond the ``keep_best`` budget.
+
+        Sidecars are read only once the directory listing is over budget.
+        """
+        files = self._files()
+        if len(files) <= self.keep_best:
             return
+        entries = self._scan(files)
         ranked = sorted(
             entries,
             key=lambda digest: (
@@ -182,23 +286,23 @@ class WeightSnapshotStore:
             ),
         )
         for digest in ranked[: len(entries) - self.keep_best]:
-            for path in (self._snapshot_path(digest), self._meta_path(digest)):
+            for path in (self._snapshot_path(digest), self._legacy_path(digest), self._meta_path(digest)):
                 try:
                     path.unlink()
-                except OSError:  # pragma: no cover - already removed by another run
+                except OSError:  # the digest's other suffix, or removed by another run
                     pass
             self.evictions += 1
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._scan())
+        return len(self._files())
 
     def __contains__(self, digest: str) -> bool:
-        return self._snapshot_path(digest).exists()
+        return self._snapshot_path(digest).exists() or self._legacy_path(digest).exists()
 
     def digests(self) -> List[str]:
         """Digests of every stored snapshot."""
-        return list(self._scan())
+        return list(self._files())
 
     def total_bytes(self) -> int:
         """Disk footprint of the stored snapshots."""

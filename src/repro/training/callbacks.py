@@ -8,18 +8,29 @@ from typing import Dict, List, Optional
 
 @dataclass
 class TrainingHistory:
-    """Per-epoch record of losses, accuracies and learning rates."""
+    """Per-epoch record of losses, accuracies and learning rates.
+
+    ``val_accuracy`` holds one value per validated epoch, so it is empty
+    when training ran without a validation split.
+    """
 
     train_loss: List[float] = field(default_factory=list)
     train_accuracy: List[float] = field(default_factory=list)
     val_accuracy: List[float] = field(default_factory=list)
     learning_rate: List[float] = field(default_factory=list)
 
-    def record(self, train_loss: float, train_accuracy: float, val_accuracy: float, learning_rate: float) -> None:
-        """Append one epoch's metrics."""
+    def record(
+        self,
+        train_loss: float,
+        train_accuracy: float,
+        val_accuracy: Optional[float],
+        learning_rate: float,
+    ) -> None:
+        """Append one epoch's metrics (``val_accuracy`` only when validated)."""
         self.train_loss.append(float(train_loss))
         self.train_accuracy.append(float(train_accuracy))
-        self.val_accuracy.append(float(val_accuracy))
+        if val_accuracy is not None:
+            self.val_accuracy.append(float(val_accuracy))
         self.learning_rate.append(float(learning_rate))
 
     @property

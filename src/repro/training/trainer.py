@@ -97,7 +97,10 @@ class Trainer:
         """Train ``model`` and return the epoch history.
 
         ``model`` must be callable on an input batch tensor and return logits
-        of shape ``(batch, num_classes)``.
+        of shape ``(batch, num_classes)``.  Validation runs after every epoch
+        only when ``val_dataset`` is non-empty; without it the history's
+        ``val_accuracy`` stays empty and early stopping monitors the epoch's
+        mean training-batch accuracy.
         """
         config = self.config
         loss_fn = loss_fn or CrossEntropyLoss(label_smoothing=config.label_smoothing)
@@ -137,21 +140,25 @@ class Trainer:
                         epoch_accuracies.append(accuracy(logits, targets))
                         if step_span:
                             step_span.set(loss=float(loss.item()))
+                train_accuracy = float(np.mean(epoch_accuracies)) if epoch_accuracies else 0.0
                 val_accuracy = (
                     evaluate_classifier(model, val_dataset, batch_size=config.batch_size)
                     if val_dataset is not None and len(val_dataset)
-                    else float(np.mean(epoch_accuracies)) if epoch_accuracies else 0.0
+                    else None
                 )
                 history.record(
                     train_loss=float(np.mean(epoch_losses)) if epoch_losses else 0.0,
-                    train_accuracy=float(np.mean(epoch_accuracies)) if epoch_accuracies else 0.0,
+                    train_accuracy=train_accuracy,
                     val_accuracy=val_accuracy,
                     learning_rate=scheduler.current_lr(),
                 )
                 if epoch_span:
-                    epoch_span.set(batches=len(epoch_losses), val_accuracy=float(val_accuracy))
+                    epoch_span.set(batches=len(epoch_losses))
+                    if val_accuracy is not None:
+                        epoch_span.set(val_accuracy=float(val_accuracy))
                 scheduler.step()
-                if stopper is not None and stopper.update(val_accuracy):
+                monitored = train_accuracy if val_accuracy is None else val_accuracy
+                if stopper is not None and stopper.update(monitored):
                     break
         model.eval()
         return history

@@ -192,13 +192,3 @@ def test_cli_import_loads_no_scipy_but_the_lapack_extension():
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip() == "['scipy.linalg._flapack']"
 
-
-class TestNeighbors:
-    def test_neighbor_count(self):
-        block = BlockAdjacency(3)  # 3 positions x 2 alternative codes each
-        assert sum(1 for _ in block.neighbors()) == 6
-
-    def test_neighbors_differ_in_exactly_one_entry(self):
-        block = BlockAdjacency.random(4, rng=1, density=0.5)
-        for neighbor in block.neighbors():
-            assert int(np.sum(neighbor.encode() != block.encode())) == 1

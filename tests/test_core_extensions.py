@@ -120,3 +120,46 @@ class TestEnergyMetricsAndMACMemoisation:
         assert objective.mac_traces == 0
         measured = self._objective(single_block_template, tiny_dvs_splits)
         assert "firing_rate" in measured(single_block_template.default_architecture()).metrics
+
+    @pytest.fixture
+    def val_passes(self, monkeypatch, tiny_dvs_splits):
+        """Record, per forward pass over a dataset, whether it was ``splits.val``."""
+        from repro.training import evaluation
+
+        passes = []
+        forward_batches = evaluation._forward_batches
+
+        def counting(model, dataset, batch_size):
+            passes.append(dataset is tiny_dvs_splits.val)
+            return forward_batches(model, dataset, batch_size)
+
+        monkeypatch.setattr(evaluation, "_forward_batches", counting)
+        return passes
+
+    @pytest.mark.parametrize("measure_firing_rate", [True, False])
+    def test_one_validation_pass_per_evaluation(
+        self, val_passes, single_block_template, tiny_dvs_splits, measure_firing_rate
+    ):
+        """The score is the only pass over the validation split: fine-tuning
+        runs no per-epoch validation that nothing reads."""
+        objective = AccuracyDropObjective(
+            template=single_block_template,
+            splits=tiny_dvs_splits,
+            training_config=SNNTrainingConfig(epochs=2, batch_size=16, num_steps=3, seed=0),
+            measure_firing_rate=measure_firing_rate,
+        )
+        objective(single_block_template.default_architecture())
+        assert val_passes == [True]
+
+    def test_early_stopping_still_validates_every_epoch(
+        self, val_passes, single_block_template, tiny_dvs_splits
+    ):
+        objective = AccuracyDropObjective(
+            template=single_block_template,
+            splits=tiny_dvs_splits,
+            training_config=SNNTrainingConfig(
+                epochs=2, batch_size=16, num_steps=3, seed=0, early_stopping_patience=5
+            ),
+        )
+        objective(single_block_template.default_architecture())
+        assert val_passes == [True, True, True]

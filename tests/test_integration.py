@@ -38,7 +38,6 @@ class TestAccuracyDropObjective:
         assert result.objective_value == pytest.approx(1.0 - result.accuracy)
         assert 0.0 <= result.firing_rate <= 1.0
         assert result.macs > 0
-        assert result.history is not None and result.history.num_epochs == 1
 
     def test_reference_accuracy_defines_drop(self, single_block_template, tiny_dvs_splits):
         objective = AccuracyDropObjective(

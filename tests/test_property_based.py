@@ -63,15 +63,6 @@ def test_search_space_sample_is_contained_and_roundtrips(depths_list, seed):
     assert len(space.encode(spec)) == space.encoding_length()
 
 
-@FAST
-@given(depth=st.integers(2, 5), seed=st.integers(0, 1000))
-def test_neighbors_differ_in_exactly_one_position(depth, seed):
-    space = SearchSpace([BlockSearchInfo(depth=depth)])
-    spec = space.sample(rng=seed)
-    for neighbor in space.neighbors(spec):
-        assert int(np.sum(neighbor.encode() != spec.encode())) == 1
-
-
 # ---------------------------------------------------------------------------
 # MAC / energy invariants
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from repro.training import (
 from repro.training.trainer import _build_optimizer, _build_scheduler
 from repro.nn.optim import SGD, Adam
 from repro.tensor import Tensor
+from repro.trace import FlightRecorder, tracing
 
 
 def _ann(num_classes=2, seed=0):
@@ -122,6 +123,21 @@ class TestTrainerANN:
         assert confusion.shape == (2, 2)
         assert confusion.sum() == len(two_class_splits.test)
         assert 0.0 <= acc <= 1.0
+
+    @pytest.mark.parametrize("validated", [True, False])
+    def test_val_accuracy_is_recorded_only_for_a_validation_split(self, two_class_splits, validated):
+        """Without a split the epoch's training accuracy is not passed off as
+        ``val_accuracy``, in the history or on the ``train.epoch`` span."""
+        recorder = FlightRecorder(capacity=64)
+        val = two_class_splits.val if validated else None
+        with tracing(recorder=recorder):
+            history = Trainer(TrainingConfig(epochs=2, batch_size=8)).fit(_ann(), two_class_splits.train, val)
+        epochs = [entry for entry in recorder.spans() if entry["name"] == "train.epoch"]
+        assert len(epochs) == history.num_epochs == len(history.train_accuracy) == 2
+        assert len(history.val_accuracy) == (2 if validated else 0)
+        assert all(("val_accuracy" in entry["attrs"]) == validated for entry in epochs)
+        if validated:
+            assert [entry["attrs"]["val_accuracy"] for entry in epochs] == history.val_accuracy
 
     def test_model_left_in_eval_mode_after_fit(self, two_class_splits):
         model = _ann()

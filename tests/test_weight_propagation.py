@@ -32,7 +32,7 @@ from repro.core.objectives import (
     resolve_weight_context,
 )
 from repro.core.search_space import BlockSearchInfo, SearchSpace
-from repro.core.snapshots import WeightSnapshotStore, state_digest
+from repro.core.snapshots import WeightSnapshotStore, decode_state, encode_state, state_digest
 from repro.core.weight_sharing import WeightStore, WeightUpdate
 from repro.training.snn_trainer import SNNTrainingConfig
 
@@ -81,7 +81,7 @@ class TestWeightSnapshotStore:
         second = store.put({"w": np.ones((3, 3))}, score=0.7)
         assert first == second
         assert len(store) == 1
-        assert len(list(tmp_path.glob("*.npz"))) == 1
+        assert len(list(tmp_path.glob("*.snap"))) == 1
 
     def test_digest_sensitive_to_content_and_keys(self):
         base = {"w": np.ones(4)}
@@ -121,6 +121,123 @@ class TestWeightSnapshotStore:
         writer_a.put({"w": np.full(3, 3.0)}, score=0.3)
         assert len(writer_a) == 2  # b's snapshot was rankable and evictable
         assert writer_a.total_bytes() > 0
+
+    def test_put_under_budget_reads_no_other_sidecar(self, tmp_path, monkeypatch):
+        store = WeightSnapshotStore(tmp_path, keep_best=4)
+        for i in range(3):
+            store.put({"w": np.full(3, float(i))}, score=float(i))
+        read = []
+        read_meta = WeightSnapshotStore._read_meta
+        monkeypatch.setattr(
+            WeightSnapshotStore, "_read_meta", lambda self, digest: read.append(digest) or read_meta(self, digest)
+        )
+        digest = store.put({"w": np.full(3, 9.0)}, score=9.0)
+        assert read == [digest]
+        store.put({"w": np.full(3, 10.0)}, score=10.0)  # over budget: eviction ranks all
+        assert len(set(read)) == 5
+        assert len(store) == 4
+
+
+#: one tensor of every kind a snapshot must round-trip
+MIXED_STATE = {
+    "conv.weight": np.arange(24, dtype=np.float64).reshape(2, 3, 4) / 7.0,
+    "bn.scale": np.linspace(-1.0, 1.0, 5, dtype=np.float32),
+    "buffer::bn.count": np.array(7, dtype=np.int64),
+    "scalar": np.float64(np.pi),
+    "empty": np.zeros((0, 3)),
+    "mask": np.array([True, False, True]),
+    "big_endian": np.arange(4, dtype=">i4"),
+    "strided": np.arange(20, dtype=np.float64).reshape(4, 5)[:, ::2],
+    "fortran": np.asfortranarray(np.arange(6, dtype=np.float16).reshape(2, 3)),
+}
+
+
+class TestFlatSnapshotFormat:
+    def test_round_trip_is_bit_equal(self, tmp_path):
+        store = WeightSnapshotStore(tmp_path)
+        digest = store.put(MIXED_STATE)
+        assert digest == state_digest(MIXED_STATE)
+        loaded = store.get(digest)
+        assert list(loaded) == list(MIXED_STATE)
+        for key, value in MIXED_STATE.items():
+            value = np.asarray(value)
+            assert loaded[key].dtype == value.dtype, key
+            assert loaded[key].shape == value.shape, key
+            assert loaded[key].tobytes() == value.tobytes(), key
+            assert loaded[key].flags.writeable, key
+        assert state_digest(loaded) == digest
+
+    def test_tensors_start_on_aligned_offsets(self):
+        raw = np.frombuffer(encode_state(MIXED_STATE), dtype=np.uint8)
+        for key, value in decode_state(raw).items():
+            start = value.__array_interface__["data"][0] - raw.__array_interface__["data"][0]
+            assert start % 64 == 0, key
+
+    def test_object_dtype_is_not_written(self, tmp_path):
+        with pytest.raises(ValueError, match="object"):
+            WeightSnapshotStore(tmp_path).put({"w": np.array([object()])})
+
+    def test_legacy_npz_still_replays(self, tmp_path):
+        state = {"w": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.ones(2)}
+        digest = state_digest(state)
+        np.savez(tmp_path / f"{digest}.npz", **state)
+        store = WeightSnapshotStore(tmp_path, keep_best=1)
+        assert digest in store
+        assert store.digests() == [digest]
+        assert store.total_bytes() == (tmp_path / f"{digest}.npz").stat().st_size
+        loaded = store.get(digest)
+        for key, value in state.items():
+            assert loaded[key].dtype == value.dtype
+            np.testing.assert_array_equal(loaded[key], value)
+        # legacy snapshots age out like flat ones, and are never written
+        store.put({"w": np.zeros(1)}, score=1.0)
+        assert not (tmp_path / f"{digest}.npz").exists()
+        assert store.get(digest) is None
+        assert not list(tmp_path.glob("*.npz"))
+
+    def test_put_of_legacy_content_replaces_the_npz(self, tmp_path):
+        state = {"w": np.arange(3.0)}
+        digest = state_digest(state)
+        np.savez(tmp_path / f"{digest}.npz", **state)
+        store = WeightSnapshotStore(tmp_path)
+        assert store.put(state) == digest
+        assert sorted(path.name for path in tmp_path.iterdir()) == [f"{digest}.meta.json", f"{digest}.snap"]
+        np.testing.assert_array_equal(store.get(digest)["w"], state["w"])
+
+    @pytest.mark.parametrize("cut", [0, 5, 16, 40, -1])
+    def test_truncated_snapshot_replays_nothing(self, tmp_path, cut):
+        store = WeightSnapshotStore(tmp_path)
+        digest = store.put(MIXED_STATE)
+        path = tmp_path / f"{digest}.snap"
+        data = path.read_bytes()
+        path.write_bytes(data[:cut])
+        assert store.get(digest) is None
+        assert store.replays == 0
+
+    @pytest.mark.parametrize(
+        "index",
+        [
+            b"not json",
+            b'{"w": 1}',
+            b'[["w", "<f8", [4], 1000000]]',
+            b'[["w", "<f8", [4], -64]]',
+            b'[["w", "<f8", [-4], 0]]',
+            b'[["w", "|O", [1], 0]]',
+            b'[["w", "no-such-dtype", [1], 0]]',
+            b'[["w", "<f8", [1]]]',
+            b'[[1, "<f8", [1], 0]]',
+        ],
+    )
+    def test_bad_index_replays_nothing(self, tmp_path, index):
+        store = WeightSnapshotStore(tmp_path)
+        head = b"REPROWS1" + len(index).to_bytes(8, "little") + index
+        (tmp_path / "00000000deadbeef.snap").write_bytes(head + bytes(-len(head) % 64 + 64))
+        assert store.get("00000000deadbeef") is None
+
+    @pytest.mark.parametrize("suffix", [".snap", ".npz"])
+    def test_garbage_file_replays_nothing(self, tmp_path, suffix):
+        (tmp_path / f"00000000deadbeef{suffix}").write_bytes(b"\x00garbage" * 13)
+        assert WeightSnapshotStore(tmp_path).get("00000000deadbeef") is None
 
 
 class TestWeightStoreCopySemantics:
@@ -281,6 +398,53 @@ class TestSnapshotReplayThroughCache:
         assert cold.num_evaluations == 0
         assert result.weight_update is not None
         assert_stores_equal(warm.weight_store, cold.weight_store)
+
+    def test_hit_and_miss_go_through_the_patchable_seams(self, tmp_path, monkeypatch):
+        """Profilers time snapshot writes and replays by patching
+        ``WeightSnapshotStore.put`` on the class and
+        ``repro.core.cache.replay_weight_snapshot`` on the module, so a miss
+        and a store hit must reach those two names at call time."""
+        import repro.core.cache as cache
+
+        calls = []
+        put, replay = WeightSnapshotStore.put, cache.replay_weight_snapshot
+        monkeypatch.setattr(
+            WeightSnapshotStore, "put", lambda *args, **kw: calls.append("put") or put(*args, **kw)
+        )
+        monkeypatch.setattr(
+            cache, "replay_weight_snapshot", lambda *args: calls.append("replay") or replay(*args)
+        )
+        spec = make_space().sample(rng=3)
+        evaluations = PersistentEvaluationStore(tmp_path)
+        snapshots = snapshot_store_for(evaluations)
+        CachedObjective(SyntheticWeightObjective(weight_store=WeightStore()), evaluations, snapshots)(spec)
+        assert calls == ["put"]
+        cold = SyntheticWeightObjective(weight_store=WeightStore())
+        CachedObjective(cold, evaluations, snapshots)(spec)
+        assert calls == ["put", "replay"]
+        assert not cold.weight_store.is_empty
+
+    def test_replay_span_says_whether_a_snapshot_replayed(self, tmp_path):
+        """A store hit's value never depends on its snapshot, so the trace is
+        where a run shows that snapshots were read back."""
+        from repro.trace import FlightRecorder, tracing
+
+        spec = make_space().sample(rng=3)
+        evaluations = PersistentEvaluationStore(tmp_path)
+        snapshots = snapshot_store_for(evaluations)
+        CachedObjective(SyntheticWeightObjective(weight_store=WeightStore()), evaluations, snapshots)(spec)
+
+        def replayed():
+            recorder = FlightRecorder(capacity=16)
+            with tracing(recorder=recorder):
+                CachedObjective(SyntheticWeightObjective(weight_store=WeightStore()), evaluations, snapshots)(spec)
+            (entry,) = [entry for entry in recorder.spans() if entry["name"] == "cache.replay_snapshot"]
+            return entry["attrs"]["replayed"]
+
+        assert replayed() is True
+        for path in snapshots.directory.glob("*.snap"):
+            path.write_bytes(b"not a snapshot")
+        assert replayed() is False
 
     def test_fully_cached_search_matches_uncached_weight_store(self, tmp_path):
         """Adapter-style acceptance check: a warm-store re-run restores the
