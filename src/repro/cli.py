@@ -81,10 +81,11 @@ def _add_async_argument(parser: argparse.ArgumentParser) -> None:
         "--async-workers",
         type=int,
         default=0,
-        help="run candidate evaluation on the asynchronous executor with this many "
-        "persistent worker processes: as each evaluation finishes, its result is "
-        "observed into the GP and a fresh candidate is proposed immediately, so no "
-        "worker idles behind a batch barrier (0 = classic batch path)",
+        help="keep this many candidate evaluations in flight on persistent worker "
+        "processes, proposing one replacement per absorbed result so no worker idles "
+        "behind a batch barrier; results are absorbed in submission order, so a run "
+        "is a pure function of --seed and this count (0 = barrier iterations in this "
+        "process)",
     )
 
 

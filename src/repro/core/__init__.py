@@ -17,9 +17,9 @@ This package implements Section III of the paper:
 * :mod:`repro.core.cache` / :mod:`repro.core.snapshots` — the persistent
   evaluation store (JSONL, optionally sharded per writer) and the
   content-addressed weight-snapshot tier it references;
-* :mod:`repro.core.async_eval` — the asynchronous evaluation executor
-  (persistent worker pool, no batch barrier) and the submission-order
-  weight-update sequencer;
+* :mod:`repro.core.async_eval` — the evaluation executor (persistent worker
+  pool, no batch barrier) and :func:`run_search`, the one search loop every
+  optimizer runs on (ticket-order absorption and weight-update merging);
 * :mod:`repro.core.adapter` — the end-to-end ANN→SNN adaptation pipeline
   (:class:`SNNAdapter`) producing the Table-I quantities;
 * :mod:`repro.core.pareto` / :mod:`repro.core.multi_objective` — the
@@ -78,8 +78,7 @@ __all__ = [
     "ShardedEvaluationStore",
     "snapshot_store_for",
     "AsyncEvaluationExecutor",
-    "WeightUpdateSequencer",
-    "evaluate_ordered",
+    "run_search",
     "ParetoFront",
     "ParetoPoint",
     "dominates",
@@ -110,8 +109,7 @@ _LAZY_EXPORTS = {
     "ShardedEvaluationStore": "repro.core.cache",
     "snapshot_store_for": "repro.core.cache",
     "AsyncEvaluationExecutor": "repro.core.async_eval",
-    "WeightUpdateSequencer": "repro.core.async_eval",
-    "evaluate_ordered": "repro.core.async_eval",
+    "run_search": "repro.core.async_eval",
     "ObjectiveSpec": "repro.core.multi_objective",
     "ObjectiveConstraint": "repro.core.multi_objective",
     "MultiObjectiveBayesianOptimizer": "repro.core.multi_objective",

@@ -55,12 +55,9 @@ class AdaptationConfig:
     acquisition: str = "ucb"
     #: weight of the firing-rate penalty (0 disables the energy-aware term)
     firing_rate_weight: float = 0.0
-    #: worker processes for the batch evaluation path (1 = sequential)
-    workers: int = 1
-    #: when >= 1, run the asynchronous evaluation engine instead: a persistent
-    #: pool keeps this many candidate evaluations in flight and proposes a
-    #: replacement the moment one finishes (no batch barrier); ``workers`` is
-    #: then ignored for the BO phase
+    #: 0 runs barrier iterations in this process; N >= 1 keeps N candidate
+    #: evaluations in flight on a persistent worker pool and proposes one
+    #: replacement per absorbed result (no batch barrier)
     async_workers: int = 0
     seed: int = 0
     neuron: NeuronConfig = field(default_factory=NeuronConfig)
@@ -249,7 +246,6 @@ class SNNAdapter:
             initial_points=config.bo_initial_points,
             batch_size=config.bo_batch_size,
             candidate_pool_size=config.bo_candidate_pool,
-            workers=config.workers,
             async_workers=config.async_workers,
             weight_store=store,
             rng=config.seed,

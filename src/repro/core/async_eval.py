@@ -1,30 +1,34 @@
-"""The search's one evaluation worker pool: no straggler barriers.
+"""The search's one evaluation worker pool and its one search loop.
 
-Every parallel evaluation in the search runs here.  The batch path
-(:meth:`~repro.core.bayes_opt.BayesianOptimizer._evaluate_batch`, through
-:func:`evaluate_ordered`) submits one proposal batch and collects it in
-submission order; the asynchronous engines keep the pool busy across the
-whole search instead, so a single slow candidate (a straggler: larger model,
-more skip connections, a cold cache) never idles the other workers:
+Every search evaluation runs here, in two layers:
 
 * :class:`AsyncEvaluationExecutor` keeps a **persistent** pool of worker
   processes alive and exposes a submit/next-completed interface:
   evaluations are handed out one at a time and results are collected in
   *completion* order, so a free worker can start the next candidate while a
-  straggler is still running;
-* :class:`WeightUpdateSequencer` re-imposes determinism where it matters —
-  result-carried :class:`~repro.core.weight_sharing.WeightUpdate` payloads are
-  applied to the shared :class:`~repro.core.weight_sharing.WeightStore` in
-  **submission** order regardless of completion order, so the store
-  accumulates exactly the state a sequential run would produce whatever the
-  worker count or scheduling jitter.
+  straggler (larger model, more skip connections, a cold cache) is still
+  running;
+* :func:`run_search` is the ask/tell loop every optimizer runs on
+  (:class:`~repro.core.bayes_opt.BayesianOptimizer`, its multi-objective
+  subclass and :class:`~repro.core.random_search.RandomSearch`).  The
+  optimizer supplies proposals and an absorb hook; the loop owns the
+  executor, the in-flight set, the evaluation budget, deferred weight
+  updates and the iteration callbacks.  It absorbs results strictly in
+  submission (ticket) order and applies each result-carried
+  :class:`~repro.core.weight_sharing.WeightUpdate` to the shared
+  :class:`~repro.core.weight_sharing.WeightStore` as it absorbs it.  So
+  proposal *p* always sees the first *p* - N results absorbed (N evaluations
+  in flight), whatever order the workers finished in: a search is a pure
+  function of its seed and worker count, never of scheduling.
 
 With ``workers <= 1``, an unpicklable objective, or a sandbox that cannot
-create processes, submissions are queued and evaluated lazily in the parent
-process — identical results, identical ordering guarantees, no subprocess
-machinery.  Fallback happens only for these *infrastructure* problems,
-established before any work runs; an exception raised by the objective
-always propagates.
+create processes, the executor evaluates each submission in the parent
+process at :meth:`~AsyncEvaluationExecutor.submit`, so a task sees the
+objective (and its weight store) as it was at submission, exactly as a
+pickled pool task does: the serial mode returns the pool's results, in the
+same order, with no subprocess machinery.  Fallback happens only for these
+*infrastructure* problems, established before any work runs; an exception
+raised by the objective always propagates.
 
 The worker start method defaults to ``fork`` where available (cheapest,
 shares the parent's loaded datasets) and can be forced with the
@@ -41,11 +45,10 @@ result), which is precisely what lets one long-lived pool serve the whole
 search: a worker needs nothing from the parent but the pickled objective and
 a spec, and leaks nothing back but the result.
 
-The executor is not tied to one-shot batch runs: the HTTP serving layer
-(:mod:`repro.server`) runs searches under it as background jobs, and its
-graceful shutdown relies on :meth:`AsyncEvaluationExecutor.cancel_pending`
-plus the waiting :meth:`AsyncEvaluationExecutor.close` to drain in-flight
-evaluations without losing any completed result.
+The HTTP serving layer (:mod:`repro.server`) runs searches on the same loop
+as background jobs.  A stopped job raises out of the iteration callback, and
+the executor's waiting :meth:`AsyncEvaluationExecutor.close` lets in-flight
+evaluations finish, so no completed evaluation's store row is lost.
 """
 
 from __future__ import annotations
@@ -59,11 +62,11 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.core.cache import merge_store_counters, store_counters
-from repro.core.objectives import EvaluationResult
+from repro.core.objectives import EvaluationResult, resolve_weight_context
 from repro.core.search_space import ArchitectureSpec
-from repro.core.weight_sharing import WeightStore, WeightUpdate
+from repro.core.weight_sharing import WeightStore
 from repro.tensor.blas import use_one_blas_thread
-from repro.trace import absorb, capture_context, remote_activation
+from repro.trace import absorb as absorb_spans, capture_context, remote_activation, span
 
 #: environment variable forcing the multiprocessing start method
 START_METHOD_ENV = "REPRO_MP_START_METHOD"
@@ -188,48 +191,11 @@ def _absorb_telemetry(result: EvaluationResult) -> None:
     telemetry = result.telemetry
     if not telemetry:
         return
-    absorb(telemetry.get("spans") or [])
+    absorb_spans(telemetry.get("spans") or [])
     counters = telemetry.get("counters") or {}
     merge_fused_counters(counters.get("fused") or {})
     merge_store_counters(counters.get("store") or {})
     result.telemetry = None
-
-
-class WeightUpdateSequencer:
-    """Apply result-carried weight updates in submission order.
-
-    ``WeightUpdate.apply`` is order-sensitive: the store's primary state is
-    replaced by the best-scoring update *seen so far*, and later updates only
-    merge their missing tensors — so applying updates in completion order
-    would make the shared store depend on scheduling.  The sequencer buffers
-    out-of-order completions and releases each update only once every earlier
-    ticket has been applied, making the store's final state a pure function of
-    the submission sequence (and therefore identical to a sequential run over
-    the same specs).
-    """
-
-    def __init__(self, store: Optional[WeightStore]) -> None:
-        self.store = store
-        self.applied = 0
-        self._next = 0
-        self._pending: Dict[int, Optional[WeightUpdate]] = {}
-
-    def add(self, ticket: int, update: Optional[WeightUpdate]) -> None:
-        """Record ``ticket``'s update; apply every update that is now in order."""
-        if ticket < self._next or ticket in self._pending:
-            raise ValueError(f"ticket {ticket} already sequenced")
-        self._pending[ticket] = update
-        while self._next in self._pending:
-            ready = self._pending.pop(self._next)
-            if ready is not None and self.store is not None:
-                ready.apply(self.store)
-                self.applied += 1
-            self._next += 1
-
-    @property
-    def pending(self) -> int:
-        """Completed updates still waiting on an earlier ticket."""
-        return len(self._pending)
 
 
 class AsyncEvaluationExecutor:
@@ -242,9 +208,10 @@ class AsyncEvaluationExecutor:
         task inside :meth:`submit`, so workers always see the objective state
         as of the submission.
     workers:
-        Worker processes.  ``<= 1`` selects the serial mode: submissions are
-        queued and evaluated on demand in the parent process, preserving the
-        submit/next-completed interface with zero subprocess overhead.
+        Worker processes.  ``<= 1`` selects the serial mode: each submission
+        is evaluated in the parent process inside :meth:`submit`, against the
+        objective as it is at submission (as a pickled task would be), and
+        :meth:`next_completed` returns the results in submission order.
 
     Use as a context manager (or call :meth:`close`) so the pool is shut down
     deterministically::
@@ -254,9 +221,9 @@ class AsyncEvaluationExecutor:
             while executor.in_flight:
                 done = executor.next_completed()
 
-    Exceptions raised by the objective propagate from :meth:`next_completed`
-    with any worker count: a failing evaluation must not be silently retried
-    or dropped.
+    Exceptions raised by the objective propagate with any worker count (from
+    :meth:`submit` in serial mode, from :meth:`next_completed` in the pool): a
+    failing evaluation must not be silently retried or dropped.
     """
 
     def __init__(
@@ -267,7 +234,7 @@ class AsyncEvaluationExecutor:
         self.objective = objective
         self.workers = int(workers)
         self._tickets = 0
-        self._pending_serial: List[tuple] = []
+        self._serial_done: List[CompletedEvaluation] = []
         self._futures: Dict[int, concurrent.futures.Future] = {}
         self._specs: Dict[int, ArchitectureSpec] = {}
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
@@ -290,33 +257,31 @@ class AsyncEvaluationExecutor:
     @property
     def in_flight(self) -> int:
         """Submitted evaluations whose results have not been collected yet."""
-        return len(self._futures) + len(self._pending_serial)
+        return len(self._futures) + len(self._serial_done)
 
     def submit(self, spec: ArchitectureSpec) -> int:
-        """Queue one evaluation; returns its submission ticket."""
-        ticket = self._tickets
-        self._tickets += 1
-        if self._pool is not None:
-            task = _TelemetryCall(self.objective, capture_context())
-            self._futures[ticket] = self._pool.submit(task, spec)
-            self._specs[ticket] = spec
+        """Start one evaluation; returns its submission ticket."""
+        if self._pool is None:
+            result = self.objective(spec)
+            self._serial_done.append(CompletedEvaluation(ticket=self._tickets, spec=spec, result=result))
         else:
-            self._pending_serial.append((ticket, spec))
-        return ticket
+            task = _TelemetryCall(self.objective, capture_context())
+            self._futures[self._tickets] = self._pool.submit(task, spec)
+            self._specs[self._tickets] = spec
+        self._tickets += 1
+        return self._tickets - 1
 
     def next_completed(self) -> CompletedEvaluation:
         """Block until any submitted evaluation finishes and return it.
 
         In parallel mode, results surface in completion order (ties broken by
         ticket so the choice is deterministic when several are already done);
-        in serial mode, the oldest queued submission is evaluated now, so
-        completion order equals submission order.
+        in serial mode, in submission order.
         """
         if self._pool is None:
-            if not self._pending_serial:
+            if not self._serial_done:
                 raise RuntimeError("no evaluations in flight")
-            ticket, spec = self._pending_serial.pop(0)
-            return CompletedEvaluation(ticket=ticket, spec=spec, result=self.objective(spec))
+            return self._serial_done.pop(0)
         if not self._futures:
             raise RuntimeError("no evaluations in flight")
         done, _ = concurrent.futures.wait(
@@ -336,18 +301,18 @@ class AsyncEvaluationExecutor:
             yield self.next_completed()
 
     def cancel_pending(self) -> int:
-        """Cancel every submission that has not started running yet.
+        """Cancel every pool submission that has not started running yet.
 
         The graceful-shutdown hook for long-running hosts (``repro serve``):
         queued work is dropped, but evaluations already executing are left to
         finish — their results (and the store rows the cached objective wrote
         for them) are never lost, so after a subsequent :meth:`close` the
         persistent store holds exactly the set of completed evaluations.
-        Returns the number of submissions cancelled; their tickets will never
-        surface from :meth:`next_completed`.
+        Serial-mode results were computed at submission, so none is
+        cancelled.  Returns the number of submissions cancelled; their tickets
+        will never surface from :meth:`next_completed`.
         """
-        cancelled = len(self._pending_serial)
-        self._pending_serial.clear()
+        cancelled = 0
         for ticket, future in list(self._futures.items()):
             if future.cancel():
                 del self._futures[ticket]
@@ -375,29 +340,106 @@ class AsyncEvaluationExecutor:
         self.close()
 
 
-def evaluate_ordered(
+def run_search(
     objective: Callable[[ArchitectureSpec], EvaluationResult],
-    specs: Sequence[ArchitectureSpec],
-    workers: int = 1,
+    propose: Callable[[List[ArchitectureSpec], int], List[ArchitectureSpec]],
+    absorb: Callable[[EvaluationResult, int], None],
+    num_iterations: int,
+    *,
+    initial: Sequence[ArchitectureSpec] = (),
+    batch_size: int = 1,
+    workers: int = 0,
     weight_store: Optional[WeightStore] = None,
-) -> List[EvaluationResult]:
-    """Evaluate ``specs`` concurrently; return results in submission order.
+    on_iteration: Optional[Callable[[int], None]] = None,
+) -> None:
+    """The search loop: evaluate ``initial``, then ``num_iterations`` iterations.
 
-    The barrier-shaped entry point to the pool, behind the batch search path:
-    results come back as a list aligned with ``specs``, and any result-carried
-    weight updates are applied to ``weight_store`` in submission order once
-    the whole batch has returned.  No candidate therefore sees another's
-    update, in the pool and in the lazy serial mode alike, so the results do
-    not depend on ``workers``.  A batch of one spec starts no pool.
+    ``propose(pending, iteration)`` returns the next specs to evaluate, where
+    ``pending`` lists the specs submitted but not absorbed yet; an empty list
+    ends the search early.  ``absorb(result, iteration)`` records one result
+    (iteration 0 holds the ``initial`` specs).  ``on_iteration(iteration)``
+    runs once an iteration's results are all absorbed.
+
+    * ``workers == 0``: barrier iterations.  Each ``propose`` call returns up
+      to ``batch_size`` specs from one posterior, and all of them are
+      evaluated before the first is absorbed.
+    * ``workers >= 1``: ``workers`` evaluations stay in flight.  ``propose``
+      is asked for one spec at a time, once per free worker and then once
+      after each absorption, until ``num_iterations * batch_size`` specs were
+      proposed; every ``batch_size`` absorptions make one iteration.
+
+    Results are absorbed strictly in submission order, and each one's
+    result-carried weight update is applied to ``weight_store`` just before
+    it is absorbed.  Meanwhile the objective's own store writes are deferred
+    (``defer_updates``), so a task sees exactly the updates absorbed before
+    it was submitted, in a worker process or in the parent alike.  An
+    exception from any hook or evaluation ends the loop; the executor's
+    close still waits for the evaluations in flight.
     """
-    ordered: List[Optional[EvaluationResult]] = [None] * len(specs)
-    with AsyncEvaluationExecutor(objective, workers=min(workers, len(specs))) as executor:
-        for spec in specs:
-            executor.submit(spec)
-        for done in executor.drain():
-            ordered[done.ticket] = done.result
-    if weight_store is not None:
-        for result in ordered:
-            if result.weight_update is not None:
-                result.weight_update.apply(weight_store)
-    return list(ordered)  # type: ignore[arg-type]
+    weight_base, found_store = resolve_weight_context(objective)
+    if weight_store is None:
+        weight_store = found_store
+    deferred = weight_base is not None and weight_store is not None
+    if deferred:
+        previous_defer = weight_base.defer_updates
+        weight_base.defer_updates = True
+    try:
+        with AsyncEvaluationExecutor(objective, workers=max(workers, 1)) as executor:
+            in_flight: Dict[int, ArchitectureSpec] = {}
+            completed: Dict[int, CompletedEvaluation] = {}
+
+            def submit(specs: Sequence[ArchitectureSpec]) -> None:
+                for spec in specs:
+                    in_flight[executor.submit(spec)] = spec
+
+            def absorb_oldest(iteration: int) -> None:
+                ticket = next(iter(in_flight))
+                while ticket not in completed:
+                    done = executor.next_completed()
+                    completed[done.ticket] = done
+                del in_flight[ticket]
+                result = completed.pop(ticket).result
+                with span("absorb", ticket=ticket, iteration=iteration):
+                    if weight_store is not None and result.weight_update is not None:
+                        result.weight_update.apply(weight_store)
+                    absorb(result, iteration)
+
+            def end_iteration(iteration: int) -> None:
+                if on_iteration is not None:
+                    on_iteration(iteration)
+
+            def barrier(specs: Sequence[ArchitectureSpec], iteration: int) -> None:
+                submit(specs)
+                while in_flight:
+                    absorb_oldest(iteration)
+                end_iteration(iteration)
+
+            if initial:
+                barrier(initial, 0)
+            if workers == 0:
+                for iteration in range(1, num_iterations + 1):
+                    specs = propose([], iteration)
+                    if not specs:
+                        break
+                    barrier(specs, iteration)
+                return
+            budget = num_iterations * batch_size
+            proposed = absorbed = 0
+            while in_flight or proposed < budget:
+                if proposed < budget and len(in_flight) < workers:
+                    specs = propose(list(in_flight.values()), 1 + proposed // batch_size)
+                    if specs:
+                        submit(specs[:1])
+                        proposed += 1
+                    else:
+                        budget = proposed
+                    continue
+                absorbed += 1
+                absorb_oldest(1 + (absorbed - 1) // batch_size)
+                if absorbed % batch_size == 0:
+                    end_iteration(absorbed // batch_size)
+            if absorbed % batch_size:
+                end_iteration(1 + absorbed // batch_size)
+    finally:
+        if deferred:
+            weight_base.defer_updates = previous_defer

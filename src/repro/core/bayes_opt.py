@@ -23,20 +23,19 @@ inner loop conditions a :class:`~repro.gp.gp.FantasizedPosterior` instead of
 refitting per lie — the train-pool cross-kernel block is computed once per
 iteration and grown by one row per fantasy.
 
-Both evaluation paths run on the one worker pool of
-:mod:`repro.core.async_eval`: the batch path hands each proposal batch to
-:func:`~repro.core.async_eval.evaluate_ordered`, the asynchronous engine
-drives an :class:`~repro.core.async_eval.AsyncEvaluationExecutor` directly.
+The search loop itself is :func:`~repro.core.async_eval.run_search`: the
+optimizer supplies proposals (:meth:`BayesianOptimizer._propose`) and an
+absorb hook, and the loop owns evaluation, ordering and weight updates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.async_eval import AsyncEvaluationExecutor, WeightUpdateSequencer, evaluate_ordered
+from repro.core.async_eval import run_search
 from repro.core.objectives import EvaluationResult, Objective, resolve_weight_context
 from repro.core.search_space import ArchitectureSpec, SearchSpace
 from repro.core.weight_sharing import WeightStore
@@ -61,21 +60,9 @@ class OptimizationRecord:
     #: reads its per-objective training targets from here
     metrics: Dict[str, float] = field(default_factory=dict)
     source: str = "bo"
-    #: submission-order index assigned by the asynchronous engine (``None``
-    #: for the batch path, whose history order *is* the submission order).
-    #: The async history is appended in completion order; sorting records by
-    #: ticket recovers the sequence whose sequential replay reproduces the
-    #: shared-store state.
-    ticket: Optional[int] = None
 
     @classmethod
-    def from_result(
-        cls,
-        iteration: int,
-        result: EvaluationResult,
-        source: str = "bo",
-        ticket: Optional[int] = None,
-    ) -> "OptimizationRecord":
+    def from_result(cls, iteration: int, result: EvaluationResult, source: str = "bo") -> "OptimizationRecord":
         """Build a record from an :class:`EvaluationResult`."""
         return cls(
             iteration=iteration,
@@ -85,7 +72,6 @@ class OptimizationRecord:
             firing_rate=result.firing_rate,
             metrics=dict(result.metrics),
             source=source,
-            ticket=ticket,
         )
 
 
@@ -166,39 +152,31 @@ class BayesianOptimizer:
         Acquisition function or name (``"ucb"`` — the paper's choice — ``"ei"``
         or ``"pi"``).
     initial_points:
-        Number of random architectures evaluated before the GP is first fitted.
-        The default architecture (the original topology's wiring) is always
-        included as one of them, mirroring the paper's warm start.
+        Number of architectures evaluated before the GP is first fitted: the
+        default architecture (the original topology's wiring), mirroring the
+        paper's warm start, plus random draws.
     batch_size:
         Number of architectures proposed per iteration (the paper's ``k``
         parallel candidates).
     candidate_pool_size:
         Number of random unevaluated candidates scored by the acquisition at
         every iteration.
-    workers:
-        Worker processes used to evaluate a proposal batch (1 = sequential),
-        via :func:`~repro.core.async_eval.evaluate_ordered`.  Weight-sharing
-        updates are **result-carried**: each evaluation returns its trained
-        state on the result and the payloads are merged into the shared
-        :class:`~repro.core.weight_sharing.WeightStore` in the parent, in
-        submission order, after the batch returns — so no update is lost to
-        a worker process, and a batch accumulates identical store contents
-        whatever the worker count.
     async_workers:
-        When ``>= 1``, :meth:`optimize` runs the **asynchronous** engine
-        instead of the batch path: a persistent
-        :class:`~repro.core.async_eval.AsyncEvaluationExecutor` keeps
-        ``async_workers`` evaluations in flight, and the moment one completes
-        its result is observed into the GP posterior and a fresh candidate —
-        proposed by constant-liar fantasies conditioned on the still-running
-        set — is submitted, so no worker ever idles behind a straggler's
-        batch barrier.  The total evaluation budget is unchanged
-        (``initial_points + num_iterations * batch_size``), and weight
-        updates are applied in submission order
-        (:class:`~repro.core.async_eval.WeightUpdateSequencer`), so the
-        shared store accumulates exactly the state a sequential run over the
-        same proposal sequence would.  ``0`` (default) keeps the batch path;
-        ``workers`` is ignored while the async engine is active.
+        The search's only concurrency setting.  ``0`` (default) runs barrier
+        iterations in this process: each proposes ``batch_size`` candidates
+        from one posterior (constant-liar fantasies keep them apart) and
+        evaluates them all before absorbing any.  ``N >= 1`` keeps ``N``
+        evaluations in flight on a persistent worker pool: each absorbed
+        result is observed into the posterior and replaced by one fresh
+        candidate, proposed by constant-liar fantasies conditioned on the
+        still-pending set, so no worker idles behind a batch barrier.
+        Either way the budget is ``initial_points + num_iterations *
+        batch_size`` evaluations, results are absorbed in submission order,
+        and each one's **result-carried** weight update (the trained state on
+        the result) is merged into the shared
+        :class:`~repro.core.weight_sharing.WeightStore` in the parent as it
+        is absorbed (:func:`~repro.core.async_eval.run_search`).  The history
+        is a pure function of the seed and ``async_workers``.
     weight_store:
         The shared store those payloads merge into.  Defaults to the store
         discovered on the objective itself (walking wrapper chains such as
@@ -225,8 +203,6 @@ class BayesianOptimizer:
         batch_size: int = 1,
         candidate_pool_size: int = 64,
         noise: float = 1e-3,
-        include_default: bool = True,
-        workers: int = 1,
         async_workers: int = 0,
         hyperopt_every: Optional[int] = None,
         weight_store: Optional[WeightStore] = None,
@@ -246,10 +222,8 @@ class BayesianOptimizer:
         self.batch_size = int(batch_size)
         self.candidate_pool_size = int(candidate_pool_size)
         self.noise = float(noise)
-        self.include_default = bool(include_default)
         if async_workers < 0:
             raise ValueError("async_workers must be >= 0")
-        self.workers = int(workers)
         self.async_workers = int(async_workers)
         if hyperopt_every is not None and hyperopt_every < 1:
             raise ValueError("hyperopt_every must be >= 1 (or None to disable)")
@@ -258,8 +232,7 @@ class BayesianOptimizer:
         self._last_hyperopt = 0
         #: number of hyperparameter refits performed (tests / profiling)
         self.hyperopt_refits = 0
-        self._weight_base, resolved_store = resolve_weight_context(objective)
-        self.weight_store = weight_store if weight_store is not None else resolved_store
+        self.weight_store = weight_store if weight_store is not None else resolve_weight_context(objective)[1]
         self._rng = default_rng(rng)
         self.history = OptimizationHistory()
         # incremental engine state: the persistent surrogate, how many history
@@ -284,37 +257,6 @@ class BayesianOptimizer:
         self._pool_matrix_cache_enabled = True
 
     # ------------------------------------------------------------------
-    def _evaluate_batch(self, specs: Sequence[ArchitectureSpec], iteration: int, source: str) -> List[OptimizationRecord]:
-        """Evaluate one proposal batch and merge its weight updates.
-
-        Local store mutation inside the objective is deferred for the
-        duration of the batch: every candidate then trains from the
-        batch-start shared weights (workers become stateless, and worker
-        count cannot change any result), and the trained states returned on
-        the results are merged into :attr:`weight_store` in the parent by
-        :func:`~repro.core.async_eval.evaluate_ordered` — which is also the
-        only place updates can survive a ``multiprocessing`` child or a
-        persistent-store replay.
-        """
-        defer = self._weight_base is not None and self.weight_store is not None
-        if defer:
-            previous_defer = self._weight_base.defer_updates
-            self._weight_base.defer_updates = True
-        try:
-            results = evaluate_ordered(
-                self.objective, list(specs), workers=self.workers, weight_store=self.weight_store
-            )
-        finally:
-            if defer:
-                self._weight_base.defer_updates = previous_defer
-        records = []
-        for result in results:
-            record = OptimizationRecord.from_result(iteration, result, source=source)
-            self.history.append(record)
-            self._on_record(record)
-            records.append(record)
-        return records
-
     def _on_record(self, record: OptimizationRecord) -> None:
         """Observation hook: called once per record appended to the history.
 
@@ -370,14 +312,9 @@ class BayesianOptimizer:
         return self._evaluated_keys
 
     def _initial_specs(self) -> List[ArchitectureSpec]:
-        specs: List[ArchitectureSpec] = []
-        if self.include_default:
-            specs.append(self.search_space.default_spec())
-        needed = self.initial_points - len(specs)
-        if needed > 0:
-            exclude = {spec.encode().tobytes() for spec in specs}
-            specs.extend(self.search_space.sample_batch(needed, rng=self._rng, exclude=exclude))
-        return specs[: self.initial_points]
+        default = self.search_space.default_spec()
+        exclude = {default.encode().tobytes()}
+        return [default] + self.search_space.sample_batch(self.initial_points - 1, rng=self._rng, exclude=exclude)
 
     def _maybe_adapt_hyperparameters(self) -> bool:
         """Re-tune the kernel when ``hyperopt_every`` observations accumulated.
@@ -445,7 +382,7 @@ class BayesianOptimizer:
         iterations: already-scored candidates whose acquisition never won
         stay available (the GP re-scores them against the updated posterior
         for free), and only the top-up draws are encoded.  ``exclude_extra``
-        adds keys (e.g. the async engine's in-flight set) that must neither
+        adds keys (e.g. the asynchronous loop's pending set) that must neither
         survive in nor be drawn into the pool.
         """
         excluded = set(self._dedup_keys())
@@ -519,17 +456,14 @@ class BayesianOptimizer:
                 fantasy.condition(encoding, best_value)
         return proposals
 
-    # ------------------------------------------------------------------
-    # asynchronous engine
-    # ------------------------------------------------------------------
     def _propose_async(self, in_flight_specs, iteration: int) -> Optional[ArchitectureSpec]:
-        """Propose one candidate conditioned on the in-flight set.
+        """Propose one candidate conditioned on the pending set.
 
-        The surrogate absorbs every completed observation first
+        The surrogate absorbs every absorbed observation first
         (:meth:`_fit_surrogate`, incremental), then a constant-liar
         :class:`~repro.gp.gp.FantasizedPosterior` over a fresh pool is
-        conditioned on each still-running candidate — pretending, as in the
-        batch path, that it will return the incumbent value — so concurrent
+        conditioned on each pending candidate — pretending, as in a barrier
+        batch, that it will return the incumbent value — so concurrent
         proposals stay diverse even though none of them has reported back.
         """
         with span("propose", iteration=iteration) as propose_span:
@@ -550,68 +484,18 @@ class BayesianOptimizer:
                 propose_span.set(in_flight=len(pending), pool=len(self._pool_specs))
             return self._pool_pop(int(np.argmax(scores)))
 
-    def _absorb_async(self, done, sequencer, iteration: int, source: str) -> OptimizationRecord:
-        """Record one completed evaluation and sequence its weight update."""
-        with span("absorb", ticket=done.ticket, iteration=iteration):
-            sequencer.add(done.ticket, done.result.weight_update)
-            record = OptimizationRecord.from_result(iteration, done.result, source=source, ticket=done.ticket)
-            self.history.append(record)
-            self._on_record(record)
-        return record
+    def _propose(self, pending: List[ArchitectureSpec], iteration: int) -> List[ArchitectureSpec]:
+        """The search loop's proposal hook: a barrier batch, or one async pick."""
+        if self.async_workers == 0:
+            return self._propose_batch(self._fit_surrogate(), iteration)
+        spec = self._propose_async(pending, iteration)
+        return [] if spec is None else [spec]
 
-    def _optimize_async(self, num_iterations: int, callback) -> OptimizationHistory:
-        """Asynchronous engine behind :meth:`optimize` (``async_workers >= 1``).
-
-        Keeps up to ``async_workers`` evaluations in flight on a persistent
-        worker pool; each completion is observed into the posterior and
-        immediately replaced by a fresh constant-liar proposal, so there is
-        no batch barrier and no idle worker behind a straggler.  The
-        evaluation budget, the history/record shape and the shared-store
-        accumulation semantics all match the batch path.
-        """
-        budget = num_iterations * self.batch_size
-        sequencer = WeightUpdateSequencer(self.weight_store)
-        defer = self._weight_base is not None and self.weight_store is not None
-        if defer:
-            previous_defer = self._weight_base.defer_updates
-            self._weight_base.defer_updates = True
-        try:
-            with AsyncEvaluationExecutor(self.objective, workers=self.async_workers) as executor:
-                in_flight: Dict[int, ArchitectureSpec] = {}
-                if not len(self.history):
-                    for spec in self._initial_specs():
-                        in_flight[executor.submit(spec)] = spec
-                    while in_flight:
-                        done = executor.next_completed()
-                        del in_flight[done.ticket]
-                        self._absorb_async(done, sequencer, iteration=0, source="init")
-                    if callback is not None:
-                        callback(0, self.history)
-                proposed = completed = 0
-                while proposed < budget and len(in_flight) < self.async_workers:
-                    spec = self._propose_async(in_flight.values(), iteration=1 + proposed // self.batch_size)
-                    if spec is None:
-                        break
-                    in_flight[executor.submit(spec)] = spec
-                    proposed += 1
-                while in_flight:
-                    done = executor.next_completed()
-                    del in_flight[done.ticket]
-                    completed += 1
-                    iteration = 1 + (completed - 1) // self.batch_size
-                    self._absorb_async(done, sequencer, iteration=iteration, source="bo")
-                    if proposed < budget:
-                        spec = self._propose_async(in_flight.values(), iteration=1 + proposed // self.batch_size)
-                        if spec is not None:
-                            in_flight[executor.submit(spec)] = spec
-                            proposed += 1
-                    boundary = completed % self.batch_size == 0 or (not in_flight and proposed >= budget)
-                    if callback is not None and completed and boundary:
-                        callback(iteration, self.history)
-        finally:
-            if defer:
-                self._weight_base.defer_updates = previous_defer
-        return self.history
+    def _absorb(self, result: EvaluationResult, iteration: int) -> None:
+        """The search loop's absorb hook: record one result in the history."""
+        record = OptimizationRecord.from_result(iteration, result, source="init" if iteration == 0 else "bo")
+        self.history.append(record)
+        self._on_record(record)
 
     # ------------------------------------------------------------------
     def optimize(self, num_iterations: int, callback: Optional[Callable[[int, OptimizationHistory], None]] = None) -> OptimizationHistory:
@@ -619,11 +503,10 @@ class BayesianOptimizer:
 
         The total number of objective evaluations is
         ``initial_points + num_iterations * batch_size`` (capped by the size
-        of the search space).  ``callback`` is invoked after every iteration
-        with ``(iteration, history)`` — used by the experiment harness for
-        progress reporting.  With ``async_workers >= 1`` the asynchronous
-        engine runs instead of the batch path (same budget, same history
-        shape; see the class docstring).
+        of the search space); the initial points are evaluated only while the
+        history is empty.  ``callback`` is invoked after every iteration with
+        ``(iteration, history)`` — used by the experiment harness for
+        progress reporting, and by the server to stop a job by raising.
         """
         if num_iterations < 0:
             raise ValueError("num_iterations must be non-negative")
@@ -633,21 +516,18 @@ class BayesianOptimizer:
             batch_size=self.batch_size,
             engine="async" if self.async_workers >= 1 else "batch",
         ):
-            if self.async_workers >= 1:
-                return self._optimize_async(num_iterations, callback)
-            if not len(self.history):
-                self._evaluate_batch(self._initial_specs(), iteration=0, source="init")
-                if callback is not None:
-                    callback(0, self.history)
-            for iteration in range(1, num_iterations + 1):
-                surrogate = self._fit_surrogate()
-                proposals = self._propose_batch(surrogate, iteration)
-                if not proposals:
-                    break
-                self._evaluate_batch(proposals, iteration=iteration, source="bo")
-                if callback is not None:
-                    callback(iteration, self.history)
-            return self.history
+            run_search(
+                self.objective,
+                self._propose,
+                self._absorb,
+                num_iterations,
+                initial=[] if len(self.history) else self._initial_specs(),
+                batch_size=self.batch_size,
+                workers=self.async_workers,
+                weight_store=self.weight_store,
+                on_iteration=None if callback is None else lambda iteration: callback(iteration, self.history),
+            )
+        return self.history
 
     def best_spec(self) -> ArchitectureSpec:
         """Architecture with the smallest observed objective value."""

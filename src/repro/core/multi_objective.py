@@ -30,25 +30,24 @@ existing BO stack into a hardware-aware optimizer:
   hypervolume indicator against a reference point fixed after the warm-start
   evaluations, so front quality per evaluation is a tracked number.
 
-The evaluation path is untouched: any objective producing
-``EvaluationResult.metrics`` works, including :class:`~repro.core.cache.CachedObjective`
-(rows persist the metrics dict, so cache hits replay *all* objectives) and
-worker processes (batch or async).  The asynchronous engine absorbs
-completions in **submission order** — slightly less adaptive than the scalar
-engine's completion-order absorption, but it makes the proposal sequence a
-pure function of the seed, which is what lets a fully-cached re-run reproduce
-an identical front at any worker count.
+The evaluation path is the scalar engine's: the search runs on the one loop
+of :func:`~repro.core.async_eval.run_search`, barrier or asynchronous, and
+any objective producing ``EvaluationResult.metrics`` works, including
+:class:`~repro.core.cache.CachedObjective` (rows persist the metrics dict, so
+cache hits replay *all* objectives).  The loop absorbs results in
+**submission order**, so the proposal sequence is a pure function of the
+seed and worker count; that is what lets a fully-cached re-run reproduce an
+identical front.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.bayes_opt import BayesianOptimizer, OptimizationHistory, OptimizationRecord
+from repro.core.bayes_opt import BayesianOptimizer, OptimizationRecord
 from repro.core.pareto import ParetoFront
 from repro.core.search_space import ArchitectureSpec
 from repro.gp.acquisition import feasibility_weighted, probability_in_bounds
@@ -171,8 +170,8 @@ class MultiObjectiveBayesianOptimizer(BayesianOptimizer):
     """Pareto search over the skip-connection space via random scalarization.
 
     Parameters (on top of :class:`~repro.core.bayes_opt.BayesianOptimizer`,
-    whose evaluation machinery — batch workers, deferred weight updates,
-    persistent candidate pool — is inherited unchanged):
+    whose search loop, deferred weight updates and persistent candidate pool
+    are inherited unchanged):
 
     objectives:
         Objective names or :class:`ObjectiveSpec` instances (>= 2).  Each gets
@@ -437,112 +436,6 @@ class MultiObjectiveBayesianOptimizer(BayesianOptimizer):
             if propose_span:
                 propose_span.set(in_flight=len(pending), pool=len(self._pool_specs))
             return self._propose_one(models, iteration)
-
-    # ------------------------------------------------------------------
-    # deterministic asynchronous engine
-    # ------------------------------------------------------------------
-    def _optimize_async(self, num_iterations: int, callback) -> OptimizationHistory:
-        """Asynchronous engine with **submission-order** absorption.
-
-        Up to ``async_workers`` evaluations stay in flight, but completions
-        are buffered and observed strictly in ticket order, and each in-order
-        absorption immediately submits exactly one replacement proposal —
-        never a batch of them.  Proposal ``p`` therefore always sees the
-        first ``p - async_workers`` results absorbed and the rest pending,
-        whatever order workers actually finished in: the proposal sequence
-        is a pure function of the seed, never of scheduling.  That
-        determinism is what lets a fully-cached re-run replay the identical
-        front at any worker count; the price is that a worker can idle
-        behind an out-of-order straggler (the scalar engine, which has no
-        such reproducibility contract, absorbs in completion order instead).
-        """
-        from repro.core.async_eval import AsyncEvaluationExecutor, WeightUpdateSequencer
-
-        budget = num_iterations * self.batch_size
-        sequencer = WeightUpdateSequencer(self.weight_store)
-        defer = self._weight_base is not None and self.weight_store is not None
-        if defer:
-            previous_defer = self._weight_base.defer_updates
-            self._weight_base.defer_updates = True
-        try:
-            with AsyncEvaluationExecutor(self.objective, workers=self.async_workers) as executor:
-                in_flight: Dict[int, ArchitectureSpec] = {}
-                buffered: Dict[int, object] = {}
-                next_ticket = 0
-                num_init = 0
-                absorbed = 0
-                proposed = 0
-
-                def pending_specs():
-                    return itertools.chain(
-                        in_flight.values(), (done.spec for done in buffered.values())
-                    )
-
-                def propose_one() -> bool:
-                    """Submit one replacement proposal; False once the budget is spent."""
-                    nonlocal proposed
-                    if proposed >= budget:
-                        return False
-                    spec = self._propose_async(pending_specs(), iteration=1 + proposed // self.batch_size)
-                    if spec is None:
-                        proposed = budget
-                        return False
-                    in_flight[executor.submit(spec)] = spec
-                    proposed += 1
-                    return True
-
-                def absorb_ready(replace: bool) -> None:
-                    """Absorb buffered completions in ticket order, one at a time.
-
-                    With ``replace`` set, each absorption immediately submits
-                    exactly one replacement — the interleaving that keeps the
-                    absorbed-prefix-per-proposal independent of completion
-                    order.
-                    """
-                    nonlocal next_ticket, absorbed
-                    while next_ticket in buffered:
-                        done = buffered.pop(next_ticket)
-                        if next_ticket < num_init:
-                            self._absorb_async(done, sequencer, iteration=0, source="init")
-                        else:
-                            absorbed += 1
-                            iteration = 1 + (absorbed - 1) // self.batch_size
-                            self._absorb_async(done, sequencer, iteration=iteration, source="bo")
-                        next_ticket += 1
-                        if replace:
-                            propose_one()
-
-                if not len(self.history):
-                    for spec in self._initial_specs():
-                        in_flight[executor.submit(spec)] = spec
-                    num_init = len(in_flight)
-                    while in_flight:
-                        done = executor.next_completed()
-                        del in_flight[done.ticket]
-                        buffered[done.ticket] = done
-                        absorb_ready(replace=False)
-                    if callback is not None:
-                        callback(0, self.history)
-                while len(in_flight) < self.async_workers and propose_one():
-                    pass
-                # buffered drains whenever in_flight empties (an out-of-order
-                # ticket implies an earlier one still running), so in_flight
-                # alone is the loop condition
-                while in_flight:
-                    done = executor.next_completed()
-                    del in_flight[done.ticket]
-                    buffered[done.ticket] = done
-                    before = absorbed
-                    absorb_ready(replace=True)
-                    boundary = absorbed % self.batch_size == 0 or (
-                        not in_flight and not buffered and proposed >= budget
-                    )
-                    if callback is not None and absorbed > before and boundary:
-                        callback(1 + (absorbed - 1) // self.batch_size, self.history)
-        finally:
-            if defer:
-                self._weight_base.defer_updates = previous_defer
-        return self.history
 
     # ------------------------------------------------------------------
     def front_records(self) -> List[OptimizationRecord]:

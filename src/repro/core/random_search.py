@@ -5,13 +5,16 @@ replacement* and evaluates each one; in the paper every random-search
 candidate is trained from scratch (no weight sharing), "which requires a
 massive computing budget".  The class accepts any objective, so the
 experiments can reproduce both the paper's setting (a from-scratch objective)
-and a variant where random search also benefits from weight sharing.
+and a variant where random search also benefits from weight sharing.  It
+runs on the same search loop as Bayesian optimization
+(:func:`~repro.core.async_eval.run_search`), one draw per iteration.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
+from repro.core.async_eval import run_search
 from repro.core.bayes_opt import OptimizationHistory, OptimizationRecord
 from repro.core.objectives import EvaluationResult, Objective
 from repro.core.search_space import ArchitectureSpec, SearchSpace
@@ -25,40 +28,38 @@ class RandomSearch:
         self,
         search_space: SearchSpace,
         objective: Objective | Callable[[ArchitectureSpec], EvaluationResult],
-        include_default: bool = False,
         rng=None,
     ) -> None:
         self.search_space = search_space
         self.objective = objective
-        self.include_default = bool(include_default)
         self._rng = default_rng(rng)
         self.history = OptimizationHistory()
 
     def optimize(self, num_iterations: int, callback: Optional[Callable[[int, OptimizationHistory], None]] = None) -> OptimizationHistory:
-        """Evaluate ``num_iterations`` distinct random architectures."""
+        """Evaluate distinct random architectures until the history holds ``num_iterations``.
+
+        ``callback`` receives ``(len(history), history)`` after each evaluation.
+        """
         if num_iterations < 0:
             raise ValueError("num_iterations must be non-negative")
         evaluated = self.history.evaluated_keys()
-        iteration = len(self.history)
-        if self.include_default and not len(self.history):
-            default = self.search_space.default_spec()
-            result = self.objective(default)
-            self.history.append(OptimizationRecord.from_result(0, result, source="rs"))
-            evaluated.add(default.encode().tobytes())
-            iteration += 1
-            if callback is not None:
-                callback(iteration, self.history)
-        while iteration < num_iterations:
+
+        def draw(pending: List[ArchitectureSpec], iteration: int) -> List[ArchitectureSpec]:
+            # an empty draw means the whole space has been evaluated
             batch = self.search_space.sample_batch(1, rng=self._rng, exclude=evaluated)
-            if not batch:
-                break  # the whole space has been evaluated
-            spec = batch[0]
-            evaluated.add(spec.encode().tobytes())
-            result = self.objective(spec)
-            self.history.append(OptimizationRecord.from_result(iteration, result, source="rs"))
-            iteration += 1
-            if callback is not None:
-                callback(iteration, self.history)
+            evaluated.update(spec.encode().tobytes() for spec in batch)
+            return batch
+
+        def absorb(result: EvaluationResult, iteration: int) -> None:
+            self.history.append(OptimizationRecord.from_result(len(self.history), result, source="rs"))
+
+        run_search(
+            self.objective,
+            draw,
+            absorb,
+            max(num_iterations - len(self.history), 0),
+            on_iteration=None if callback is None else lambda _: callback(len(self.history), self.history),
+        )
         return self.history
 
     def best_spec(self) -> ArchitectureSpec:

@@ -7,9 +7,13 @@ dataset.  Following the paper:
   fine-tunes each one for a few epochs;
 * random search samples architectures without replacement and trains every
   candidate **from scratch** (no weight sharing);
-* the reported quantity is the test accuracy of the incumbent (best-so-far)
+* the reported quantity is the accuracy of the incumbent (best-so-far)
   architecture as a function of the number of evaluated architectures, with
-  mean and standard deviation over several independent runs.
+  mean and standard deviation over several independent runs.  It is the
+  *validation* accuracy of an incumbent that validation accuracy selected
+  (:meth:`~repro.core.bayes_opt.OptimizationHistory.incumbent_accuracies`),
+  not a test-split score: as the best of several noisy scores it is biased
+  upward.
 
 Expected qualitative result: the BO curve dominates the random-search curve
 and has a smaller run-to-run spread.
@@ -161,8 +165,10 @@ def run_figure3(
     fresh tail from the same warm weights as an uncached run.
     ``cache_sharded`` selects the per-writer shard layout for those stores
     (safe for many concurrent processes sharing ``cache_dir``), and
-    ``async_workers >= 1`` evaluates the BO method's candidates on the
-    asynchronous executor instead of the sequential/batch path.
+    ``async_workers >= 1`` keeps that many of the BO method's candidate
+    evaluations in flight on a worker pool instead of running barrier
+    iterations in this process; the run stays a pure function of ``seed``
+    and ``async_workers``.
     """
     scale = scale or get_scale()
     num_runs = num_runs if num_runs is not None else scale.figure3_runs

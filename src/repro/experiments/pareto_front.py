@@ -14,8 +14,9 @@ trace per evaluation.
 Evaluations flow through the same cache/worker plumbing as every other
 experiment: with ``cache_dir`` set, rows persist the per-objective metrics
 dict, so a fully-cached re-run reproduces the identical front without
-re-training a single candidate (at any ``async_workers`` count — the
-multi-objective async engine is deterministic by construction).
+re-training a single candidate (at any ``async_workers`` count — the search
+loop absorbs results in submission order, so a run is a pure function of
+its seed and worker count).
 """
 
 from __future__ import annotations

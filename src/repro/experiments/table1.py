@@ -87,7 +87,7 @@ class Table1Result:
 
 
 def _adaptation_config(
-    scale: ExperimentScale, dataset: str, seed: int, workers: int, async_workers: int = 0
+    scale: ExperimentScale, dataset: str, seed: int, async_workers: int = 0
 ) -> AdaptationConfig:
     optimizer = PAPER_OPTIMIZERS.get(dataset, "sgd")
     ann_training = TrainingConfig(
@@ -115,7 +115,6 @@ def _adaptation_config(
         bo_iterations=scale.bo_iterations,
         bo_batch_size=scale.bo_batch_size,
         bo_initial_points=scale.bo_initial_points,
-        workers=workers,
         async_workers=async_workers,
         seed=seed,
     )
@@ -127,7 +126,6 @@ def run_table1_cell(
     scale: Optional[ExperimentScale] = None,
     splits: Optional[DatasetSplits] = None,
     seed: int = 0,
-    workers: int = 1,
     async_workers: int = 0,
     cache_dir: Optional[str] = None,
     cache_sharded: bool = False,
@@ -141,8 +139,8 @@ def run_table1_cell(
     so the final fine-tune starts warm even on a fully-cached run.
     ``cache_sharded`` switches that store to the per-writer shard layout so
     concurrent processes sharing ``cache_dir`` never contend on one file.
-    ``async_workers >= 1`` evaluates BO candidates on the asynchronous
-    executor (no batch barrier) instead of the ``workers``-wide batch path.
+    ``async_workers >= 1`` keeps that many BO candidate evaluations in flight
+    on a worker pool instead of running barrier iterations in this process.
     """
     scale = scale or get_scale()
     if splits is None:
@@ -151,7 +149,7 @@ def run_table1_cell(
     template = get_template(
         model, **model_kwargs(scale, model, input_channels=input_channels, num_classes=splits.num_classes)
     )
-    config = _adaptation_config(scale, dataset, seed, workers, async_workers)
+    config = _adaptation_config(scale, dataset, seed, async_workers)
     config.cache_dir = cache_dir
     config.cache_sharded = cache_sharded
     adapter = SNNAdapter(template, splits, config)
@@ -163,7 +161,6 @@ def run_table1(
     datasets: Sequence[str] = DEFAULT_DATASETS,
     models: Sequence[str] = DEFAULT_MODELS,
     seed: int = 0,
-    workers: int = 1,
     async_workers: int = 0,
     cache_dir: Optional[str] = None,
     cache_sharded: bool = False,
@@ -180,7 +177,6 @@ def run_table1(
                 scale=scale,
                 splits=splits,
                 seed=seed,
-                workers=workers,
                 async_workers=async_workers,
                 cache_dir=cache_dir,
                 cache_sharded=cache_sharded,

@@ -1,18 +1,20 @@
-"""The async executor must beat the barrier without changing search semantics.
+"""The executor and the search loop must beat the barrier without changing results.
 
 Three guarantees are load-bearing and covered here:
 
 * **interface** — the executor's submit / next-completed protocol behaves
   identically in serial fallback and parallel mode (tickets, ordering,
-  exception propagation, drain);
-* **determinism** — result-carried weight updates are applied in submission
-  order whatever the completion order, so an ``async_workers=2`` search
-  accumulates *exactly* the ``WeightStore`` state a sequential replay of the
-  same evaluation sequence produces (the PR acceptance check);
-* **budget** — the async engine evaluates the same
-  ``initial_points + num_iterations * batch_size`` budget as the batch path,
-  never proposes a duplicate of an evaluated or in-flight candidate, and
-  drives the callback at iteration boundaries.
+  exception propagation, drain), and a serial task sees the objective as of
+  its submission, as a pickled pool task does;
+* **determinism** — :func:`~repro.core.async_eval.run_search` absorbs
+  results, and applies their weight updates, in submission order whatever
+  the completion order, so an ``async_workers=2`` search is a pure function
+  of its seed and accumulates *exactly* the ``WeightStore`` state a
+  sequential replay of its history produces;
+* **budget** — the asynchronous loop evaluates the same
+  ``initial_points + num_iterations * batch_size`` budget as barrier
+  iterations, never proposes a duplicate of an evaluated or pending
+  candidate, and drives the callback at iteration boundaries.
 
 CI re-runs this file under ``REPRO_MP_START_METHOD=spawn`` so every workload
 provably crosses a fresh-interpreter process boundary.
@@ -20,19 +22,18 @@ provably crosses a fresh-interpreter process boundary.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.core.async_eval import (
-    AsyncEvaluationExecutor,
-    WeightUpdateSequencer,
-    evaluate_ordered,
-)
+import repro.core.async_eval as async_eval
+from repro.core.async_eval import AsyncEvaluationExecutor, run_search
 from repro.core.bayes_opt import BayesianOptimizer
 from repro.core.cache import CachedObjective, PersistentEvaluationStore, store_counters
 from repro.core.objectives import EvaluationResult, SyntheticWeightObjective
 from repro.core.search_space import BlockSearchInfo, SearchSpace
-from repro.core.weight_sharing import WeightStore, WeightUpdate
+from repro.core.weight_sharing import WeightStore
 
 
 class _StateEcho:
@@ -59,6 +60,23 @@ class _StoreReadingObjective(SyntheticWeightObjective):
         return result
 
 
+class _SaltedSleepObjective(SyntheticWeightObjective):
+    """Synthetic objective that sleeps on half the specs; ``salt`` flips which half.
+
+    Two searches over the same proposals, one per salt, see every pair of
+    concurrent evaluations finish in opposite orders.
+    """
+
+    def __init__(self, salt: int, weight_store=None) -> None:
+        super().__init__(weight_store=weight_store)
+        self.salt = int(salt)
+
+    def __call__(self, spec):
+        if (int(spec.encode().sum()) + self.salt) % 2:
+            time.sleep(0.2)
+        return super().__call__(spec)
+
+
 def make_space(depth: int = 4) -> SearchSpace:
     return SearchSpace([BlockSearchInfo(depth=depth, name="block")], name="async-test")
 
@@ -68,46 +86,6 @@ def assert_stores_equal(first: WeightStore, second: WeightStore) -> None:
     assert sorted(state_a) == sorted(state_b)
     for key in state_a:
         np.testing.assert_allclose(state_a[key], state_b[key], err_msg=key)
-
-
-class TestWeightUpdateSequencer:
-    def _update(self, value: float, score: float) -> WeightUpdate:
-        return WeightUpdate(state={"w": np.full(3, value), f"k{value}": np.ones(1)}, score=score)
-
-    def test_out_of_order_matches_in_order(self):
-        updates = [self._update(float(i), score=0.1 * i) for i in range(4)]
-
-        ordered = WeightStore()
-        sequencer = WeightUpdateSequencer(ordered)
-        for ticket in range(4):
-            sequencer.add(ticket, updates[ticket])
-
-        shuffled = WeightStore()
-        sequencer = WeightUpdateSequencer(shuffled)
-        for ticket in (2, 0, 3, 1):
-            sequencer.add(ticket, updates[ticket])
-        assert sequencer.pending == 0
-        assert sequencer.applied == 4
-        assert_stores_equal(ordered, shuffled)
-
-    def test_buffers_until_gap_closes(self):
-        sequencer = WeightUpdateSequencer(WeightStore())
-        sequencer.add(1, self._update(1.0, 0.5))
-        assert sequencer.applied == 0 and sequencer.pending == 1
-        sequencer.add(0, self._update(0.0, 0.9))
-        assert sequencer.applied == 2 and sequencer.pending == 0
-
-    def test_none_updates_are_skipped_but_sequenced(self):
-        sequencer = WeightUpdateSequencer(WeightStore())
-        sequencer.add(1, self._update(1.0, 0.5))
-        sequencer.add(0, None)
-        assert sequencer.applied == 1 and sequencer.pending == 0
-
-    def test_duplicate_ticket_raises(self):
-        sequencer = WeightUpdateSequencer(WeightStore())
-        sequencer.add(0, None)
-        with pytest.raises(ValueError):
-            sequencer.add(0, None)
 
 
 class TestAsyncEvaluationExecutor:
@@ -165,39 +143,87 @@ class TestAsyncEvaluationExecutor:
         with pytest.raises(RuntimeError):
             executor.next_completed()
 
-    def test_evaluate_ordered_aligns_results_and_sequences_store(self):
-        space = make_space()
-        specs = space.sample_batch(5, rng=3)
+    def test_serial_task_sees_the_objective_as_of_submission(self):
+        """The serial mode evaluates at ``submit``, so a later state change
+        does not reach a submitted task (as for a pickled pool task)."""
+        objective = _StateEcho()
+        specs = make_space().sample_batch(3, rng=2)
+        with AsyncEvaluationExecutor(objective, workers=1) as executor:
+            for value, spec in enumerate(specs):
+                objective.state = float(value)
+                executor.submit(spec)
+                objective.state = -1.0
+            assert executor.cancel_pending() == 0  # computed results are kept
+            completed = [done.result.objective_value for done in executor.drain()]
+        assert completed == [0.0, 1.0, 2.0]
 
+
+def _absorbed_run(objective, specs, workers):
+    """Run ``specs`` as one initial barrier; returns the absorbed results."""
+    absorbed = []
+    run_search(
+        objective,
+        lambda pending, iteration: [],
+        lambda result, iteration: absorbed.append(result),
+        0,
+        initial=specs,
+        workers=workers,
+    )
+    return absorbed
+
+
+class TestRunSearch:
+    def test_barrier_results_follow_submission_order_and_sequence_the_store(self):
+        specs = make_space().sample_batch(5, rng=3)
         sequential = SyntheticWeightObjective(weight_store=WeightStore())
-        expected = [sequential(spec) for spec in specs]
+        expected = [sequential(spec).objective_value for spec in specs]
 
         objective = SyntheticWeightObjective(weight_store=WeightStore())
-        objective.defer_updates = True
-        results = evaluate_ordered(objective, specs, workers=2, weight_store=objective.weight_store)
-        assert [r.objective_value for r in results] == pytest.approx(
-            [r.objective_value for r in expected]
-        )
+        results = _absorbed_run(objective, specs, workers=2)
+        assert [r.objective_value for r in results] == pytest.approx(expected)
+        assert [r.spec for r in results] == specs
         assert_stores_equal(sequential.weight_store, objective.weight_store)
+        assert objective.defer_updates is False
 
-    def test_evaluate_ordered_is_worker_count_independent(self):
-        """Updates land after the whole batch returns, so a store-reading
-        objective scores the same in the lazy serial mode as in the pool."""
+    def test_barrier_is_worker_count_independent(self):
+        """No barrier task sees another's update, in the serial mode or the
+        pool, so a store-reading objective scores the same in both."""
         specs = make_space().sample_batch(3, rng=4)
         runs = {}
-        for workers in (1, 2):
+        for workers in (0, 2):
             objective = _StoreReadingObjective(weight_store=WeightStore())
-            objective.defer_updates = True
-            results = evaluate_ordered(objective, specs, workers=workers, weight_store=objective.weight_store)
+            results = _absorbed_run(objective, specs, workers=workers)
             runs[workers] = ([r.objective_value for r in results], objective.weight_store)
-        assert runs[1][0] == runs[2][0] == [0.0, 0.0, 0.0]
-        assert not runs[1][1].is_empty
-        assert_stores_equal(runs[1][1], runs[2][1])
+        assert runs[0][0] == runs[2][0] == [0.0, 0.0, 0.0]
+        assert not runs[0][1].is_empty
+        assert_stores_equal(runs[0][1], runs[2][1])
+
+    def test_out_of_order_completions_are_absorbed_in_ticket_order(self, monkeypatch):
+        """Tickets finish out of order in the pool; absorption and the store
+        still follow submission order."""
+        completions = []
+        next_completed = AsyncEvaluationExecutor.next_completed
+
+        def recording(executor):
+            done = next_completed(executor)
+            completions.append(done.ticket)
+            return done
+
+        monkeypatch.setattr(AsyncEvaluationExecutor, "next_completed", recording)
+        specs = make_space().sample_batch(6, rng=5)
+        objective = _SaltedSleepObjective(salt=int(specs[0].encode().sum()) % 2 + 1, weight_store=WeightStore())
+        results = _absorbed_run(objective, specs, workers=2)
+        assert completions != sorted(completions)
+        assert [r.spec for r in results] == specs
+        replay = SyntheticWeightObjective(weight_store=WeightStore())
+        for spec in specs:
+            replay(spec)
+        assert_stores_equal(objective.weight_store, replay.weight_store)
 
 
-class TestBatchPathTelemetry:
+class TestPoolTelemetry:
     def test_worker_store_counters_reach_the_parent(self, tmp_path):
-        """Every store lookup a ``workers=2`` batch search makes in its
+        """Every store lookup an ``async_workers=2`` search makes in its
         workers shows up in the parent's process-wide tallies."""
         objective = CachedObjective(
             SyntheticWeightObjective(weight_store=WeightStore()),
@@ -205,7 +231,7 @@ class TestBatchPathTelemetry:
         )
         optimizer = BayesianOptimizer(
             make_space(), objective, initial_points=4, batch_size=2,
-            candidate_pool_size=12, workers=2, rng=7,
+            candidate_pool_size=12, async_workers=2, rng=7,
         )
         before = store_counters()
         history = optimizer.optimize(3)
@@ -261,23 +287,19 @@ class TestAsyncBayesianOptimizer:
             assert proposal.encode().tobytes() not in in_flight_keys
 
     def test_async_workers2_accumulates_exactly_sequential_store_state(self):
-        """PR acceptance: whatever order workers finish in, the shared store
-        ends in the state a sequential run over the submission sequence
-        produces (updates are applied in ticket order, never completion
-        order)."""
+        """Whatever order workers finish in, the shared store ends in the
+        state a sequential replay of the history produces (the history is in
+        submission order, and updates are applied as results are absorbed)."""
         objective, _, history = self.run_async(workers=2)
         assert not objective.weight_store.is_empty
-        assert sorted(record.ticket for record in history) == list(range(len(history)))
 
         replay = SyntheticWeightObjective(weight_store=WeightStore())
-        for record in sorted(history, key=lambda record: record.ticket):
+        for record in history:
             replay(record.spec)
         assert_stores_equal(objective.weight_store, replay.weight_store)
 
     def test_async_serial_mode_accumulates_exactly_sequential_store_state(self):
         objective, _, history = self.run_async(workers=1)
-        # serial fallback: completion order == submission order
-        assert [record.ticket for record in history] == list(range(len(history)))
         replay = SyntheticWeightObjective(weight_store=WeightStore())
         for record in history:
             replay(record.spec)
@@ -310,6 +332,69 @@ class TestAsyncBayesianOptimizer:
         before = len(history)
         optimizer.optimize(1)
         assert len(optimizer.history) == before + 2
+
+    def test_async_history_does_not_depend_on_completion_order(self, monkeypatch):
+        """Two ``async_workers=2`` searches whose evaluations finish in
+        opposite orders give identical histories and stores."""
+        completions = {}
+        next_completed = AsyncEvaluationExecutor.next_completed
+
+        def recording(executor):
+            done = next_completed(executor)
+            completions.setdefault(id(executor), []).append(done.ticket)
+            return done
+
+        monkeypatch.setattr(AsyncEvaluationExecutor, "next_completed", recording)
+        runs = []
+        for salt in (0, 1):
+            objective = _SaltedSleepObjective(salt, weight_store=WeightStore())
+            optimizer = BayesianOptimizer(
+                make_space(5), objective, initial_points=3, batch_size=1,
+                candidate_pool_size=24, async_workers=2, rng=3,
+            )
+            optimizer.optimize(6)
+            runs.append((optimizer.history, objective.weight_store))
+        first, second = list(completions.values())
+        assert first != second
+        (history_a, store_a), (history_b, store_b) = runs
+        assert [(r.spec, r.objective_value, r.iteration, r.source) for r in history_a] == [
+            (r.spec, r.objective_value, r.iteration, r.source) for r in history_b
+        ]
+        assert_stores_equal(store_a, store_b)
+
+    def test_serial_fallback_matches_the_pool(self, monkeypatch):
+        """An objective that cannot be shipped to workers is evaluated in the
+        parent at submission, against the same store a pool task would see."""
+        runs = {}
+        for forced_serial in (False, True):
+            if forced_serial:
+                monkeypatch.setattr(async_eval, "func_is_picklable", lambda func: False)
+            objective = _StoreReadingObjective(weight_store=WeightStore())
+            optimizer = BayesianOptimizer(
+                make_space(), objective, initial_points=3, batch_size=1,
+                candidate_pool_size=12, async_workers=2, rng=0,
+            )
+            optimizer.optimize(4)
+            runs[forced_serial] = ([r.objective_value for r in optimizer.history], objective.weight_store)
+        assert runs[False][0][:3] == [0.0, 0.0, 0.0]
+        assert runs[True][0] == runs[False][0]
+        assert_stores_equal(runs[True][1], runs[False][1])
+
+    def test_one_async_worker_matches_the_barrier_at_batch_size_one(self):
+        """At ``batch_size=1`` the initial points form one barrier either way,
+        and every later candidate sees the updates of all earlier ones."""
+        runs = {}
+        for workers in (0, 1):
+            objective = _StoreReadingObjective(weight_store=WeightStore())
+            optimizer = BayesianOptimizer(
+                make_space(), objective, initial_points=3, batch_size=1,
+                candidate_pool_size=12, async_workers=workers, rng=0,
+            )
+            optimizer.optimize(4)
+            runs[workers] = ([(r.spec, r.objective_value) for r in optimizer.history], objective.weight_store)
+        assert [value for _, value in runs[0][0][:3]] == [0.0, 0.0, 0.0]
+        assert runs[1][0] == runs[0][0]
+        assert_stores_equal(runs[0][1], runs[1][1])
 
     def test_negative_async_workers_rejected(self):
         with pytest.raises(ValueError):

@@ -90,7 +90,7 @@ class TestBayesianOptimizer:
 
     def test_default_spec_evaluated_first(self):
         space = _space(depth=3)
-        optimizer = BayesianOptimizer(space, CountingObjective(), initial_points=2, include_default=True, rng=0)
+        optimizer = BayesianOptimizer(space, CountingObjective(), initial_points=2, rng=0)
         history = optimizer.optimize(0)
         first = list(history)[0]
         assert first.spec == space.default_spec()
@@ -176,12 +176,6 @@ class TestRandomSearch:
         search = RandomSearch(space, CountingObjective(), rng=0)
         history = search.optimize(10)
         assert history.num_evaluations == 3
-
-    def test_include_default(self):
-        space = _space(depth=3)
-        search = RandomSearch(space, CountingObjective(), include_default=True, rng=0)
-        history = search.optimize(4)
-        assert list(history)[0].spec == space.default_spec()
 
     def test_incumbent_monotonically_improves(self):
         space = _space(depth=4)

@@ -219,14 +219,16 @@ class TestEngines:
         assert non_dominated_mask(optimizer.front.values_array()).all()
         curve = optimizer.hypervolume_history
         assert all(b >= a - 1e-12 for a, b in zip(curve, curve[1:]))
-        # completion-order records still sort back to submission order
-        tickets = [r.ticket for r in optimizer.history]
-        assert sorted(tickets) == list(range(len(tickets)))
+        # the history is in submission order: warm start first, then one
+        # iteration per absorbed proposal
+        assert [(r.source, r.iteration) for r in optimizer.history] == [("init", 0)] * 4 + [
+            ("bo", i) for i in range(1, 6)
+        ]
 
-    def test_async_store_equals_sequential_replay_of_the_ticket_order(self):
-        """The sequencer applies weight updates in submission order, so the
-        async run's store must equal a sequential evaluation of the same
-        specs in ticket order."""
+    def test_async_store_equals_sequential_replay_of_the_history(self):
+        """The search loop absorbs results, and applies their weight updates,
+        in submission order, so the async run's store must equal a
+        sequential evaluation of its history in order."""
         from repro.core.weight_sharing import WeightStore
 
         store = WeightStore()
@@ -236,8 +238,7 @@ class TestEngines:
 
         replay_store = WeightStore()
         replay = SyntheticWeightObjective(weight_store=replay_store)
-        ordered = sorted(optimizer.history, key=lambda record: record.ticket)
-        for record in ordered:
+        for record in optimizer.history:
             replay(record.spec)
         assert sorted(store.state_dict()) == sorted(replay_store.state_dict())
         for key, value in store.state_dict().items():

@@ -67,6 +67,24 @@ class TestSpawnSafety:
         assert any("lambda" in f.message for f in spawn)
         assert any("nested def 'inner'" in f.message for f in spawn)
 
+    def test_lambda_objective_of_the_search_loop_is_flagged(self, tmp_path):
+        report = lint(
+            tmp_path,
+            {
+                "loop.py": """
+                def propose(pending, iteration):
+                    return []
+
+                def run(absorb):
+                    run_search(lambda spec: spec, propose, absorb, 3, workers=2)
+                    run_search(objective=lambda spec: spec, propose=propose, absorb=absorb, num_iterations=3)
+                """
+            },
+        )
+        spawn = [f for f in report.findings if f.rule == "spawn-safety"]
+        assert len(spawn) == 2
+        assert all("run_search()" in f.message for f in spawn)
+
     def test_module_level_function_is_clean(self, tmp_path):
         report = lint(
             tmp_path,

@@ -4,7 +4,7 @@ Covers the span contract (falsy no-op while disabled, thread-local nesting,
 error capture, scoped enablement), the bounded flight recorder (ring with a
 counted drop policy, JSONL mirror), trace analysis/export (summaries, the
 critical path, Chrome trace events), cross-process propagation through the
-async evaluation executor and the ``workers=2`` batch search (spans recorded
+async evaluation executor and an ``async_workers=2`` search (spans recorded
 in a worker stitch under the parent's open span; counter deltas merge into
 the parent's process-wide tallies), the ``repro trace`` CLI, and the bench-gate ceiling
 that pins the disabled-tracing overhead contract.
@@ -356,10 +356,10 @@ class TestPropagation:
         for done in completed:
             assert done.result.telemetry is None
 
-    def test_batch_search_stitches_worker_spans(self):
+    def test_async_search_stitches_worker_spans(self):
         optimizer = BayesianOptimizer(
             make_space(), SpanningObjective(), initial_points=3, batch_size=2,
-            candidate_pool_size=8, workers=2, rng=0,
+            candidate_pool_size=8, async_workers=2, rng=0,
         )
         recorder = FlightRecorder(capacity=1024)
         with tracing(recorder=recorder, trace_id="t-batch"):

@@ -1,11 +1,11 @@
-"""Tests of the training harness: trainers, callbacks, evaluation, batch evaluation."""
+"""Tests of the training harness: trainers, callbacks, evaluation, candidate evaluation."""
 
 import os
 
 import numpy as np
 import pytest
 
-from repro.core.async_eval import evaluate_ordered
+from repro.core.async_eval import AsyncEvaluationExecutor, run_search
 from repro.core.objectives import EvaluationResult, SyntheticWeightObjective
 from repro.core.search_space import BlockSearchInfo, SearchSpace
 from repro.data.loaders import ArrayDataset
@@ -191,24 +191,42 @@ class TestSNNTrainer:
         assert 0.0 <= accuracy <= 1.0 and len(stats.per_layer_rate) == 1
 
 
-class TestBatchEvaluation:
+def _evaluate(objective, specs, workers: int) -> list:
+    """Results of ``specs`` on the executor, in submission order."""
+    with AsyncEvaluationExecutor(objective, workers=workers) as executor:
+        for spec in specs:
+            executor.submit(spec)
+        completed = sorted(executor.drain(), key=lambda done: done.ticket)
+    return [done.result for done in completed]
+
+
+class TestCandidateEvaluation:
     def test_sequential_fallback(self):
         specs = _space().sample_batch(3, rng=0)
         objective = SyntheticWeightObjective()
-        results = evaluate_ordered(objective, specs, workers=1)
+        results = _evaluate(objective, specs, workers=1)
         assert [r.objective_value for r in results] == [objective(spec).objective_value for spec in specs]
 
     def test_preserves_order_with_workers(self):
         specs = _space().sample_batch(8, rng=1)
-        results = evaluate_ordered(SyntheticWeightObjective(), specs, workers=2)
+        results = _evaluate(SyntheticWeightObjective(), specs, workers=2)
         assert [r.spec.encode().tolist() for r in results] == [spec.encode().tolist() for spec in specs]
 
     def test_empty_input(self):
-        assert evaluate_ordered(SyntheticWeightObjective(), [], workers=4) == []
+        assert _evaluate(SyntheticWeightObjective(), [], workers=4) == []
 
-    def test_single_item_stays_sequential(self):
+    def test_barrier_iterations_stay_in_process(self):
         spec = _space().sample(rng=2)
-        (result,) = evaluate_ordered(_PidObjective(), [spec], workers=8)
+        results = []
+        run_search(
+            _PidObjective(),
+            lambda pending, iteration: [],
+            lambda result, iteration: results.append(result),
+            0,
+            initial=[spec],
+            workers=0,
+        )
+        (result,) = results
         assert result.metrics["pid"] == os.getpid()
 
 

@@ -9,8 +9,9 @@ two propagation paths are load-bearing and covered here:
   fine-tune starts from the same warm state) as the run that originally paid
   for the evaluations;
 * **parallel workers** — weight updates are result-carried and merged by the
-  optimizer in the parent process, so a ``workers=2`` search accumulates the
-  same store contents as the equivalent sequential one.
+  search loop in the parent process, so an ``async_workers=2`` search on a
+  worker pool accumulates the same store contents as the same search
+  evaluated in this process.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.async_eval import START_METHOD_ENV, evaluate_ordered
+import repro.core.async_eval as async_eval
+from repro.core.async_eval import START_METHOD_ENV, run_search
 from repro.core.bayes_opt import BayesianOptimizer
 from repro.core.cache import (
     CachedObjective,
@@ -283,31 +285,45 @@ class TestWeightStoreCopySemantics:
             np.testing.assert_array_equal(store.get(key), value)
 
 
-class TestBatchEvaluationErrorHandling:
+def evaluate_barrier(objective, specs, workers: int) -> list:
+    """Evaluate ``specs`` as one barrier of the search loop; results in order."""
+    results = []
+    run_search(
+        objective,
+        lambda pending, iteration: [],
+        lambda result, iteration: results.append(result),
+        0,
+        initial=specs,
+        workers=workers,
+    )
+    return results
+
+
+class TestEvaluationErrorHandling:
     def test_objective_value_error_propagates_with_workers(self):
         with pytest.raises(ValueError, match="objective failed"):
-            evaluate_ordered(_raise_value_error, make_space().sample_batch(2, rng=0), workers=2)
+            evaluate_barrier(_raise_value_error, make_space().sample_batch(2, rng=0), workers=2)
 
     def test_objective_attribute_error_propagates_with_workers(self):
         """The old sandbox fallback swallowed AttributeError and silently
         re-ran the batch sequentially — masking the bug and doubling cost."""
         with pytest.raises(AttributeError, match="inside the objective"):
-            evaluate_ordered(_raise_attribute_error, make_space().sample_batch(2, rng=0), workers=2)
+            evaluate_barrier(_raise_attribute_error, make_space().sample_batch(2, rng=0), workers=2)
 
     def test_objective_errors_propagate_sequentially(self):
         with pytest.raises(ValueError):
-            evaluate_ordered(_raise_value_error, make_space().sample_batch(2, rng=0), workers=1)
+            evaluate_barrier(_raise_value_error, make_space().sample_batch(2, rng=0), workers=0)
 
     def test_unpicklable_workload_falls_back_to_sequential(self):
         specs = make_space().sample_batch(3, rng=1)
         base = SyntheticWeightObjective()
-        results = evaluate_ordered(lambda spec: base(spec), specs, workers=4)
+        results = evaluate_barrier(lambda spec: base(spec), specs, workers=4)
         assert base.num_evaluations == 3  # ran in this process
         assert [r.spec.encode().tolist() for r in results] == [s.encode().tolist() for s in specs]
 
     def test_picklable_workload_preserves_order(self):
         specs = make_space().sample_batch(6, rng=2)
-        results = evaluate_ordered(SyntheticWeightObjective(), specs, workers=2)
+        results = evaluate_barrier(SyntheticWeightObjective(), specs, workers=2)
         assert [r.spec.encode().tolist() for r in results] == [s.encode().tolist() for s in specs]
 
     def test_invalid_start_method_raises(self, monkeypatch):
@@ -315,7 +331,7 @@ class TestBatchEvaluationErrorHandling:
         silently degrade a workers>1 run to sequential execution."""
         monkeypatch.setenv(START_METHOD_ENV, "not-a-start-method")
         with pytest.raises(ValueError):
-            evaluate_ordered(SyntheticWeightObjective(), make_space().sample_batch(2, rng=0), workers=2)
+            evaluate_barrier(SyntheticWeightObjective(), make_space().sample_batch(2, rng=0), workers=2)
 
 
 class TestResultCarriedUpdates:
@@ -350,13 +366,13 @@ class TestResultCarriedUpdates:
     def test_resolve_weight_context_opaque_callable(self):
         assert resolve_weight_context(lambda spec: None) == (None, None)
 
-    def test_workers2_matches_workers1_store_accumulation(self):
-        """The acceptance check: worker count must not change what the shared
-        store accumulates (with side-effecting updates, a workers=2 run lost
-        every update to the child processes)."""
+    def test_pool_matches_in_process_store_accumulation(self, monkeypatch):
+        """The acceptance check: running in worker processes must not change
+        what the shared store accumulates (with side-effecting updates, a
+        pooled run lost every update to the child processes)."""
         space = make_space()
 
-        def run(workers: int) -> tuple:
+        def run() -> tuple:
             objective = SyntheticWeightObjective(weight_store=WeightStore())
             optimizer = BayesianOptimizer(
                 space,
@@ -364,15 +380,16 @@ class TestResultCarriedUpdates:
                 initial_points=4,
                 batch_size=3,
                 candidate_pool_size=12,
-                workers=workers,
+                async_workers=2,
                 rng=11,
             )
             history = optimizer.optimize(2)
             assert optimizer.weight_store is objective.weight_store
             return objective.weight_store, history
 
-        store_seq, history_seq = run(workers=1)
-        store_par, history_par = run(workers=2)
+        store_par, history_par = run()
+        monkeypatch.setattr(async_eval, "func_is_picklable", lambda func: False)
+        store_seq, history_seq = run()
         assert not store_seq.is_empty
         assert_stores_equal(store_seq, store_par)
         values_seq = [record.objective_value for record in history_seq]

@@ -1,8 +1,8 @@
 """spawn-safety: workloads shipped to worker processes must be picklable.
 
 The invariant (established by PR 2's result-carried updates and pinned by the
-CI spawn-mode smoke): anything handed to
-:func:`repro.core.async_eval.evaluate_ordered` or an
+CI spawn-mode smoke): the objective handed to the search loop
+(:func:`repro.core.async_eval.run_search`) or to an
 :class:`~repro.core.async_eval.AsyncEvaluationExecutor` may cross a
 fresh-interpreter process boundary, so it must be picklable.  Lambdas and
 nested (closure) functions are never picklable; passing one silently degrades
@@ -23,6 +23,7 @@ from tools.analyze.core import Finding, Module, Rule, register
 TARGETS = {
     "evaluate_ordered": ("objective",),
     "AsyncEvaluationExecutor": ("objective",),
+    "run_search": ("objective",),
 }
 
 #: how a name was bound in the enclosing scopes
@@ -41,7 +42,7 @@ def _callable_name(func: ast.expr) -> str:
 class SpawnSafetyRule(Rule):
     name = "spawn-safety"
     description = (
-        "lambdas and nested functions passed to evaluate_ordered / "
+        "lambdas and nested functions passed to run_search / "
         "AsyncEvaluationExecutor cannot be pickled for spawn-mode workers"
     )
 
