@@ -24,7 +24,7 @@ This package implements Section III of the paper:
   (:class:`SNNAdapter`) producing the Table-I quantities;
 * :mod:`repro.core.pareto` / :mod:`repro.core.multi_objective` — the
   multi-objective subsystem: Pareto-front bookkeeping (non-dominated
-  insertion, hypervolume, crowding) and the random-scalarization
+  insertion, hypervolume) and the random-scalarization
   multi-objective Bayesian optimizer over pluggable accuracy / energy /
   latency objectives (``docs/multi_objective.md``).
 

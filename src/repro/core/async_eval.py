@@ -300,35 +300,8 @@ class AsyncEvaluationExecutor:
         while self.in_flight:
             yield self.next_completed()
 
-    def cancel_pending(self) -> int:
-        """Cancel every pool submission that has not started running yet.
-
-        The graceful-shutdown hook for long-running hosts (``repro serve``):
-        queued work is dropped, but evaluations already executing are left to
-        finish — their results (and the store rows the cached objective wrote
-        for them) are never lost, so after a subsequent :meth:`close` the
-        persistent store holds exactly the set of completed evaluations.
-        Serial-mode results were computed at submission, so none is
-        cancelled.  Returns the number of submissions cancelled; their tickets
-        will never surface from :meth:`next_completed`.
-        """
-        cancelled = 0
-        for ticket, future in list(self._futures.items()):
-            if future.cancel():
-                del self._futures[ticket]
-                self._specs.pop(ticket, None)
-                cancelled += 1
-        return cancelled
-
-    def close(self, cancel_pending: bool = False) -> None:
-        """Shut the worker pool down, waiting for running tasks to finish.
-
-        With ``cancel_pending`` set, queued-but-not-started submissions are
-        dropped first (see :meth:`cancel_pending`), so the shutdown drains
-        only the evaluations actually in progress.
-        """
-        if cancel_pending:
-            self.cancel_pending()
+    def close(self) -> None:
+        """Shut the worker pool down, waiting for running tasks to finish."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None

@@ -191,9 +191,6 @@ class MultiObjectiveBayesianOptimizer(BayesianOptimizer):
     scalarization_rho:
         Weight of the linear term in the augmented Chebyshev scalarization
         ``max_j(w_j z_j) + rho * sum_j(w_j z_j)`` (ParEGO's rho).
-    front_capacity:
-        Optional bound on the retained front size (crowding-based truncation;
-        ``None`` keeps every non-dominated point).
 
     The history's scalar ``objective_value`` is the first objective's
     minimisation value, so :meth:`history.best`, incumbent curves and every
@@ -210,7 +207,6 @@ class MultiObjectiveBayesianOptimizer(BayesianOptimizer):
         reference_point: Optional[Sequence[float]] = None,
         reference_margin: float = 0.1,
         scalarization_rho: float = 0.05,
-        front_capacity: Optional[int] = None,
         **kwargs,
     ) -> None:
         super().__init__(search_space, objective, **kwargs)
@@ -229,7 +225,7 @@ class MultiObjectiveBayesianOptimizer(BayesianOptimizer):
             raise ValueError("scalarization_rho must be non-negative")
         self.reference_margin = float(reference_margin)
         self.scalarization_rho = float(scalarization_rho)
-        self.front = ParetoFront(capacity=front_capacity)
+        self.front = ParetoFront()
         self.reference_point: Optional[np.ndarray] = (
             np.asarray(reference_point, dtype=np.float64).reshape(-1)
             if reference_point is not None
@@ -267,7 +263,7 @@ class MultiObjectiveBayesianOptimizer(BayesianOptimizer):
         """
         self._observed = []
         self._observed_feasible = []
-        self.front = ParetoFront(capacity=self.front.capacity)
+        self.front = ParetoFront()
         if not self._reference_fixed:
             self.reference_point = None
         self.hypervolume_history = []

@@ -15,11 +15,10 @@ Three pieces:
   set after any insertion sequence is exactly the non-dominated subset of all
   inserted vectors, independent of insertion order (a dominated insert is
   rejected, a dominating insert evicts the incumbents it dominates);
-* hypervolume and crowding: :meth:`ParetoFront.hypervolume` measures the
-  region dominated by the front up to a fixed reference point (the standard
+* hypervolume: :meth:`ParetoFront.hypervolume` measures the region
+  dominated by the front up to a fixed reference point (the standard
   strictly-monotone quality indicator — adding a non-dominated point never
-  decreases it), and :meth:`ParetoFront.truncate` bounds the front size by
-  NSGA-II crowding distance, always keeping the per-objective extremes.
+  decreases it).
 """
 
 from __future__ import annotations
@@ -78,15 +77,8 @@ class ParetoPoint:
 
 @dataclass
 class ParetoFront:
-    """Incrementally maintained set of mutually non-dominated points.
+    """Incrementally maintained set of mutually non-dominated points."""
 
-    ``capacity`` (optional) bounds the front: every insertion that grows the
-    front beyond it triggers a crowding-based :meth:`truncate`.  Capacity
-    makes retention insertion-order *dependent* (crowding ties are broken by
-    age), so the order-independence guarantee applies to unbounded fronts.
-    """
-
-    capacity: Optional[int] = None
     points: List[ParetoPoint] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -113,7 +105,7 @@ class ParetoFront:
         Rejected when an incumbent dominates or equals it; accepted otherwise,
         evicting every incumbent it dominates.  The retained *set of vectors*
         after any insertion sequence is therefore the non-dominated subset of
-        everything offered, whatever the order (for unbounded fronts).
+        everything offered, whatever the order.
         """
         candidate = np.asarray(values, dtype=np.float64).reshape(-1)
         if self.points and len(candidate) != len(self.points[0].values):
@@ -128,8 +120,6 @@ class ParetoFront:
                 survivors.append(point)
         survivors.append(ParetoPoint(values=candidate, payload=payload))
         self.points = survivors
-        if self.capacity is not None and len(self.points) > self.capacity:
-            self.truncate(self.capacity)
         return True
 
     # ------------------------------------------------------------------
@@ -154,47 +144,6 @@ class ParetoFront:
             )
         inside = values[np.all(values < reference, axis=1)]
         return _hypervolume(inside, reference)
-
-    # ------------------------------------------------------------------
-    # crowding-based truncation
-    # ------------------------------------------------------------------
-    def crowding_distances(self) -> np.ndarray:
-        """NSGA-II crowding distance of every front point.
-
-        Per objective, points are sorted and each interior point accumulates
-        its normalised neighbour gap; the per-objective extremes get
-        ``inf`` so truncation always keeps the boundary of the front.
-        """
-        values = self.values_array()
-        n = values.shape[0]
-        distances = np.zeros(n)
-        if n <= 2:
-            return np.full(n, np.inf)
-        for j in range(values.shape[1]):
-            order = np.argsort(values[:, j], kind="stable")
-            spread = values[order[-1], j] - values[order[0], j]
-            distances[order[0]] = distances[order[-1]] = np.inf
-            if spread <= 0:
-                continue
-            gaps = (values[order[2:], j] - values[order[:-2], j]) / spread
-            distances[order[1:-1]] += gaps
-        return distances
-
-    def truncate(self, capacity: int) -> List[ParetoPoint]:
-        """Drop the most crowded points until ``len(self) <= capacity``.
-
-        Returns the removed points (most crowded first).  Distances are
-        recomputed after each removal, and ties prefer removing the *newest*
-        point so long-standing trade-offs are kept.
-        """
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        removed: List[ParetoPoint] = []
-        while len(self.points) > capacity:
-            distances = self.crowding_distances()
-            most_crowded = int(np.flatnonzero(distances == distances.min())[-1])
-            removed.append(self.points.pop(most_crowded))
-        return removed
 
 
 def _hypervolume(values: np.ndarray, reference: np.ndarray) -> float:

@@ -13,23 +13,13 @@ paths (see DESIGN.md, Section 2 for the substitution rationale):
 * :mod:`repro.data.synthetic_gesture` — event streams of class-defining motion
   trajectories: swipes, rotations, waves, zooms (DVS128 Gesture stand-in);
 * :mod:`repro.data.loaders` — dataset containers, train/val/test splits and a
-  mini-batch loader;
-* :mod:`repro.data.transforms` — normalisation, augmentation and event-frame
-  utilities.
+  mini-batch loader.
 """
 
 from repro.data.loaders import ArrayDataset, BatchLoader, DatasetSplits, train_val_test_split
 from repro.data.synthetic_cifar import SyntheticCIFAR10Config, make_synthetic_cifar10
 from repro.data.synthetic_dvs import DVSEventConfig, events_to_frames, make_synthetic_cifar10_dvs
 from repro.data.synthetic_gesture import GESTURE_NAMES, GestureConfig, make_synthetic_dvs_gesture
-from repro.data.transforms import (
-    Compose,
-    EventFrameNormalize,
-    Normalize,
-    RandomHorizontalFlip,
-    RandomTranslate,
-    TimeSubsample,
-)
 from repro.data.registry import available_datasets, load_dataset
 
 __all__ = [
@@ -45,12 +35,6 @@ __all__ = [
     "GESTURE_NAMES",
     "GestureConfig",
     "make_synthetic_dvs_gesture",
-    "Compose",
-    "EventFrameNormalize",
-    "Normalize",
-    "RandomHorizontalFlip",
-    "RandomTranslate",
-    "TimeSubsample",
     "available_datasets",
     "load_dataset",
 ]

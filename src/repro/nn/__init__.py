@@ -2,28 +2,18 @@
 
 Provides the non-spiking (ANN) building blocks used by the paper's reference
 architectures — convolutions, batch normalisation, pooling, linear heads —
-plus parameter initialisation, losses, optimizers and learning-rate
-schedules.  The spiking counterparts live in :mod:`repro.snn` and reuse these
+plus parameter initialisation, losses, optimizers and the constant
+learning-rate schedule.  The spiking counterparts live in :mod:`repro.snn` and reuse these
 modules for their synaptic (weight) computations.
 """
 
 from repro.nn.module import Module, ModuleList, Parameter, Sequential
-from repro.nn.layers import (
-    AvgPool2d,
-    BatchNorm2d,
-    Conv2d,
-    Dropout,
-    Flatten,
-    GlobalAvgPool2d,
-    Identity,
-    Linear,
-    MaxPool2d,
-)
-from repro.nn.activations import LeakyReLU, ReLU, Sigmoid, Softmax, Tanh
+from repro.nn.layers import AvgPool2d, BatchNorm2d, Conv2d, Flatten, GlobalAvgPool2d, Identity, Linear
+from repro.nn.activations import ReLU
 from repro.nn import init
 from repro.nn.losses import CrossEntropyLoss, MSELoss, accuracy
 from repro.nn.optim import SGD, Adam, Optimizer
-from repro.nn.scheduler import ConstantLR, CosineAnnealingLR, LRScheduler, StepLR
+from repro.nn.scheduler import ConstantLR, LRScheduler
 
 __all__ = [
     "Module",
@@ -33,17 +23,11 @@ __all__ = [
     "AvgPool2d",
     "BatchNorm2d",
     "Conv2d",
-    "Dropout",
     "Flatten",
     "GlobalAvgPool2d",
     "Identity",
     "Linear",
-    "MaxPool2d",
-    "LeakyReLU",
     "ReLU",
-    "Sigmoid",
-    "Softmax",
-    "Tanh",
     "init",
     "CrossEntropyLoss",
     "MSELoss",
@@ -52,7 +36,5 @@ __all__ = [
     "Adam",
     "Optimizer",
     "ConstantLR",
-    "CosineAnnealingLR",
     "LRScheduler",
-    "StepLR",
 ]

@@ -1,8 +1,8 @@
-"""Activation modules for the non-spiking (ANN) networks.
+"""The activation module of the non-spiking (ANN) networks.
 
-When an architecture is converted to its spiking counterpart these modules are
-replaced by spiking neurons (:mod:`repro.snn.neurons`); keeping activations as
-standalone modules is what makes the conversion a simple tree rewrite.
+The model templates build the spiking variant of an architecture with a LIF
+neuron (:mod:`repro.snn.neurons`) in each ReLU's place; keeping the
+activation a standalone module is what makes that swap a one-line choice.
 """
 
 from __future__ import annotations
@@ -16,45 +16,3 @@ class ReLU(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return ops.relu(x)
-
-
-class LeakyReLU(Module):
-    """Leaky ReLU with configurable negative slope."""
-
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        super().__init__()
-        self.negative_slope = float(negative_slope)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.maximum(x, x * self.negative_slope)
-
-    def extra_repr(self) -> str:
-        return f"negative_slope={self.negative_slope}"
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.sigmoid(x)
-
-
-class Tanh(Module):
-    """Hyperbolic tangent."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.tanh(x)
-
-
-class Softmax(Module):
-    """Softmax along a configurable axis (default: last)."""
-
-    def __init__(self, axis: int = -1) -> None:
-        super().__init__()
-        self.axis = int(axis)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.softmax(x, axis=self.axis)
-
-    def extra_repr(self) -> str:
-        return f"axis={self.axis}"

@@ -2,9 +2,9 @@
 
 The reproduction defaults to Kaiming (He) initialisation for convolutional and
 linear weights — the scheme used by the reference ResNet/DenseNet/MobileNet
-implementations — with optional Xavier (Glorot) and uniform alternatives.
-All functions take an explicit :class:`numpy.random.Generator` for
-reproducibility.
+implementations — plus constant fills for biases and batch-norm affine
+parameters.  The random scheme takes an explicit
+:class:`numpy.random.Generator` for reproducibility.
 """
 
 from __future__ import annotations
@@ -39,36 +39,6 @@ def kaiming_normal(shape: Tuple[int, ...], rng=None, gain: float = HE_GAIN) -> n
     fan_in, _ = _fan_in_fan_out(shape)
     std = gain / np.sqrt(max(fan_in, 1))
     return rng.normal(0.0, std, size=shape)
-
-
-def kaiming_uniform(shape: Tuple[int, ...], rng=None, gain: float = HE_GAIN) -> np.ndarray:
-    """He uniform initialisation with bound ``gain * sqrt(3 / fan_in)``."""
-    rng = default_rng(rng)
-    fan_in, _ = _fan_in_fan_out(shape)
-    bound = gain * np.sqrt(3.0 / max(fan_in, 1))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(shape: Tuple[int, ...], rng=None, gain: float = 1.0) -> np.ndarray:
-    """Glorot normal initialisation: ``std = gain * sqrt(2 / (fan_in + fan_out))``."""
-    rng = default_rng(rng)
-    fan_in, fan_out = _fan_in_fan_out(shape)
-    std = gain * np.sqrt(2.0 / max(fan_in + fan_out, 1))
-    return rng.normal(0.0, std, size=shape)
-
-
-def xavier_uniform(shape: Tuple[int, ...], rng=None, gain: float = 1.0) -> np.ndarray:
-    """Glorot uniform initialisation."""
-    rng = default_rng(rng)
-    fan_in, fan_out = _fan_in_fan_out(shape)
-    bound = gain * np.sqrt(6.0 / max(fan_in + fan_out, 1))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def uniform(shape: Tuple[int, ...], low: float = -0.1, high: float = 0.1, rng=None) -> np.ndarray:
-    """Plain uniform initialisation in ``[low, high)``."""
-    rng = default_rng(rng)
-    return rng.uniform(low, high, size=shape)
 
 
 def zeros(shape: Tuple[int, ...]) -> np.ndarray:

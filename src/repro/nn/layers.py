@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor, avg_pool2d, conv2d, dropout_mask, max_pool2d
+from repro.tensor import Tensor, avg_pool2d, conv2d
 from repro.tensor.conv import conv_output_shape
 from repro.tensor.random import default_rng
 
@@ -144,22 +144,6 @@ class BatchNorm2d(Module):
         return f"num_features={self.num_features}, eps={self.eps}, momentum={self.momentum}"
 
 
-class MaxPool2d(Module):
-    """Max pooling layer."""
-
-    def __init__(self, kernel_size: IntOrPair, stride: Optional[IntOrPair] = None, padding: IntOrPair = 0) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self.padding = padding
-
-    def forward(self, x: Tensor) -> Tensor:
-        return max_pool2d(x, self.kernel_size, stride=self.stride, padding=self.padding)
-
-    def extra_repr(self) -> str:
-        return f"kernel={self.kernel_size}, stride={self.stride}, padding={self.padding}"
-
-
 class AvgPool2d(Module):
     """Average pooling layer."""
 
@@ -181,22 +165,3 @@ class GlobalAvgPool2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x.mean(axis=(2, 3))
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in evaluation mode."""
-
-    def __init__(self, p: float = 0.5, rng=None) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = float(p)
-        self._rng = default_rng(rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        return dropout_mask(x, self.p, self._rng)
-
-    def extra_repr(self) -> str:
-        return f"p={self.p}"

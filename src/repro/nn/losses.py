@@ -12,9 +12,8 @@ class CrossEntropyLoss(Module):
     """Softmax cross-entropy over integer class targets.
 
     Accepts logits of shape ``(N, num_classes)`` and integer targets of shape
-    ``(N,)``.  For spiking networks the logits are typically the spike counts
-    (or membrane potentials) accumulated over the simulation window — the
-    standard "rate loss" used by snnTorch.
+    ``(N,)``.  For spiking networks the logits are the readout membrane
+    potentials averaged over the simulation window.
     """
 
     def __init__(self, label_smoothing: float = 0.0) -> None:

@@ -4,10 +4,9 @@ A :class:`Module` owns :class:`Parameter` leaves and child modules, discovered
 automatically through attribute assignment.  This registry powers:
 
 * optimizers (``module.parameters()``),
-* ANN→SNN conversion (walking the module tree and swapping activations),
 * weight sharing between Bayesian-optimization candidates
   (``state_dict`` / ``load_state_dict`` keyed by the module path),
-* train/eval mode switching (batch-norm statistics, dropout, spiking monitors).
+* train/eval mode switching (batch-norm statistics, spiking monitors).
 """
 
 from __future__ import annotations

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 from repro.nn.optim import Optimizer
 
 
@@ -35,32 +33,3 @@ class ConstantLR(LRScheduler):
 
     def get_lr(self, epoch: int) -> float:
         return self.base_lr
-
-
-class StepLR(LRScheduler):
-    """Multiply the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1) -> None:
-        super().__init__(optimizer)
-        if step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {step_size}")
-        self.step_size = int(step_size)
-        self.gamma = float(gamma)
-
-    def get_lr(self, epoch: int) -> float:
-        return self.base_lr * (self.gamma ** (epoch // self.step_size))
-
-
-class CosineAnnealingLR(LRScheduler):
-    """Cosine decay from the base learning rate to ``eta_min`` over ``t_max`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0) -> None:
-        super().__init__(optimizer)
-        if t_max <= 0:
-            raise ValueError(f"t_max must be positive, got {t_max}")
-        self.t_max = int(t_max)
-        self.eta_min = float(eta_min)
-
-    def get_lr(self, epoch: int) -> float:
-        progress = min(epoch, self.t_max) / self.t_max
-        return self.eta_min + 0.5 * (self.base_lr - self.eta_min) * (1.0 + math.cos(math.pi * progress))

@@ -6,15 +6,14 @@ experiments rely on:
 
 * :mod:`repro.snn.surrogate` — smoothed derivatives of the Heaviside spike
   nonlinearity (fast sigmoid, arctan, triangular, straight-through);
-* :mod:`repro.snn.neurons` — leaky integrate-and-fire neuron layers with
+* :mod:`repro.snn.neurons` — the leaky integrate-and-fire neuron layer with
   configurable decay, threshold and reset mechanism, maintaining membrane
-  state across simulation time steps;
-* :mod:`repro.snn.encoding` — input encoders turning static images into spike
-  trains (rate/Poisson, latency, direct/constant) and passing event frames
-  through unchanged;
+  state across simulation time steps, and the non-spiking readout integrator;
+* :mod:`repro.snn.encoding` — input encoders feeding static images to every
+  step as a constant current and passing event frames through unchanged;
 * :mod:`repro.snn.temporal` — the time-loop runner that unrolls a stateful
-  spiking model over ``num_steps`` and accumulates the readout (BPTT happens
-  automatically through the recorded autodiff graph);
+  spiking model over ``num_steps`` and averages the readout membrane (BPTT
+  happens automatically through the recorded autodiff graph);
 * :mod:`repro.snn.fused_step` — fused temporal training kernels: one fused
   forward stashing minimal residuals plus one hand-written reverse-time
   adjoint, bit-identical to the recorded graph but without per-step graph
@@ -22,9 +21,7 @@ experiments rely on:
 * :mod:`repro.snn.metrics` — firing-rate and spike-count monitors used for
   the energy analysis in Fig. 1 and Table I;
 * :mod:`repro.snn.mac` — multiply-accumulate (MAC) and synaptic-operation
-  estimators quantifying the DSC-vs-ASC energy trade-off;
-* :mod:`repro.snn.conversion` — utilities converting an ANN module tree into
-  its spiking counterpart (ReLU -> LIF).
+  estimators quantifying the DSC-vs-ASC energy trade-off.
 """
 
 from repro.snn.surrogate import (
@@ -36,21 +33,8 @@ from repro.snn.surrogate import (
     get_surrogate,
     spike_function,
 )
-from repro.snn.neurons import (
-    ALIFNeuron,
-    IFNeuron,
-    LeakyIntegrator,
-    LIFNeuron,
-    SpikingNeuron,
-    SynapticNeuron,
-)
-from repro.snn.encoding import (
-    ConstantCurrentEncoder,
-    LatencyEncoder,
-    RateEncoder,
-    RepeatEncoder,
-    SpikeEncoder,
-)
+from repro.snn.neurons import LeakyIntegrator, LIFNeuron, SpikingNeuron
+from repro.snn.encoding import ConstantCurrentEncoder, RepeatEncoder, SpikeEncoder
 from repro.snn.temporal import TemporalRunner, reset_states, run_temporal
 from repro.snn.fused_step import (
     aggregate_fused_counters,
@@ -64,13 +48,6 @@ from repro.snn.fused_step import (
 )
 from repro.snn.metrics import FiringRateMonitor, SpikeStatistics, average_firing_rate
 from repro.snn.mac import MACCounter, estimate_block_macs, estimate_energy, estimate_model_macs
-from repro.snn.conversion import convert_relu_to_lif, spiking_copy
-from repro.snn.losses import (
-    FiringRateRegularizer,
-    SpikeCountCrossEntropy,
-    SpikeCountMSE,
-    SpikeRateCrossEntropy,
-)
 
 __all__ = [
     "ATanSurrogate",
@@ -80,15 +57,10 @@ __all__ = [
     "TriangularSurrogate",
     "get_surrogate",
     "spike_function",
-    "ALIFNeuron",
-    "IFNeuron",
     "LeakyIntegrator",
     "LIFNeuron",
     "SpikingNeuron",
-    "SynapticNeuron",
     "ConstantCurrentEncoder",
-    "LatencyEncoder",
-    "RateEncoder",
     "RepeatEncoder",
     "SpikeEncoder",
     "TemporalRunner",
@@ -109,10 +81,4 @@ __all__ = [
     "estimate_block_macs",
     "estimate_energy",
     "estimate_model_macs",
-    "convert_relu_to_lif",
-    "spiking_copy",
-    "FiringRateRegularizer",
-    "SpikeCountCrossEntropy",
-    "SpikeCountMSE",
-    "SpikeRateCrossEntropy",
 ]

@@ -2,9 +2,10 @@
 
 Static image datasets (CIFAR-10) must be turned into a temporal sequence
 before a spiking network can consume them.  The paper (via snnTorch) uses rate
-coding with ``num_steps = 25``; we additionally provide latency coding,
-constant-current (direct) coding and plain repetition, plus a pass-through
-path for data that is already temporal (the DVS event-frame datasets).
+coding with ``num_steps = 25``; this reproduction feeds static images as a
+constant current (direct coding, :class:`ConstantCurrentEncoder`) and passes
+data that is already temporal (the DVS event-frame datasets) through
+:class:`EventFrameEncoder`.
 
 All encoders map an input batch of shape ``(N, C, H, W)`` (or ``(N, F)``) to a
 sequence ``[x_1, ..., x_T]`` of tensors with the same shape, consumed one step
@@ -18,7 +19,6 @@ from typing import Iterator, List, Optional
 import numpy as np
 
 from repro.tensor import Tensor
-from repro.tensor.random import default_rng
 
 
 class SpikeEncoder:
@@ -35,52 +35,6 @@ class SpikeEncoder:
 
     def __call__(self, batch: np.ndarray) -> List[Tensor]:
         return [Tensor(step) for step in self.encode(np.asarray(batch, dtype=np.float64))]
-
-
-class RateEncoder(SpikeEncoder):
-    """Poisson/Bernoulli rate coding.
-
-    Each pixel intensity in ``[0, 1]`` is treated as a per-step firing
-    probability; the encoder draws independent Bernoulli spikes at every step.
-    This is ``snntorch.spikegen.rate``.
-    """
-
-    def __init__(self, num_steps: int, gain: float = 1.0, rng=None) -> None:
-        super().__init__(num_steps)
-        if gain <= 0:
-            raise ValueError(f"gain must be positive, got {gain}")
-        self.gain = float(gain)
-        self._rng = default_rng(rng)
-
-    def encode(self, batch: np.ndarray) -> List[np.ndarray]:
-        probabilities = np.clip(batch * self.gain, 0.0, 1.0)
-        return [
-            (self._rng.random(probabilities.shape) < probabilities).astype(batch.dtype)
-            for _ in range(self.num_steps)
-        ]
-
-
-class LatencyEncoder(SpikeEncoder):
-    """Latency (time-to-first-spike) coding.
-
-    Brighter pixels spike earlier; each input location emits exactly one spike
-    during the window (or none if its intensity is below ``threshold``).
-    """
-
-    def __init__(self, num_steps: int, threshold: float = 0.01) -> None:
-        super().__init__(num_steps)
-        self.threshold = float(threshold)
-
-    def encode(self, batch: np.ndarray) -> List[np.ndarray]:
-        clipped = np.clip(batch, 0.0, 1.0)
-        # Map intensity 1 -> step 0, intensity ~0 -> last step.
-        spike_times = np.round((1.0 - clipped) * (self.num_steps - 1)).astype(int)
-        silent = clipped < self.threshold
-        steps = []
-        for t in range(self.num_steps):
-            frame = ((spike_times == t) & ~silent).astype(batch.dtype)
-            steps.append(frame)
-        return steps
 
 
 class ConstantCurrentEncoder(SpikeEncoder):

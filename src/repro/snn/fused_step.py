@@ -5,8 +5,7 @@ for an unrolled SNN that is tens of thousands of closures, intermediate
 tensors and ``O(T x layers)`` allocations per training step.  This module
 replaces the whole unrolled step for the architectures the experiments
 actually train (:class:`~repro.models.template.SkipConnectionNetwork` built
-from stem / DAG blocks / transitions / classifier head with LIF-family
-neurons) by
+from stem / DAG blocks / transitions / classifier head with LIF neurons) by
 
 * one **fused forward** that walks the time loop with plain NumPy calls,
   stashing only the *minimal residuals* the backward pass needs (padded conv
@@ -45,9 +44,9 @@ impossible) or ``"off"``.  Routing is tallied in per-thread
 ``fused_steps``/``fallback_steps`` counters and process-wide aggregates that
 worker processes merge back into their parent (see
 :class:`repro.core.async_eval.AsyncEvaluationExecutor`).  Anything the
-kernel does not cover — non-:class:`SkipConnectionNetwork` models, synaptic
-(second-order) neurons, truncated BPTT, eval-mode batch norm, active spike
-recording — falls back to the recorded-graph path, which stays the reference.
+kernel does not cover — non-:class:`SkipConnectionNetwork` models,
+eval-mode batch norm, active spike recording — falls back to the
+recorded-graph path, which stays the reference.
 
 Aliasing and lifetime
 ---------------------
@@ -56,7 +55,7 @@ Each kernel owns its residual stash and channel-major scratches: they are
 allocated on its first forward, reused by its later steps, and belong to no
 process-wide pool, so two runners training interleaved never share storage.
 Nothing that escapes a step may alias them — module states written back after
-a fused forward (membrane, previous spikes, adaptation, readout membrane) are
+a fused forward (membrane, previous spikes, readout membrane) are
 the freshly allocated update arrays, and the returned score tensor owns its
 data.  One kernel instance serves one runner on one thread at a time; a
 second fused forward before ``backward()`` invalidates the first step's
@@ -212,13 +211,13 @@ class _CBN:
 
     __slots__ = ("op", "norm", "neuron", "index", "decay", "reset")
 
-    def __init__(self, op: _ConvOp, norm, neuron, index: int, decay) -> None:
+    def __init__(self, op: _ConvOp, norm, neuron, index: int) -> None:
         self.op = op
         self.norm = norm
         self.neuron = neuron
         self.index = index
-        #: membrane decay factor (``None`` for the non-leaky IF neuron)
-        self.decay = decay
+        #: membrane decay factor
+        self.decay = neuron.beta
         self.reset = neuron.reset_mechanism
 
 
@@ -254,13 +253,12 @@ class _Unit:
 class _FusedPlan:
     """Everything the kernel needs, resolved once per (model, runner) pair."""
 
-    def __init__(self, model, units, cbns, fc, integrator, readout: str) -> None:
+    def __init__(self, model, units, cbns, fc, integrator) -> None:
         self.model = model
         self.units = units
         self.cbns = cbns
         self.fc = fc
         self.integrator = integrator
-        self.readout = readout
 
     def runtime_blocker(self) -> Optional[str]:
         """Per-call disqualifiers that cheap structural compilation can't see."""
@@ -283,11 +281,9 @@ def _compile(runner):
     from repro.models.blocks import ClassifierHead, DAGBlock, Stem, TransitionLayer, _DAGLayer
     from repro.models.template import SkipConnectionNetwork
     from repro.nn.layers import AvgPool2d, BatchNorm2d, Conv2d, Linear
-    from repro.snn.neurons import ALIFNeuron, IFNeuron, LeakyIntegrator, LIFNeuron
+    from repro.snn.neurons import LeakyIntegrator, LIFNeuron
 
     model = runner.model
-    if runner.truncation:
-        return "truncated BPTT (truncation detach points) is not supported"
     if type(model) is not SkipConnectionNetwork:
         return f"model type {type(model).__name__} is not a SkipConnectionNetwork"
     if not model.spiking:
@@ -310,14 +306,9 @@ def _compile(runner):
         if type(holder.norm) is not BatchNorm2d:
             return f"{context}: norm is not BatchNorm2d"
         neuron = holder.activation
-        kind = type(neuron)
-        if kind is IFNeuron:
-            decay = None
-        elif kind is LIFNeuron or kind is ALIFNeuron:
-            decay = neuron.beta
-        else:
-            return f"{context}: activation {kind.__name__} is not a fused neuron type"
-        cbn = _CBN(op, holder.norm, neuron, len(cbns), decay)
+        if type(neuron) is not LIFNeuron:
+            return f"{context}: activation {type(neuron).__name__} is not a LIFNeuron"
+        cbn = _CBN(op, holder.norm, neuron, len(cbns))
         cbns.append(cbn)
         return cbn
 
@@ -394,12 +385,12 @@ def _compile(runner):
     if head.readout is not None and type(head.readout) is not LeakyIntegrator:
         return "head readout is not a LeakyIntegrator"
 
-    return _FusedPlan(model, units, cbns, head.fc, head.readout, runner.readout)
+    return _FusedPlan(model, units, cbns, head.fc, head.readout)
 
 
 def _kernel_for(runner):
     """The runner's cached kernel (compiled on first use), or a rejection reason."""
-    signature = (id(runner.model), runner.num_steps, runner.readout, runner.truncation)
+    signature = (id(runner.model), runner.num_steps)
     cached = getattr(runner, "_fused_kernel", None)
     if cached is not None and cached[0] == signature:
         return cached[1]
@@ -593,17 +584,12 @@ class _FusedKernel:
                 integrator_state = out
             else:
                 out = logits
-            if plan.readout != "membrane_last":
-                total = out if total is None else total + out
+            total = out if total is None else total + out
         if self._int_beta is None and plan.integrator is not None:
             self._int_beta = np.asarray(plan.integrator.beta, dtype=out.dtype)
 
-        if plan.readout == "membrane_last":
-            score_data = out
-        elif plan.readout == "spike_count":
-            score_data = total
-        else:  # membrane_mean / spike_rate
-            score_data = total / np.asarray(float(self._num_steps), dtype=total.dtype)
+        # the membrane-mean readout: score = total / num_steps
+        score_data = total / np.asarray(float(self._num_steps), dtype=total.dtype)
         self._score_dtype = score_data.dtype
 
         self._write_back_states(integrator_state)
@@ -767,13 +753,8 @@ class _FusedKernel:
         """
         plan = self.plan
         num_steps = self._num_steps
-        readout = plan.readout
-        if readout == "membrane_last":
-            seed = None
-        elif readout == "spike_count":
-            seed = g_score
-        else:  # membrane_mean / spike_rate: score = total / num_steps
-            seed = g_score / np.asarray(float(num_steps), dtype=self._score_dtype)
+        # membrane-mean readout: score = total / num_steps
+        seed = g_score / np.asarray(float(num_steps), dtype=self._score_dtype)
         self._ncarry: List[Optional[np.ndarray]] = [None] * len(plan.cbns)
         carry_out = None
 
@@ -783,10 +764,7 @@ class _FusedKernel:
 
         for t in range(num_steps - 1, -1, -1):
             # ---- head: integrator -> linear -> global average pool
-            if readout == "membrane_last":
-                g_out = g_score if t == num_steps - 1 else carry_out
-            else:
-                g_out = seed if carry_out is None else carry_out + seed
+            g_out = seed if carry_out is None else carry_out + seed
             if plan.integrator is not None and t > 0:
                 carry_out = g_out * self._int_beta
             g_logits = g_out
@@ -835,14 +813,9 @@ class _FusedKernel:
         if carry is not None:
             g_membrane += carry
         if t > 0:
-            if cbn.decay is None:
-                # integrate is a plain add, so the carry is the membrane grad
-                # itself — copied, because the scratch is rewritten at t - 1
-                g_inner = g_membrane.copy()
-            else:
-                # the decay in the forward dtype, as the graph's scalar operand
-                dtype = self._nstate[cbn.index]["membrane"].dtype
-                g_inner = g_membrane * dtype.type(cbn.decay)
+            # the decay in the forward dtype, as the graph's scalar operand
+            dtype = self._nstate[cbn.index]["membrane"].dtype
+            g_inner = g_membrane * dtype.type(cbn.decay)
             if cbn.reset == "zero":
                 g_inner = g_inner * (1.0 - self.stashed(f"n{cbn.index}.spikes", t - 1))
             # reset terms are detached, so the subtract reset carries unchanged

@@ -50,10 +50,10 @@ class SpikingNeuron(Module):
 
     Subclasses implement :meth:`dynamics` and list the attributes carrying
     their temporal state in :attr:`state_names`.  The base class runs the
-    step in grad or no-grad mode, handles state reset, detachment (for
-    truncated BPTT) and the running spike-rate bookkeeping used by the
-    firing-rate monitors (rates are maintained as running sums while
-    recording, so a query never re-reduces the whole :attr:`spike_record`).
+    step in grad or no-grad mode, handles state reset and the running
+    spike-rate bookkeeping used by the firing-rate monitors (rates are
+    maintained as running sums while recording, so a query never re-reduces
+    the whole :attr:`spike_record`).
     """
 
     #: attributes holding the temporal state (``None`` at a sequence start);
@@ -152,13 +152,6 @@ class SpikingNeuron(Module):
         self._spike_sum = 0.0
         self._record_steps = 0
 
-    def detach_state(self) -> None:
-        """Cut the state from the autodiff graph (truncated BPTT boundary)."""
-        for name in self.state_names:
-            value = getattr(self, name)
-            if value is not None:
-                setattr(self, name, value.detach())
-
     def _record(self, spikes_data) -> None:
         """Record one step: update the running sums, optionally keep the array."""
         if self.record_history:
@@ -232,140 +225,6 @@ class LIFNeuron(SpikingNeuron):
         )
 
 
-class IFNeuron(SpikingNeuron):
-    """Non-leaky integrate-and-fire neuron (``beta = 1``)."""
-
-    def __init__(
-        self,
-        threshold: float = 1.0,
-        surrogate: SurrogateGradient | str = "fast_sigmoid",
-        reset_mechanism: str = "subtract",
-    ) -> None:
-        super().__init__(threshold=threshold, surrogate=surrogate, reset_mechanism=reset_mechanism)
-
-    def dynamics(self, state, drive):
-        membrane = state["membrane"]
-        if membrane is None:
-            membrane = drive
-        else:
-            membrane = self._reset(membrane, state["previous_spikes"]) + drive
-        return {"membrane": membrane}, membrane
-
-    def extra_repr(self) -> str:
-        return f"threshold={self.threshold}, reset={self.reset_mechanism!r}"
-
-
-class ALIFNeuron(SpikingNeuron):
-    """Adaptive leaky integrate-and-fire neuron (threshold adaptation).
-
-    On top of the LIF dynamics the firing threshold increases by ``adaptation``
-    after every emitted spike and decays back towards the base threshold with
-    factor ``adaptation_decay``:
-
-        theta[t] = threshold + a[t]
-        a[t]     = adaptation_decay * a[t-1] + adaptation * S[t-1]
-
-    Threshold adaptation is the standard mechanism for keeping firing rates
-    sparse without hand-tuning the static threshold — directly relevant to the
-    energy/accuracy trade-off the paper discusses, and useful as a drop-in
-    replacement for :class:`LIFNeuron` in the templates (pass a custom
-    ``NeuronConfig``-like factory).
-    """
-
-    state_names = SpikingNeuron.state_names + ("_adaptive_component",)
-
-    def __init__(
-        self,
-        beta: float = 0.9,
-        threshold: float = 1.0,
-        adaptation: float = 0.2,
-        adaptation_decay: float = 0.9,
-        surrogate: SurrogateGradient | str = "fast_sigmoid",
-        reset_mechanism: str = "subtract",
-    ) -> None:
-        super().__init__(threshold=threshold, surrogate=surrogate, reset_mechanism=reset_mechanism)
-        if not 0.0 < beta <= 1.0:
-            raise ValueError(f"beta must be in (0, 1], got {beta}")
-        if adaptation < 0:
-            raise ValueError(f"adaptation must be non-negative, got {adaptation}")
-        if not 0.0 <= adaptation_decay < 1.0:
-            raise ValueError(f"adaptation_decay must be in [0, 1), got {adaptation_decay}")
-        self.beta = float(beta)
-        self.adaptation = float(adaptation)
-        self.adaptation_decay = float(adaptation_decay)
-        #: threshold adaptation ``a[t]``, built from detached spikes (never
-        #: part of the autodiff graph); ``None`` while it is still zero
-        self._adaptive_component: Optional[Tensor] = None
-
-    def dynamics(self, state, drive):
-        membrane, spikes = state["membrane"], state["previous_spikes"]
-        if membrane is None:
-            membrane = drive
-        else:
-            membrane = self._reset(membrane, spikes) * self.beta + drive
-        # a zero adaptation is carried as None: adding the first spike kick
-        # to it, or subtracting it from the membrane, is exact either way
-        adaptive = state["_adaptive_component"]
-        if adaptive is not None:
-            adaptive = self.adaptation_decay * adaptive
-        if spikes is not None:
-            kick = self.adaptation * spikes
-            adaptive = kick if adaptive is None else adaptive + kick
-        # the adaptation shifts the input of the spike function
-        spike_input = membrane if adaptive is None else membrane - adaptive
-        return {"membrane": membrane, "_adaptive_component": adaptive}, spike_input
-
-    def extra_repr(self) -> str:
-        return (
-            f"beta={self.beta}, threshold={self.threshold}, adaptation={self.adaptation}, "
-            f"adaptation_decay={self.adaptation_decay}"
-        )
-
-
-class SynapticNeuron(SpikingNeuron):
-    """Second-order (synaptic conductance) LIF neuron (snnTorch ``Synaptic``).
-
-    The synaptic current is itself a decaying state variable:
-
-        I[t] = alpha * I[t-1] + X[t]
-        U[t] = beta * U[t-1] + I[t] - reset_term
-
-    which low-pass-filters the input spikes and produces smoother membrane
-    trajectories — often easier to train on event data with sparse frames.
-    """
-
-    state_names = SpikingNeuron.state_names + ("current",)
-
-    def __init__(
-        self,
-        alpha: float = 0.8,
-        beta: float = 0.9,
-        threshold: float = 1.0,
-        surrogate: SurrogateGradient | str = "fast_sigmoid",
-        reset_mechanism: str = "subtract",
-    ) -> None:
-        super().__init__(threshold=threshold, surrogate=surrogate, reset_mechanism=reset_mechanism)
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if not 0.0 < beta <= 1.0:
-            raise ValueError(f"beta must be in (0, 1], got {beta}")
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        self.current: Optional[Tensor] = None
-
-    def dynamics(self, state, drive):
-        current, membrane = state["current"], state["membrane"]
-        current = drive if current is None else current * self.alpha + drive
-        if membrane is None:
-            membrane = current
-        else:
-            membrane = self._reset(membrane, state["previous_spikes"]) * self.beta + current
-        return {"membrane": membrane, "current": current}, membrane
-
-    def extra_repr(self) -> str:
-        return f"alpha={self.alpha}, beta={self.beta}, threshold={self.threshold}"
-
-
 class LeakyIntegrator(Module):
     """Non-spiking leaky integrator used as the network readout.
 
@@ -385,11 +244,6 @@ class LeakyIntegrator(Module):
     def reset_state(self) -> None:
         """Clear the accumulated membrane potential."""
         self.membrane = None
-
-    def detach_state(self) -> None:
-        """Cut the membrane from the autodiff graph."""
-        if self.membrane is not None:
-            self.membrane = self.membrane.detach()
 
     def forward(self, synaptic_input: Tensor) -> Tensor:
         if self.membrane is None:

@@ -11,12 +11,11 @@ this environment we implement the required machinery from scratch:
   every op's forward and vjp explicitly, shared by graph autograd, the
   graph-free inference path and the fused temporal training kernels.
 * :mod:`repro.tensor.ops` — differentiable primitives (arithmetic, matmul,
-  reductions, reshaping, concatenation, indexing, nonlinearities), each one
+  reductions, reshaping, concatenation, relu, log-softmax), each one
   :func:`~repro.tensor.primitives.apply` call on the primitive IR.
-* :mod:`repro.tensor.conv` — im2col-based 2-D convolution and pooling with
-  hand-written backward passes (the hot path of every experiment).
-* :mod:`repro.tensor.gradcheck` — finite-difference gradient checking used by
-  the test-suite to validate every primitive.
+* :mod:`repro.tensor.conv` — im2col-based 2-D convolution and average
+  pooling with hand-written backward passes (the hot path of every
+  experiment).
 * :mod:`repro.tensor.blas` — thread control for the loaded OpenBLAS
   libraries: every search process runs BLAS on one thread.
 
@@ -30,36 +29,21 @@ from repro.tensor.workspace import WorkspacePool, clear_workspaces
 from repro.tensor import ops
 from repro.tensor.ops import (
     add,
-    broadcast_to,
     concat,
-    clip,
     div,
-    dropout_mask,
-    exp,
-    getitem,
-    log,
     log_softmax,
     matmul,
-    maximum,
     mean,
-    minimum,
     mul,
     neg,
-    pad2d,
     power,
     relu,
     reshape,
-    sigmoid,
-    softmax,
-    stack,
     sub,
     sum as tensor_sum,
-    tanh,
     transpose,
-    where,
 )
-from repro.tensor.conv import avg_pool2d, conv2d, global_avg_pool2d, max_pool2d
-from repro.tensor.gradcheck import check_primitive, gradcheck, numerical_gradient
+from repro.tensor.conv import avg_pool2d, conv2d, global_avg_pool2d
 from repro.tensor.primitives import Primitive, all_primitives, apply, get_primitive, register
 from repro.tensor.random import default_rng, seed_everything
 
@@ -72,40 +56,22 @@ __all__ = [
     "clear_workspaces",
     "ops",
     "add",
-    "broadcast_to",
     "concat",
-    "clip",
     "div",
-    "dropout_mask",
-    "exp",
-    "getitem",
-    "log",
     "log_softmax",
     "matmul",
-    "maximum",
     "mean",
-    "minimum",
     "mul",
     "neg",
-    "pad2d",
     "power",
     "relu",
     "reshape",
-    "sigmoid",
-    "softmax",
-    "stack",
     "sub",
     "tensor_sum",
-    "tanh",
     "transpose",
-    "where",
     "avg_pool2d",
     "conv2d",
     "global_avg_pool2d",
-    "max_pool2d",
-    "gradcheck",
-    "check_primitive",
-    "numerical_gradient",
     "Primitive",
     "register",
     "get_primitive",

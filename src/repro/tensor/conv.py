@@ -114,24 +114,22 @@ def _col2im(
     return padded[:, :, ph : ph + h, pw : pw + w]
 
 
-def _padded_workspace(
-    x: np.ndarray, ph: int, pw: int, key: str, fill: float = 0.0
-) -> np.ndarray:
-    """Copy ``x`` into a pooled padded buffer whose border holds ``fill``.
+def _padded_workspace(x: np.ndarray, ph: int, pw: int, key: str) -> np.ndarray:
+    """Copy ``x`` into a pooled zero-bordered padded buffer.
 
     The pool key is qualified by the full geometry, so every distinct padded
     layer of a model owns its buffer: after a layer's first call, its border
-    cells still hold ``fill`` (only the interior is ever overwritten) and the
+    cells are still zero (only the interior is ever overwritten) and the
     per-step cost is the interior copy alone — even when many layers with
     different geometries interleave within one simulation step.
     """
     n, c, h, w = x.shape
-    signature = (n, c, h, w, ph, pw, fill)
+    signature = (n, c, h, w, ph, pw)
     padded, matched = workspace(
         f"{key}:{signature}", (n, c, h + 2 * ph, w + 2 * pw), x.dtype, signature=signature
     )
     if not matched:
-        padded[...] = fill
+        padded[...] = 0.0
     padded[:, :, ph : ph + h, pw : pw + w] = x
     return padded
 
@@ -197,7 +195,7 @@ def _conv2d_infer(
 
 
 # ---------------------------------------------------------------------------
-# primitives: conv2d / max_pool2d / avg_pool2d
+# primitives: conv2d / avg_pool2d
 # ---------------------------------------------------------------------------
 
 def _conv2d_fwd(*arrays, want_ctx=False, stride, padding, groups):
@@ -297,55 +295,11 @@ CONV2D = register(
 )
 
 
-def _max_pool2d_fwd(x, want_ctx=False, *, kernel, stride, padding):
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    n, c, h, w = x.shape
-    out_h, out_w = conv_output_shape(h, w, (kh, kw), (sh, sw), (ph, pw))
-    if not want_ctx:
-        # reduce the window view directly: no argmax map, no window copy
-        padded = _padded_workspace(x, ph, pw, "max_pool2d.pad", fill=-np.inf) if ph or pw else x
-        return _im2col_view(padded, kh, kw, sh, sw, out_h, out_w).max(axis=(2, 3)), None
-    if ph or pw:
-        padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
-    else:
-        padded = x
-    col = _im2col_view(padded, kh, kw, sh, sw, out_h, out_w)
-    col_flat = col.reshape(n, c, kh * kw, out_h, out_w)
-    arg = col_flat.argmax(axis=2)
-    out = np.take_along_axis(col_flat, arg[:, :, None], axis=2)[:, :, 0]
-    return out, (arg, (n, c, h, w, kh, kw, sh, sw, ph, pw, out_h, out_w))
-
-
-def _max_pool2d_vjp(ctx, g, needs, *, kernel, stride, padding):
-    if not needs[0]:
-        return (None,)
-    arg, (n, c, h, w, kh, kw, sh, sw, ph, pw, out_h, out_w) = ctx
-    grad_col = np.zeros((n, c, kh * kw, out_h, out_w), dtype=np.float64)
-    np.put_along_axis(grad_col, arg[:, :, None], g[:, :, None], axis=2)
-    grad_col = grad_col.reshape(n, c, kh, kw, out_h, out_w)
-    return (_col2im(grad_col, (n, c, h, w), kh, kw, sh, sw, ph, pw),)
-
-
 def _pool_sample(shape, **params):
     def make(rng, dtype):
         return (rng.standard_normal(shape).astype(dtype, copy=False),), dict(params)
 
     return make
-
-
-MAX_POOL2D = register(
-    Primitive(
-        "max_pool2d",
-        forward=_max_pool2d_fwd,
-        vjp=_max_pool2d_vjp,
-        samples=[
-            _pool_sample((2, 3, 6, 6), kernel=(2, 2), stride=(2, 2), padding=(0, 0)),
-            _pool_sample((2, 3, 5, 5), kernel=(3, 3), stride=(2, 2), padding=(1, 1)),
-        ],
-    )
-)
 
 
 def _avg_pool2d_fwd(x, want_ctx=False, *, kernel, stride, padding):
@@ -435,13 +389,6 @@ def conv2d(
             op.set(shape=f"{n}x{c_in}x{h}x{w}->{c_out}x{out_h}x{out_w}")
         parents = [p for p in (x, weight, bias) if p is not None]
         return _apply(CONV2D, parents, stride=(sh, sw), padding=(ph, pw), groups=groups)
-
-
-def max_pool2d(x, kernel_size: IntOrPair, stride: IntOrPair = None, padding: IntOrPair = 0) -> Tensor:
-    """2-D max pooling over an NCHW tensor."""
-    kernel = _pair(kernel_size)
-    stride = kernel if stride is None else _pair(stride)
-    return _apply(MAX_POOL2D, (ensure_tensor(x),), kernel=kernel, stride=stride, padding=_pair(padding))
 
 
 def avg_pool2d(x, kernel_size: IntOrPair, stride: IntOrPair = None, padding: IntOrPair = 0) -> Tensor:

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.tensor import primitives as P
 from repro.tensor.primitives import apply as _apply
-from repro.tensor.tensor import Tensor, _as_array, ensure_tensor, graph_free
+from repro.tensor.tensor import Tensor, ensure_tensor, graph_free
 from repro.trace import ops_span
 
 Axis = Union[None, int, Tuple[int, ...]]
@@ -89,50 +89,9 @@ def matmul(a, b) -> Tensor:
 # elementwise nonlinearities
 # ---------------------------------------------------------------------------
 
-def exp(a) -> Tensor:
-    """Elementwise exponential."""
-    return _apply(P.EXP, (ensure_tensor(a),))
-
-
-def log(a) -> Tensor:
-    """Elementwise natural logarithm."""
-    return _apply(P.LOG, (ensure_tensor(a),))
-
-
-def tanh(a) -> Tensor:
-    """Elementwise hyperbolic tangent."""
-    return _apply(P.TANH, (ensure_tensor(a),))
-
-
-def sigmoid(a) -> Tensor:
-    """Numerically stable elementwise logistic sigmoid."""
-    return _apply(P.SIGMOID, (ensure_tensor(a),))
-
-
 def relu(a) -> Tensor:
     """Elementwise rectified linear unit."""
     return _apply(P.RELU, (ensure_tensor(a),))
-
-
-def clip(a, low: float, high: float) -> Tensor:
-    """Clamp values to ``[low, high]``; gradient is zero outside the range."""
-    return _apply(P.CLIP, (ensure_tensor(a),), low=low, high=high)
-
-
-def maximum(a, b) -> Tensor:
-    """Elementwise maximum; gradient routed to the winning input (ties split)."""
-    return _apply(P.MAXIMUM, _ensure_pair(a, b))
-
-
-def minimum(a, b) -> Tensor:
-    """Elementwise minimum; gradient routed to the winning input (ties split)."""
-    return _apply(P.MINIMUM, _ensure_pair(a, b))
-
-
-def where(condition, a, b) -> Tensor:
-    """Select ``a`` where ``condition`` else ``b``; condition is non-differentiable."""
-    cond = _as_array(condition).astype(bool)
-    return _apply(P.WHERE, (ensure_tensor(a), ensure_tensor(b)), cond=cond)
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +108,6 @@ def mean(a, axis: Axis = None, keepdims: bool = False) -> Tensor:
     return _apply(P.MEAN, (ensure_tensor(a),), axis=axis, keepdims=keepdims)
 
 
-def max(a, axis: Axis = None, keepdims: bool = False) -> Tensor:
-    """Maximum over ``axis``; gradient flows to (all) argmax positions."""
-    return _apply(P.MAX, (ensure_tensor(a),), axis=axis, keepdims=keepdims)
-
-
 # ---------------------------------------------------------------------------
 # shape manipulation
 # ---------------------------------------------------------------------------
@@ -168,53 +122,15 @@ def transpose(a, axes: Optional[Sequence[int]] = None) -> Tensor:
     return _apply(P.TRANSPOSE, (ensure_tensor(a),), axes=axes)
 
 
-def broadcast_to(a, shape: Sequence[int]) -> Tensor:
-    """Broadcast to ``shape``; backward sums over expanded axes."""
-    return _apply(P.BROADCAST_TO, (ensure_tensor(a),), shape=shape)
-
-
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` — the DSC (DenseNet-like) skip primitive."""
     return _apply(P.CONCAT, [ensure_tensor(t) for t in tensors], axis=axis)
-
-
-def stack(tensors: Sequence, axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis (used to collect per-time-step outputs)."""
-    return _apply(P.STACK, [ensure_tensor(t) for t in tensors], axis=axis)
-
-
-def getitem(a, index) -> Tensor:
-    """Differentiable indexing/slicing."""
-    return _apply(P.GETITEM, (ensure_tensor(a),), index=index)
-
-
-def pad2d(a, padding: int) -> Tensor:
-    """Zero-pad the last two (spatial) axes of an NCHW tensor."""
-    a = ensure_tensor(a)
-    if padding == 0:
-        return a
-    return _apply(P.PAD2D, (a,), padding=padding)
 
 
 # ---------------------------------------------------------------------------
 # composite ops
 # ---------------------------------------------------------------------------
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    return _apply(P.SOFTMAX, (ensure_tensor(a),), axis=axis)
-
-
 def log_softmax(a, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
     return _apply(P.LOG_SOFTMAX, (ensure_tensor(a),), axis=axis)
-
-
-def dropout_mask(a, drop_probability: float, rng: np.random.Generator) -> Tensor:
-    """Apply inverted dropout using ``rng``; identity when ``drop_probability<=0``."""
-    a = ensure_tensor(a)
-    if drop_probability <= 0.0:
-        return a
-    keep = 1.0 - drop_probability
-    mask = (rng.random(a.shape) < keep).astype(np.float64) / keep
-    return _apply(P.DROPOUT, (a,), mask=mask)

@@ -136,9 +136,9 @@ def _record(primitive: Primitive, inputs: Sequence[Tensor], params) -> Tensor:
 def _away(values: Array, *points: float, margin: float = 1e-3) -> Array:
     """Shift entries lying within ``margin`` of a non-smooth point past it.
 
-    Finite differences are meaningless straddling a kink (relu at 0, clip at
-    its bounds); nudging the offending entries keeps samples well-posed
-    without changing their distribution meaningfully.
+    Finite differences are meaningless straddling a kink (relu at 0);
+    nudging the offending entries keeps samples well-posed without changing
+    their distribution meaningfully.
     """
     for point in points:
         values = values + (np.abs(values - point) < margin) * (2.0 * margin)
@@ -156,7 +156,7 @@ def _sample(shapes: Sequence[Tuple[int, ...]], **params):
 
 
 def _positive_sample(shapes: Sequence[Tuple[int, ...]], **params):
-    """Inputs bounded away from zero from above (for log / div / power)."""
+    """Inputs bounded away from zero from above (for div / power)."""
 
     def make(rng: np.random.Generator, dtype):
         inputs = tuple(
@@ -324,64 +324,6 @@ MATMUL = register(
 # elementwise nonlinearities
 # ---------------------------------------------------------------------------
 
-def _exp_fwd(a, want_ctx=False):
-    out = np.exp(a)
-    return out, ((out,) if want_ctx else None)
-
-
-def _exp_vjp(ctx, g, needs):
-    (out,) = ctx
-    return ((g * out) if needs[0] else None,)
-
-
-EXP = register(Primitive("exp", forward=_exp_fwd, vjp=_exp_vjp, samples=[_sample([(3, 4)])]))
-
-
-def _log_fwd(a, want_ctx=False):
-    out = np.log(a)
-    return out, ((a,) if want_ctx else None)
-
-
-def _log_vjp(ctx, g, needs):
-    (a,) = ctx
-    return ((g / a) if needs[0] else None,)
-
-
-LOG = register(Primitive("log", forward=_log_fwd, vjp=_log_vjp, samples=[_positive_sample([(3, 4)])]))
-
-
-def _tanh_fwd(a, want_ctx=False):
-    out = np.tanh(a)
-    return out, ((out,) if want_ctx else None)
-
-
-def _tanh_vjp(ctx, g, needs):
-    (out,) = ctx
-    return ((g * (1.0 - out ** 2)) if needs[0] else None,)
-
-
-TANH = register(Primitive("tanh", forward=_tanh_fwd, vjp=_tanh_vjp, samples=[_sample([(3, 4)])]))
-
-
-def _sigmoid_fwd(a, want_ctx=False):
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ex = np.exp(a[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out, ((out,) if want_ctx else None)
-
-
-def _sigmoid_vjp(ctx, g, needs):
-    (out,) = ctx
-    return ((g * out * (1.0 - out)) if needs[0] else None,)
-
-
-SIGMOID = register(
-    Primitive("sigmoid", forward=_sigmoid_fwd, vjp=_sigmoid_vjp, samples=[_sample([(3, 4)])])
-)
-
-
 def _relu_fwd(a, want_ctx=False):
     mask = a > 0
     out = a * mask
@@ -398,93 +340,6 @@ def _relu_sample(rng, dtype):
 
 
 RELU = register(Primitive("relu", forward=_relu_fwd, vjp=_relu_vjp, samples=[_relu_sample]))
-
-
-def _clip_fwd(a, want_ctx=False, *, low, high):
-    out = np.clip(a, low, high)
-    if not want_ctx:
-        return out, None
-    return out, ((a >= low) & (a <= high),)
-
-
-def _clip_vjp(ctx, g, needs, *, low, high):
-    (mask,) = ctx
-    return ((g * mask) if needs[0] else None,)
-
-
-def _clip_sample(rng, dtype):
-    values = _away(rng.standard_normal((3, 4)), -0.7, 0.7)
-    return (values.astype(dtype, copy=False),), {"low": -0.7, "high": 0.7}
-
-
-CLIP = register(Primitive("clip", forward=_clip_fwd, vjp=_clip_vjp, samples=[_clip_sample]))
-
-
-def _extrema_ctx(a, b, a_wins):
-    tie = a == b
-    return a_wins, tie, a.shape, b.shape
-
-
-def _maximum_fwd(a, b, want_ctx=False):
-    out = np.maximum(a, b)
-    if not want_ctx:
-        return out, None
-    return out, _extrema_ctx(a, b, a > b)
-
-
-def _minimum_fwd(a, b, want_ctx=False):
-    out = np.minimum(a, b)
-    if not want_ctx:
-        return out, None
-    return out, _extrema_ctx(a, b, a < b)
-
-
-def _extrema_vjp(ctx, g, needs):
-    a_wins, tie, a_shape, b_shape = ctx
-    return (
-        _unbroadcast(g * (a_wins + 0.5 * tie), a_shape) if needs[0] else None,
-        _unbroadcast(g * (~a_wins & ~tie) + g * 0.5 * tie, b_shape) if needs[1] else None,
-    )
-
-
-MAXIMUM = register(
-    Primitive(
-        "maximum",
-        forward=_maximum_fwd,
-        vjp=_extrema_vjp,
-        samples=[_sample([(3, 4), (3, 4)])],
-    )
-)
-
-MINIMUM = register(
-    Primitive(
-        "minimum",
-        forward=_minimum_fwd,
-        vjp=_extrema_vjp,
-        samples=[_sample([(3, 4), (3, 4)])],
-    )
-)
-
-
-def _where_fwd(a, b, want_ctx=False, *, cond):
-    out = np.where(cond, a, b)
-    return out, ((a.shape, b.shape) if want_ctx else None)
-
-
-def _where_vjp(ctx, g, needs, *, cond):
-    a_shape, b_shape = ctx
-    return (
-        _unbroadcast(g * cond, a_shape) if needs[0] else None,
-        _unbroadcast(g * (~cond), b_shape) if needs[1] else None,
-    )
-
-
-def _where_sample(rng, dtype):
-    inputs = tuple(rng.standard_normal((3, 4)).astype(dtype, copy=False) for _ in range(2))
-    return inputs, {"cond": rng.random((3, 4)) > 0.5}
-
-
-WHERE = register(Primitive("where", forward=_where_fwd, vjp=_where_vjp, samples=[_where_sample]))
 
 
 # ---------------------------------------------------------------------------
@@ -567,40 +422,6 @@ MEAN = register(
 )
 
 
-def _max_fwd(a, want_ctx=False, *, axis=None, keepdims=False):
-    out = a.max(axis=axis, keepdims=keepdims)
-    if not want_ctx:
-        return out, None
-    expanded = a.max(axis=axis, keepdims=True)
-    mask = (a == expanded).astype(np.float64)
-    mask_norm = mask / mask.sum(axis=axis, keepdims=True)
-    return out, (mask_norm, a.shape)
-
-
-def _max_vjp(ctx, g, needs, *, axis=None, keepdims=False):
-    if not needs[0]:
-        return (None,)
-    mask_norm, shape = ctx
-    ndim = len(shape)
-    grad = g
-    if not keepdims and axis is not None:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        grad = np.expand_dims(grad, axis=tuple(ax % ndim for ax in axes))
-    elif not keepdims and axis is None:
-        grad = np.asarray(grad).reshape((1,) * ndim)
-    return (np.broadcast_to(grad, shape) * mask_norm,)
-
-
-MAX = register(
-    Primitive(
-        "max",
-        forward=_max_fwd,
-        vjp=_max_vjp,
-        samples=[_sample([(3, 4)]), _sample([(3, 4)], axis=1), _sample([(2, 3, 4)], axis=(1,), keepdims=True)],
-    )
-)
-
-
 # ---------------------------------------------------------------------------
 # shape manipulation
 # ---------------------------------------------------------------------------
@@ -648,26 +469,6 @@ TRANSPOSE = register(
 )
 
 
-def _broadcast_to_fwd(a, want_ctx=False, *, shape):
-    out = np.broadcast_to(a, shape).copy()
-    return out, ((a.shape,) if want_ctx else None)
-
-
-def _broadcast_to_vjp(ctx, g, needs, *, shape):
-    (a_shape,) = ctx
-    return (_unbroadcast(g, a_shape) if needs[0] else None,)
-
-
-BROADCAST_TO = register(
-    Primitive(
-        "broadcast_to",
-        forward=_broadcast_to_fwd,
-        vjp=_broadcast_to_vjp,
-        samples=[_sample([(1, 4)], shape=(3, 4)), _sample([(3, 1)], shape=(3, 5))],
-    )
-)
-
-
 def _concat_fwd(*arrays, want_ctx=False, axis=0):
     out = np.concatenate(arrays, axis=axis)
     if not want_ctx:
@@ -700,105 +501,9 @@ CONCAT = register(
 )
 
 
-def _stack_fwd(*arrays, want_ctx=False, axis=0):
-    out = np.stack(arrays, axis=axis)
-    return out, ((len(arrays),) if want_ctx else None)
-
-
-def _stack_vjp(ctx, g, needs, *, axis=0):
-    (count,) = ctx
-    parts = np.split(g, count, axis=axis)
-    return [
-        np.squeeze(part, axis=axis) if needed else None for part, needed in zip(parts, needs)
-    ]
-
-
-STACK = register(
-    Primitive(
-        "stack",
-        forward=_stack_fwd,
-        vjp=_stack_vjp,
-        samples=[_sample([(2, 3), (2, 3)], axis=0), _sample([(2, 3), (2, 3), (2, 3)], axis=1)],
-    )
-)
-
-
-def _getitem_fwd(a, want_ctx=False, *, index):
-    out = a[index]
-    return out, ((a.shape, a.dtype) if want_ctx else None)
-
-
-def _getitem_vjp(ctx, g, needs, *, index):
-    if not needs[0]:
-        return (None,)
-    shape, dtype = ctx
-    grad = np.zeros(shape, dtype=np.float64)
-    np.add.at(grad, index, g)
-    return (grad,)
-
-
-def _getitem_sample(rng, dtype):
-    values = rng.standard_normal((4, 3)).astype(dtype, copy=False)
-    return (values,), {"index": np.array([0, 2, 2, 1])}
-
-
-GETITEM = register(
-    Primitive("getitem", forward=_getitem_fwd, vjp=_getitem_vjp, samples=[_getitem_sample])
-)
-
-
-def _pad2d_fwd(a, want_ctx=False, *, padding):
-    pad_width = [(0, 0)] * (a.ndim - 2) + [(padding, padding), (padding, padding)]
-    out = np.pad(a, pad_width)
-    return out, ((tuple(pad_width),) if want_ctx else None)
-
-
-def _pad2d_vjp(ctx, g, needs, *, padding):
-    if not needs[0]:
-        return (None,)
-    (pad_width,) = ctx
-    slices = tuple(slice(None) if p == (0, 0) else slice(p[0], -p[1]) for p in pad_width)
-    return (g[slices],)
-
-
-PAD2D = register(
-    Primitive(
-        "pad2d",
-        forward=_pad2d_fwd,
-        vjp=_pad2d_vjp,
-        samples=[_sample([(2, 3, 4, 4)], padding=1)],
-    )
-)
-
-
 # ---------------------------------------------------------------------------
 # composite ops
 # ---------------------------------------------------------------------------
-
-def _softmax_fwd(a, want_ctx=False, *, axis=-1):
-    shifted = a - a.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-    return out, ((out,) if want_ctx else None)
-
-
-def _softmax_vjp(ctx, g, needs, *, axis=-1):
-    if not needs[0]:
-        return (None,)
-    (out,) = ctx
-    dot = (g * out).sum(axis=axis, keepdims=True)
-    return (out * (g - dot),)
-
-
-SOFTMAX = register(
-    Primitive(
-        "softmax",
-        forward=_softmax_fwd,
-        vjp=_softmax_vjp,
-        samples=[_sample([(3, 4)]), _sample([(2, 3, 4)], axis=1)],
-    )
-)
-
 
 def _log_softmax_fwd(a, want_ctx=False, *, axis=-1):
     shifted = a - a.max(axis=axis, keepdims=True)
@@ -823,25 +528,4 @@ LOG_SOFTMAX = register(
         vjp=_log_softmax_vjp,
         samples=[_sample([(3, 4)]), _sample([(2, 3, 4)], axis=1)],
     )
-)
-
-
-def _dropout_fwd(a, want_ctx=False, *, mask):
-    out = a * mask
-    return out, None
-
-
-def _dropout_vjp(ctx, g, needs, *, mask):
-    return ((g * mask) if needs[0] else None,)
-
-
-def _dropout_sample(rng, dtype):
-    values = rng.standard_normal((3, 4)).astype(dtype, copy=False)
-    keep = 0.75
-    mask = (rng.random((3, 4)) < keep).astype(np.float64) / keep
-    return (values,), {"mask": mask}
-
-
-DROPOUT = register(
-    Primitive("dropout", forward=_dropout_fwd, vjp=_dropout_vjp, samples=[_dropout_sample])
 )

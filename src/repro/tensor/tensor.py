@@ -324,11 +324,6 @@ class Tensor:
 
         return ops.matmul(self, other)
 
-    def __getitem__(self, index) -> "Tensor":
-        from repro.tensor import ops
-
-        return ops.getitem(self, index)
-
     # comparison operators return plain (non-differentiable) tensors
     def __gt__(self, other: ArrayLike) -> "Tensor":
         return Tensor((self.data > _as_array(other)).astype(_DEFAULT_DTYPE))
@@ -355,11 +350,6 @@ class Tensor:
 
         return ops.mean(self, axis=axis, keepdims=keepdims)
 
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        from repro.tensor import ops
-
-        return ops.max(self, axis=axis, keepdims=keepdims)
-
     def reshape(self, *shape) -> "Tensor":
         from repro.tensor import ops
 
@@ -376,35 +366,10 @@ class Tensor:
 
         return ops.transpose(self, axes=axes)
 
-    def exp(self) -> "Tensor":
-        from repro.tensor import ops
-
-        return ops.exp(self)
-
-    def log(self) -> "Tensor":
-        from repro.tensor import ops
-
-        return ops.log(self)
-
-    def tanh(self) -> "Tensor":
-        from repro.tensor import ops
-
-        return ops.tanh(self)
-
-    def sigmoid(self) -> "Tensor":
-        from repro.tensor import ops
-
-        return ops.sigmoid(self)
-
     def relu(self) -> "Tensor":
         from repro.tensor import ops
 
         return ops.relu(self)
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        from repro.tensor import ops
-
-        return ops.clip(self, low, high)
 
 
 def ensure_tensor(value: ArrayLike) -> Tensor:

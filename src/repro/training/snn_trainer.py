@@ -28,8 +28,6 @@ class SNNTrainingConfig(TrainingConfig):
     """Training configuration extended with simulation parameters."""
 
     num_steps: int = 8
-    readout: str = "membrane_mean"
-    truncation: Optional[int] = None
 
 
 class SNNTrainer:
@@ -42,13 +40,7 @@ class SNNTrainer:
 
     def make_runner(self, model: Module) -> TemporalRunner:
         """Wrap ``model`` in a temporal runner configured like this trainer."""
-        return TemporalRunner(
-            model,
-            num_steps=self.config.num_steps,
-            encoder=self.encoder,
-            readout=self.config.readout,
-            truncation=self.config.truncation,
-        )
+        return TemporalRunner(model, num_steps=self.config.num_steps, encoder=self.encoder)
 
     def fit(
         self,

@@ -21,7 +21,7 @@ from repro.data.loaders import ArrayDataset, BatchLoader, DatasetSplits
 from repro.nn.losses import CrossEntropyLoss, accuracy
 from repro.nn.module import Module
 from repro.nn.optim import SGD, Adam, Optimizer
-from repro.nn.scheduler import ConstantLR, CosineAnnealingLR, LRScheduler, StepLR
+from repro.nn.scheduler import ConstantLR
 from repro.training.callbacks import EarlyStopping, TrainingHistory
 from repro.training.evaluation import evaluate_classifier
 from repro.tensor.random import default_rng
@@ -39,9 +39,6 @@ class TrainingConfig:
     momentum: float = 0.9
     weight_decay: float = 0.0
     grad_clip: Optional[float] = 5.0
-    scheduler: str = "constant"
-    scheduler_step: int = 10
-    scheduler_gamma: float = 0.5
     label_smoothing: float = 0.0
     early_stopping_patience: Optional[int] = None
     shuffle: bool = True
@@ -70,17 +67,6 @@ def _build_optimizer(model: Module, config: TrainingConfig) -> Optimizer:
     raise ValueError(f"unknown optimizer {config.optimizer!r} (use 'sgd' or 'adam')")
 
 
-def _build_scheduler(optimizer: Optimizer, config: TrainingConfig) -> LRScheduler:
-    name = config.scheduler.strip().lower()
-    if name == "constant":
-        return ConstantLR(optimizer)
-    if name == "step":
-        return StepLR(optimizer, step_size=config.scheduler_step, gamma=config.scheduler_gamma)
-    if name == "cosine":
-        return CosineAnnealingLR(optimizer, t_max=max(config.epochs, 1))
-    raise ValueError(f"unknown scheduler {config.scheduler!r} (use 'constant', 'step' or 'cosine')")
-
-
 class Trainer:
     """Mini-batch gradient-descent trainer with validation tracking."""
 
@@ -105,7 +91,7 @@ class Trainer:
         config = self.config
         loss_fn = loss_fn or CrossEntropyLoss(label_smoothing=config.label_smoothing)
         optimizer = _build_optimizer(model, config)
-        scheduler = _build_scheduler(optimizer, config)
+        scheduler = ConstantLR(optimizer)
         loader = BatchLoader(
             train_dataset,
             batch_size=config.batch_size,

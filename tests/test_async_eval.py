@@ -153,7 +153,6 @@ class TestAsyncEvaluationExecutor:
                 objective.state = float(value)
                 executor.submit(spec)
                 objective.state = -1.0
-            assert executor.cancel_pending() == 0  # computed results are kept
             completed = [done.result.objective_value for done in executor.drain()]
         assert completed == [0.0, 1.0, 2.0]
 

@@ -1,4 +1,4 @@
-"""Tests of the synthetic datasets, loaders and transforms."""
+"""Tests of the synthetic datasets and loaders."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,7 @@ import pytest
 from repro.data import (
     ArrayDataset,
     BatchLoader,
-    Compose,
     DatasetSplits,
-    EventFrameNormalize,
-    Normalize,
-    RandomHorizontalFlip,
-    RandomTranslate,
-    TimeSubsample,
     available_datasets,
     events_to_frames,
     load_dataset,
@@ -220,54 +214,3 @@ class TestRegistry:
     def test_unknown_raises(self):
         with pytest.raises(KeyError):
             load_dataset("imagenet")
-
-
-class TestTransforms:
-    def test_normalize(self, rng):
-        batch = rng.random((4, 3, 5, 5))
-        out = Normalize(mean=0.5, std=0.5)(batch, rng)
-        np.testing.assert_allclose(out, (batch - 0.5) / 0.5)
-
-    def test_normalize_per_channel(self, rng):
-        batch = rng.random((2, 3, 4, 4))
-        out = Normalize(mean=[0.1, 0.2, 0.3], std=[1.0, 1.0, 1.0])(batch, rng)
-        np.testing.assert_allclose(out[:, 1], batch[:, 1] - 0.2)
-
-    def test_normalize_zero_std_rejected(self):
-        with pytest.raises(ValueError):
-            Normalize(std=0.0)
-
-    def test_event_frame_normalize(self, rng):
-        batch = rng.random((2, 3, 2, 4, 4)) * 5
-        out = EventFrameNormalize(clip_max=2.0)(batch, rng)
-        assert out.max() <= 1.0 and out.min() >= 0.0
-
-    def test_horizontal_flip_all(self, rng):
-        batch = rng.random((3, 1, 4, 4))
-        out = RandomHorizontalFlip(p=1.0)(batch, rng)
-        np.testing.assert_allclose(out, batch[..., ::-1])
-
-    def test_horizontal_flip_none(self, rng):
-        batch = rng.random((3, 1, 4, 4))
-        out = RandomHorizontalFlip(p=0.0)(batch, rng)
-        np.testing.assert_allclose(out, batch)
-
-    def test_translate_preserves_content(self, rng):
-        batch = rng.random((2, 1, 6, 6))
-        out = RandomTranslate(max_shift=2)(batch, rng)
-        np.testing.assert_allclose(np.sort(out.ravel()), np.sort(batch.ravel()))
-
-    def test_time_subsample(self, rng):
-        batch = rng.random((2, 8, 2, 4, 4))
-        out = TimeSubsample(stride=2)(batch, rng)
-        assert out.shape == (2, 4, 2, 4, 4)
-
-    def test_time_subsample_ignores_static(self, rng):
-        batch = rng.random((2, 3, 4, 4))
-        assert TimeSubsample(stride=2)(batch, rng).shape == batch.shape
-
-    def test_compose(self, rng):
-        batch = rng.random((2, 1, 4, 4))
-        pipeline = Compose([Normalize(0.0, 1.0), RandomHorizontalFlip(p=1.0)])
-        out = pipeline(batch, rng)
-        np.testing.assert_allclose(out, batch[..., ::-1])

@@ -2,10 +2,9 @@
 
 The fused path's contract has three legs, each pinned here:
 
-* **bit-identity** — for every fused neuron kind (LIF, IF, ALIF) and every
-  (reset mechanism x readout) pair the fused step reproduces graph autograd
-  exactly: same loss, same logits, same
-  bits in every parameter gradient and batch-norm running statistic;
+* **bit-identity** — for every reset mechanism the fused step reproduces
+  graph autograd exactly: same loss, same logits, same bits in every
+  parameter gradient and batch-norm running statistic;
 * **dispatch discipline** — ``auto`` fuses only when the compiled plan
   qualifies and silently falls back otherwise, ``on`` raises with the
   disqualifying reason, ``off`` always takes the recorded graph, and the
@@ -43,25 +42,15 @@ from repro.snn.fused_step import (
     release_fused,
     reset_fused_counters,
 )
-from repro.snn.neurons import ALIFNeuron, IFNeuron, LIFNeuron
+from repro.snn.neurons import LIFNeuron
 from repro.tensor import Tensor
 from repro.tensor.workspace import _POOL
 from repro.training import SNNTrainer, SNNTrainingConfig, Trainer, TrainingConfig
 
 RESETS = ("subtract", "zero", "none")
-READOUTS = ("membrane_mean", "membrane_last", "spike_count", "spike_rate")
-
-#: the neuron kinds the kernel fuses, each built from the template's LIF neuron
-NEURON_KINDS = {
-    "lif": None,
-    "if": lambda lif: IFNeuron(threshold=lif.threshold, reset_mechanism=lif.reset_mechanism),
-    "alif": lambda lif: ALIFNeuron(
-        beta=lif.beta, threshold=lif.threshold, adaptation=0.3, reset_mechanism=lif.reset_mechanism
-    ),
-}
 
 
-def build_model(reset: str = "subtract", kind: str = "lif"):
+def build_model(reset: str = "subtract"):
     """A small spiking SkipConnectionNetwork with deterministic weights."""
     template = get_template("resnet18", input_channels=2, num_classes=10, stage_channels=(6, 8))
     model = template.build(spiking=True, rng=0)
@@ -69,11 +58,6 @@ def build_model(reset: str = "subtract", kind: str = "lif"):
         for module in model.modules():
             if isinstance(module, LIFNeuron):
                 module.reset_mechanism = reset
-    make_neuron = NEURON_KINDS[kind]
-    if make_neuron is not None:
-        for module in list(model.modules()):
-            if isinstance(getattr(module, "activation", None), LIFNeuron):
-                module.activation = make_neuron(module.activation)
     return model
 
 
@@ -82,11 +66,11 @@ def make_batch(batch_size: int = 4, seed: int = 0):
     return rng.random((batch_size, 2, 12, 12)), rng.integers(0, 10, size=batch_size)
 
 
-def one_step(mode: str, reset: str, readout: str, num_steps: int = 3, kind: str = "lif"):
+def one_step(mode: str, reset: str, num_steps: int = 3):
     """One training step from a fresh seeded model; returns all observables."""
     batch, targets = make_batch()
-    model = build_model(reset, kind)
-    runner = TemporalRunner(model, num_steps=num_steps, readout=readout)
+    model = build_model(reset)
+    runner = TemporalRunner(model, num_steps=num_steps)
     model.zero_grad()
     with fused_training(mode):
         logits = runner(batch)
@@ -105,21 +89,16 @@ def one_step(mode: str, reset: str, readout: str, num_steps: int = 3, kind: str 
     return float(loss.item()), np.array(logits.data), grads, stats
 
 
-#: (kind, reset, readout) cases; LIF cases keep their ``readout-reset`` ids
-BIT_IDENTITY_CASES = [
-    pytest.param(kind, reset, readout, id=f"{readout}-{reset}" + ("" if kind == "lif" else f"-{kind}"))
-    for kind in NEURON_KINDS
-    for reset in RESETS
-    for readout in READOUTS
-]
+#: one case per reset mechanism, under the membrane-mean readout's ids
+BIT_IDENTITY_CASES = [pytest.param(reset, id=f"membrane_mean-{reset}") for reset in RESETS]
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("kind,reset,readout", BIT_IDENTITY_CASES)
-    def test_fused_step_matches_graph_autograd_exactly(self, kind, reset, readout):
+    @pytest.mark.parametrize("reset", BIT_IDENTITY_CASES)
+    def test_fused_step_matches_graph_autograd_exactly(self, reset):
         reset_fused_counters()
-        graph_loss, graph_logits, graph_grads, graph_stats = one_step("off", reset, readout, kind=kind)
-        fused_loss, fused_logits, fused_grads, fused_stats = one_step("on", reset, readout, kind=kind)
+        graph_loss, graph_logits, graph_grads, graph_stats = one_step("off", reset)
+        fused_loss, fused_logits, fused_grads, fused_stats = one_step("on", reset)
         assert fused_loss == graph_loss
         assert np.array_equal(fused_logits, graph_logits)
         assert set(fused_grads) == set(graph_grads)
@@ -165,7 +144,7 @@ class TestTrainerIntegration:
 class TestDispatch:
     def test_mode_off_never_fuses(self):
         reset_fused_counters()
-        one_step("off", "subtract", "membrane_mean")
+        one_step("off", "subtract")
         assert fused_counters() == {"fused_steps": 0, "fallback_steps": 1}
 
     def test_mode_nesting_restores_previous(self):
@@ -182,22 +161,10 @@ class TestDispatch:
             with fused_training("sometimes"):
                 pass  # pragma: no cover - never reached
 
-    def test_truncation_falls_back_in_auto_and_raises_in_on(self):
-        batch, targets = make_batch()
-        model = build_model()
-        runner = TemporalRunner(model, num_steps=4, truncation=2)
-        reset_fused_counters()
-        with fused_training("auto"):
-            CrossEntropyLoss()(runner(batch), targets).backward()
-        assert fused_counters()["fallback_steps"] == 1
-        with fused_training("on"):
-            with pytest.raises(RuntimeError, match="truncat"):
-                runner(batch)
-
     def test_non_qualifying_model_falls_back_in_auto_and_raises_in_on(self):
         batch = np.random.default_rng(0).random((4, 8))
         model = Sequential(Linear(8, 4))
-        runner = TemporalRunner(model, num_steps=2, readout="membrane_last")
+        runner = TemporalRunner(model, num_steps=2)
         reset_fused_counters()
         with fused_training("on"):
             with pytest.raises(RuntimeError, match="SkipConnectionNetwork"):
@@ -244,11 +211,11 @@ class TestResidualLifetime:
         with fused_training("on"):
             reference_a = two_steps_grads(TemporalRunner(build_model(), num_steps=3))
             reference_b = two_steps_grads(
-                TemporalRunner(build_model("zero"), num_steps=3, readout="spike_rate")
+                TemporalRunner(build_model("zero"), num_steps=3)
             )
 
             runner_a = TemporalRunner(build_model(), num_steps=3)
-            runner_b = TemporalRunner(build_model("zero"), num_steps=3, readout="spike_rate")
+            runner_b = TemporalRunner(build_model("zero"), num_steps=3)
             interleaved_a, interleaved_b = [], []
             for step in range(2):
                 runner_a.model.zero_grad()

@@ -4,8 +4,8 @@ Four concerns, each pinned independently:
 
 * **equality** — the inference fast path (GEMM convolution, fused in-place
   neuron stepping, streaming temporal aggregation) must produce outputs
-  **bit-identical** to the autograd path, for every op, neuron variant,
-  reset mechanism and model template;
+  **bit-identical** to the autograd path, for every op, reset mechanism
+  and model template;
 * **workspace aliasing** — pooled scratch buffers must never leak into a
   returned tensor, under interleaved and nested evaluations;
 * **latency plumbing** — the timed ``latency_ms`` metric must flow through
@@ -30,9 +30,9 @@ from repro.experiments import get_scale
 from repro.experiments.pareto_front import run_pareto_front
 from repro.gp import HammingKernel, tune_kernel
 from repro.models import build_single_block_template, get_template
-from repro.snn import ALIFNeuron, IFNeuron, LeakyIntegrator, LIFNeuron, SynapticNeuron, TemporalRunner
+from repro.snn import LeakyIntegrator, LIFNeuron, TemporalRunner
 from repro.snn.temporal import run_temporal
-from repro.tensor import Tensor, conv2d, max_pool2d, avg_pool2d, no_grad
+from repro.tensor import Tensor, conv2d, avg_pool2d, no_grad
 from repro.tensor.workspace import WorkspacePool, clear_workspaces
 from repro.training.evaluation import measure_latency_ms
 from repro.training.snn_trainer import SNNTrainingConfig
@@ -65,13 +65,9 @@ class TestOpsFastPath:
             lambda: a - b,
             lambda: a * b,
             lambda: a / (b * b + 1.0),
-            lambda: a.tanh(),
-            lambda: a.sigmoid(),
             lambda: a.relu(),
-            lambda: a.clip(-0.5, 0.5),
             lambda: a.sum(axis=1),
             lambda: a.mean(axis=0, keepdims=True),
-            lambda: a.max(axis=1),
             lambda: a @ b.transpose(),
         ]
         for case in cases:
@@ -117,8 +113,6 @@ class TestConvFastPath:
     def test_pooling_matches_autograd_path(self, rng):
         x = Tensor(rng.normal(size=(3, 4, 9, 9)), requires_grad=True)
         for pool, kwargs in [
-            (max_pool2d, dict(kernel_size=3, stride=2, padding=1)),
-            (max_pool2d, dict(kernel_size=2)),
             (avg_pool2d, dict(kernel_size=2, stride=1, padding=1)),
             (avg_pool2d, dict(kernel_size=3)),
         ]:
@@ -139,7 +133,7 @@ class TestWorkspaceNonAliasing:
             conv2d(Tensor(rng.normal(size=(2, 4, 8, 8))), w, padding=1)
             # ... and different geometries (would grow/reshape the buffers)
             conv2d(Tensor(rng.normal(size=(1, 4, 16, 16))), w, padding=2)
-            max_pool2d(Tensor(rng.normal(size=(2, 4, 8, 8))), 2, padding=1)
+            avg_pool2d(Tensor(rng.normal(size=(2, 4, 8, 8))), 2, padding=1)
         assert np.array_equal(first.data, snapshot)
 
     def test_interleaved_evaluations_are_independent(self, rng):
@@ -177,22 +171,13 @@ class TestWorkspaceNonAliasing:
 # neuron and template equality
 # ---------------------------------------------------------------------------
 
-NEURON_FACTORIES = {
-    "lif": lambda reset: LIFNeuron(beta=0.9, reset_mechanism=reset),
-    "if": lambda reset: IFNeuron(reset_mechanism=reset),
-    "alif": lambda reset: ALIFNeuron(beta=0.85, adaptation=0.3, reset_mechanism=reset),
-    "synaptic": lambda reset: SynapticNeuron(alpha=0.7, beta=0.9, reset_mechanism=reset),
-}
-
-
 class TestNeuronFastPath:
-    @pytest.mark.parametrize("kind", sorted(NEURON_FACTORIES))
     @pytest.mark.parametrize("reset", ["subtract", "zero", "none"])
-    def test_sequence_bit_identical(self, rng, kind, reset):
+    def test_sequence_bit_identical(self, rng, reset):
         inputs = [rng.normal(size=(3, 4, 5, 5)) * 0.8 for _ in range(6)]
 
         def run(fast):
-            neuron = NEURON_FACTORIES[kind](reset)
+            neuron = LIFNeuron(beta=0.9, reset_mechanism=reset)
             neuron.reset_state()
             membranes, spikes = [], []
             for frame in inputs:
@@ -213,12 +198,11 @@ class TestNeuronFastPath:
         for a, b in zip(ref_spikes, fast_spikes):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("kind", sorted(NEURON_FACTORIES))
-    def test_mixed_grad_and_inference_steps_stay_consistent(self, rng, kind):
+    def test_mixed_grad_and_inference_steps_stay_consistent(self, rng):
         """Alternating grad-mode and fused steps must agree with pure grad mode."""
         inputs = [rng.normal(size=(2, 3)) * 0.9 for _ in range(6)]
-        reference = NEURON_FACTORIES[kind]("subtract")
-        mixed = NEURON_FACTORIES[kind]("subtract")
+        reference = LIFNeuron(beta=0.9, reset_mechanism="subtract")
+        mixed = LIFNeuron(beta=0.9, reset_mechanism="subtract")
         reference.reset_state()
         mixed.reset_state()
         for t, frame in enumerate(inputs):
@@ -280,12 +264,11 @@ class TestNeuronFastPath:
 
 class TestTemplateFastPath:
     @pytest.mark.parametrize("name", ["resnet18", "mobilenetv2", "densenet121", "single_block"])
-    @pytest.mark.parametrize("readout", ["membrane_mean", "membrane_last", "spike_count"])
-    def test_temporal_runner_bit_identical(self, rng, name, readout):
+    def test_temporal_runner_bit_identical(self, rng, name):
         template = get_template(name, input_channels=2, num_classes=5)
         model = template.build(spiking=True, rng=0)
         model.eval()
-        runner = TemporalRunner(model, num_steps=4, readout=readout)
+        runner = TemporalRunner(model, num_steps=4)
         batch = rng.random((2, 2, 8, 8))
         reference = runner(batch).data.copy()
         with no_grad():
@@ -309,63 +292,38 @@ class TestTemplateFastPath:
 
 
 class TestRunTemporalStreaming:
-    def test_membrane_last_owns_its_data(self, rng):
+    def test_scores_own_their_data(self, rng):
         """The returned scores must survive the next batch overwriting buffers."""
         template = build_single_block_template(input_channels=2, num_classes=4, channels=4)
         model = template.build(spiking=True, rng=0)
         model.eval()
         with no_grad():
-            first = run_temporal(model, rng.random((2, 2, 8, 8)), num_steps=3, readout="membrane_last")
+            first = run_temporal(model, rng.random((2, 2, 8, 8)), num_steps=3)
             snapshot = first.data.copy()
-            run_temporal(model, rng.random((2, 2, 8, 8)), num_steps=3, readout="membrane_last")
+            run_temporal(model, rng.random((2, 2, 8, 8)), num_steps=3)
         assert np.array_equal(first.data, snapshot)
 
     def test_streaming_matches_retained_aggregation(self, rng):
-        """Running sums must agree with the old stack-then-reduce semantics."""
-        from repro.snn.temporal import aggregate_outputs, reset_states
+        """The running sum must agree with stacking every step's output and averaging."""
+        from repro.snn.encoding import encode_batch
+        from repro.snn.temporal import reset_states
 
         template = build_single_block_template(input_channels=2, num_classes=4, channels=4)
         model = template.build(spiking=True, rng=0)
         model.eval()
         batch = rng.random((2, 2, 8, 8))
-        for readout in ("membrane_mean", "spike_count", "spike_rate"):
-            collected = []
-            with no_grad():
-                run_temporal(
-                    model, batch, num_steps=4, readout=readout,
-                    step_callback=lambda _t, out: collected.append(Tensor(out.data.copy())),
-                )
-                streamed = run_temporal(model, batch, num_steps=4, readout=readout)
-            reference = aggregate_outputs(collected, readout)
-            np.testing.assert_allclose(streamed.data, reference.data, rtol=1e-12, atol=1e-12)
+        with no_grad():
+            reset_states(model)
+            collected = [model(frame).data.copy() for frame in encode_batch(batch, None, 4)]
+            streamed = run_temporal(model, batch, num_steps=4)
+        reference = np.stack(collected).mean(axis=0)
+        np.testing.assert_allclose(streamed.data, reference, rtol=1e-12, atol=1e-12)
         reset_states(model)
-
-    def test_step_callback_outputs_are_retainable(self, rng):
-        """The spike-based losses retain per-step callback outputs; under
-        no_grad they must be owning copies, not views of reused buffers."""
-        template = get_template("resnet18", input_channels=2, num_classes=4)
-        model = template.build(spiking=True, rng=0)
-        model.eval()
-        batch = rng.random((2, 2, 8, 8))
-        reference = []
-        run_temporal(model, batch, num_steps=4, step_callback=lambda _t, out: reference.append(out.data.copy()))
-        collected = []
-        with no_grad():
-            run_temporal(model, batch, num_steps=4, step_callback=lambda _t, out: collected.append(out))
-        assert len(collected) == len(reference) == 4
-        # retained WITHOUT copying: each tensor must still hold its own step's
-        # values (an aliased buffer would make every entry equal the last step)
-        for kept, expected in zip(collected, reference):
-            assert np.array_equal(kept.data, expected)
-        # and summing them reproduces the spike_count readout
-        with no_grad():
-            count = run_temporal(model, batch, num_steps=4, readout="spike_count")
-        np.testing.assert_allclose(np.sum([out.data for out in collected], axis=0), count.data, rtol=1e-12)
 
     def test_gradients_still_flow_through_streaming_aggregation(self, rng):
         template = build_single_block_template(input_channels=2, num_classes=4, channels=4)
         model = template.build(spiking=True, rng=0)
-        out = run_temporal(model, rng.random((2, 2, 8, 8)), num_steps=3, readout="membrane_mean")
+        out = run_temporal(model, rng.random((2, 2, 8, 8)), num_steps=3)
         assert out.requires_grad
         out.sum().backward()
         grads = [p.grad for p in model.parameters()]

@@ -1,4 +1,4 @@
-"""Tests of the trainable layers: Linear, Conv2d, BatchNorm2d, pooling, dropout."""
+"""Tests of the trainable layers: Linear, Conv2d, BatchNorm2d, pooling."""
 
 import numpy as np
 import pytest
@@ -7,15 +7,14 @@ from repro.nn import (
     AvgPool2d,
     BatchNorm2d,
     Conv2d,
-    Dropout,
     Flatten,
     GlobalAvgPool2d,
     Identity,
     Linear,
-    MaxPool2d,
 )
 from repro.nn import init
-from repro.tensor import Tensor, gradcheck
+from gradcheck import gradcheck
+from repro.tensor import Tensor
 
 
 class TestLinear:
@@ -121,11 +120,6 @@ class TestBatchNorm2d:
 
 
 class TestPoolingLayers:
-    def test_max_pool_layer(self, rng):
-        layer = MaxPool2d(2)
-        out = layer(Tensor(rng.normal(size=(1, 2, 6, 6))))
-        assert out.shape == (1, 2, 3, 3)
-
     def test_avg_pool_layer(self, rng):
         layer = AvgPool2d(2, stride=2)
         out = layer(Tensor(rng.normal(size=(1, 2, 6, 6))))
@@ -147,47 +141,12 @@ class TestPoolingLayers:
         assert layer(x) is x
 
 
-class TestDropout:
-    def test_eval_mode_is_identity(self, rng):
-        layer = Dropout(0.5, rng=rng)
-        layer.eval()
-        x = Tensor(rng.normal(size=(4, 4)))
-        assert layer(x) is x
-
-    def test_training_mode_zeroes_some_entries(self, rng):
-        layer = Dropout(0.5, rng=rng)
-        x = Tensor(np.ones((100, 100)))
-        out = layer(x)
-        zero_fraction = float((out.data == 0).mean())
-        assert 0.3 < zero_fraction < 0.7
-
-    def test_invalid_probability_raises(self):
-        with pytest.raises(ValueError):
-            Dropout(1.5)
-
-    def test_p_zero_is_identity(self, rng):
-        layer = Dropout(0.0)
-        x = Tensor(rng.normal(size=(3, 3)))
-        assert layer(x) is x
-
-
 class TestInitializers:
     def test_kaiming_normal_std(self):
         shape = (256, 128)
         w = init.kaiming_normal(shape, rng=np.random.default_rng(0))
         expected = np.sqrt(2.0 / 128)
         assert abs(w.std() - expected) / expected < 0.1
-
-    def test_kaiming_uniform_bound(self):
-        w = init.kaiming_uniform((64, 64), rng=np.random.default_rng(0))
-        bound = np.sqrt(2.0) * np.sqrt(3.0 / 64)
-        assert np.abs(w).max() <= bound + 1e-12
-
-    def test_xavier_normal_std(self):
-        shape = (200, 100)
-        w = init.xavier_normal(shape, rng=np.random.default_rng(0))
-        expected = np.sqrt(2.0 / 300)
-        assert abs(w.std() - expected) / expected < 0.15
 
     def test_conv_fan_in(self):
         w = init.kaiming_normal((16, 8, 3, 3), rng=np.random.default_rng(0))
@@ -197,7 +156,3 @@ class TestInitializers:
     def test_zeros_ones(self):
         assert np.all(init.zeros((3,)) == 0)
         assert np.all(init.ones((3,)) == 1)
-
-    def test_uniform_range(self):
-        w = init.uniform((1000,), low=-0.2, high=0.2, rng=np.random.default_rng(0))
-        assert w.min() >= -0.2 and w.max() < 0.2

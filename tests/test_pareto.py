@@ -190,26 +190,3 @@ def test_hypervolume_3d_matches_monte_carlo(rows):
     for point in front:
         dominated |= np.all(grid >= point.values, axis=1)
     assert front.hypervolume(reference) == pytest.approx(float(dominated.sum()))
-
-
-# ---------------------------------------------------------------------------
-# crowding-based truncation
-# ---------------------------------------------------------------------------
-
-
-def test_truncation_keeps_extremes():
-    front = ParetoFront()
-    points = [[float(i), float(10 - i)] for i in range(11)]
-    for point in points:
-        front.insert(point)
-    removed = front.truncate(4)
-    kept = {tuple(point.values) for point in front}
-    assert len(front) == 4 and len(removed) == 7
-    assert (0.0, 10.0) in kept and (10.0, 0.0) in kept
-
-
-def test_capacity_bounds_the_front_incrementally():
-    front = ParetoFront(capacity=3)
-    for i in range(10):
-        front.insert([float(i), float(10 - i)])
-        assert len(front) <= 3

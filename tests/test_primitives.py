@@ -2,8 +2,8 @@
 
 Every :class:`~repro.tensor.primitives.Primitive` ships its own sample
 generators, so this module is intentionally thin: it sweeps the registry and
-delegates to :func:`repro.tensor.gradcheck.check_primitive`, which runs a
-finite-difference vjp validation (the FD-exempt surrogate spike is pinned
+delegates to :func:`gradcheck.check_primitive` (``tests/gradcheck.py``),
+which runs a finite-difference vjp validation (the FD-exempt surrogate spike is pinned
 against its surrogate derivative in ``tests/test_snn_neurons.py``).
 
 A primitive added without samples, without a vjp, or with a wrong adjoint
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.tensor.gradcheck import check_primitive
+from gradcheck import check_primitive
 from repro.tensor.primitives import all_primitives, get_primitive
 
 PRIMITIVE_NAMES = sorted(all_primitives())
@@ -24,7 +24,7 @@ PRIMITIVE_NAMES = sorted(all_primitives())
 def test_registry_is_populated():
     # the fused training kernels lean on these adjoints directly; their
     # presence in the registry is what the gradcheck sweep below certifies
-    for name in ("conv2d", "avg_pool2d", "matmul", "mean", "spike", "where"):
+    for name in ("conv2d", "avg_pool2d", "matmul", "mean", "spike"):
         assert name in PRIMITIVE_NAMES
 
 

@@ -171,8 +171,8 @@ def test_sum_gradient_is_ones(shape, seed):
     seed=st.integers(0, 1000),
     scale=st.floats(0.1, 3.0),
 )
-def test_softmax_is_probability_distribution(seed, scale):
+def test_log_softmax_is_log_probability_distribution(seed, scale):
     x = Tensor(np.random.default_rng(seed).normal(size=(3, 7)) * scale)
-    probs = ops.softmax(x, axis=1).data
+    probs = np.exp(ops.log_softmax(x, axis=1).data)
     assert np.all(probs >= 0)
     np.testing.assert_allclose(probs.sum(axis=1), np.ones(3), atol=1e-10)

@@ -12,7 +12,19 @@ import importlib
 
 import pytest
 
-PACKAGES = ("repro", "repro.core", "repro.models", "repro.experiments", "repro.tensor", "repro.gp")
+PACKAGES = (
+    "repro",
+    "repro.core",
+    "repro.data",
+    "repro.experiments",
+    "repro.gp",
+    "repro.models",
+    "repro.nn",
+    "repro.snn",
+    "repro.tensor",
+    "repro.trace",
+    "repro.training",
+)
 
 
 def _exports():

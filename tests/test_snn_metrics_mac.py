@@ -1,9 +1,9 @@
-"""Tests of firing-rate monitoring, MAC counting, energy estimation and conversion."""
+"""Tests of firing-rate monitoring, MAC counting and energy estimation."""
 
 import numpy as np
 import pytest
 
-from repro.nn import Conv2d, GlobalAvgPool2d, Linear, ReLU, Sequential
+from repro.nn import Conv2d, GlobalAvgPool2d, Linear, Sequential
 from repro.snn import (
     FiringRateMonitor,
     LeakyIntegrator,
@@ -11,11 +11,9 @@ from repro.snn import (
     MACCounter,
     TemporalRunner,
     average_firing_rate,
-    convert_relu_to_lif,
     estimate_block_macs,
     estimate_energy,
     estimate_model_macs,
-    spiking_copy,
 )
 from repro.snn.mac import conv2d_macs, linear_macs
 from repro.core.adjacency import ASC, DSC, BlockAdjacency
@@ -176,40 +174,3 @@ class TestEnergyEstimate:
             estimate_energy(1e6, firing_rate=1.5, num_steps=10)
         with pytest.raises(ValueError):
             estimate_energy(1e6, firing_rate=0.5, num_steps=0)
-
-
-class TestConversion:
-    def test_convert_replaces_all_relus(self):
-        rng = np.random.default_rng(0)
-        ann = Sequential(Conv2d(1, 2, 3, padding=1, rng=rng), ReLU(), GlobalAvgPool2d(), Linear(2, 2, rng=rng))
-        replaced = convert_relu_to_lif(ann)
-        assert replaced == 1
-        assert sum(1 for m in ann.modules() if isinstance(m, LIFNeuron)) == 1
-        assert not any(isinstance(m, ReLU) for m in ann.modules())
-
-    def test_converted_model_forward_works(self):
-        rng = np.random.default_rng(0)
-        ann = Sequential(Conv2d(1, 2, 3, padding=1, rng=rng), ReLU(), GlobalAvgPool2d(), Linear(2, 2, rng=rng))
-        convert_relu_to_lif(ann)
-        out = TemporalRunner(ann, num_steps=3)(np.random.default_rng(1).random((2, 1, 4, 4)))
-        assert out.shape == (2, 2)
-
-    def test_spiking_copy_preserves_original(self):
-        rng = np.random.default_rng(0)
-        ann = Sequential(Linear(3, 3, rng=rng), ReLU(), Linear(3, 2, rng=rng))
-        snn = spiking_copy(ann)
-        assert any(isinstance(m, ReLU) for m in ann.modules())
-        assert any(isinstance(m, LIFNeuron) for m in snn.modules())
-
-    def test_spiking_copy_copies_weights(self):
-        rng = np.random.default_rng(0)
-        ann = Sequential(Linear(3, 3, rng=rng), ReLU())
-        snn = spiking_copy(ann)
-        np.testing.assert_allclose(ann[0].weight.data, snn[0].weight.data)
-
-    def test_conversion_with_custom_neuron_params(self):
-        rng = np.random.default_rng(0)
-        ann = Sequential(Linear(3, 3, rng=rng), ReLU())
-        snn = spiking_copy(ann, beta=0.5, threshold=2.0, reset_mechanism="zero")
-        neuron = [m for m in snn.modules() if isinstance(m, LIFNeuron)][0]
-        assert neuron.beta == 0.5 and neuron.threshold == 2.0 and neuron.reset_mechanism == "zero"

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from repro.snn import (
-    ALIFNeuron,
     ATanSurrogate,
     FastSigmoidSurrogate,
-    IFNeuron,
     LeakyIntegrator,
     LIFNeuron,
-    SynapticNeuron,
     StraightThroughSurrogate,
     TriangularSurrogate,
     get_surrogate,
@@ -136,13 +133,6 @@ class TestLIFNeuron:
         neuron.reset_state()
         assert neuron.membrane is None and neuron.previous_spikes is None
 
-    def test_detach_state_cuts_graph(self):
-        neuron = LIFNeuron()
-        x = Tensor(np.array([2.0]), requires_grad=True)
-        neuron(x)
-        neuron.detach_state()
-        assert not neuron.membrane.requires_grad
-
     def test_record_spikes_and_firing_rate(self):
         neuron = LIFNeuron(beta=1.0, threshold=1.0)
         neuron.record_spikes = True
@@ -179,41 +169,17 @@ class TestLIFNeuron:
         assert x0.grad is not None and x0.grad[0] != 0.0
 
 
-class TestIFNeuron:
-    def test_no_leak(self):
-        neuron = IFNeuron(threshold=10.0)
-        neuron.reset_state()
-        neuron(Tensor(np.array([1.0])))
-        neuron(Tensor(np.array([0.0])))
-        assert neuron.membrane.data[0] == pytest.approx(1.0)
-
-    def test_spikes_when_threshold_crossed(self):
-        neuron = IFNeuron(threshold=1.0)
-        neuron.reset_state()
-        outputs = [neuron(Tensor(np.array([0.5]))).data[0] for _ in range(2)]
-        assert outputs == [0.0, 1.0]
-
-
-NEURONS = {
-    "lif": lambda reset: LIFNeuron(beta=0.9, reset_mechanism=reset),
-    "if": lambda reset: IFNeuron(reset_mechanism=reset),
-    "alif": lambda reset: ALIFNeuron(beta=0.85, adaptation=0.3, reset_mechanism=reset),
-    "synaptic": lambda reset: SynapticNeuron(alpha=0.7, beta=0.9, reset_mechanism=reset),
-}
-
-
 class TestNeuronDynamics:
-    """The one ``dynamics`` step per neuron, shared by every execution mode."""
+    """The one ``dynamics`` step of the LIF neuron, shared by every execution mode."""
 
     @staticmethod
     def _drives(seed=0, steps=5):
         rng = np.random.default_rng(seed)
         return [rng.normal(size=(3, 4)) * 0.9 for _ in range(steps)]
 
-    @pytest.mark.parametrize("kind", sorted(NEURONS))
     @pytest.mark.parametrize("reset", ["subtract", "zero", "none"])
-    def test_same_expressions_on_tensors_and_arrays(self, kind, reset):
-        neuron = NEURONS[kind](reset)
+    def test_same_expressions_on_tensors_and_arrays(self, reset):
+        neuron = LIFNeuron(beta=0.9, reset_mechanism=reset)
         tensor_state = {name: None for name in neuron.state_names}
         array_state = dict(tensor_state)
         for drive in self._drives():
@@ -230,9 +196,8 @@ class TestNeuronDynamics:
             tensor_state = {**tensor_state, **t_update, "previous_spikes": Tensor(spikes)}
             array_state = {**array_state, **a_update, "previous_spikes": spikes}
 
-    @pytest.mark.parametrize("kind", sorted(NEURONS))
-    def test_dynamics_is_pure(self, kind):
-        neuron = NEURONS[kind]("subtract")
+    def test_dynamics_is_pure(self):
+        neuron = LIFNeuron(beta=0.9)
         with no_grad():
             for drive in self._drives(steps=3):
                 neuron(Tensor(drive))
@@ -246,10 +211,9 @@ class TestNeuronDynamics:
         for value in update.values():
             assert all(not np.shares_memory(value, old) for old in state.values())
 
-    @pytest.mark.parametrize("kind", sorted(NEURONS))
     @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
-    def test_step_outputs_survive_later_steps(self, kind, grad):
-        neuron = NEURONS[kind]("subtract")
+    def test_step_outputs_survive_later_steps(self, grad):
+        neuron = LIFNeuron(beta=0.9)
         kept = []
         for drive in self._drives():
             if grad:
@@ -257,24 +221,18 @@ class TestNeuronDynamics:
             else:
                 with no_grad():
                     spikes = neuron(Tensor(drive))
-            # ALIF carries a zero adaptation as None on the first step
-            state = {name: getattr(neuron, name) for name in neuron.state_names if getattr(neuron, name) is not None}
+            state = {name: getattr(neuron, name) for name in neuron.state_names}
             kept.append((spikes, spikes.data.copy(), state, {n: v.data.copy() for n, v in state.items()}))
         for spikes, spikes_copy, state, state_copy in kept:
             assert np.array_equal(spikes.data, spikes_copy)
             for name, value in state.items():
                 assert np.array_equal(value.data, state_copy[name])
 
-    @pytest.mark.parametrize("kind", sorted(NEURONS))
-    def test_detach_and_reset_cover_every_state_name(self, kind):
-        neuron = NEURONS[kind]("subtract")
+    def test_reset_covers_every_state_name(self):
+        neuron = LIFNeuron(beta=0.9)
         for drive in self._drives():
             neuron(Tensor(drive, requires_grad=True))
         assert all(getattr(neuron, name) is not None for name in neuron.state_names)
-        assert neuron.membrane.requires_grad
-        neuron.detach_state()
-        for name in neuron.state_names:
-            assert not getattr(neuron, name).requires_grad
         neuron.reset_state()
         assert all(getattr(neuron, name) is None for name in neuron.state_names)
 

@@ -6,48 +6,16 @@ import pytest
 from repro.nn import Conv2d, GlobalAvgPool2d, Linear, Sequential
 from repro.snn import (
     ConstantCurrentEncoder,
-    LatencyEncoder,
     LeakyIntegrator,
     LIFNeuron,
-    RateEncoder,
     TemporalRunner,
     reset_states,
-    run_temporal,
 )
 from repro.snn.encoding import EventFrameEncoder, encode_batch
-from repro.snn.temporal import aggregate_outputs, detach_states
 from repro.tensor import Tensor
 
 
 class TestEncoders:
-    def test_rate_encoder_statistics(self):
-        encoder = RateEncoder(num_steps=200, rng=np.random.default_rng(0))
-        batch = np.full((1, 1, 4, 4), 0.3)
-        steps = encoder.encode(batch)
-        assert len(steps) == 200
-        mean_rate = np.mean([s.mean() for s in steps])
-        assert abs(mean_rate - 0.3) < 0.05
-
-    def test_rate_encoder_binary_output(self):
-        encoder = RateEncoder(num_steps=5, rng=np.random.default_rng(0))
-        steps = encoder.encode(np.random.default_rng(1).random((2, 1, 3, 3)))
-        for step in steps:
-            assert set(np.unique(step)).issubset({0.0, 1.0})
-
-    def test_latency_encoder_bright_spikes_early(self):
-        encoder = LatencyEncoder(num_steps=10)
-        batch = np.array([[[[1.0, 0.5, 0.0]]]])
-        steps = encoder.encode(batch)
-        assert steps[0][0, 0, 0, 0] == 1.0      # brightest fires at t=0
-        assert steps[4][0, 0, 0, 1] == 1.0      # mid intensity fires mid-window
-        assert all(step[0, 0, 0, 2] == 0.0 for step in steps)  # below threshold: silent
-
-    def test_latency_encoder_single_spike_per_pixel(self):
-        encoder = LatencyEncoder(num_steps=8)
-        steps = encoder.encode(np.random.default_rng(0).random((1, 1, 4, 4)))
-        total = np.sum([s for s in steps], axis=0)
-        assert np.all(total <= 1.0)
-
     def test_constant_current_repeats_input(self):
         encoder = ConstantCurrentEncoder(num_steps=3)
         batch = np.random.default_rng(0).random((2, 1, 2, 2))
@@ -92,28 +60,7 @@ def _tiny_snn(rng_seed=0):
     )
 
 
-class TestAggregateAndReset:
-    def test_aggregate_membrane_mean(self):
-        outputs = [Tensor(np.full((2, 3), float(i))) for i in range(4)]
-        agg = aggregate_outputs(outputs, "membrane_mean")
-        np.testing.assert_allclose(agg.data, np.full((2, 3), 1.5))
-
-    def test_aggregate_spike_count(self):
-        outputs = [Tensor(np.ones((1, 2))) for _ in range(3)]
-        np.testing.assert_allclose(aggregate_outputs(outputs, "spike_count").data, np.full((1, 2), 3.0))
-
-    def test_aggregate_last(self):
-        outputs = [Tensor(np.zeros((1, 1))), Tensor(np.ones((1, 1)))]
-        assert aggregate_outputs(outputs, "membrane_last").data[0, 0] == 1.0
-
-    def test_aggregate_invalid_readout(self):
-        with pytest.raises(ValueError):
-            aggregate_outputs([Tensor(np.zeros((1, 1)))], "bogus")
-
-    def test_aggregate_empty_raises(self):
-        with pytest.raises(ValueError):
-            aggregate_outputs([], "membrane_mean")
-
+class TestResetStates:
     def test_reset_states_clears_all_neurons(self):
         model = _tiny_snn()
         model(Tensor(np.random.default_rng(0).random((2, 1, 4, 4))))
@@ -121,14 +68,6 @@ class TestAggregateAndReset:
         assert any(n.membrane is not None for n in neurons)
         reset_states(model)
         assert all(n.membrane is None for n in neurons)
-
-    def test_detach_states(self):
-        model = _tiny_snn()
-        x = Tensor(np.random.default_rng(0).random((1, 1, 4, 4)), requires_grad=True)
-        model(x)
-        detach_states(model)
-        neurons = [m for m in model.modules() if isinstance(m, LIFNeuron)]
-        assert all(not n.membrane.requires_grad for n in neurons if n.membrane is not None)
 
 
 class TestTemporalRunner:
@@ -158,18 +97,6 @@ class TestTemporalRunner:
         second = runner(x).data
         np.testing.assert_allclose(first, second)
 
-    def test_step_callback_invoked(self):
-        model = _tiny_snn()
-        seen = []
-        run_temporal(model, np.random.default_rng(0).random((1, 1, 4, 4)), num_steps=4,
-                     step_callback=lambda t, out: seen.append(t))
-        assert seen == [0, 1, 2, 3]
-
-    def test_truncation_detaches_state(self):
-        model = _tiny_snn()
-        out = run_temporal(model, np.random.default_rng(0).random((1, 1, 4, 4)), num_steps=6, truncation=2)
-        assert out.shape == (1, 2)
-
     def test_bptt_gradients_reach_weights(self):
         model = _tiny_snn()
         runner = TemporalRunner(model, num_steps=4)
@@ -182,14 +109,3 @@ class TestTemporalRunner:
         model = _tiny_snn()
         with pytest.raises(ValueError):
             TemporalRunner(model, num_steps=0)
-        with pytest.raises(ValueError):
-            TemporalRunner(model, num_steps=2, readout="bogus")
-
-    def test_readouts_differ_but_share_shape(self):
-        model = _tiny_snn()
-        x = np.random.default_rng(0).random((2, 1, 4, 4))
-        mean_readout = TemporalRunner(model, num_steps=6, readout="membrane_mean")(x).data
-        count_readout = TemporalRunner(model, num_steps=6, readout="spike_count")(x).data
-        assert mean_readout.shape == count_readout.shape
-        # summing over 6 steps scales the aggregate relative to averaging
-        np.testing.assert_allclose(count_readout, mean_readout * 6, atol=1e-9)

@@ -187,19 +187,8 @@ class TestMethodWrappers:
         x = Tensor(rng.uniform(0.5, 1.5, size=(2, 3)), requires_grad=True)
         assert x.sum().shape == ()
         assert x.mean(axis=0).shape == (3,)
-        assert x.max(axis=1).shape == (2,)
         assert x.reshape(3, 2).shape == (3, 2)
         assert x.reshape((6,)).shape == (6,)
         assert x.transpose().shape == (3, 2)
-        assert x.exp().shape == (2, 3)
-        assert x.log().shape == (2, 3)
-        assert x.tanh().shape == (2, 3)
-        assert x.sigmoid().shape == (2, 3)
         assert x.relu().shape == (2, 3)
-        assert x.clip(0.0, 1.0).shape == (2, 3)
         assert x.flatten_batch().shape == (2, 3)
-
-    def test_getitem_slicing(self, rng):
-        x = Tensor(rng.normal(size=(4, 5)))
-        assert x[1:3].shape == (2, 5)
-        assert x[:, 0].shape == (4,)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, avg_pool2d, conv2d, global_avg_pool2d, gradcheck, max_pool2d
+from gradcheck import gradcheck
+from repro.tensor import Tensor, avg_pool2d, conv2d, global_avg_pool2d
 from repro.tensor.conv import _conv2d_fwd, _conv2d_infer, _conv2d_vjp, conv_output_shape
 
 
@@ -182,23 +183,6 @@ class TestStride1InputGradient:
 
 
 class TestPooling:
-    def test_max_pool_forward(self):
-        x = np.arange(16.0).reshape(1, 1, 4, 4)
-        out = max_pool2d(Tensor(x), 2)
-        np.testing.assert_allclose(out.data, [[[[5.0, 7.0], [13.0, 15.0]]]])
-
-    def test_max_pool_grad_routes_to_max(self):
-        x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4), requires_grad=True)
-        max_pool2d(x, 2).sum().backward()
-        expected = np.zeros((1, 1, 4, 4))
-        expected[0, 0, 1, 1] = expected[0, 0, 1, 3] = expected[0, 0, 3, 1] = expected[0, 0, 3, 3] = 1.0
-        np.testing.assert_allclose(x.grad, expected)
-
-    def test_max_pool_with_stride_and_padding(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 5, 5)), requires_grad=True)
-        out = max_pool2d(x, 3, stride=2, padding=1)
-        assert out.shape == (2, 3, 3, 3)
-
     def test_avg_pool_forward(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)
         out = avg_pool2d(Tensor(x), 2)
@@ -207,11 +191,6 @@ class TestPooling:
     def test_avg_pool_gradcheck(self, rng):
         x = Tensor(rng.normal(size=(2, 2, 4, 4)), requires_grad=True)
         ok, err = gradcheck(lambda x: avg_pool2d(x, 2), [x])
-        assert ok, err
-
-    def test_max_pool_gradcheck(self, rng):
-        x = Tensor(rng.normal(size=(1, 2, 4, 4)), requires_grad=True)
-        ok, err = gradcheck(lambda x: max_pool2d(x, 2), [x])
         assert ok, err
 
     def test_global_avg_pool(self, rng):

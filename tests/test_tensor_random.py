@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, gradcheck, numerical_gradient, ops
+from gradcheck import gradcheck, numerical_gradient
+from repro.tensor import Tensor
 from repro.tensor.random import default_rng, seed_everything, spawn_rngs
 
 
@@ -36,7 +37,7 @@ class TestDefaultRng:
 class TestGradcheckUtility:
     def test_detects_correct_gradient(self, rng):
         x = Tensor(rng.normal(size=(3,)), requires_grad=True)
-        ok, err = gradcheck(lambda x: ops.tanh(x), [x])
+        ok, err = gradcheck(lambda x: x * x * x, [x])
         assert ok and err < 1e-4
 
     def test_detects_wrong_gradient(self, rng):

@@ -22,7 +22,7 @@ from repro.training import (
     evaluate_classifier,
     evaluate_with_spikes,
 )
-from repro.training.trainer import _build_optimizer, _build_scheduler
+from repro.training.trainer import _build_optimizer
 from repro.nn.optim import SGD, Adam
 from repro.tensor import Tensor
 from repro.trace import FlightRecorder, tracing
@@ -144,17 +144,12 @@ class TestTrainerANN:
         Trainer(TrainingConfig(epochs=1, batch_size=8)).fit_splits(model, two_class_splits)
         assert not model.training
 
-    def test_optimizer_and_scheduler_factories(self):
+    def test_optimizer_factory(self):
         model = _ann()
         assert isinstance(_build_optimizer(model, TrainingConfig(optimizer="sgd")), SGD)
         assert isinstance(_build_optimizer(model, TrainingConfig(optimizer="adam")), Adam)
         with pytest.raises(ValueError):
             _build_optimizer(model, TrainingConfig(optimizer="rmsprop"))
-        opt = _build_optimizer(model, TrainingConfig())
-        for name in ("constant", "step", "cosine"):
-            _build_scheduler(opt, TrainingConfig(scheduler=name))
-        with pytest.raises(ValueError):
-            _build_scheduler(opt, TrainingConfig(scheduler="exponential"))
 
     def test_config_with_overrides(self):
         config = TrainingConfig(epochs=3).with_overrides(epochs=7, learning_rate=0.5)
@@ -179,9 +174,9 @@ class TestSNNTrainer:
         assert stats.num_steps == 4
 
     def test_runner_configuration(self):
-        trainer = SNNTrainer(SNNTrainingConfig(num_steps=7, readout="spike_count"))
+        trainer = SNNTrainer(SNNTrainingConfig(num_steps=7))
         runner = trainer.make_runner(_snn())
-        assert runner.num_steps == 7 and runner.readout == "spike_count"
+        assert runner.num_steps == 7
 
     def test_evaluate_with_spikes_function(self, two_class_splits):
         model = _snn()
