@@ -2,9 +2,11 @@
 
 The fused path's contract has three legs, each pinned here:
 
-* **bit-identity** — for every reset mechanism the fused step reproduces
-  graph autograd exactly: same loss, same logits, same bits in every
-  parameter gradient and batch-norm running statistic;
+* **bit-identity** — for every reset mechanism, surrogate gradient and
+  model template, for searched skip wiring and for windows down to one
+  time step, the fused step reproduces graph autograd exactly: same loss,
+  same logits, same bits in every parameter gradient and batch-norm running
+  statistic;
 * **dispatch discipline** — ``auto`` fuses only when the compiled plan
   qualifies and silently falls back otherwise, ``on`` raises with the
   disqualifying reason, ``off`` always takes the recorded graph, and the
@@ -31,6 +33,7 @@ from repro.core.async_eval import _absorb_telemetry, _TelemetryCall
 from repro.core.objectives import EvaluationResult
 from repro.data.loaders import ArrayDataset
 from repro.models import get_template
+from repro.models.blocks import NeuronConfig
 from repro.nn import CrossEntropyLoss, Linear, Sequential
 from repro.snn import TemporalRunner
 from repro.snn.fused_step import (
@@ -50,15 +53,23 @@ from repro.training import SNNTrainer, SNNTrainingConfig, Trainer, TrainingConfi
 RESETS = ("subtract", "zero", "none")
 
 
-def build_model(reset: str = "subtract"):
-    """A small spiking SkipConnectionNetwork with deterministic weights."""
-    template = get_template("resnet18", input_channels=2, num_classes=10, stage_channels=(6, 8))
-    model = template.build(spiking=True, rng=0)
-    if reset != "subtract":
-        for module in model.modules():
-            if isinstance(module, LIFNeuron):
-                module.reset_mechanism = reset
-    return model
+def build_model(
+    reset: str = "subtract",
+    *,
+    name: str = "resnet18",
+    surrogate: str = "fast_sigmoid",
+    spec_seed=None,
+):
+    """A small spiking SkipConnectionNetwork with deterministic weights.
+
+    ``spec_seed`` samples a searched wiring (DSC concat and ASC add edges)
+    instead of the template's default one.
+    """
+    sizes = {} if name == "single_block" else {"stage_channels": (6, 8)}
+    template = get_template(name, input_channels=2, num_classes=10, **sizes)
+    spec = None if spec_seed is None else template.search_space().sample(rng=spec_seed)
+    neurons = NeuronConfig(surrogate=surrogate, reset_mechanism=reset)
+    return template.build(spec, spiking=True, neuron_config=neurons, rng=0)
 
 
 def make_batch(batch_size: int = 4, seed: int = 0):
@@ -66,10 +77,10 @@ def make_batch(batch_size: int = 4, seed: int = 0):
     return rng.random((batch_size, 2, 12, 12)), rng.integers(0, 10, size=batch_size)
 
 
-def one_step(mode: str, reset: str, num_steps: int = 3):
+def one_step(mode: str, reset: str, num_steps: int = 3, **model_options):
     """One training step from a fresh seeded model; returns all observables."""
     batch, targets = make_batch()
-    model = build_model(reset)
+    model = build_model(reset, **model_options)
     runner = TemporalRunner(model, num_steps=num_steps)
     model.zero_grad()
     with fused_training(mode):
@@ -93,27 +104,50 @@ def one_step(mode: str, reset: str, num_steps: int = 3):
 BIT_IDENTITY_CASES = [pytest.param(reset, id=f"membrane_mean-{reset}") for reset in RESETS]
 
 
+def assert_fused_matches_graph(reset: str, **step_options):
+    """One graph step and one fused step agree bit for bit on every observable."""
+    reset_fused_counters()
+    graph_loss, graph_logits, graph_grads, graph_stats = one_step("off", reset, **step_options)
+    fused_loss, fused_logits, fused_grads, fused_stats = one_step("on", reset, **step_options)
+    assert fused_loss == graph_loss
+    assert np.array_equal(fused_logits, graph_logits)
+    assert set(fused_grads) == set(graph_grads)
+    for name, reference in graph_grads.items():
+        candidate = fused_grads[name]
+        if reference is None:
+            assert candidate is None, name
+            continue
+        assert candidate is not None, name
+        assert np.array_equal(candidate, reference), f"grad {name} diverged"
+    for name, reference in graph_stats.items():
+        assert np.array_equal(fused_stats[name], reference), f"buffer {name} diverged"
+    counters = fused_counters()
+    assert counters["fused_steps"] == 1
+    assert counters["fallback_steps"] == 1
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("reset", BIT_IDENTITY_CASES)
     def test_fused_step_matches_graph_autograd_exactly(self, reset):
-        reset_fused_counters()
-        graph_loss, graph_logits, graph_grads, graph_stats = one_step("off", reset)
-        fused_loss, fused_logits, fused_grads, fused_stats = one_step("on", reset)
-        assert fused_loss == graph_loss
-        assert np.array_equal(fused_logits, graph_logits)
-        assert set(fused_grads) == set(graph_grads)
-        for name, reference in graph_grads.items():
-            candidate = fused_grads[name]
-            if reference is None:
-                assert candidate is None, name
-                continue
-            assert candidate is not None, name
-            assert np.array_equal(candidate, reference), f"grad {name} diverged"
-        for name, reference in graph_stats.items():
-            assert np.array_equal(fused_stats[name], reference), f"buffer {name} diverged"
-        counters = fused_counters()
-        assert counters["fused_steps"] == 1
-        assert counters["fallback_steps"] == 1
+        assert_fused_matches_graph(reset)
+
+    @pytest.mark.parametrize("reset", RESETS)
+    @pytest.mark.parametrize("surrogate", ["atan", "triangular", "straight_through"])
+    def test_every_surrogate_matches_graph_autograd(self, surrogate, reset):
+        assert_fused_matches_graph(reset, surrogate=surrogate)
+
+    @pytest.mark.parametrize("reset", RESETS)
+    @pytest.mark.parametrize("name", ["mobilenetv2", "densenet121", "single_block"])
+    def test_every_template_matches_graph_autograd(self, name, reset):
+        assert_fused_matches_graph(reset, name=name)
+
+    @pytest.mark.parametrize("spec_seed", [1, 2, 3])
+    def test_searched_wiring_matches_graph_autograd(self, spec_seed):
+        assert_fused_matches_graph("subtract", spec_seed=spec_seed)
+
+    @pytest.mark.parametrize("num_steps", [1, 2])
+    def test_short_windows_match_graph_autograd(self, num_steps):
+        assert_fused_matches_graph("subtract", num_steps=num_steps)
 
 
 def fit_smoke(fused: str):

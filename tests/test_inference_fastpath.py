@@ -30,6 +30,7 @@ from repro.experiments import get_scale
 from repro.experiments.pareto_front import run_pareto_front
 from repro.gp import HammingKernel, tune_kernel
 from repro.models import build_single_block_template, get_template
+from repro.models.blocks import NeuronConfig
 from repro.snn import LeakyIntegrator, LIFNeuron, TemporalRunner
 from repro.snn.temporal import run_temporal
 from repro.tensor import Tensor, conv2d, avg_pool2d, no_grad
@@ -276,6 +277,19 @@ class TestTemplateFastPath:
             repeat = runner(batch).data.copy()
         assert np.array_equal(reference, fast)
         assert np.array_equal(reference, repeat)
+
+    @pytest.mark.parametrize("reset", ["zero", "none"])
+    @pytest.mark.parametrize("name", ["resnet18", "mobilenetv2", "densenet121", "single_block"])
+    def test_every_reset_mechanism_bit_identical(self, rng, name, reset):
+        template = get_template(name, input_channels=2, num_classes=5)
+        model = template.build(spiking=True, neuron_config=NeuronConfig(reset_mechanism=reset), rng=0)
+        model.eval()
+        runner = TemporalRunner(model, num_steps=4)
+        batch = rng.random((2, 2, 8, 8))
+        reference = runner(batch).data.copy()
+        with no_grad():
+            fast = runner(batch).data
+        assert np.array_equal(reference, fast)
 
     def test_searched_architecture_bit_identical(self, rng):
         """A non-default spec (real skip wiring: DSC concat + ASC add) matches too."""

@@ -70,6 +70,16 @@ class TestSpikeFunction:
         expected = surrogate.derivative(membrane.data - 1.0)
         np.testing.assert_allclose(membrane.grad, expected)
 
+    @pytest.mark.parametrize("name", ["fast_sigmoid", "atan", "triangular", "straight_through"])
+    def test_backward_scales_cotangent_by_each_surrogate(self, name):
+        surrogate = get_surrogate(name)
+        membrane = Tensor(np.linspace(0.0, 2.0, 9), requires_grad=True)
+        spikes = spike_function(membrane, threshold=1.2, surrogate=surrogate)
+        upstream = np.arange(1.0, 10.0)
+        (spikes * Tensor(upstream)).sum().backward()
+        np.testing.assert_array_equal(spikes.data, (membrane.data >= 1.2).astype(float))
+        np.testing.assert_allclose(membrane.grad, upstream * surrogate.derivative(membrane.data - 1.2))
+
     def test_no_graph_without_grad(self):
         membrane = Tensor(np.array([2.0]))
         spikes = spike_function(membrane, 1.0, FastSigmoidSurrogate())
