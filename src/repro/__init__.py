@@ -38,59 +38,42 @@ _IMPORT_STARTED = _perf_counter()
 
 __version__ = "1.0.0"
 
-from repro import core, data, experiments, gp, models, nn, snn, tensor, training
-from repro.core import (
-    ASC,
-    DSC,
-    AdaptationConfig,
-    ArchitectureSpec,
-    BayesianOptimizer,
-    BlockAdjacency,
-    RandomSearch,
-    SearchSpace,
-    SNNAdapter,
-    WeightSnapshotStore,
-    WeightStore,
-    WeightUpdate,
-)
-from repro.data import load_dataset
-from repro.models import NeuronConfig, get_template
-from repro.snn import FiringRateMonitor, LIFNeuron, TemporalRunner
-from repro.tensor import Tensor
-from repro.training import SNNTrainer, SNNTrainingConfig, Trainer, TrainingConfig
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "__version__",
-    "core",
-    "data",
-    "experiments",
-    "gp",
-    "models",
-    "nn",
-    "snn",
-    "tensor",
-    "training",
-    "ASC",
-    "DSC",
-    "AdaptationConfig",
-    "ArchitectureSpec",
-    "BayesianOptimizer",
-    "BlockAdjacency",
-    "RandomSearch",
-    "SearchSpace",
-    "SNNAdapter",
-    "WeightSnapshotStore",
-    "WeightStore",
-    "WeightUpdate",
-    "load_dataset",
-    "NeuronConfig",
-    "get_template",
-    "FiringRateMonitor",
-    "LIFNeuron",
-    "TemporalRunner",
-    "Tensor",
-    "SNNTrainer",
-    "SNNTrainingConfig",
-    "Trainer",
-    "TrainingConfig",
-]
+# each name's module is imported on first access (PEP 562, see repro._lazy)
+_LAZY_EXPORTS = {
+    "core": "repro.core",
+    "data": "repro.data",
+    "experiments": "repro.experiments",
+    "gp": "repro.gp",
+    "models": "repro.models",
+    "nn": "repro.nn",
+    "snn": "repro.snn",
+    "tensor": "repro.tensor",
+    "training": "repro.training",
+    "ASC": "repro.core",
+    "DSC": "repro.core",
+    "AdaptationConfig": "repro.core",
+    "ArchitectureSpec": "repro.core",
+    "BayesianOptimizer": "repro.core",
+    "BlockAdjacency": "repro.core",
+    "RandomSearch": "repro.core",
+    "SearchSpace": "repro.core",
+    "SNNAdapter": "repro.core",
+    "WeightSnapshotStore": "repro.core",
+    "WeightStore": "repro.core",
+    "WeightUpdate": "repro.core",
+    "load_dataset": "repro.data",
+    "NeuronConfig": "repro.models",
+    "get_template": "repro.models",
+    "FiringRateMonitor": "repro.snn",
+    "LIFNeuron": "repro.snn",
+    "TemporalRunner": "repro.snn",
+    "Tensor": "repro.tensor",
+    "SNNTrainer": "repro.training",
+    "SNNTrainingConfig": "repro.training",
+    "Trainer": "repro.training",
+    "TrainingConfig": "repro.training",
+}
+__all__ = ["__version__", *_LAZY_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

@@ -31,23 +31,12 @@ import time
 from typing import List, Optional, Sequence
 
 from repro.data import available_datasets
-from repro.experiments import (
-    format_figure1,
-    format_figure3,
-    format_pareto,
-    format_table1,
-    get_scale,
-    plot_pareto,
-    run_figure1,
-    run_figure3,
-    run_pareto_front,
-    run_table1,
-)
-from repro.experiments.io import save_result
-from repro.experiments.plots import plot_figure1, plot_figure3
-from repro.experiments.table1 import DEFAULT_DATASETS, DEFAULT_MODELS, run_table1_cell, Table1Result, Table1Row
+from repro.experiments.config import DEFAULT_DATASETS, DEFAULT_MODELS, get_scale
 from repro.models import available_models
 from repro.tensor.blas import blas_threads, use_one_blas_thread
+
+# each command imports its experiment module in its handler, so a process
+# loads only the command it runs (and a replayed search no training code)
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
@@ -265,6 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_figure1(args) -> int:
+    from repro.experiments.figure1 import run_figure1
+    from repro.experiments.io import save_result
+    from repro.experiments.plots import plot_figure1
+    from repro.experiments.reporting import format_figure1
+
     scale = get_scale(args.scale)
     result = run_figure1(args.connection_type, scale=scale, dataset=args.dataset, seed=args.seed)
     print(format_figure1(result))
@@ -278,6 +272,10 @@ def _command_figure1(args) -> int:
 
 
 def _command_table1(args) -> int:
+    from repro.experiments.io import save_result
+    from repro.experiments.reporting import format_table1
+    from repro.experiments.table1 import run_table1
+
     scale = get_scale(args.scale)
     result = run_table1(
         scale=scale,
@@ -296,6 +294,11 @@ def _command_table1(args) -> int:
 
 
 def _command_figure3(args) -> int:
+    from repro.experiments.figure3 import run_figure3
+    from repro.experiments.io import save_result
+    from repro.experiments.plots import plot_figure3
+    from repro.experiments.reporting import format_figure3
+
     scale = get_scale(args.scale)
     result = run_figure3(
         scale=scale,
@@ -319,6 +322,9 @@ def _command_figure3(args) -> int:
 
 
 def _command_adapt(args) -> int:
+    from repro.experiments.io import save_result
+    from repro.experiments.table1 import Table1Result, Table1Row, run_table1_cell
+
     scale = get_scale(args.scale)
     adaptation = run_table1_cell(
         args.dataset,
@@ -347,6 +353,8 @@ def _command_pareto(args) -> int:
     import contextlib
 
     import repro
+    from repro.experiments.io import save_result
+    from repro.experiments.pareto_front import format_pareto, plot_pareto, run_pareto_front
     from repro.trace import FlightRecorder, is_enabled, max_rss_mb, record_span, tracing
 
     scale = get_scale(args.scale)

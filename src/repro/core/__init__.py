@@ -30,69 +30,26 @@ This package implements Section III of the paper:
 
 ``docs/architecture.md`` has the full module map and the data flow of one
 search iteration.
-
-The optimization-pipeline classes (objectives, optimizers, adapter) are
-re-exported lazily to avoid import cycles with :mod:`repro.models`, which
-itself depends on the adjacency representation defined here.
 """
 
-from repro.core.adjacency import (
-    ASC,
-    DSC,
-    NO_CONNECTION,
-    SKIP_TYPES,
-    BlockAdjacency,
-    connection_name,
-)
-from repro.core.pareto import ParetoFront, ParetoPoint, dominates
-from repro.core.search_space import ArchitectureSpec, BlockSearchInfo, SearchSpace
-from repro.core.snapshots import WeightSnapshotStore
-from repro.core.weight_sharing import WeightStore, WeightUpdate
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ASC",
-    "DSC",
-    "NO_CONNECTION",
-    "SKIP_TYPES",
-    "BlockAdjacency",
-    "connection_name",
-    "ArchitectureSpec",
-    "BlockSearchInfo",
-    "SearchSpace",
-    "WeightStore",
-    "WeightUpdate",
-    "WeightSnapshotStore",
-    "AccuracyDropObjective",
-    "EnergyAwareObjective",
-    "EvaluationResult",
-    "Objective",
-    "BayesianOptimizer",
-    "OptimizationHistory",
-    "OptimizationRecord",
-    "RandomSearch",
-    "AdaptationConfig",
-    "AdaptationResult",
-    "SNNAdapter",
-    "CachedObjective",
-    "PersistentEvaluationStore",
-    "ShardedEvaluationStore",
-    "snapshot_store_for",
-    "AsyncEvaluationExecutor",
-    "run_search",
-    "ParetoFront",
-    "ParetoPoint",
-    "dominates",
-    "ObjectiveSpec",
-    "ObjectiveConstraint",
-    "MultiObjectiveBayesianOptimizer",
-    "get_objective_spec",
-    "resolve_objective_specs",
-]
-
-# Lazily-resolved exports (PEP 562): these modules import repro.models /
-# repro.training, which in turn import repro.core.adjacency — resolving them
-# at attribute-access time breaks the cycle without hiding the public API.
+# every name resolves on first access (PEP 562, see repro._lazy): importing
+# the package loads none of its modules, and the pipeline modules, which
+# import repro.models / repro.training, never cycle back into this file
 _LAZY_EXPORTS = {
+    "ASC": "repro.core.adjacency",
+    "DSC": "repro.core.adjacency",
+    "NO_CONNECTION": "repro.core.adjacency",
+    "SKIP_TYPES": "repro.core.adjacency",
+    "BlockAdjacency": "repro.core.adjacency",
+    "connection_name": "repro.core.adjacency",
+    "ArchitectureSpec": "repro.core.search_space",
+    "BlockSearchInfo": "repro.core.search_space",
+    "SearchSpace": "repro.core.search_space",
+    "WeightStore": "repro.core.weight_sharing",
+    "WeightUpdate": "repro.core.weight_sharing",
+    "WeightSnapshotStore": "repro.core.snapshots",
     "AccuracyDropObjective": "repro.core.objectives",
     "EnergyAwareObjective": "repro.core.objectives",
     "EvaluationResult": "repro.core.objectives",
@@ -110,24 +67,14 @@ _LAZY_EXPORTS = {
     "snapshot_store_for": "repro.core.cache",
     "AsyncEvaluationExecutor": "repro.core.async_eval",
     "run_search": "repro.core.async_eval",
+    "ParetoFront": "repro.core.pareto",
+    "ParetoPoint": "repro.core.pareto",
+    "dominates": "repro.core.pareto",
     "ObjectiveSpec": "repro.core.multi_objective",
     "ObjectiveConstraint": "repro.core.multi_objective",
     "MultiObjectiveBayesianOptimizer": "repro.core.multi_objective",
     "get_objective_spec": "repro.core.multi_objective",
     "resolve_objective_specs": "repro.core.multi_objective",
 }
-
-
-def __getattr__(name: str):
-    if name in _LAZY_EXPORTS:
-        import importlib
-
-        module = importlib.import_module(_LAZY_EXPORTS[name])
-        value = getattr(module, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module 'repro.core' has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))
+__all__ = list(_LAZY_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

@@ -29,10 +29,10 @@ from repro.core.objectives import AccuracyDropObjective, EnergyAwareObjective
 from repro.core.search_space import ArchitectureSpec
 from repro.core.weight_sharing import WeightStore
 from repro.data.loaders import DatasetSplits
-from repro.models.blocks import NeuronConfig
-from repro.models.template import NetworkTemplate
-from repro.training.snn_trainer import SNNTrainer, SNNTrainingConfig
-from repro.training.trainer import Trainer, TrainingConfig
+from repro.models.specs import NetworkTemplate, NeuronConfig
+from repro.training.config import SNNTrainingConfig, TrainingConfig
+from repro.training.snn_trainer import SNNTrainer
+from repro.training.trainer import Trainer
 
 
 @dataclass

@@ -53,13 +53,11 @@ evaluations finish, so no completed evaluation's store row is lost.
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
 import os
 import pickle
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.core.cache import merge_store_counters, store_counters
 from repro.core.objectives import EvaluationResult, resolve_weight_context
@@ -68,12 +66,17 @@ from repro.core.weight_sharing import WeightStore
 from repro.tensor.blas import use_one_blas_thread
 from repro.trace import absorb as absorb_spans, capture_context, remote_activation, span
 
+if TYPE_CHECKING:
+    import concurrent.futures
+
 #: environment variable forcing the multiprocessing start method
 START_METHOD_ENV = "REPRO_MP_START_METHOD"
 
 
 def start_method() -> str:
     """The configured multiprocessing start method."""
+    import multiprocessing
+
     method = os.environ.get(START_METHOD_ENV)
     if method:
         return method
@@ -86,6 +89,8 @@ def get_mp_context():
     An invalid ``REPRO_MP_START_METHOD`` raises here rather than degrading
     silently — a misconfigured run must not masquerade as a parallel one.
     """
+    import multiprocessing
+
     return multiprocessing.get_context(start_method())
 
 
@@ -154,9 +159,9 @@ class _TelemetryCall:
         self.payload, self.context = state
 
     def __call__(self, spec: ArchitectureSpec) -> EvaluationResult:
-        # local import: the fused kernel module reaches the model zoo, which
-        # this core module must not pull in at import time
-        from repro.snn.fused_step import aggregate_fused_counters
+        # repro.snn is imported only on the pooled path: a serial search
+        # loads none of it
+        from repro.snn.routing import aggregate_fused_counters
 
         objective = pickle.loads(self.payload)
         fused_before = aggregate_fused_counters()
@@ -186,7 +191,7 @@ def _absorb_telemetry(result: EvaluationResult) -> None:
     process-wide tallies; the payload is cleared afterwards so it can never
     leak into persisted rows or be re-absorbed.
     """
-    from repro.snn.fused_step import merge_fused_counters
+    from repro.snn.routing import merge_fused_counters
 
     telemetry = result.telemetry
     if not telemetry:
@@ -239,6 +244,9 @@ class AsyncEvaluationExecutor:
         self._specs: Dict[int, ArchitectureSpec] = {}
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
         if self.workers > 1 and func_is_picklable(objective):
+            # the pool machinery (~16 ms of imports) loads only for a pool
+            import concurrent.futures
+
             try:
                 self._pool = concurrent.futures.ProcessPoolExecutor(
                     max_workers=self.workers,
@@ -284,6 +292,8 @@ class AsyncEvaluationExecutor:
             return self._serial_done.pop(0)
         if not self._futures:
             raise RuntimeError("no evaluations in flight")
+        import concurrent.futures
+
         done, _ = concurrent.futures.wait(
             self._futures.values(), return_when=concurrent.futures.FIRST_COMPLETED
         )

@@ -11,20 +11,20 @@ optimizers (BO, random search) stay agnostic of models and data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.search_space import ArchitectureSpec
 from repro.core.weight_sharing import WeightStore, WeightUpdate
-from repro.data.loaders import DatasetSplits
-from repro.models.blocks import NeuronConfig
-from repro.models.template import NetworkTemplate
-from repro.snn.fused_step import fused_counters
-from repro.snn.mac import MACCounter
+from repro.models.specs import NeuronConfig
 from repro.trace import max_rss_mb, span
-from repro.training.snn_trainer import SNNTrainer, SNNTrainingConfig
+from repro.training.config import SNNTrainingConfig
 from repro.tensor.random import default_rng
+
+if TYPE_CHECKING:
+    from repro.data.loaders import DatasetSplits
+    from repro.models.specs import NetworkTemplate
 
 
 @dataclass
@@ -202,6 +202,11 @@ class AccuracyDropObjective(Objective):
         return float(1.0 - accuracy)
 
     def __call__(self, spec: ArchitectureSpec) -> EvaluationResult:
+        # the training substrate loads at the first evaluation, not at import:
+        # a search answered from its evaluation store never needs it
+        from repro.snn.routing import fused_counters
+        from repro.training.snn_trainer import SNNTrainer
+
         self.num_evaluations += 1
         with span("evaluate") as eval_span:
             if eval_span:
@@ -292,6 +297,7 @@ class AccuracyDropObjective(Objective):
         simulation window on the graph-free fast path.
         """
         from repro.training.evaluation import measure_latency_ms
+        from repro.training.snn_trainer import SNNTrainer
 
         batch_size = min(int(self.training_config.batch_size), len(self.splits.val))
         sample = self.splits.val.inputs[:batch_size]
@@ -300,6 +306,8 @@ class AccuracyDropObjective(Objective):
 
     def _count_macs(self, spec: ArchitectureSpec, model) -> float:
         """Per-step MAC count of ``spec``, memoised by architecture fingerprint."""
+        from repro.snn.mac import MACCounter
+
         key = spec.encode().tobytes()
         macs = self._mac_cache.get(key)
         if macs is None:

@@ -49,8 +49,6 @@ import json
 import math
 import os
 import struct
-import tempfile
-import zipfile
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -174,6 +172,8 @@ class WeightSnapshotStore:
         return self.directory / f"{digest}.meta.json"
 
     def _write_atomically(self, path: Path, writer) -> None:
+        import tempfile  # only writes need it; a replay reads
+
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=path.suffix + ".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
@@ -263,6 +263,8 @@ class WeightSnapshotStore:
         return state
 
     def _get_legacy(self, digest: str) -> Optional[Dict[str, np.ndarray]]:
+        import zipfile  # only the legacy ``.npz`` format is a zip archive
+
         try:
             with np.load(self._legacy_path(digest)) as archive:
                 return {key: np.array(archive[key]) for key in archive.files}

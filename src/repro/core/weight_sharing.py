@@ -26,11 +26,12 @@ never corrupts the store.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from repro.nn.module import Module
+if TYPE_CHECKING:
+    from repro.nn.module import Module
 
 
 def _copy_state(state: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:

@@ -16,25 +16,24 @@ paths (see DESIGN.md, Section 2 for the substitution rationale):
   mini-batch loader.
 """
 
-from repro.data.loaders import ArrayDataset, BatchLoader, DatasetSplits, train_val_test_split
-from repro.data.synthetic_cifar import SyntheticCIFAR10Config, make_synthetic_cifar10
-from repro.data.synthetic_dvs import DVSEventConfig, events_to_frames, make_synthetic_cifar10_dvs
-from repro.data.synthetic_gesture import GESTURE_NAMES, GestureConfig, make_synthetic_dvs_gesture
-from repro.data.registry import available_datasets, load_dataset
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArrayDataset",
-    "BatchLoader",
-    "DatasetSplits",
-    "train_val_test_split",
-    "SyntheticCIFAR10Config",
-    "make_synthetic_cifar10",
-    "DVSEventConfig",
-    "events_to_frames",
-    "make_synthetic_cifar10_dvs",
-    "GESTURE_NAMES",
-    "GestureConfig",
-    "make_synthetic_dvs_gesture",
-    "available_datasets",
-    "load_dataset",
-]
+# each name's module is imported on first access (PEP 562, see repro._lazy)
+_LAZY_EXPORTS = {
+    "ArrayDataset": "repro.data.loaders",
+    "BatchLoader": "repro.data.loaders",
+    "DatasetSplits": "repro.data.loaders",
+    "train_val_test_split": "repro.data.loaders",
+    "SyntheticCIFAR10Config": "repro.data.synthetic_cifar",
+    "make_synthetic_cifar10": "repro.data.synthetic_cifar",
+    "DVSEventConfig": "repro.data.synthetic_dvs",
+    "events_to_frames": "repro.data.synthetic_dvs",
+    "make_synthetic_cifar10_dvs": "repro.data.synthetic_dvs",
+    "GESTURE_NAMES": "repro.data.synthetic_gesture",
+    "GestureConfig": "repro.data.synthetic_gesture",
+    "make_synthetic_dvs_gesture": "repro.data.synthetic_gesture",
+    "available_datasets": "repro.data.registry",
+    "load_dataset": "repro.data.registry",
+}
+__all__ = list(_LAZY_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -140,8 +140,6 @@ class BatchLoader:
         Mini-batch size; the final batch may be smaller unless ``drop_last``.
     shuffle:
         Reshuffle sample order at the start of every epoch.
-    transform:
-        Optional callable applied to each input batch (augmentation).
     rng:
         Seed or generator controlling the shuffling (reproducible epochs).
     """
@@ -152,7 +150,6 @@ class BatchLoader:
         batch_size: int = 16,
         shuffle: bool = True,
         drop_last: bool = False,
-        transform: Optional[Callable[[np.ndarray, np.random.Generator], np.ndarray]] = None,
         rng=None,
     ) -> None:
         if batch_size <= 0:
@@ -161,7 +158,6 @@ class BatchLoader:
         self.batch_size = int(batch_size)
         self.shuffle = bool(shuffle)
         self.drop_last = bool(drop_last)
-        self.transform = transform
         self._rng = default_rng(rng)
 
     def __len__(self) -> int:
@@ -177,7 +173,4 @@ class BatchLoader:
             indices = order[start : start + self.batch_size]
             if self.drop_last and len(indices) < self.batch_size:
                 break
-            inputs, labels = self.dataset[indices]
-            if self.transform is not None:
-                inputs = self.transform(inputs, self._rng)
-            yield inputs, labels
+            yield self.dataset[indices]

@@ -61,16 +61,17 @@ class DVSEventConfig:
 
 def _luminance_at_offset(image: np.ndarray, dy: float, dx: float) -> np.ndarray:
     """Shift a (H, W) luminance image by a sub-pixel offset (bilinear, wrap)."""
-    height, width = image.shape
     y0 = int(np.floor(dy))
     x0 = int(np.floor(dx))
     fy = dy - y0
     fx = dx - x0
+    rows = np.roll(image, y0, axis=0)
+    rows_below = np.roll(image, y0 + 1, axis=0)
     shifted = (
-        (1 - fy) * (1 - fx) * np.roll(np.roll(image, y0, axis=0), x0, axis=1)
-        + (1 - fy) * fx * np.roll(np.roll(image, y0, axis=0), x0 + 1, axis=1)
-        + fy * (1 - fx) * np.roll(np.roll(image, y0 + 1, axis=0), x0, axis=1)
-        + fy * fx * np.roll(np.roll(image, y0 + 1, axis=0), x0 + 1, axis=1)
+        (1 - fy) * (1 - fx) * np.roll(rows, x0, axis=1)
+        + (1 - fy) * fx * np.roll(rows, x0 + 1, axis=1)
+        + fy * (1 - fx) * np.roll(rows_below, x0, axis=1)
+        + fy * fx * np.roll(rows_below, x0 + 1, axis=1)
     )
     return shifted
 
@@ -96,7 +97,8 @@ def generate_event_stream(
 
     size = config.image_size
     frames = np.zeros((config.num_steps, 2, size, size))
-    events: List[Tuple[float, int, int, float]] = []
+    # one (k, 4) block per step and kind: ON events, OFF events, sensor noise
+    blocks: List[np.ndarray] = []
 
     previous = luminance
     for t in range(config.num_steps):
@@ -109,23 +111,23 @@ def generate_event_stream(
         off_mask = diff < -config.contrast_threshold
         frames[t, 0][on_mask] = 1.0
         frames[t, 1][off_mask] = 1.0
-        ys, xs = np.where(on_mask)
-        events.extend((float(t), int(y), int(x), 1.0) for y, x in zip(ys, xs))
-        ys, xs = np.where(off_mask)
-        events.extend((float(t), int(y), int(x), -1.0) for y, x in zip(ys, xs))
+        for mask, polarity in ((on_mask, 1.0), (off_mask, -1.0)):
+            ys, xs = np.nonzero(mask)
+            blocks.append(np.column_stack((np.full(len(ys), float(t)), ys, xs, np.full(len(ys), polarity))))
 
         # sensor noise: spurious events at random pixels
-        for _ in range(config.noise_events_per_step):
+        noise = np.empty((config.noise_events_per_step, 4))
+        for k in range(config.noise_events_per_step):
             y = int(rng.integers(0, size))
             x = int(rng.integers(0, size))
             polarity = 1.0 if rng.random() < 0.5 else -1.0
-            channel = 0 if polarity > 0 else 1
-            frames[t, channel, y, x] = 1.0
-            events.append((float(t), y, x, polarity))
+            frames[t, 0 if polarity > 0 else 1, y, x] = 1.0
+            noise[k] = (t, y, x, polarity)
+        blocks.append(noise)
 
         previous = current
 
-    events_array = np.asarray(events, dtype=np.float64) if events else np.zeros((0, 4))
+    events_array = np.concatenate(blocks) if blocks else np.zeros((0, 4))
     return events_array, frames
 
 

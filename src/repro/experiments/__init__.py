@@ -17,56 +17,40 @@
   by the benchmark harness and the examples.
 """
 
-from repro.experiments.config import ExperimentScale, get_scale
-from repro.experiments.figure1 import Figure1Point, Figure1Result, run_figure1, run_figure1_pair
-from repro.experiments.table1 import Table1Result, Table1Row, run_table1, run_table1_cell
-from repro.experiments.figure3 import Figure3Result, SearchCurve, run_figure3
-from repro.experiments.pareto_front import (
-    ParetoFrontPoint,
-    ParetoResult,
-    format_pareto,
-    plot_pareto,
-    run_pareto_front,
-)
-from repro.experiments.reporting import format_figure1, format_figure3, format_series, format_table, format_table1
-from repro.experiments.plots import (
-    ascii_bar_chart,
-    ascii_line_chart,
-    ascii_scatter,
-    plot_figure1,
-    plot_figure3,
-)
-from repro.experiments.io import load_result, save_result
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentScale",
-    "get_scale",
-    "Figure1Point",
-    "Figure1Result",
-    "run_figure1",
-    "run_figure1_pair",
-    "Table1Result",
-    "Table1Row",
-    "run_table1",
-    "run_table1_cell",
-    "Figure3Result",
-    "SearchCurve",
-    "run_figure3",
-    "ParetoFrontPoint",
-    "ParetoResult",
-    "format_pareto",
-    "plot_pareto",
-    "run_pareto_front",
-    "format_figure1",
-    "format_figure3",
-    "format_series",
-    "format_table",
-    "format_table1",
-    "ascii_bar_chart",
-    "ascii_line_chart",
-    "ascii_scatter",
-    "plot_figure1",
-    "plot_figure3",
-    "load_result",
-    "save_result",
-]
+# each name's module is imported on first access (PEP 562, see repro._lazy)
+_LAZY_EXPORTS = {
+    "ExperimentScale": "repro.experiments.config",
+    "get_scale": "repro.experiments.config",
+    "Figure1Point": "repro.experiments.figure1",
+    "Figure1Result": "repro.experiments.figure1",
+    "run_figure1": "repro.experiments.figure1",
+    "run_figure1_pair": "repro.experiments.figure1",
+    "Table1Result": "repro.experiments.table1",
+    "Table1Row": "repro.experiments.table1",
+    "run_table1": "repro.experiments.table1",
+    "run_table1_cell": "repro.experiments.table1",
+    "Figure3Result": "repro.experiments.figure3",
+    "SearchCurve": "repro.experiments.figure3",
+    "run_figure3": "repro.experiments.figure3",
+    "ParetoFrontPoint": "repro.experiments.pareto_front",
+    "ParetoResult": "repro.experiments.pareto_front",
+    "format_pareto": "repro.experiments.pareto_front",
+    "plot_pareto": "repro.experiments.pareto_front",
+    "run_pareto_front": "repro.experiments.pareto_front",
+    "format_figure1": "repro.experiments.reporting",
+    "format_figure3": "repro.experiments.reporting",
+    "format_series": "repro.experiments.reporting",
+    "format_table": "repro.experiments.reporting",
+    "format_table1": "repro.experiments.reporting",
+    "ascii_bar_chart": "repro.experiments.plots",
+    "ascii_line_chart": "repro.experiments.plots",
+    "ascii_scatter": "repro.experiments.plots",
+    "plot_figure1": "repro.experiments.plots",
+    "plot_figure3": "repro.experiments.plots",
+    "load_result": "repro.experiments.io",
+    "save_result": "repro.experiments.io",
+}
+__all__ = list(_LAZY_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

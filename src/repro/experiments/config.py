@@ -124,6 +124,10 @@ PAPER = ExperimentScale(
 
 _SCALES: Dict[str, ExperimentScale] = {"smoke": SMOKE, "default": DEFAULT, "paper": PAPER}
 
+#: the (dataset, model) grid of Table I, also the ``repro table1`` defaults
+DEFAULT_DATASETS: Sequence[str] = ("cifar10", "cifar10-dvs", "dvs128-gesture")
+DEFAULT_MODELS: Sequence[str] = ("resnet18", "densenet121", "mobilenetv2")
+
 
 def get_scale(name: Optional[str] = None) -> ExperimentScale:
     """Resolve a scale by name; ``None`` reads ``REPRO_SCALE`` (default ``"default"``)."""

@@ -28,11 +28,12 @@ from repro.core.adjacency import ASC, DSC
 from repro.data import load_dataset
 from repro.data.loaders import ArrayDataset, DatasetSplits
 from repro.experiments.config import ExperimentScale, dataset_kwargs, get_scale
-from repro.models.blocks import NeuronConfig
 from repro.models.single_block import build_single_block_template, single_block_sweep_spec
+from repro.models.specs import NeuronConfig
 from repro.snn.mac import MACCounter
-from repro.training.snn_trainer import SNNTrainer, SNNTrainingConfig
-from repro.training.trainer import Trainer, TrainingConfig
+from repro.training.config import SNNTrainingConfig, TrainingConfig
+from repro.training.snn_trainer import SNNTrainer
+from repro.training.trainer import Trainer
 
 
 @dataclass

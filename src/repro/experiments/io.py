@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Union
 
 from repro.core.adjacency import BlockAdjacency
 from repro.core.search_space import ArchitectureSpec
-from repro.experiments.figure1 import Figure1Point, Figure1Result
-from repro.experiments.figure3 import Figure3Result, SearchCurve
-from repro.experiments.pareto_front import ParetoFrontPoint, ParetoResult
-from repro.experiments.table1 import Table1Result, Table1Row
+
+if TYPE_CHECKING:
+    from repro.experiments.figure1 import Figure1Result
+    from repro.experiments.figure3 import Figure3Result
+    from repro.experiments.pareto_front import ParetoResult
+    from repro.experiments.table1 import Table1Result
 
 PathLike = Union[str, Path]
 
@@ -71,6 +71,8 @@ def figure1_to_dict(result: Figure1Result) -> Dict:
 
 def figure1_from_dict(payload: Dict) -> Figure1Result:
     """Inverse of :func:`figure1_to_dict`."""
+    from repro.experiments.figure1 import Figure1Point, Figure1Result
+
     result = Figure1Result(
         connection_type=payload["connection_type"], dataset_name=payload["dataset_name"]
     )
@@ -113,6 +115,8 @@ def table1_to_dict(result: Table1Result) -> Dict:
 
 def table1_from_dict(payload: Dict) -> Table1Result:
     """Inverse of :func:`table1_to_dict`."""
+    from repro.experiments.table1 import Table1Result, Table1Row
+
     result = Table1Result()
     for row in payload["rows"]:
         result.rows.append(
@@ -146,6 +150,8 @@ def figure3_to_dict(result: Figure3Result) -> Dict:
 
 def figure3_from_dict(payload: Dict) -> Figure3Result:
     """Inverse of :func:`figure3_to_dict`."""
+    from repro.experiments.figure3 import Figure3Result, SearchCurve
+
     result = Figure3Result(dataset_name=payload["dataset_name"], model_name=payload["model_name"])
     result.bo_curve = SearchCurve(method="Our HPO", runs=[list(run) for run in payload["bo_runs"]])
     result.rs_curve = SearchCurve(method="random search", runs=[list(run) for run in payload["rs_runs"]])
@@ -181,6 +187,8 @@ def pareto_to_dict(result: ParetoResult) -> Dict:
 
 def pareto_from_dict(payload: Dict) -> ParetoResult:
     """Inverse of :func:`pareto_to_dict`."""
+    from repro.experiments.pareto_front import ParetoFrontPoint, ParetoResult
+
     result = ParetoResult(
         dataset_name=payload["dataset_name"],
         model_name=payload["model_name"],
@@ -207,36 +215,31 @@ def pareto_from_dict(payload: Dict) -> ParetoResult:
 # file helpers
 # ---------------------------------------------------------------------------
 
+#: result kind (the container's class name, stored in the file) -> (to_dict, from_dict);
+#: keyed by name so that saving one result imports no other experiment
 _SERIALIZERS = {
-    Figure1Result: figure1_to_dict,
-    Table1Result: table1_to_dict,
-    Figure3Result: figure3_to_dict,
-    ParetoResult: pareto_to_dict,
+    "Figure1Result": (figure1_to_dict, figure1_from_dict),
+    "Table1Result": (table1_to_dict, table1_from_dict),
+    "Figure3Result": (figure3_to_dict, figure3_from_dict),
+    "ParetoResult": (pareto_to_dict, pareto_from_dict),
 }
 
 
 def save_result(result, path: PathLike) -> Path:
     """Write any supported result container to ``path`` as JSON."""
-    for cls, serializer in _SERIALIZERS.items():
-        if isinstance(result, cls):
-            payload = {"kind": cls.__name__, "data": serializer(result)}
-            path = Path(path)
-            path.write_text(json.dumps(payload, indent=2))
-            return path
-    raise TypeError(f"cannot serialise result of type {type(result).__name__}")
+    kind = type(result).__name__
+    if kind not in _SERIALIZERS:
+        raise TypeError(f"cannot serialise result of type {kind}")
+    payload = {"kind": kind, "data": _SERIALIZERS[kind][0](result)}
+    path = Path(path)
+    path.write_text(json.dumps(payload, indent=2))
+    return path
 
 
 def load_result(path: PathLike):
     """Read a result container previously written by :func:`save_result`."""
     payload = json.loads(Path(path).read_text())
     kind = payload.get("kind")
-    data = payload.get("data", {})
-    if kind == "Figure1Result":
-        return figure1_from_dict(data)
-    if kind == "Table1Result":
-        return table1_from_dict(data)
-    if kind == "Figure3Result":
-        return figure3_from_dict(data)
-    if kind == "ParetoResult":
-        return pareto_from_dict(data)
-    raise ValueError(f"unknown result kind {kind!r} in {path}")
+    if kind not in _SERIALIZERS:
+        raise ValueError(f"unknown result kind {kind!r} in {path}")
+    return _SERIALIZERS[kind][1](payload.get("data", {}))

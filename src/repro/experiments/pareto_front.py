@@ -45,7 +45,7 @@ from repro.data import load_dataset
 from repro.experiments.config import ExperimentScale, dataset_kwargs, get_scale, model_kwargs
 from repro.models import get_template
 from repro.trace import span
-from repro.training.snn_trainer import SNNTrainingConfig
+from repro.training.config import SNNTrainingConfig
 
 
 class SearchStopped(Exception):

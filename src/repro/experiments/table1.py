@@ -19,10 +19,16 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.adapter import AdaptationConfig, AdaptationResult, SNNAdapter
 from repro.data import load_dataset
 from repro.data.loaders import DatasetSplits
-from repro.experiments.config import ExperimentScale, dataset_kwargs, get_scale, model_kwargs
+from repro.experiments.config import (
+    DEFAULT_DATASETS,
+    DEFAULT_MODELS,
+    ExperimentScale,
+    dataset_kwargs,
+    get_scale,
+    model_kwargs,
+)
 from repro.models import get_template
-from repro.training.snn_trainer import SNNTrainingConfig
-from repro.training.trainer import TrainingConfig
+from repro.training.config import SNNTrainingConfig, TrainingConfig
 
 #: dataset -> optimizer choice used in the paper's experimental setup
 PAPER_OPTIMIZERS: Dict[str, str] = {
@@ -30,10 +36,6 @@ PAPER_OPTIMIZERS: Dict[str, str] = {
     "cifar10-dvs": "sgd",
     "dvs128-gesture": "adam",
 }
-
-DEFAULT_DATASETS: Sequence[str] = ("cifar10", "cifar10-dvs", "dvs128-gesture")
-DEFAULT_MODELS: Sequence[str] = ("resnet18", "densenet121", "mobilenetv2")
-
 
 @dataclass
 class Table1Row:

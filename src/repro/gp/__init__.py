@@ -13,27 +13,22 @@ function.  This package provides the required machinery:
   and Probability of Improvement (mentioned as the common alternatives).
 """
 
-from repro.gp.kernels import HammingKernel, Kernel, Matern52Kernel, RBFKernel
-from repro.gp.gp import FantasizedPosterior, GaussianProcessRegressor, tune_kernel
-from repro.gp.acquisition import (
-    AcquisitionFunction,
-    ExpectedImprovement,
-    ProbabilityOfImprovement,
-    UpperConfidenceBound,
-    get_acquisition,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HammingKernel",
-    "Kernel",
-    "Matern52Kernel",
-    "RBFKernel",
-    "FantasizedPosterior",
-    "GaussianProcessRegressor",
-    "tune_kernel",
-    "AcquisitionFunction",
-    "ExpectedImprovement",
-    "ProbabilityOfImprovement",
-    "UpperConfidenceBound",
-    "get_acquisition",
-]
+# each name's module is imported on first access (PEP 562, see repro._lazy)
+_LAZY_EXPORTS = {
+    "HammingKernel": "repro.gp.kernels",
+    "Kernel": "repro.gp.kernels",
+    "Matern52Kernel": "repro.gp.kernels",
+    "RBFKernel": "repro.gp.kernels",
+    "FantasizedPosterior": "repro.gp.gp",
+    "GaussianProcessRegressor": "repro.gp.gp",
+    "tune_kernel": "repro.gp.gp",
+    "AcquisitionFunction": "repro.gp.acquisition",
+    "ExpectedImprovement": "repro.gp.acquisition",
+    "ProbabilityOfImprovement": "repro.gp.acquisition",
+    "UpperConfidenceBound": "repro.gp.acquisition",
+    "get_acquisition": "repro.gp.acquisition",
+}
+__all__ = list(_LAZY_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

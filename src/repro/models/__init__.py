@@ -13,37 +13,26 @@ DenseNet-121 and MobileNetV2 — plus the single-block 4-convolution model used
 for the Fig. 1 analysis.
 """
 
-from repro.models.blocks import (
-    ClassifierHead,
-    DAGBlock,
-    LayerSpec,
-    BlockSpec,
-    NeuronConfig,
-    Stem,
-    TransitionLayer,
-)
-from repro.models.template import NetworkTemplate, SkipConnectionNetwork
-from repro.models.single_block import build_single_block_template, single_block_sweep_spec
-from repro.models.resnet import build_resnet18_template
-from repro.models.densenet import build_densenet121_template
-from repro.models.mobilenet import build_mobilenetv2_template
-from repro.models.registry import available_models, get_template
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClassifierHead",
-    "DAGBlock",
-    "LayerSpec",
-    "BlockSpec",
-    "NeuronConfig",
-    "Stem",
-    "TransitionLayer",
-    "NetworkTemplate",
-    "SkipConnectionNetwork",
-    "build_single_block_template",
-    "single_block_sweep_spec",
-    "build_resnet18_template",
-    "build_densenet121_template",
-    "build_mobilenetv2_template",
-    "available_models",
-    "get_template",
-]
+# each name's module is imported on first access (PEP 562, see repro._lazy)
+_LAZY_EXPORTS = {
+    "ClassifierHead": "repro.models.blocks",
+    "DAGBlock": "repro.models.blocks",
+    "LayerSpec": "repro.models.specs",
+    "BlockSpec": "repro.models.specs",
+    "NeuronConfig": "repro.models.specs",
+    "Stem": "repro.models.blocks",
+    "TransitionLayer": "repro.models.blocks",
+    "NetworkTemplate": "repro.models.specs",
+    "SkipConnectionNetwork": "repro.models.template",
+    "build_single_block_template": "repro.models.single_block",
+    "single_block_sweep_spec": "repro.models.single_block",
+    "build_resnet18_template": "repro.models.resnet",
+    "build_densenet121_template": "repro.models.densenet",
+    "build_mobilenetv2_template": "repro.models.mobilenet",
+    "available_models": "repro.models.registry",
+    "get_template": "repro.models.registry",
+}
+__all__ = list(_LAZY_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

@@ -19,116 +19,16 @@ accuracy drop the paper optimizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.core.adjacency import ASC, DSC, NO_CONNECTION, BlockAdjacency
-from repro.core.search_space import BlockSearchInfo
+from repro.core.adjacency import ASC, DSC, BlockAdjacency
+# the spec classes live in repro.models.specs; LayerSpec is imported too so
+# that ``from repro.models.blocks import LayerSpec`` keeps working
+from repro.models.specs import BlockSpec, LayerSpec, NeuronConfig
 from repro.nn import AvgPool2d, BatchNorm2d, Conv2d, Linear, ReLU
 from repro.nn.module import Module, ModuleList
-from repro.snn.neurons import LeakyIntegrator, LIFNeuron
 from repro.tensor import Tensor, ops
 from repro.tensor.random import default_rng
-
-
-@dataclass
-class NeuronConfig:
-    """Hyperparameters of the spiking neurons used when a model is built as an SNN."""
-
-    beta: float = 0.9
-    threshold: float = 1.0
-    surrogate: str = "fast_sigmoid"
-    reset_mechanism: str = "subtract"
-    readout_beta: float = 0.95
-
-    def make_neuron(self) -> LIFNeuron:
-        """Instantiate one hidden-layer LIF neuron."""
-        return LIFNeuron(
-            beta=self.beta,
-            threshold=self.threshold,
-            surrogate=self.surrogate,
-            reset_mechanism=self.reset_mechanism,
-        )
-
-    def make_readout(self) -> LeakyIntegrator:
-        """Instantiate the non-spiking readout integrator."""
-        return LeakyIntegrator(beta=self.readout_beta)
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """Specification of one layer inside a block.
-
-    ``kind`` selects the synaptic operation:
-
-    * ``"conv3x3"`` — 3x3 convolution, padding 1;
-    * ``"conv1x1"`` — pointwise convolution;
-    * ``"dwconv3x3"`` — depthwise 3x3 convolution (groups = channels), as used
-      by MobileNetV2; such layers cannot accept DSC (concatenation) inputs
-      because their channel count is structurally fixed.
-    """
-
-    kind: str
-    out_channels: int
-    allow_dsc_input: bool = True
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("conv3x3", "conv1x1", "dwconv3x3"):
-            raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.out_channels <= 0:
-            raise ValueError(f"out_channels must be positive, got {self.out_channels}")
-        if self.kind == "dwconv3x3" and self.allow_dsc_input:
-            # depthwise layers cannot change their input width: forbid concatenation
-            object.__setattr__(self, "allow_dsc_input", False)
-
-
-@dataclass
-class BlockSpec:
-    """Static description of one block (independent of its adjacency)."""
-
-    in_channels: int
-    layers: List[LayerSpec]
-    name: str = "block"
-
-    @property
-    def depth(self) -> int:
-        """Number of layers in the block."""
-        return len(self.layers)
-
-    @property
-    def out_channels(self) -> int:
-        """Channels produced by the block's last layer."""
-        return self.layers[-1].out_channels
-
-    def node_channels(self) -> List[int]:
-        """Channel count of every DAG node (block input + each layer output)."""
-        return [self.in_channels] + [layer.out_channels for layer in self.layers]
-
-    def search_info(self) -> BlockSearchInfo:
-        """Describe which connection codes are legal at each skip position."""
-        allowed: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        adjacency = BlockAdjacency(self.depth)
-        for i, j in adjacency.skip_positions():
-            layer = self.layers[j - 1]
-            if not layer.allow_dsc_input:
-                allowed[(i, j)] = (NO_CONNECTION, ASC)
-        return BlockSearchInfo(depth=self.depth, allowed_types=allowed, name=self.name)
-
-    def validate_adjacency(self, adjacency: BlockAdjacency) -> None:
-        """Raise if ``adjacency`` is incompatible with this block's layers."""
-        if adjacency.depth != self.depth:
-            raise ValueError(
-                f"adjacency depth {adjacency.depth} does not match block depth {self.depth}"
-            )
-        for layer_index in range(self.depth):
-            for source, code in adjacency.sources_of(layer_index):
-                if code == DSC and not self.layers[layer_index].allow_dsc_input:
-                    raise ValueError(
-                        f"layer {layer_index} ({self.layers[layer_index].kind}) of block "
-                        f"{self.name!r} cannot accept DSC input from node {source}"
-                    )
 
 
 def _make_synaptic_layer(kind: str, in_channels: int, out_channels: int, rng) -> Conv2d:

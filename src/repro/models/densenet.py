@@ -18,8 +18,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.core.adjacency import DSC, BlockAdjacency
-from repro.models.blocks import BlockSpec, LayerSpec
-from repro.models.template import NetworkTemplate
+from repro.models.specs import BlockSpec, LayerSpec, NetworkTemplate
 
 
 def build_densenet121_template(

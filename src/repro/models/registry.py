@@ -8,7 +8,7 @@ from repro.models.densenet import build_densenet121_template
 from repro.models.mobilenet import build_mobilenetv2_template
 from repro.models.resnet import build_resnet18_template
 from repro.models.single_block import build_single_block_template
-from repro.models.template import NetworkTemplate
+from repro.models.specs import NetworkTemplate
 
 _BUILDERS: Dict[str, Callable[..., NetworkTemplate]] = {
     "resnet18": build_resnet18_template,

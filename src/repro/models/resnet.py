@@ -22,8 +22,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.core.adjacency import ASC, BlockAdjacency
-from repro.models.blocks import BlockSpec, LayerSpec
-from repro.models.template import NetworkTemplate
+from repro.models.specs import BlockSpec, LayerSpec, NetworkTemplate
 
 
 def _residual_default(depth: int) -> BlockAdjacency:

@@ -14,8 +14,7 @@ from typing import Optional
 
 from repro.core.adjacency import ASC, DSC, BlockAdjacency
 from repro.core.search_space import ArchitectureSpec
-from repro.models.blocks import BlockSpec, LayerSpec
-from repro.models.template import NetworkTemplate
+from repro.models.specs import BlockSpec, LayerSpec, NetworkTemplate
 
 
 def build_single_block_template(

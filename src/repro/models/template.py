@@ -1,9 +1,10 @@
-"""Network templates: full topologies that can instantiate any skip configuration.
+"""Concrete networks built from a template, and the template they come from.
 
-A :class:`NetworkTemplate` captures everything about an architecture *except*
-the skip connections inside its blocks: the stem, the per-block layer
-specifications, the transition layers and the classifier head.  From it one
-can
+A :class:`~repro.models.specs.NetworkTemplate` (defined in
+:mod:`repro.models.specs` and importable from here too) captures everything
+about an architecture *except* the skip connections inside its blocks: the
+stem, the per-block layer specifications, the transition layers and the
+classifier head.  From it one can
 
 * derive the skip-connection :class:`~repro.core.search_space.SearchSpace`
   (step 1 of the paper's Fig. 2 pipeline),
@@ -15,22 +16,13 @@ can
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.core.adjacency import BlockAdjacency
-from repro.core.search_space import ArchitectureSpec, SearchSpace
-from repro.models.blocks import (
-    BlockSpec,
-    ClassifierHead,
-    DAGBlock,
-    NeuronConfig,
-    Stem,
-    TransitionLayer,
-)
+from repro.core.search_space import ArchitectureSpec
+from repro.models.blocks import ClassifierHead, DAGBlock, Stem, TransitionLayer
+from repro.models.specs import NetworkTemplate
 from repro.nn.module import Module, ModuleList
 from repro.tensor import Tensor
-from repro.tensor.random import default_rng
 
 
 class SkipConnectionNetwork(Module):
@@ -85,118 +77,3 @@ class SkipConnectionNetwork(Module):
 
     def extra_repr(self) -> str:
         return f"name={self.name!r}, spiking={self.spiking}, blocks={len(self.blocks)}"
-
-
-@dataclass
-class NetworkTemplate:
-    """Recipe for building a family of networks differing only in skip wiring.
-
-    Attributes
-    ----------
-    name:
-        Template name (``"resnet18"``, ``"densenet121"``, ``"mobilenetv2"``,
-        ``"single_block"``).
-    input_channels:
-        Channels of the input data (3 for RGB images, 2 for ON/OFF event frames).
-    num_classes:
-        Size of the classifier output.
-    stem_channels:
-        Channels produced by the stem convolution.
-    block_specs:
-        One :class:`~repro.models.blocks.BlockSpec` per block, in order.  The
-        ``in_channels`` of each spec must equal the channels flowing into it
-        (stem/transition outputs); this is validated at construction.
-    transition_channels:
-        For each block, the output channels of the transition placed after it,
-        or ``None`` for no transition.
-    default_adjacencies:
-        The skip configuration of the original (unmodified) architecture.
-    """
-
-    name: str
-    input_channels: int
-    num_classes: int
-    stem_channels: int
-    block_specs: List[BlockSpec]
-    transition_channels: List[Optional[int]]
-    default_adjacencies: List[BlockAdjacency] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if len(self.block_specs) != len(self.transition_channels):
-            raise ValueError("block_specs and transition_channels must have the same length")
-        if not self.block_specs:
-            raise ValueError("a template needs at least one block")
-        if not self.default_adjacencies:
-            self.default_adjacencies = [BlockAdjacency(spec.depth) for spec in self.block_specs]
-        if len(self.default_adjacencies) != len(self.block_specs):
-            raise ValueError("default_adjacencies must match block_specs")
-        # validate channel flow
-        channels = self.stem_channels
-        for index, (spec, transition) in enumerate(zip(self.block_specs, self.transition_channels)):
-            if spec.in_channels != channels:
-                raise ValueError(
-                    f"block {index} ({spec.name!r}) expects {spec.in_channels} input channels "
-                    f"but receives {channels}"
-                )
-            channels = spec.out_channels
-            if transition is not None:
-                channels = transition
-        self._head_channels = channels
-        for spec, adjacency in zip(self.block_specs, self.default_adjacencies):
-            spec.validate_adjacency(adjacency)
-
-    # ------------------------------------------------------------------
-    @property
-    def head_channels(self) -> int:
-        """Channels entering the classifier head."""
-        return self._head_channels
-
-    def search_space(self) -> SearchSpace:
-        """The skip-connection search space of this topology."""
-        return SearchSpace([spec.search_info() for spec in self.block_specs], name=self.name)
-
-    def default_architecture(self) -> ArchitectureSpec:
-        """The original architecture's skip configuration."""
-        return ArchitectureSpec(self.default_adjacencies, name=self.name)
-
-    def build(
-        self,
-        spec: Optional[ArchitectureSpec] = None,
-        spiking: bool = False,
-        neuron_config: Optional[NeuronConfig] = None,
-        rng=None,
-    ) -> SkipConnectionNetwork:
-        """Instantiate a network for the given architecture spec (default wiring if ``None``)."""
-        rng = default_rng(rng)
-        neuron_config = neuron_config or NeuronConfig()
-        architecture = spec if spec is not None else self.default_architecture()
-        if len(architecture.blocks) != len(self.block_specs):
-            raise ValueError(
-                f"architecture has {len(architecture.blocks)} blocks, template {self.name!r} "
-                f"expects {len(self.block_specs)}"
-            )
-        stem = Stem(self.input_channels, self.stem_channels, spiking=spiking, neuron_config=neuron_config, rng=rng)
-        blocks: List[DAGBlock] = []
-        transitions: List[Optional[TransitionLayer]] = []
-        for block_spec, adjacency, transition_out in zip(
-            self.block_specs, architecture.blocks, self.transition_channels
-        ):
-            blocks.append(
-                DAGBlock(block_spec, adjacency, spiking=spiking, neuron_config=neuron_config, rng=rng)
-            )
-            if transition_out is None:
-                transitions.append(None)
-            else:
-                transitions.append(
-                    TransitionLayer(
-                        block_spec.out_channels,
-                        transition_out,
-                        spiking=spiking,
-                        neuron_config=neuron_config,
-                        rng=rng,
-                    )
-                )
-        head = ClassifierHead(
-            self.head_channels, self.num_classes, spiking=spiking, neuron_config=neuron_config, rng=rng
-        )
-        return SkipConnectionNetwork(stem, blocks, transitions, head, name=self.name, spiking=spiking)

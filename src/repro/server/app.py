@@ -47,7 +47,7 @@ from repro.server.routes import (
     TextResponse,
     resolve,
 )
-from repro.snn.fused_step import aggregate_fused_counters
+from repro.snn.routing import aggregate_fused_counters
 
 
 def _store_lookup_hit_rate() -> float:

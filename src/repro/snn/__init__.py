@@ -18,67 +18,48 @@ experiments rely on:
   forward stashing minimal residuals plus one hand-written reverse-time
   adjoint, bit-identical to the recorded graph but without per-step graph
   construction (dispatched automatically by :class:`TemporalRunner`);
+* :mod:`repro.snn.routing` — the fused dispatch mode and the routing
+  tallies of where each training step ran;
 * :mod:`repro.snn.metrics` — firing-rate and spike-count monitors used for
   the energy analysis in Fig. 1 and Table I;
 * :mod:`repro.snn.mac` — multiply-accumulate (MAC) and synaptic-operation
   estimators quantifying the DSC-vs-ASC energy trade-off.
 """
 
-from repro.snn.surrogate import (
-    ATanSurrogate,
-    FastSigmoidSurrogate,
-    StraightThroughSurrogate,
-    SurrogateGradient,
-    TriangularSurrogate,
-    get_surrogate,
-    spike_function,
-)
-from repro.snn.neurons import LeakyIntegrator, LIFNeuron, SpikingNeuron
-from repro.snn.encoding import ConstantCurrentEncoder, RepeatEncoder, SpikeEncoder
-from repro.snn.temporal import TemporalRunner, reset_states, run_temporal
-from repro.snn.fused_step import (
-    aggregate_fused_counters,
-    fused_counters,
-    fused_dispatch,
-    fused_mode,
-    fused_training,
-    merge_fused_counters,
-    release_fused,
-    reset_fused_counters,
-)
-from repro.snn.metrics import FiringRateMonitor, SpikeStatistics, average_firing_rate
-from repro.snn.mac import MACCounter, estimate_block_macs, estimate_energy, estimate_model_macs
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ATanSurrogate",
-    "FastSigmoidSurrogate",
-    "StraightThroughSurrogate",
-    "SurrogateGradient",
-    "TriangularSurrogate",
-    "get_surrogate",
-    "spike_function",
-    "LeakyIntegrator",
-    "LIFNeuron",
-    "SpikingNeuron",
-    "ConstantCurrentEncoder",
-    "RepeatEncoder",
-    "SpikeEncoder",
-    "TemporalRunner",
-    "reset_states",
-    "run_temporal",
-    "fused_training",
-    "fused_dispatch",
-    "fused_mode",
-    "fused_counters",
-    "reset_fused_counters",
-    "aggregate_fused_counters",
-    "merge_fused_counters",
-    "release_fused",
-    "FiringRateMonitor",
-    "SpikeStatistics",
-    "average_firing_rate",
-    "MACCounter",
-    "estimate_block_macs",
-    "estimate_energy",
-    "estimate_model_macs",
-]
+# each name's module is imported on first access (PEP 562, see repro._lazy)
+_LAZY_EXPORTS = {
+    "ATanSurrogate": "repro.snn.surrogate",
+    "FastSigmoidSurrogate": "repro.snn.surrogate",
+    "StraightThroughSurrogate": "repro.snn.surrogate",
+    "SurrogateGradient": "repro.snn.surrogate",
+    "TriangularSurrogate": "repro.snn.surrogate",
+    "get_surrogate": "repro.snn.surrogate",
+    "spike_function": "repro.snn.surrogate",
+    "LeakyIntegrator": "repro.snn.neurons",
+    "LIFNeuron": "repro.snn.neurons",
+    "SpikingNeuron": "repro.snn.neurons",
+    "ConstantCurrentEncoder": "repro.snn.encoding",
+    "SpikeEncoder": "repro.snn.encoding",
+    "TemporalRunner": "repro.snn.temporal",
+    "reset_states": "repro.snn.temporal",
+    "run_temporal": "repro.snn.temporal",
+    "aggregate_fused_counters": "repro.snn.routing",
+    "fused_counters": "repro.snn.routing",
+    "fused_dispatch": "repro.snn.fused_step",
+    "fused_mode": "repro.snn.routing",
+    "fused_training": "repro.snn.routing",
+    "merge_fused_counters": "repro.snn.routing",
+    "release_fused": "repro.snn.fused_step",
+    "reset_fused_counters": "repro.snn.routing",
+    "FiringRateMonitor": "repro.snn.metrics",
+    "SpikeStatistics": "repro.snn.metrics",
+    "average_firing_rate": "repro.snn.metrics",
+    "MACCounter": "repro.snn.mac",
+    "estimate_block_macs": "repro.snn.mac",
+    "estimate_energy": "repro.snn.mac",
+    "estimate_model_macs": "repro.snn.mac",
+}
+__all__ = list(_LAZY_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

@@ -49,10 +49,6 @@ class ConstantCurrentEncoder(SpikeEncoder):
         return [batch for _ in range(self.num_steps)]
 
 
-class RepeatEncoder(ConstantCurrentEncoder):
-    """Alias of :class:`ConstantCurrentEncoder` kept for snnTorch naming parity."""
-
-
 class EventFrameEncoder(SpikeEncoder):
     """Pass-through for data that is already a temporal sequence of frames.
 

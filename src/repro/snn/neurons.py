@@ -190,9 +190,6 @@ class LIFNeuron(SpikingNeuron):
     reset_mechanism:
         ``"subtract"`` (soft reset, default), ``"zero"`` (hard reset) or
         ``"none"``.
-    learn_beta:
-        Reserved for future use (the paper keeps beta fixed); accepted for
-        API compatibility but must be ``False``.
     """
 
     def __init__(
@@ -201,13 +198,10 @@ class LIFNeuron(SpikingNeuron):
         threshold: float = 1.0,
         surrogate: SurrogateGradient | str = "fast_sigmoid",
         reset_mechanism: str = "subtract",
-        learn_beta: bool = False,
     ) -> None:
         super().__init__(threshold=threshold, surrogate=surrogate, reset_mechanism=reset_mechanism)
         if not 0.0 < beta <= 1.0:
             raise ValueError(f"beta must be in (0, 1], got {beta}")
-        if learn_beta:
-            raise NotImplementedError("learnable beta is not supported in this reproduction")
         self.beta = float(beta)
 
     def dynamics(self, state, drive):

@@ -24,59 +24,41 @@ Python-level loops over array elements, prefer views over copies, use in-place
 accumulation for gradients).
 """
 
-from repro.tensor.tensor import Tensor, graph_free, no_grad, is_grad_enabled
-from repro.tensor.workspace import WorkspacePool, clear_workspaces
-from repro.tensor import ops
-from repro.tensor.ops import (
-    add,
-    concat,
-    div,
-    log_softmax,
-    matmul,
-    mean,
-    mul,
-    neg,
-    power,
-    relu,
-    reshape,
-    sub,
-    sum as tensor_sum,
-    transpose,
-)
-from repro.tensor.conv import avg_pool2d, conv2d, global_avg_pool2d
-from repro.tensor.primitives import Primitive, all_primitives, apply, get_primitive, register
-from repro.tensor.random import default_rng, seed_everything
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Tensor",
-    "graph_free",
-    "no_grad",
-    "is_grad_enabled",
-    "WorkspacePool",
-    "clear_workspaces",
-    "ops",
-    "add",
-    "concat",
-    "div",
-    "log_softmax",
-    "matmul",
-    "mean",
-    "mul",
-    "neg",
-    "power",
-    "relu",
-    "reshape",
-    "sub",
-    "tensor_sum",
-    "transpose",
-    "avg_pool2d",
-    "conv2d",
-    "global_avg_pool2d",
-    "Primitive",
-    "register",
-    "get_primitive",
-    "all_primitives",
-    "apply",
-    "default_rng",
-    "seed_everything",
-]
+# each name's module is imported on first access (PEP 562, see repro._lazy)
+_LAZY_EXPORTS = {
+    "Tensor": "repro.tensor.tensor",
+    "graph_free": "repro.tensor.tensor",
+    "no_grad": "repro.tensor.tensor",
+    "is_grad_enabled": "repro.tensor.tensor",
+    "WorkspacePool": "repro.tensor.workspace",
+    "clear_workspaces": "repro.tensor.workspace",
+    "ops": "repro.tensor.ops",
+    "add": "repro.tensor.ops",
+    "concat": "repro.tensor.ops",
+    "div": "repro.tensor.ops",
+    "log_softmax": "repro.tensor.ops",
+    "matmul": "repro.tensor.ops",
+    "mean": "repro.tensor.ops",
+    "mul": "repro.tensor.ops",
+    "neg": "repro.tensor.ops",
+    "power": "repro.tensor.ops",
+    "relu": "repro.tensor.ops",
+    "reshape": "repro.tensor.ops",
+    "sub": "repro.tensor.ops",
+    "tensor_sum": "repro.tensor.ops:sum",
+    "transpose": "repro.tensor.ops",
+    "avg_pool2d": "repro.tensor.conv",
+    "conv2d": "repro.tensor.conv",
+    "global_avg_pool2d": "repro.tensor.conv",
+    "Primitive": "repro.tensor.primitives",
+    "all_primitives": "repro.tensor.primitives",
+    "apply": "repro.tensor.primitives",
+    "get_primitive": "repro.tensor.primitives",
+    "register": "repro.tensor.primitives",
+    "default_rng": "repro.tensor.random",
+    "seed_everything": "repro.tensor.random",
+}
+__all__ = list(_LAZY_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

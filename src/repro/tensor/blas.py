@@ -86,8 +86,12 @@ def use_one_blas_thread() -> None:
     """Run every loaded OpenBLAS on one thread, unless the user chose a count.
 
     Call it only where the code owns the process: a command-line entry point
-    or a worker-pool initializer.
+    or a worker-pool initializer.  NumPy is imported first: a spawned worker
+    runs its initializer before anything else loads NumPy, and an OpenBLAS
+    that is not loaded yet cannot be pinned.
     """
+    import numpy  # loads NumPy's OpenBLAS, the one the substrate's GEMMs run on
+
     if not any(os.environ.get(name) for name in THREAD_ENV_VARS):
         set_blas_threads(1)
 

@@ -12,48 +12,29 @@ Three layers (see ``docs/observability.md`` for the operator guide):
   ``repro trace`` CLI and ``GET /jobs/<id>/trace``.
 """
 
-from repro.trace.export import (
-    chrome_trace,
-    critical_path,
-    format_summary,
-    load_trace,
-    summarize,
-)
-from repro.trace.recorder import FlightRecorder
-from repro.trace.spans import (
-    Span,
-    absorb,
-    active_recorder,
-    capture_context,
-    configure,
-    is_enabled,
-    max_rss_mb,
-    ops_enabled,
-    ops_span,
-    record_span,
-    remote_activation,
-    span,
-    tracing,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FlightRecorder",
-    "Span",
-    "absorb",
-    "active_recorder",
-    "capture_context",
-    "chrome_trace",
-    "configure",
-    "critical_path",
-    "format_summary",
-    "is_enabled",
-    "load_trace",
-    "max_rss_mb",
-    "ops_enabled",
-    "ops_span",
-    "record_span",
-    "remote_activation",
-    "span",
-    "summarize",
-    "tracing",
-]
+# each name's module is imported on first access (PEP 562, see repro._lazy)
+_LAZY_EXPORTS = {
+    "chrome_trace": "repro.trace.export",
+    "critical_path": "repro.trace.export",
+    "format_summary": "repro.trace.export",
+    "load_trace": "repro.trace.export",
+    "summarize": "repro.trace.export",
+    "FlightRecorder": "repro.trace.recorder",
+    "Span": "repro.trace.spans",
+    "absorb": "repro.trace.spans",
+    "active_recorder": "repro.trace.spans",
+    "capture_context": "repro.trace.spans",
+    "configure": "repro.trace.spans",
+    "is_enabled": "repro.trace.spans",
+    "max_rss_mb": "repro.trace.spans",
+    "ops_enabled": "repro.trace.spans",
+    "ops_span": "repro.trace.spans",
+    "record_span": "repro.trace.spans",
+    "remote_activation": "repro.trace.spans",
+    "span": "repro.trace.spans",
+    "tracing": "repro.trace.spans",
+}
+__all__ = list(_LAZY_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

@@ -7,18 +7,18 @@ input batch to class logits; spiking networks are handled by wrapping them in
 both standard backprop and surrogate-gradient BPTT.
 """
 
-from repro.training.callbacks import EarlyStopping, TrainingHistory
-from repro.training.evaluation import evaluate_classifier, evaluate_with_spikes
-from repro.training.trainer import Trainer, TrainingConfig
-from repro.training.snn_trainer import SNNTrainer, SNNTrainingConfig
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EarlyStopping",
-    "TrainingHistory",
-    "evaluate_classifier",
-    "evaluate_with_spikes",
-    "Trainer",
-    "TrainingConfig",
-    "SNNTrainer",
-    "SNNTrainingConfig",
-]
+# each name's module is imported on first access (PEP 562, see repro._lazy)
+_LAZY_EXPORTS = {
+    "EarlyStopping": "repro.training.callbacks",
+    "TrainingHistory": "repro.training.callbacks",
+    "evaluate_classifier": "repro.training.evaluation",
+    "evaluate_with_spikes": "repro.training.evaluation",
+    "Trainer": "repro.training.trainer",
+    "TrainingConfig": "repro.training.config",
+    "SNNTrainer": "repro.training.snn_trainer",
+    "SNNTrainingConfig": "repro.training.config",
+}
+__all__ = list(_LAZY_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

@@ -9,7 +9,6 @@ accuracy + firing-rate evaluation, the two quantities reported in Table I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.data.loaders import ArrayDataset, DatasetSplits
@@ -19,15 +18,9 @@ from repro.snn.fused_step import release_fused
 from repro.snn.metrics import SpikeStatistics
 from repro.snn.temporal import TemporalRunner
 from repro.training.callbacks import TrainingHistory
+from repro.training.config import SNNTrainingConfig
 from repro.training.evaluation import evaluate_with_spikes
-from repro.training.trainer import Trainer, TrainingConfig
-
-
-@dataclass
-class SNNTrainingConfig(TrainingConfig):
-    """Training configuration extended with simulation parameters."""
-
-    num_steps: int = 8
+from repro.training.trainer import Trainer
 
 
 class SNNTrainer:

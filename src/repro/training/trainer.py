@@ -5,14 +5,14 @@ BPTT, with the model wrapped in a :class:`~repro.snn.temporal.TemporalRunner`):
 the time dimension is entirely hidden inside the forward pass, and gradients
 flow through the recorded autodiff graph either way.
 
-The paper's training setups are captured by :class:`TrainingConfig`
-(SGD + momentum 0.9 for CIFAR-10 / CIFAR-10-DVS, Adam for DVS128 Gesture,
-configurable epochs and learning rate).
+The paper's training setups are captured by
+:class:`~repro.training.config.TrainingConfig` (SGD + momentum 0.9 for
+CIFAR-10 / CIFAR-10-DVS, Adam for DVS128 Gesture, configurable epochs and
+learning rate).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -21,36 +21,11 @@ from repro.data.loaders import ArrayDataset, BatchLoader, DatasetSplits
 from repro.nn.losses import CrossEntropyLoss, accuracy
 from repro.nn.module import Module
 from repro.nn.optim import SGD, Adam, Optimizer
-from repro.nn.scheduler import ConstantLR
 from repro.training.callbacks import EarlyStopping, TrainingHistory
+from repro.training.config import TrainingConfig
 from repro.training.evaluation import evaluate_classifier
 from repro.tensor.random import default_rng
 from repro.trace import span
-
-
-@dataclass
-class TrainingConfig:
-    """Hyperparameters of one training run."""
-
-    epochs: int = 10
-    batch_size: int = 16
-    learning_rate: float = 0.01
-    optimizer: str = "sgd"
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    grad_clip: Optional[float] = 5.0
-    label_smoothing: float = 0.0
-    early_stopping_patience: Optional[int] = None
-    shuffle: bool = True
-    seed: int = 0
-    #: fused-BPTT dispatch mode for temporal models: "auto" fuses whenever the
-    #: model qualifies (bit-identical to graph autograd), "on" requires it,
-    #: "off" always uses the recorded graph (see repro.snn.fused_step)
-    fused: str = "auto"
-
-    def with_overrides(self, **kwargs) -> "TrainingConfig":
-        """Return a copy with selected fields replaced."""
-        return replace(self, **kwargs)
 
 
 def _build_optimizer(model: Module, config: TrainingConfig) -> Optimizer:
@@ -91,7 +66,6 @@ class Trainer:
         config = self.config
         loss_fn = loss_fn or CrossEntropyLoss(label_smoothing=config.label_smoothing)
         optimizer = _build_optimizer(model, config)
-        scheduler = ConstantLR(optimizer)
         loader = BatchLoader(
             train_dataset,
             batch_size=config.batch_size,
@@ -136,13 +110,12 @@ class Trainer:
                     train_loss=float(np.mean(epoch_losses)) if epoch_losses else 0.0,
                     train_accuracy=train_accuracy,
                     val_accuracy=val_accuracy,
-                    learning_rate=scheduler.current_lr(),
+                    learning_rate=optimizer.lr,
                 )
                 if epoch_span:
                     epoch_span.set(batches=len(epoch_losses))
                     if val_accuracy is not None:
                         epoch_span.set(val_accuracy=float(val_accuracy))
-                scheduler.step()
                 monitored = train_accuracy if val_accuracy is None else val_accuracy
                 if stopper is not None and stopper.update(monitored):
                     break

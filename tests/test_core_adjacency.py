@@ -184,8 +184,12 @@ def test_cli_imports_without_undeclared_dependencies():
 def test_cli_import_loads_no_scipy_but_the_lapack_extension():
     # the GP loads only scipy's LAPACK extension: without scipy's __init__,
     # `import repro.cli` fell from 0.72 s to 0.44 s median and its peak RSS
-    # from 63 MB to 42 MB (8 alternating runs each, 2-vCPU VM)
-    script = "import sys, repro.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # from 63 MB to 42 MB (8 alternating runs each, 2-vCPU VM). The CLI
+    # imports the search at dispatch, so the script imports both.
+    script = (
+        "import sys, repro.cli, repro.experiments.pareto_front; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     completed = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)

@@ -1,5 +1,7 @@
 """Tests of the synthetic datasets and loaders."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.data import (
 from repro.data.synthetic_cifar import SyntheticCIFAR10Config, generate_sample
 from repro.data.synthetic_dvs import DVSEventConfig, generate_event_stream
 from repro.data.synthetic_gesture import GESTURE_NAMES, GestureConfig, generate_gesture_sample
+from repro.experiments.config import dataset_kwargs, get_scale
 
 
 class TestArrayDataset:
@@ -95,12 +98,6 @@ class TestSplitsAndLoader:
         assert sorted(first_epoch.ravel()) == sorted(second_epoch.ravel())
         assert not np.array_equal(first_epoch, second_epoch)
 
-    def test_loader_applies_transform(self, rng):
-        data = ArrayDataset(np.ones((4, 1, 2, 2)), np.zeros(4))
-        loader = BatchLoader(data, batch_size=2, transform=lambda x, rng: x * 2.0, rng=0)
-        for inputs, _ in loader:
-            assert np.all(inputs == 2.0)
-
     def test_invalid_batch_size(self, rng):
         data = ArrayDataset(rng.random((4, 1, 2, 2)), np.zeros(4))
         with pytest.raises(ValueError):
@@ -174,6 +171,66 @@ class TestSyntheticDVS:
         a = make_synthetic_cifar10_dvs(num_samples=10, image_size=8, num_steps=4, seed=3)
         b = make_synthetic_cifar10_dvs(num_samples=10, image_size=8, num_steps=4, seed=3)
         np.testing.assert_allclose(a.train.inputs, b.train.inputs)
+
+
+def _sha256(*arrays) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(repr((array.dtype.str, array.shape)).encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+class TestGeneratorDigests:
+    """The synthetic CIFAR-10-DVS data is pinned to its sha256, bit for bit.
+
+    Cached evaluation rows are keyed by a fingerprint of the data they were
+    trained on, so any change to the generator's output, even in the last
+    bit, must show here rather than as silently invalidated caches.
+    """
+
+    SPLIT_DIGESTS = {
+        "smoke": {
+            "train": "e93bcfd73a4e6394d86dc9c08106aed9c8ba6602b8d8050cbb37349f209b1d1e",
+            "val": "4f373c7eba8dd6d2db397104b0e02b4ae8a57854e8de3ad589b254ef4d7b8a99",
+            "test": "bb1864527f74a78d0ca6e51379a77274ef0d58602986f5c9e60da3e032cfd7db",
+        },
+        "default": {
+            "train": "3bbe41a43f86144331982661e4959ad57c914f3bf0fdc10272314bd1c490a9f3",
+            "val": "6b7d00f474c54d77c9a2140a95a880c575b21d1a55a629f99a9ba0bde2220424",
+            "test": "715565e9156a47e8b06b6714ca31cd4107b9232905c6ec78c9a36674dff31103",
+        },
+    }
+
+    EVENT_DIGESTS = {
+        0: (
+            "39dc54bc704d29fe5ae68d34de6daaca603845d85d671c557078db860074e9bc",
+            "b907bb16d4a86ddaad7a4cc6120a769354d28d534cfd3cfe241f9f379fb2a0ad",
+        ),
+        1: (
+            "2f8529aaf1cfb8db2572da18993ab8f23819b1bf664000f76573ade41f20d118",
+            "12b5cb8be6b17ac8050ab94702a2b18c242b80a3b5ee498bebf99a1b0c5431c4",
+        ),
+        2: (
+            "62b674660cecfd388b57399f2cc0fb8e9c982e89fb739a3a7fe7d27891ceb17c",
+            "024e9a5d76d8549503ee120e06edd26df18bc8c1e7f28794fe40c49d041d2037",
+        ),
+    }
+
+    @pytest.mark.parametrize("scale", ["smoke", "default"])
+    def test_cifar10_dvs_splits(self, scale):
+        splits = load_dataset("cifar10-dvs", **dataset_kwargs(get_scale(scale), "cifar10-dvs"))
+        digests = {
+            name: _sha256(part.inputs, part.labels)
+            for name, part in (("train", splits.train), ("val", splits.val), ("test", splits.test))
+        }
+        assert digests == self.SPLIT_DIGESTS[scale]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_event_stream(self, seed):
+        config = DVSEventConfig(image_size=12, num_steps=6)
+        events, frames = generate_event_stream(3 * seed + 1, config, np.random.default_rng(seed))
+        assert (_sha256(events), _sha256(frames)) == self.EVENT_DIGESTS[seed]
 
 
 class TestSyntheticGesture:

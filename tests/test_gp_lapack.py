@@ -12,9 +12,10 @@ importing ``scipy.linalg`` and mirrors scipy's ``cholesky`` and
   keeps, with 1-D and 2-D right-hand sides, plain and transposed;
 * a matrix that is not positive definite raises ``LinAlgError``, so the
   GP's jitter escalation and refit fallback still fire;
-* importing ``repro.cli`` loads no scipy module but ``_flapack``, and a
-  later ``import scipy.linalg`` reuses that one copy, whose OpenBLAS is
-  mapped early enough for ``use_one_blas_thread`` to pin it;
+* importing ``repro.cli`` and the search it dispatches to loads no scipy
+  module but ``_flapack``, and a later ``import scipy.linalg`` reuses that
+  one copy, whose OpenBLAS is mapped early enough for
+  ``use_one_blas_thread`` to pin it;
 * that OpenBLAS starts on one thread, so no worker thread of it spins
   through the rest of the import, unless the user set a count.
 
@@ -156,7 +157,7 @@ def openblas():
     return {line.split(None, 5)[-1].strip() for line in open("/proc/self/maps") if "openblas" in line.lower()}
 import numpy
 before = openblas()
-import repro.cli
+import repro.cli, repro.experiments.pareto_front
 from repro.tensor.blas import blas_threads
 threads = blas_threads()
 print([threads[path] for path in sorted(openblas() - before)], os.environ.get("OPENBLAS_NUM_THREADS"))

@@ -1,4 +1,4 @@
-"""Tests of losses, metrics, optimizers and LR schedulers."""
+"""Tests of losses, metrics and optimizers."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.nn import Adam, CrossEntropyLoss, Linear, MSELoss, SGD, Sequential, R
 from repro.nn.losses import accuracy, confusion_matrix
 from repro.nn.module import Parameter
 from repro.nn.optim import Optimizer
-from repro.nn.scheduler import ConstantLR
 from repro.tensor import Tensor
 
 
@@ -161,20 +160,3 @@ class TestAdam:
             loss.backward()
             opt.step()
         assert accuracy(model(Tensor(x)), y) >= 0.9
-
-
-class TestSchedulers:
-    def _optimizer(self, lr=1.0):
-        return SGD([Parameter(np.zeros(1))], lr=lr)
-
-    def test_constant(self):
-        sched = ConstantLR(self._optimizer(0.5))
-        for _ in range(5):
-            assert sched.step() == 0.5
-
-    def test_scheduler_updates_optimizer(self):
-        opt = self._optimizer(1.0)
-        sched = ConstantLR(opt)
-        opt.lr = 0.25
-        sched.step()
-        assert opt.lr == 1.0

@@ -164,10 +164,6 @@ class TestLIFNeuron:
         with pytest.raises(ValueError):
             LIFNeuron(reset_mechanism="bogus")
 
-    def test_learnable_beta_not_supported(self):
-        with pytest.raises(NotImplementedError):
-            LIFNeuron(learn_beta=True)
-
     def test_gradient_flows_through_time(self):
         """BPTT: gradient of later spikes w.r.t. earlier input must be non-zero."""
         neuron = LIFNeuron(beta=0.9, threshold=1.0)

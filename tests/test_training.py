@@ -111,6 +111,11 @@ class TestTrainerANN:
         history = trainer.fit_splits(model, two_class_splits)
         assert history.train_loss[-1] < history.train_loss[0]
 
+    def test_history_records_the_optimizer_learning_rate(self, two_class_splits):
+        config = TrainingConfig(epochs=3, batch_size=8, learning_rate=0.1, optimizer="sgd")
+        history = Trainer(config).fit(_ann(), two_class_splits.train)
+        assert history.learning_rate == [0.1, 0.1, 0.1]
+
     def test_early_stopping_cuts_epochs(self, two_class_splits):
         model = _ann()
         config = TrainingConfig(epochs=30, batch_size=8, learning_rate=0.1, optimizer="adam", early_stopping_patience=2)
