@@ -182,10 +182,10 @@ def _sha256(*arrays) -> str:
 
 
 class TestGeneratorDigests:
-    """The synthetic CIFAR-10-DVS data is pinned to its sha256, bit for bit.
+    """Every synthetic dataset is pinned to its sha256, bit for bit.
 
     Cached evaluation rows are keyed by a fingerprint of the data they were
-    trained on, so any change to the generator's output, even in the last
+    trained on, so any change to a generator's output, even in the last
     bit, must show here rather than as silently invalidated caches.
     """
 
@@ -200,6 +200,44 @@ class TestGeneratorDigests:
             "val": "6b7d00f474c54d77c9a2140a95a880c575b21d1a55a629f99a9ba0bde2220424",
             "test": "715565e9156a47e8b06b6714ca31cd4107b9232905c6ec78c9a36674dff31103",
         },
+    }
+
+    CIFAR10_SPLIT_DIGESTS = {
+        "smoke": {
+            "train": "0891c178caaae579031170075033c64711a58a5820ae0aef222a51f3bc26cb34",
+            "val": "552ff3d757440161158e55cbb0942819e1e20508555e7bc5094476deaa929cef",
+            "test": "4c2c47d4f1535348842350b7f97c42d69611e5ae6c232a3effc7c03eb1145fe8",
+        },
+        "default": {
+            "train": "6771b8805ddf7d7e07b424ae477ea849e9301b5e6109402378fae5280fdc4060",
+            "val": "7e5a984fe1f1bca5042435935d8d8020b5b1a517b5e38ee46a52dae5daf6fcac",
+            "test": "e405b76e4e63082cf681c28d3ee65369720839febaf03e639f992aa05916e3c0",
+        },
+    }
+
+    GESTURE_SPLIT_DIGESTS = {
+        "smoke": {
+            "train": "1d8e767355164c210fa0cb3c1ec770fbd64325822736d43fb4f072c486dd6a28",
+            "val": "67145a6c30275906cb7f583abe2d04a8a471d6c6747d5f4d3336a785dabcfedb",
+            "test": "596b3f505f60b8a90f30f8d3155c812bbf38484d84e17ae1281da9653c1332cb",
+        },
+        "default": {
+            "train": "1b9fe1f9c43b652a10165f683fa35ab37115357395886e7220e32dcc8d27a750",
+            "val": "cca32b4dd7d418ec59bf818d815ce22b779ae747d8e185206424f7e25939e60c",
+            "test": "e346d398295a8d1a489be5ea3661168a908e0e750a3dd3b21a0f10aaa73dc9db",
+        },
+    }
+
+    SAMPLE_DIGESTS = {
+        0: "bae9858de463ff77e11ff110e5607a8694775f525949d5c16398fd9816e55717",
+        1: "6a82fcc33ec12c3b82f73a9ae888b7ee98f4912e120f68b743fb18cc80d43f7d",
+        2: "8c58807330d5612c7fc7092ec4d1c7b02cf5edcadbcadf360973a78b1288c9ec",
+    }
+
+    GESTURE_SAMPLE_DIGESTS = {
+        0: "fad9504f863d4547e1512feb1c0f367dd8ef3d5d89f23a82b5be27263b183453",
+        1: "52bdabd48049f8f9e39136e8e89ca14c2801baa47275ced8ef421f784736e457",
+        2: "74e1015f7da44e0f835667aefb9814969e47b87ce1efb4564db1332711ca5dfb",
     }
 
     EVENT_DIGESTS = {
@@ -217,14 +255,36 @@ class TestGeneratorDigests:
         ),
     }
 
-    @pytest.mark.parametrize("scale", ["smoke", "default"])
-    def test_cifar10_dvs_splits(self, scale):
-        splits = load_dataset("cifar10-dvs", **dataset_kwargs(get_scale(scale), "cifar10-dvs"))
-        digests = {
+    @staticmethod
+    def _split_digests(dataset, scale):
+        splits = load_dataset(dataset, **dataset_kwargs(get_scale(scale), dataset))
+        return {
             name: _sha256(part.inputs, part.labels)
             for name, part in (("train", splits.train), ("val", splits.val), ("test", splits.test))
         }
-        assert digests == self.SPLIT_DIGESTS[scale]
+
+    @pytest.mark.parametrize("scale", ["smoke", "default"])
+    def test_cifar10_dvs_splits(self, scale):
+        assert self._split_digests("cifar10-dvs", scale) == self.SPLIT_DIGESTS[scale]
+
+    @pytest.mark.parametrize("scale", ["smoke", "default"])
+    def test_cifar10_splits(self, scale):
+        assert self._split_digests("cifar10", scale) == self.CIFAR10_SPLIT_DIGESTS[scale]
+
+    @pytest.mark.parametrize("scale", ["smoke", "default"])
+    def test_dvs128_gesture_splits(self, scale):
+        assert self._split_digests("dvs128-gesture", scale) == self.GESTURE_SPLIT_DIGESTS[scale]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_static_sample(self, seed):
+        image = generate_sample(3 * seed + 1, SyntheticCIFAR10Config(image_size=11), np.random.default_rng(seed))
+        assert _sha256(image) == self.SAMPLE_DIGESTS[seed]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gesture_sample(self, seed):
+        config = GestureConfig(image_size=11, num_steps=5)
+        frames = generate_gesture_sample(4 * seed + 1, config, np.random.default_rng(seed))
+        assert _sha256(frames) == self.GESTURE_SAMPLE_DIGESTS[seed]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_event_stream(self, seed):
