@@ -41,41 +41,100 @@ class SyntheticCIFAR10Config:
     seed: int = 0
 
 
-def _class_shape_mask(class_index: int, size: int) -> np.ndarray:
-    """Binary-ish spatial mask characterising the class silhouette."""
+def _class_shape_masks(size: int) -> np.ndarray:
+    """Binary-ish spatial mask characterising each class silhouette, ``(5, H, W)``.
+
+    Class ``c`` uses mask ``c % 5``.
+    """
     yy, xx = np.meshgrid(np.linspace(-1, 1, size), np.linspace(-1, 1, size), indexing="ij")
     radius = np.sqrt(xx ** 2 + yy ** 2)
-    kind = class_index % 5
-    if kind == 0:  # disc
-        mask = (radius < 0.7).astype(float)
-    elif kind == 1:  # square frame
-        mask = ((np.abs(xx) < 0.75) & (np.abs(yy) < 0.75)).astype(float)
-        mask -= ((np.abs(xx) < 0.35) & (np.abs(yy) < 0.35)).astype(float) * 0.5
-    elif kind == 2:  # cross
-        mask = ((np.abs(xx) < 0.25) | (np.abs(yy) < 0.25)).astype(float)
-    elif kind == 3:  # diagonal stripes
-        mask = (np.sin(6.0 * (xx + yy)) > 0).astype(float)
-    else:  # ring
-        mask = ((radius > 0.35) & (radius < 0.8)).astype(float)
-    return 0.3 + 0.7 * mask
+    disc = (radius < 0.7).astype(float)
+    square_frame = ((np.abs(xx) < 0.75) & (np.abs(yy) < 0.75)).astype(float)
+    square_frame -= ((np.abs(xx) < 0.35) & (np.abs(yy) < 0.35)).astype(float) * 0.5
+    cross = ((np.abs(xx) < 0.25) | (np.abs(yy) < 0.25)).astype(float)
+    diagonal_stripes = (np.sin(6.0 * (xx + yy)) > 0).astype(float)
+    ring = ((radius > 0.35) & (radius < 0.8)).astype(float)
+    return 0.3 + 0.7 * np.stack([disc, square_frame, cross, diagonal_stripes, ring])
 
 
-def _class_texture(class_index: int, size: int, phase_x: float, phase_y: float) -> np.ndarray:
-    """Oriented grating texture whose frequency/orientation encode the class."""
+def _class_textures(labels: np.ndarray, size: int, phase_x: np.ndarray, phase_y: np.ndarray) -> np.ndarray:
+    """Oriented grating textures ``(N, H, W)`` whose frequency/orientation encode the class.
+
+    ``phase_x`` and ``phase_y`` hold one phase per label.
+    """
     yy, xx = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    frequency = 1.0 + (class_index % 4)  # cycles across the image
-    orientation = (class_index * np.pi / NUM_CLASSES) % np.pi
+    labels = labels[:, None, None]
+    frequency = 1.0 + (labels % 4)  # cycles across the image
+    orientation = (labels * np.pi / NUM_CLASSES) % np.pi
     u = np.cos(orientation) * xx + np.sin(orientation) * yy
     v = -np.sin(orientation) * xx + np.cos(orientation) * yy
-    grating = 0.5 + 0.25 * np.sin(2 * np.pi * frequency * u / size + phase_x)
-    grating += 0.25 * np.sin(2 * np.pi * (frequency + 1) * v / size + phase_y)
+    grating = 0.5 + 0.25 * np.sin(2 * np.pi * frequency * u / size + phase_x[:, None, None])
+    grating += 0.25 * np.sin(2 * np.pi * (frequency + 1) * v / size + phase_y[:, None, None])
     return grating
 
 
-def _channel_palette(class_index: int, channels: int) -> np.ndarray:
-    """Per-channel gains giving each class a characteristic colour balance."""
-    angles = 2 * np.pi * (class_index / NUM_CLASSES + np.arange(channels) / max(channels, 1))
+def _channel_palettes(labels: np.ndarray, channels: int) -> np.ndarray:
+    """Per-channel gains ``(N, C)`` giving each class a characteristic colour balance."""
+    angles = 2 * np.pi * (labels[:, None] / NUM_CLASSES + np.arange(channels) / max(channels, 1))
     return 0.6 + 0.4 * np.sin(angles)
+
+
+class ImageDraws:
+    """The random numbers of ``num_samples`` images, kept as arrays.
+
+    :meth:`draw` takes one sample's numbers from a generator in the order a
+    per-sample generator would, so callers can interleave their own draws
+    between samples; :meth:`render` then builds every image at once.
+    """
+
+    def __init__(self, num_samples: int, config: SyntheticCIFAR10Config) -> None:
+        self.config = config
+        size, channels = config.image_size, config.channels
+        self.phases = np.empty((num_samples, 2))
+        self.shifts = np.zeros((num_samples, 2), dtype=np.intp)
+        self.amplitude = np.empty((num_samples, channels))
+        self.noise = np.empty((num_samples, channels, size, size))
+
+    def draw(self, index: int, rng: np.random.Generator) -> None:
+        """Draw sample ``index``'s phases, translation, amplitude and noise image."""
+        self.phases[index] = rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)
+        translation = self.config.max_translation
+        if translation > 0:
+            self.shifts[index] = rng.integers(-translation, translation + 1), rng.integers(-translation, translation + 1)
+        rng.standard_normal(out=self.amplitude[index])
+        rng.standard_normal(out=self.noise[index])
+
+    def render(self, labels: np.ndarray) -> np.ndarray:
+        """The ``(N, C, H, W)`` images in [0, 1] of the drawn samples with these labels."""
+        config = self.config
+        size = config.image_size
+        base = _class_textures(labels, size, self.phases[:, 0], self.phases[:, 1])
+        base *= _class_shape_masks(size)[labels % 5]
+
+        # small random translation (class-preserving nuisance factor): a
+        # per-sample np.roll along both image axes, as one gather
+        if config.max_translation > 0:
+            pixels = np.arange(size)
+            rows = (pixels - self.shifts[:, 0, None]) % size
+            cols = (pixels - self.shifts[:, 1, None]) % size
+            base = base[np.arange(len(labels))[:, None, None], rows[:, :, None], cols[:, None, :]]
+
+        amplitude = 1.0 + config.amplitude_jitter * self.amplitude
+        image = base[:, None, :, :] * (_channel_palettes(labels, config.channels) * amplitude)[:, :, None, None]
+        image = image + config.noise_level * self.noise
+        return np.clip(image, 0.0, 1.0)
+
+
+def generate_images(
+    labels: np.ndarray,
+    config: SyntheticCIFAR10Config,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Generate one ``(C, H, W)`` image in [0, 1] per label, as ``(N, C, H, W)``."""
+    draws = ImageDraws(len(labels), config)
+    for index in range(len(labels)):
+        draws.draw(index, rng)
+    return draws.render(labels)
 
 
 def generate_sample(
@@ -84,24 +143,7 @@ def generate_sample(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Generate one ``(C, H, W)`` image of the requested class in [0, 1]."""
-    size = config.image_size
-    phase_x = rng.uniform(0, 2 * np.pi)
-    phase_y = rng.uniform(0, 2 * np.pi)
-    texture = _class_texture(class_index, size, phase_x, phase_y)
-    mask = _class_shape_mask(class_index, size)
-    base = texture * mask
-
-    # small random translation (class-preserving nuisance factor)
-    if config.max_translation > 0:
-        shift_y = int(rng.integers(-config.max_translation, config.max_translation + 1))
-        shift_x = int(rng.integers(-config.max_translation, config.max_translation + 1))
-        base = np.roll(np.roll(base, shift_y, axis=0), shift_x, axis=1)
-
-    palette = _channel_palette(class_index, config.channels)
-    amplitude = 1.0 + config.amplitude_jitter * rng.standard_normal(config.channels)
-    image = base[None, :, :] * (palette * amplitude)[:, None, None]
-    image = image + config.noise_level * rng.standard_normal((config.channels, size, size))
-    return np.clip(image, 0.0, 1.0)
+    return generate_images(np.array([class_index]), config, rng)[0]
 
 
 def make_synthetic_cifar10(config: SyntheticCIFAR10Config | None = None, **overrides) -> DatasetSplits:
@@ -118,11 +160,7 @@ def make_synthetic_cifar10(config: SyntheticCIFAR10Config | None = None, **overr
 
     labels = np.arange(config.num_samples) % NUM_CLASSES
     rng.shuffle(labels)
-    images = np.empty((config.num_samples, config.channels, config.image_size, config.image_size))
-    for i, cls in enumerate(labels):
-        images[i] = generate_sample(int(cls), config, rng)
-
-    dataset = ArrayDataset(images, labels, num_classes=NUM_CLASSES)
+    dataset = ArrayDataset(generate_images(labels, config, rng), labels, num_classes=NUM_CLASSES)
     return train_val_test_split(
         dataset,
         val_fraction=config.val_fraction,

@@ -17,19 +17,24 @@ images from :mod:`repro.data.synthetic_cifar`:
    ``(T, 2, H, W)`` — the representation fed to the SNN, matching the standard
    frame-based preprocessing used by snnTorch/SpikingJelly for this dataset.
 
-Raw event tuples are also available through :func:`generate_event_stream` for
-code that wants to exercise event-level transforms.
+Generation runs in two steps.  A per-sample loop makes every random draw in
+the order of a one-sample generator (the static image's numbers, then each
+step's sensor-noise pixels), so the data is bit-identical whatever the
+sample count; one vectorised pass then renders all samples at once.  Raw
+event tuples are derived only by :func:`generate_event_stream`; the dataset
+path keeps just the binned frames.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Tuple
 
 import numpy as np
 
 from repro.data.loaders import ArrayDataset, DatasetSplits, train_val_test_split
-from repro.data.synthetic_cifar import NUM_CLASSES, SyntheticCIFAR10Config, generate_sample
+from repro.data.synthetic_cifar import NUM_CLASSES, ImageDraws, SyntheticCIFAR10Config
 from repro.tensor.random import default_rng
 
 
@@ -59,21 +64,86 @@ class DVSEventConfig:
         )
 
 
-def _luminance_at_offset(image: np.ndarray, dy: float, dx: float) -> np.ndarray:
-    """Shift a (H, W) luminance image by a sub-pixel offset (bilinear, wrap)."""
+def _luminance_at_offset(images: np.ndarray, dy: float, dx: float) -> np.ndarray:
+    """Shift ``(..., H, W)`` luminance images by a sub-pixel offset (bilinear, wrap)."""
     y0 = int(np.floor(dy))
     x0 = int(np.floor(dx))
     fy = dy - y0
     fx = dx - x0
-    rows = np.roll(image, y0, axis=0)
-    rows_below = np.roll(image, y0 + 1, axis=0)
+    rows = np.roll(images, y0, axis=-2)
+    rows_below = np.roll(images, y0 + 1, axis=-2)
     shifted = (
-        (1 - fy) * (1 - fx) * np.roll(rows, x0, axis=1)
-        + (1 - fy) * fx * np.roll(rows, x0 + 1, axis=1)
-        + fy * (1 - fx) * np.roll(rows_below, x0, axis=1)
-        + fy * fx * np.roll(rows_below, x0 + 1, axis=1)
+        (1 - fy) * (1 - fx) * np.roll(rows, x0, axis=-1)
+        + (1 - fy) * fx * np.roll(rows, x0 + 1, axis=-1)
+        + fy * (1 - fx) * np.roll(rows_below, x0, axis=-1)
+        + fy * fx * np.roll(rows_below, x0 + 1, axis=-1)
     )
     return shifted
+
+
+def draw_sensor_noise(rng: np.random.Generator, size: int, count: int) -> List[Tuple[int, int, float]]:
+    """``count`` spurious events ``(y, x, u)``; the event is OFF where ``u >= 0.5``.
+
+    Drawn one scalar at a time: batched draws would consume the random
+    stream differently and change every later sample.
+    """
+    integers, random = rng.integers, rng.random
+    return [(integers(size), integers(size), random()) for _ in range(count)]
+
+
+def scatter_sensor_noise(frames: np.ndarray, noise: List[Tuple[int, int, float]], per_step: int) -> np.ndarray:
+    """Set the pixel of every noise event in ``(N, T, 2, H, W)`` frames.
+
+    ``noise`` holds :func:`draw_sensor_noise` triples, ``per_step`` of them
+    per sample and step in draw order.  Returns them as ``(N, T, K, 3)``.
+    """
+    num_samples, num_steps = frames.shape[:2]
+    noise_array = np.fromiter(chain.from_iterable(noise), dtype=float, count=3 * len(noise))
+    noise_array = noise_array.reshape(num_samples, num_steps, per_step, 3)
+    sample = np.arange(num_samples)[:, None, None]
+    step = np.arange(num_steps)[None, :, None]
+    channel = (noise_array[..., 2] >= 0.5).astype(np.intp)
+    frames[sample, step, channel, noise_array[..., 0].astype(np.intp), noise_array[..., 1].astype(np.intp)] = 1.0
+    return noise_array
+
+
+def _generate_streams(
+    labels: np.ndarray,
+    config: DVSEventConfig,
+    rng: np.random.Generator,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Event frames of one moving image per label, with what they were binned from.
+
+    Returns ``(frames, on, off, noise)``: frames ``(N, T, 2, H, W)``, the
+    ON and OFF threshold masks ``(N, T, H, W)`` and the sensor noise
+    ``(N, T, K, 3)`` (see :func:`scatter_sensor_noise`).
+    """
+    num_samples, size, num_steps = len(labels), config.image_size, config.num_steps
+    per_step = config.noise_events_per_step
+    images = ImageDraws(num_samples, config.image_config())
+    noise: List[Tuple[int, int, float]] = []
+    for index in range(num_samples):
+        images.draw(index, rng)
+        noise += draw_sensor_noise(rng, size, num_steps * per_step)
+
+    luminance = images.render(labels)[:, 0]
+    on = np.empty((num_samples, num_steps, size, size), dtype=bool)
+    off = np.empty_like(on)
+    previous = luminance
+    for t in range(num_steps):
+        angle = 2 * np.pi * (t + 1) / num_steps
+        dy = config.movement_radius * np.sin(angle)
+        dx = config.movement_radius * np.cos(angle)
+        current = _luminance_at_offset(luminance, dy, dx)
+        diff = current - previous
+        on[:, t] = diff > config.contrast_threshold
+        off[:, t] = diff < -config.contrast_threshold
+        previous = current
+
+    frames = np.zeros((num_samples, num_steps, 2, size, size))
+    frames[:, :, 0] = on
+    frames[:, :, 1] = off
+    return frames, on, off, scatter_sensor_noise(frames, noise, per_step)
 
 
 def generate_event_stream(
@@ -87,48 +157,27 @@ def generate_event_stream(
     -------
     events:
         Structured float array of shape ``(num_events, 4)`` with columns
-        ``(t, y, x, polarity)`` where polarity is +1 (ON) or -1 (OFF).
+        ``(t, y, x, polarity)`` where polarity is +1 (ON) or -1 (OFF).  They
+        are ordered by step; within a step come the ON events, the OFF
+        events (each in row-major pixel order), then the sensor noise.
     frames:
         Binned event frames of shape ``(num_steps, 2, H, W)``; channel 0
         holds ON counts, channel 1 OFF counts (clipped to [0, 1]).
     """
-    image_config = config.image_config()
-    luminance = generate_sample(class_index, image_config, rng)[0]
-
-    size = config.image_size
-    frames = np.zeros((config.num_steps, 2, size, size))
-    # one (k, 4) block per step and kind: ON events, OFF events, sensor noise
-    blocks: List[np.ndarray] = []
-
-    previous = luminance
-    for t in range(config.num_steps):
-        angle = 2 * np.pi * (t + 1) / config.num_steps
-        dy = config.movement_radius * np.sin(angle)
-        dx = config.movement_radius * np.cos(angle)
-        current = _luminance_at_offset(luminance, dy, dx)
-        diff = current - previous
-        on_mask = diff > config.contrast_threshold
-        off_mask = diff < -config.contrast_threshold
-        frames[t, 0][on_mask] = 1.0
-        frames[t, 1][off_mask] = 1.0
-        for mask, polarity in ((on_mask, 1.0), (off_mask, -1.0)):
-            ys, xs = np.nonzero(mask)
-            blocks.append(np.column_stack((np.full(len(ys), float(t)), ys, xs, np.full(len(ys), polarity))))
-
-        # sensor noise: spurious events at random pixels
-        noise = np.empty((config.noise_events_per_step, 4))
-        for k in range(config.noise_events_per_step):
-            y = int(rng.integers(0, size))
-            x = int(rng.integers(0, size))
-            polarity = 1.0 if rng.random() < 0.5 else -1.0
-            frames[t, 0 if polarity > 0 else 1, y, x] = 1.0
-            noise[k] = (t, y, x, polarity)
-        blocks.append(noise)
-
-        previous = current
-
-    events_array = np.concatenate(blocks) if blocks else np.zeros((0, 4))
-    return events_array, frames
+    frames, on, off, noise = _generate_streams(np.array([class_index]), config, rng)
+    blocks, kinds = [], []
+    for kind, (mask, polarity) in enumerate(((on[0], 1.0), (off[0], -1.0))):
+        ts, ys, xs = np.nonzero(mask)
+        blocks.append(np.column_stack((ts, ys, xs, np.full(len(ts), polarity))))
+        kinds.append(np.full(len(ts), kind))
+    noise = noise[0].reshape(-1, 3)
+    steps = np.repeat(np.arange(config.num_steps), config.noise_events_per_step)
+    blocks.append(np.column_stack((steps, noise[:, 0], noise[:, 1], np.where(noise[:, 2] < 0.5, 1.0, -1.0))))
+    kinds.append(np.full(len(steps), 2))
+    events = np.concatenate(blocks)
+    # a stable sort by (step, kind) keeps each block's own order within a step
+    order = np.lexsort((np.concatenate(kinds), events[:, 0]))
+    return events[order], frames[0]
 
 
 def events_to_frames(
@@ -163,11 +212,7 @@ def make_synthetic_cifar10_dvs(config: DVSEventConfig | None = None, **overrides
 
     labels = np.arange(config.num_samples) % NUM_CLASSES
     rng.shuffle(labels)
-    frames = np.empty((config.num_samples, config.num_steps, 2, config.image_size, config.image_size))
-    for i, cls in enumerate(labels):
-        _, sample_frames = generate_event_stream(int(cls), config, rng)
-        frames[i] = sample_frames
-
+    frames, _, _, _ = _generate_streams(labels, config, rng)
     dataset = ArrayDataset(frames, labels, num_classes=NUM_CLASSES)
     return train_val_test_split(
         dataset,

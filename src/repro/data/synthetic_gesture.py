@@ -7,11 +7,14 @@ a static appearance — exactly the regime where spiking networks with temporal
 dynamics are expected to shine.
 
 The stand-in generates a small bright "hand" blob whose trajectory over the
-simulation window encodes the class (left/right swipe, up/down swipe,
-clockwise/counter-clockwise rotation, horizontal/vertical wave, push (zoom
-in), pull (zoom out), and a rest/jitter class).  Events are emitted where the
-frame-to-frame luminance changes, then binned to ON/OFF frames, mirroring the
-CIFAR-10-DVS pipeline.
+simulation window encodes the class (horizontal and vertical oscillations,
+left/right waves, clockwise/counter-clockwise rotations left or right of
+centre, a small fast roll, a diagonal oscillation and a slow drift; see
+:data:`GESTURE_NAMES`).  Events are emitted where the frame-to-frame
+luminance changes, then binned to ON/OFF frames, mirroring the CIFAR-10-DVS
+pipeline, and generated the same way: a per-sample loop draws the random
+numbers in a one-sample generator's order, then one vectorised pass renders
+every sample.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from repro.data.loaders import ArrayDataset, DatasetSplits, train_val_test_split
+from repro.data.synthetic_dvs import draw_sensor_noise, scatter_sensor_noise
 from repro.tensor.random import default_rng
 
 #: the 11 gesture classes of the stand-in (names chosen to echo the original dataset)
@@ -58,50 +62,56 @@ class GestureConfig:
     seed: int = 0
 
 
-def _blob(size: int, cy: float, cx: float, radius: float, scale: float = 1.0) -> np.ndarray:
-    """Gaussian blob luminance image centred at (cy, cx)."""
+def _blobs(size: int, cy: np.ndarray, cx: np.ndarray, radius: float) -> np.ndarray:
+    """Gaussian blob luminance images centred at (cy, cx), shaped ``cy.shape + (H, W)``."""
     yy, xx = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    d2 = (yy - cy) ** 2 + (xx - cx) ** 2
-    return scale * np.exp(-d2 / (2.0 * radius ** 2))
+    d2 = (yy - cy[..., None, None]) ** 2 + (xx - cx[..., None, None]) ** 2
+    return np.exp(-d2 / (2.0 * radius ** 2))
 
 
-def _trajectory(class_index: int, phase: float, speed: float, size: int) -> Callable[[float], Tuple[float, float, float]]:
-    """Return a function mapping normalised time u in [0,1] to (cy, cx, radius_scale)."""
+Trajectory = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
+
+
+def _trajectory(class_index: int, phase: np.ndarray, speed: np.ndarray, size: int) -> Trajectory:
+    """Return a function mapping normalised times u in [0,1] to blob centres (cy, cx).
+
+    ``phase`` and ``speed`` broadcast against ``u``; a coordinate the class
+    holds still comes back as a scalar.
+    """
     centre = (size - 1) / 2.0
     span = size * 0.3
 
     def clap(u):
-        return centre, centre + span * np.sin(2 * np.pi * (2.0 * speed * u + phase)), 1.0
+        return centre, centre + span * np.sin(2 * np.pi * (2.0 * speed * u + phase))
 
     def right_wave(u):
-        return centre, centre + size * 0.2 + span * 0.6 * np.sin(2 * np.pi * (speed * u + phase)), 1.0
+        return centre, centre + size * 0.2 + span * 0.6 * np.sin(2 * np.pi * (speed * u + phase))
 
     def left_wave(u):
-        return centre, centre - size * 0.2 + span * 0.6 * np.sin(2 * np.pi * (speed * u + phase)), 1.0
+        return centre, centre - size * 0.2 + span * 0.6 * np.sin(2 * np.pi * (speed * u + phase))
 
     def rotation(u, direction, offset_x):
         angle = 2 * np.pi * (speed * u * direction + phase)
-        return centre + span * 0.7 * np.sin(angle), centre + offset_x + span * 0.7 * np.cos(angle), 1.0
+        return centre + span * 0.7 * np.sin(angle), centre + offset_x + span * 0.7 * np.cos(angle)
 
     def arm_roll(u):
         angle = 2 * np.pi * (2.5 * speed * u + phase)
-        return centre + span * 0.35 * np.sin(angle), centre + span * 0.35 * np.cos(angle), 1.0
+        return centre + span * 0.35 * np.sin(angle), centre + span * 0.35 * np.cos(angle)
 
     def air_drums(u):
-        return centre + span * np.sin(2 * np.pi * (2.0 * speed * u + phase)), centre, 1.0
+        return centre + span * np.sin(2 * np.pi * (2.0 * speed * u + phase)), centre
 
     def air_guitar(u):
         offset = span * 0.7 * np.sin(2 * np.pi * (1.5 * speed * u + phase))
-        return centre + offset, centre - offset, 1.0
+        return centre + offset, centre - offset
 
     def other(u):
         return (
             centre + span * 0.25 * np.sin(2 * np.pi * (0.5 * speed * u + phase)),
             centre + span * 0.25 * np.cos(2 * np.pi * (0.35 * speed * u + 2 * phase)),
-            1.0,
         )
 
-    table: Dict[int, Callable[[float], Tuple[float, float, float]]] = {
+    table: Dict[int, Trajectory] = {
         0: clap,
         1: right_wave,
         2: left_wave,
@@ -117,34 +127,43 @@ def _trajectory(class_index: int, phase: float, speed: float, size: int) -> Call
     return table[class_index]
 
 
+def _generate_gestures(labels: np.ndarray, config: GestureConfig, rng: np.random.Generator) -> np.ndarray:
+    """Binned ON/OFF event frames ``(N, T, 2, H, W)``, one gesture per label."""
+    num_samples, size, num_steps = len(labels), config.image_size, config.num_steps
+    phases = np.empty(num_samples)
+    speed_draws = np.empty(num_samples)
+    noise: List[Tuple[int, int, float]] = []
+    for index in range(num_samples):
+        phases[index] = rng.uniform(0, 1)
+        speed_draws[index] = rng.standard_normal()
+        noise += draw_sensor_noise(rng, size, num_steps * config.noise_events_per_step)
+
+    speeds = 1.0 + config.speed_jitter * speed_draws
+    # u = 0 places the blob before the first step; step t ends at u = (t + 1) / T
+    times = np.arange(num_steps + 1) / num_steps
+    cy = np.empty((num_samples, num_steps + 1))
+    cx = np.empty_like(cy)
+    for class_index in np.unique(labels):
+        members = labels == class_index
+        trajectory = _trajectory(int(class_index), phases[members, None], speeds[members, None], size)
+        cy[members], cx[members] = trajectory(times)
+    luminance = _blobs(size, cy, cx, config.blob_radius)
+    diff = luminance[:, 1:] - luminance[:, :-1]
+
+    frames = np.zeros((num_samples, num_steps, 2, size, size))
+    frames[:, :, 0] = diff > config.contrast_threshold
+    frames[:, :, 1] = diff < -config.contrast_threshold
+    scatter_sensor_noise(frames, noise, config.noise_events_per_step)
+    return frames
+
+
 def generate_gesture_sample(
     class_index: int,
     config: GestureConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Generate binned ON/OFF event frames ``(T, 2, H, W)`` for one gesture."""
-    size = config.image_size
-    phase = rng.uniform(0, 1)
-    speed = 1.0 + config.speed_jitter * rng.standard_normal()
-    trajectory = _trajectory(class_index, phase, speed, size)
-
-    frames = np.zeros((config.num_steps, 2, size, size))
-    cy, cx, scale = trajectory(0.0)
-    previous = _blob(size, cy, cx, config.blob_radius * scale)
-    for t in range(config.num_steps):
-        u = (t + 1) / config.num_steps
-        cy, cx, scale = trajectory(u)
-        current = _blob(size, cy, cx, config.blob_radius * scale)
-        diff = current - previous
-        frames[t, 0][diff > config.contrast_threshold] = 1.0
-        frames[t, 1][diff < -config.contrast_threshold] = 1.0
-        for _ in range(config.noise_events_per_step):
-            y = int(rng.integers(0, size))
-            x = int(rng.integers(0, size))
-            channel = 0 if rng.random() < 0.5 else 1
-            frames[t, channel, y, x] = 1.0
-        previous = current
-    return frames
+    return _generate_gestures(np.array([class_index]), config, rng)[0]
 
 
 def make_synthetic_dvs_gesture(config: GestureConfig | None = None, **overrides) -> DatasetSplits:
@@ -157,11 +176,7 @@ def make_synthetic_dvs_gesture(config: GestureConfig | None = None, **overrides)
 
     labels = np.arange(config.num_samples) % NUM_GESTURE_CLASSES
     rng.shuffle(labels)
-    frames = np.empty((config.num_samples, config.num_steps, 2, config.image_size, config.image_size))
-    for i, cls in enumerate(labels):
-        frames[i] = generate_gesture_sample(int(cls), config, rng)
-
-    dataset = ArrayDataset(frames, labels, num_classes=NUM_GESTURE_CLASSES)
+    dataset = ArrayDataset(_generate_gestures(labels, config, rng), labels, num_classes=NUM_GESTURE_CLASSES)
     return train_val_test_split(
         dataset,
         val_fraction=config.val_fraction,

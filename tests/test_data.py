@@ -293,6 +293,85 @@ class TestGeneratorDigests:
         assert (_sha256(events), _sha256(frames)) == self.EVENT_DIGESTS[seed]
 
 
+class TestBatchEqualsPerSample:
+    """A dataset of S samples equals S one-sample calls on one generator, bit for bit.
+
+    Each builder draws every sample's random numbers in a per-sample loop and
+    renders all samples at once; a batched or vectorised render that changed
+    any bit, or a draw taken out of order, shows here.
+    """
+
+    NUM_SAMPLES = 23
+
+    #: generator -> (config class, builder, one-sample function, classes, split name)
+    GENERATORS = {
+        "cifar10": (
+            SyntheticCIFAR10Config,
+            make_synthetic_cifar10,
+            generate_sample,
+            10,
+            "synthetic-cifar10",
+        ),
+        "cifar10-dvs": (
+            DVSEventConfig,
+            make_synthetic_cifar10_dvs,
+            lambda cls, config, rng: generate_event_stream(cls, config, rng)[1],
+            10,
+            "synthetic-cifar10-dvs",
+        ),
+        "dvs128-gesture": (
+            GestureConfig,
+            make_synthetic_dvs_gesture,
+            generate_gesture_sample,
+            11,
+            "synthetic-dvs128-gesture",
+        ),
+    }
+
+    #: odd sizes, a single step, no sensor noise, a one-channel static image
+    CASES = {
+        "cifar10": [
+            {"image_size": 7},
+            {"image_size": 9, "channels": 1, "max_translation": 0},
+            {"image_size": 8, "max_translation": 3, "noise_level": 0.0},
+        ],
+        "cifar10-dvs": [
+            {"image_size": 7, "num_steps": 3},
+            {"image_size": 9, "num_steps": 1},
+            {"image_size": 8, "num_steps": 4, "noise_events_per_step": 0},
+        ],
+        "dvs128-gesture": [
+            {"image_size": 7, "num_steps": 3},
+            {"image_size": 9, "num_steps": 1},
+            {"image_size": 8, "num_steps": 4, "noise_events_per_step": 0},
+        ],
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("case", [0, 1, 2])
+    @pytest.mark.parametrize("generator", ["cifar10", "cifar10-dvs", "dvs128-gesture"])
+    def test_dataset_equals_per_sample_calls(self, generator, case, seed):
+        config_cls, build, one_sample, num_classes, name = self.GENERATORS[generator]
+        config = config_cls(num_samples=self.NUM_SAMPLES, seed=seed, **self.CASES[generator][case])
+
+        rng = np.random.default_rng(seed)
+        labels = np.arange(self.NUM_SAMPLES) % num_classes
+        rng.shuffle(labels)
+        inputs = np.stack([one_sample(int(cls), config, rng) for cls in labels])
+        expected = train_val_test_split(
+            ArrayDataset(inputs, labels, num_classes=num_classes),
+            val_fraction=config.val_fraction,
+            test_fraction=config.test_fraction,
+            rng=np.random.default_rng(seed + 1),
+            name=name,
+        )
+
+        built = build(config)
+        for part in ("train", "val", "test"):
+            got, want = getattr(built, part), getattr(expected, part)
+            assert _sha256(got.inputs, got.labels) == _sha256(want.inputs, want.labels), part
+
+
 class TestSyntheticGesture:
     def test_eleven_classes(self, tiny_gesture_splits):
         assert tiny_gesture_splits.num_classes == len(GESTURE_NAMES) == 11
