@@ -31,10 +31,13 @@ Quickstart::
 """
 
 from time import perf_counter as _perf_counter
+from time import process_time as _process_time
 
-#: ``perf_counter`` reading taken before the package imports anything else;
-#: ``repro pareto --trace`` records the start-up up to ``main()`` from it
+#: ``perf_counter`` and ``process_time`` readings taken before the package
+#: imports anything else; ``repro pareto --trace`` records the start-up up to
+#: ``main()`` from them
 _IMPORT_STARTED = _perf_counter()
+_IMPORT_CPU_STARTED = _process_time()
 
 __version__ = "1.0.0"
 

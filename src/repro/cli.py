@@ -345,8 +345,9 @@ def _command_adapt(args) -> int:
     return 0
 
 
-#: ``perf_counter`` reading at this process's first ``main()`` entry
+#: ``perf_counter`` and ``process_time`` readings at this process's first ``main()`` entry
 _MAIN_ENTERED: Optional[float] = None
+_MAIN_CPU_ENTERED = 0.0
 
 
 def _command_pareto(args) -> int:
@@ -372,6 +373,8 @@ def _command_pareto(args) -> int:
                 "process.startup",
                 repro._IMPORT_STARTED,
                 _MAIN_ENTERED,
+                # the process's CPU time: BLAS start-up threads spin during the imports
+                cpu_ms=(_MAIN_CPU_ENTERED - repro._IMPORT_CPU_STARTED) * 1e3,
                 blas_threads=max(blas_threads().values(), default=None),
                 maxrss_mb=max_rss_mb(),
             )
@@ -536,9 +539,10 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    global _MAIN_ENTERED
+    global _MAIN_ENTERED, _MAIN_CPU_ENTERED
     if _MAIN_ENTERED is None:
         _MAIN_ENTERED = time.perf_counter()
+        _MAIN_CPU_ENTERED = time.process_time()
     parser = build_parser()
     args = parser.parse_args(argv)
     # the search parallelises across processes; BLAS threads in each would

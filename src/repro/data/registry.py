@@ -13,6 +13,7 @@ from repro.data.loaders import DatasetSplits
 from repro.data.synthetic_cifar import make_synthetic_cifar10
 from repro.data.synthetic_dvs import make_synthetic_cifar10_dvs
 from repro.data.synthetic_gesture import make_synthetic_dvs_gesture
+from repro.trace.spans import span
 
 _BUILDERS: Dict[str, Callable[..., DatasetSplits]] = {
     "cifar10": make_synthetic_cifar10,
@@ -47,4 +48,12 @@ def load_dataset(name: str, **kwargs) -> DatasetSplits:
     key = _ALIASES.get(key, key)
     if key not in _BUILDERS:
         raise KeyError(f"unknown dataset {name!r}; available: {available_datasets()}")
-    return _BUILDERS[key](**kwargs)
+    with span("data.load", dataset=key) as load_span:
+        splits = _BUILDERS[key](**kwargs)
+        if load_span:
+            parts = (splits.train, splits.val, splits.test)
+            load_span.set(
+                num_samples=sum(len(part) for part in parts),
+                bytes=sum(part.inputs.nbytes + part.labels.nbytes for part in parts),
+            )
+    return splits

@@ -11,12 +11,14 @@ CPU.
 
 The generator is fully deterministic given the seed, and the difficulty can be
 tuned through :class:`SyntheticCIFAR10Config` (noise level, jitter, size).
+:class:`ImageDraws` takes each sample's random numbers in a per-sample loop
+and renders all samples at once, so a dataset is bit-identical to its
+samples generated one at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 

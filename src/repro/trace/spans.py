@@ -110,7 +110,7 @@ _NULL_SPAN = _NullSpan()
 class Span:
     """One timed, attributed region.  Use only via ``with span(...)``."""
 
-    __slots__ = ("name", "span_id", "parent_id", "trace_id", "start", "end", "attrs")
+    __slots__ = ("name", "span_id", "parent_id", "trace_id", "start", "end", "cpu_ms", "attrs")
 
     def __init__(self, name: str, parent_id: Optional[str], trace_id: str) -> None:
         self.name = name
@@ -119,6 +119,9 @@ class Span:
         self.trace_id = trace_id
         self.start = 0.0
         self.end = 0.0
+        #: the thread's CPU time from enter to exit, in ms (while the span is
+        #: open: the thread's CPU clock at enter, in s)
+        self.cpu_ms: Optional[float] = None
         self.attrs: Optional[Dict[str, Any]] = None
 
     def set(self, **attrs: Any) -> "Span":
@@ -141,6 +144,7 @@ class Span:
             "start": self.start,
             "end": self.end,
             "duration_ms": self.duration_ms,
+            "cpu_ms": self.cpu_ms,
             "pid": os.getpid(),
             "thread": threading.current_thread().name,
         }
@@ -153,11 +157,13 @@ class Span:
 
     def __enter__(self) -> "Span":
         _STATE.stack.append(self)
+        self.cpu_ms = time.thread_time()
         self.start = _now()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.end = _now()
+        self.cpu_ms = (time.thread_time() - self.cpu_ms) * 1e3
         state = _STATE
         if state.stack and state.stack[-1] is self:
             state.stack.pop()
@@ -205,18 +211,19 @@ def _new_span(state: _State, name: str, attrs: Dict[str, Any]) -> Span:
     return live
 
 
-def record_span(name: str, start: float, end: float, **attrs: Any) -> None:
+def record_span(name: str, start: float, end: float, cpu_ms: Optional[float] = None, **attrs: Any) -> None:
     """Record a region that finished before tracing began.
 
-    ``start`` and ``end`` are ``time.perf_counter()`` readings.  The span is
-    parented as if it had been opened here, but it never enters the span stack.
-    Used for the process start-up, which ends before any tracing scope opens.
-    No-op while tracing is disabled.
+    ``start`` and ``end`` are ``time.perf_counter()`` readings and ``cpu_ms``
+    the CPU time the caller measured over them (``None`` if it did not).  The
+    span is parented as if it had been opened here, but it never enters the
+    span stack.  Used for the process start-up, which ends before any tracing
+    scope opens.  No-op while tracing is disabled.
     """
     if not is_enabled():
         return
     live = _new_span(_STATE, name, attrs)
-    live.start, live.end = _EPOCH + start, _EPOCH + end
+    live.start, live.end, live.cpu_ms = _EPOCH + start, _EPOCH + end, cpu_ms
     recorder = active_recorder()
     if recorder is not None:
         recorder.record(live.to_dict())

@@ -1,9 +1,10 @@
-"""Unit tests of the docs checker's anchor validation (`tools/check_docs.py`).
+"""Unit tests of the docs checker (`tools/check_docs.py`): anchors and the span table.
 
 The CI docs job runs the checker over the real docs; these tests pin the
 anchor semantics themselves — GitHub-style slugs, duplicate numbering,
-fenced headings excluded — against synthetic files, so a regression in the
-checker cannot hide behind currently-valid docs.
+fenced headings excluded — and which span calls the span-table check finds,
+against synthetic files, so a regression in the checker cannot hide behind
+currently-valid docs.
 """
 
 from __future__ import annotations
@@ -76,3 +77,64 @@ class TestAnchorChecking:
             tmp_path, "[a](https://example.com/x#frag)\n[b](mailto:x@y.z)\n"
         )
         assert errors == []
+
+
+class TestSpanTable:
+    DOC = (
+        "# Observability\n\n"
+        "## What is instrumented\n\n"
+        "| Span | Where | Attributes |\n"
+        "|------|-------|------------|\n"
+        "| `evaluate` | objective | `arch` |\n"
+        "| `op.conv2d` / `op.matmul` | operators | shapes |\n\n"
+        "## Later section\n\n"
+        "| `not.a.span` | other table | — |\n"
+    )
+
+    def _errors(self, tmp_path, source):
+        src = tmp_path / "src"
+        (src / "pkg").mkdir(parents=True)
+        (src / "pkg" / "mod.py").write_text(source)
+        doc = tmp_path / "observability.md"
+        doc.write_text(self.DOC)
+        return check_docs.check_span_table(src, doc)
+
+    def test_every_span_call_form_is_found(self, tmp_path):
+        source = (
+            "from repro import trace\n"
+            "from repro.trace import ops_span, record_span, span\n"
+            "with span('evaluate'):\n"
+            "    pass\n"
+            "with ops_span('op.conv2d'):\n"
+            "    pass\n"
+            "with trace.ops_span(\n"
+            "    'op.matmul',\n"
+            "):\n"
+            "    pass\n"
+            "name = 'dynamic'\n"
+            "with span(name):\n"
+            "    pass\n"
+        )
+        assert self._errors(tmp_path, source) == []
+
+    def test_undocumented_span_is_flagged_with_its_line(self, tmp_path):
+        source = (
+            "from repro.trace import ops_span, record_span, span\n"
+            "with span('evaluate'), ops_span('op.conv2d'), ops_span('op.matmul'):\n"
+            "    pass\n"
+            "record_span('process.startup', 0.0, 1.0)\n"
+        )
+        assert self._errors(tmp_path, source) == [
+            "observability.md: span 'process.startup' (opened at src/pkg/mod.py:4) is missing from the span table"
+        ]
+
+    def test_table_rows_opened_nowhere_are_flagged(self, tmp_path):
+        source = "from repro.trace import span\nwith span('evaluate'):\n    pass\n"
+        assert self._errors(tmp_path, source) == [
+            "observability.md: span 'op.conv2d' is in the span table but opened nowhere in src/",
+            "observability.md: span 'op.matmul' is in the span table but opened nowhere in src/",
+        ]
+
+    def test_the_repository_documents_every_span(self):
+        root = Path(__file__).resolve().parent.parent
+        assert check_docs.check_span_table(root / "src", root / check_docs.SPAN_TABLE_DOC) == []

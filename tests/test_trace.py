@@ -13,7 +13,9 @@ that pins the disabled-tracing overhead contract.
 from __future__ import annotations
 
 import json
+import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from repro.core.async_eval import AsyncEvaluationExecutor
 from repro.core.bayes_opt import BayesianOptimizer
 from repro.core.objectives import EvaluationResult, Objective
 from repro.core.search_space import BlockSearchInfo, SearchSpace
+from repro.experiments.config import get_scale
 from repro.tensor.blas import blas_threads
 from repro.trace import (
     FlightRecorder,
@@ -113,6 +116,28 @@ class TestSpans:
         assert earlier["parent_id"] == outer["span_id"] and earlier["trace_id"] == "t-rec"
         assert earlier["end"] - earlier["start"] == pytest.approx(0.5)
         assert earlier["end"] < outer["start"]
+
+    def test_cpu_ms_is_the_thread_cpu_time_of_the_span(self):
+        recorder = FlightRecorder(capacity=4)
+        with tracing(recorder=recorder):
+            with span("busy"):
+                deadline = time.perf_counter() + 0.05
+                while time.perf_counter() < deadline:
+                    pass
+            with span("sleeping"):
+                time.sleep(0.05)
+        busy, sleeping = recorder.spans()
+        # a busy thread runs for most of the span even when the machine is shared
+        assert 0.5 * busy["duration_ms"] <= busy["cpu_ms"] <= busy["duration_ms"] + 1.0
+        assert sleeping["duration_ms"] >= 50.0 and sleeping["cpu_ms"] < 5.0
+
+    def test_record_span_carries_the_given_cpu_time(self):
+        recorder = FlightRecorder(capacity=4)
+        with tracing(recorder=recorder):
+            record_span("measured", 1.0, 1.5, cpu_ms=120.0)
+            record_span("unmeasured", 1.0, 1.5)
+        measured, unmeasured = recorder.spans()
+        assert measured["cpu_ms"] == 120.0 and unmeasured["cpu_ms"] is None
 
     def test_ops_spans_are_gated_separately(self):
         plain = FlightRecorder(capacity=16)
@@ -436,6 +461,28 @@ class TestTraceCommand:
         # the peak RSS so far, read when the span is recorded, so never above this process's peak now
         maxrss = startup[0]["attrs"]["maxrss_mb"]
         assert maxrss is None or 0 < maxrss <= max_rss_mb()
+        # the start-up's CPU time is the whole process's, over the same interval
+        assert 0.0 < startup[0]["cpu_ms"] <= startup[0]["duration_ms"] * os.cpu_count() + 1.0
+        capsys.readouterr()
+
+    def test_traced_pareto_records_one_data_load_before_the_search(self, tmp_path, capsys):
+        from repro.cli import main
+
+        trace_path = tmp_path / "pareto.jsonl"
+        argv = ["pareto", "--scale", "smoke", "--model", "single_block", "--iterations", "2"]
+        assert main(argv + ["--trace", str(trace_path)]) == 0
+        spans = load_trace(trace_path)
+        loads = [span for span in spans if span["name"] == "data.load"]
+        (front,) = [span for span in spans if span["name"] == "pareto_front"]
+        assert len(loads) == 1
+        (load,) = loads
+        assert load["end"] <= front["start"] and load["trace_id"] == front["trace_id"]
+        scale = get_scale("smoke")
+        assert load["attrs"]["dataset"] == "cifar10-dvs"
+        assert load["attrs"]["num_samples"] == scale.num_samples_dvs
+        frame_bytes = 8 * scale.num_steps * 2 * scale.image_size ** 2
+        assert load["attrs"]["bytes"] == scale.num_samples_dvs * (frame_bytes + 8)
+        assert all(span["cpu_ms"] is not None for span in spans)
         capsys.readouterr()
 
     def test_missing_and_empty_files_exit_nonzero(self, tmp_path, capsys):

@@ -14,7 +14,11 @@ the CI `docs` job) turns each into a build failure:
   layer's endpoint catalog in ``docs/server.md`` is linked by anchor from
   several places);
 * **stale code examples** — every ``>>>`` example in the checked files is
-  executed with :mod:`doctest`, so an API rename breaks the doc visibly.
+  executed with :mod:`doctest`, so an API rename breaks the doc visibly;
+* **undocumented spans** — every span name passed as a string literal to
+  ``span``, ``ops_span`` or ``record_span`` under ``src/`` must appear in the
+  span table of ``docs/observability.md`` ("What is instrumented"), and
+  every name in that table must still be opened somewhere.
 
 Run locally::
 
@@ -23,6 +27,7 @@ Run locally::
 
 from __future__ import annotations
 
+import ast
 import doctest
 import re
 import sys
@@ -52,6 +57,13 @@ FENCE_PATTERN = re.compile(r"^(```|~~~).*?^\1\s*$", re.MULTILINE | re.DOTALL)
 
 #: link targets that are never repo-relative paths
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
+
+#: tracing calls whose first argument names a span
+SPAN_CALLS = ("span", "ops_span", "record_span")
+
+#: the document whose table lists every span, and that table's heading
+SPAN_TABLE_DOC = "docs/observability.md"
+SPAN_TABLE_HEADING = "## What is instrumented"
 
 
 def heading_slug(text: str) -> str:
@@ -122,6 +134,50 @@ def check_doctests(path: Path) -> list:
     return []
 
 
+def source_span_names(src: Path) -> dict:
+    """Every span name opened under ``src``, mapped to its first ``file:line``."""
+    names: dict = {}
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            first = node.args[0]
+            if called in SPAN_CALLS and isinstance(first, ast.Constant) and isinstance(first.value, str):
+                names.setdefault(first.value, f"{path.relative_to(src.parent)}:{node.lineno}")
+    return names
+
+
+def documented_span_names(doc: Path) -> set:
+    """The ``code`` names in the first column of the span table in ``doc``."""
+    text = doc.read_text()
+    if SPAN_TABLE_HEADING not in text:
+        return set()
+    section = text.split(SPAN_TABLE_HEADING, 1)[1].split("\n## ", 1)[0]
+    names: set = set()
+    for line in section.splitlines():
+        if line.startswith("|"):
+            names.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    return names
+
+
+def check_span_table(src: Path, doc: Path) -> list:
+    """Spans opened in ``src`` but missing from ``doc``'s table, and the reverse."""
+    opened = source_span_names(src)
+    documented = documented_span_names(doc)
+    errors = [
+        f"{doc.name}: span {name!r} (opened at {where}) is missing from the span table"
+        for name, where in sorted(opened.items())
+        if name not in documented
+    ]
+    errors += [
+        f"{doc.name}: span {name!r} is in the span table but opened nowhere in {src.name}/"
+        for name in sorted(documented - set(opened))
+    ]
+    return errors
+
+
 def main() -> int:
     """Check every documented file; returns a process exit code."""
     errors = []
@@ -135,10 +191,11 @@ def main() -> int:
         checked += 1
         errors.extend(check_links(path, anchor_cache))
         errors.extend(check_doctests(path))
+    errors.extend(check_span_table(REPO_ROOT / "src", REPO_ROOT / SPAN_TABLE_DOC))
     if errors:
         print("\n".join(errors))
         return 1
-    print(f"docs OK: {checked} files, links and anchors resolve, doctests pass")
+    print(f"docs OK: {checked} files, links and anchors resolve, doctests pass, every span documented")
     return 0
 
 
