@@ -100,9 +100,9 @@ class ImageDraws:
     def draw(self, index: int, rng: np.random.Generator) -> None:
         """Draw sample ``index``'s phases, translation, amplitude and noise image."""
         self.phases[index] = rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)
-        translation = self.config.max_translation
-        if translation > 0:
-            self.shifts[index] = rng.integers(-translation, translation + 1), rng.integers(-translation, translation + 1)
+        limit = self.config.max_translation
+        if limit > 0:
+            self.shifts[index] = rng.integers(-limit, limit + 1), rng.integers(-limit, limit + 1)
         rng.standard_normal(out=self.amplitude[index])
         rng.standard_normal(out=self.noise[index])
 

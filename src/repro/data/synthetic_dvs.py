@@ -156,7 +156,7 @@ def generate_event_stream(
     Returns
     -------
     events:
-        Structured float array of shape ``(num_events, 4)`` with columns
+        Float array of shape ``(num_events, 4)`` with columns
         ``(t, y, x, polarity)`` where polarity is +1 (ON) or -1 (OFF).  They
         are ordered by step; within a step come the ON events, the OFF
         events (each in row-major pixel order), then the sensor noise.
@@ -165,19 +165,16 @@ def generate_event_stream(
         holds ON counts, channel 1 OFF counts (clipped to [0, 1]).
     """
     frames, on, off, noise = _generate_streams(np.array([class_index]), config, rng)
-    blocks, kinds = [], []
-    for kind, (mask, polarity) in enumerate(((on[0], 1.0), (off[0], -1.0))):
-        ts, ys, xs = np.nonzero(mask)
-        blocks.append(np.column_stack((ts, ys, xs, np.full(len(ts), polarity))))
-        kinds.append(np.full(len(ts), kind))
-    noise = noise[0].reshape(-1, 3)
-    steps = np.repeat(np.arange(config.num_steps), config.noise_events_per_step)
-    blocks.append(np.column_stack((steps, noise[:, 0], noise[:, 1], np.where(noise[:, 2] < 0.5, 1.0, -1.0))))
-    kinds.append(np.full(len(steps), 2))
-    events = np.concatenate(blocks)
-    # a stable sort by (step, kind) keeps each block's own order within a step
-    order = np.lexsort((np.concatenate(kinds), events[:, 0]))
-    return events[order], frames[0]
+    # one (k, 4) block per step and kind: ON events, OFF events, sensor noise
+    blocks = []
+    for t in range(config.num_steps):
+        for mask, polarity in ((on[0, t], 1.0), (off[0, t], -1.0)):
+            ys, xs = np.nonzero(mask)
+            blocks.append(np.column_stack((np.full(len(ys), float(t)), ys, xs, np.full(len(ys), polarity))))
+        ys, xs, u = noise[0, t].T
+        blocks.append(np.column_stack((np.full(len(ys), float(t)), ys, xs, np.where(u < 0.5, 1.0, -1.0))))
+    events = np.concatenate(blocks) if blocks else np.zeros((0, 4))
+    return events, frames[0]
 
 
 def events_to_frames(
