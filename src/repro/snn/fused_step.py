@@ -482,8 +482,8 @@ class _FusedKernel:
             if t == 0:
                 self._geom["head"] = x.shape
             pooled = x.mean(axis=(2, 3))
-            pooled_buf = self.stash("head.pooled", pooled.shape, pooled.dtype)
-            pooled_buf[t] = pooled
+            pooled_buf = self.stash("head.pooled", pooled.shape[::-1], pooled.dtype)
+            pooled_buf[t] = pooled.T
             logits = pooled @ self._fc_wt
             if plan.fc.bias is not None:
                 logits = logits + plan.fc.bias.data
@@ -683,7 +683,7 @@ class _FusedKernel:
             g_logits = g_out
             if plan.fc.bias is not None:
                 plan.fc.bias.accumulate_grad(_unbroadcast(g_logits, plan.fc.bias.data.shape))
-            pooled = self.stashed("head.pooled", t)
+            pooled = self.stashed("head.pooled", t).T
             plan.fc.weight.accumulate_grad(
                 np.transpose(_unbroadcast(np.swapaxes(pooled, -1, -2) @ g_logits, self._fc_wt.shape))
             )

@@ -150,6 +150,91 @@ class TestBitIdentity:
         assert_fused_matches_graph("subtract", num_steps=num_steps)
 
 
+#: the geometries perfbench trains at: (num_steps, image size, stage channels)
+GEOMETRIES = {
+    "smoke": (4, 10, (4, 6)),
+    "default": (6, 12, (6, 10)),
+}
+#: searched resnet18 wirings with both DSC and ASC edges in every block
+SEARCHED_SPECS = (1, 4)
+
+
+def sgd_steps(mode: str, geometry: str, reset: str = "subtract", spec_seed=None, steps: int = 3):
+    """``steps`` SGD steps at a perfbench geometry (batch 16); every observable per step.
+
+    Weights and batch-norm running statistics evolve between the steps, so a
+    later step runs the kernel on state the earlier steps produced.
+    """
+    from repro.nn.optim import SGD
+
+    num_steps, size, stages = GEOMETRIES[geometry]
+    template = get_template(
+        "resnet18", input_channels=2, num_classes=10, stage_channels=stages
+    )
+    spec = None if spec_seed is None else template.search_space().sample(rng=spec_seed)
+    model = template.build(
+        spec, spiking=True, neuron_config=NeuronConfig(reset_mechanism=reset), rng=0
+    )
+    runner = TemporalRunner(model, num_steps=num_steps)
+    optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
+    rng = np.random.default_rng(11)
+    observed = []
+    with fused_training(mode):
+        for _ in range(steps):
+            batch = rng.random((16, 2, size, size))
+            targets = rng.integers(0, 10, size=16)
+            model.zero_grad()
+            logits = runner(batch)
+            loss = CrossEntropyLoss()(logits, targets)
+            loss.backward()
+            observed.append(
+                (
+                    float(loss.item()),
+                    np.array(logits.data),
+                    {name: np.array(p.grad) for name, p in model.named_parameters()},
+                    {
+                        f"{name}.{buf}": np.array(getattr(module, buf))
+                        for name, module in model.named_modules()
+                        for buf in ("running_mean", "running_var")
+                        if hasattr(module, buf)
+                    },
+                )
+            )
+            optimizer.step()
+    release_fused(runner)
+    return observed
+
+
+def assert_steps_match_graph(geometry: str, **options):
+    graph = sgd_steps("off", geometry, **options)
+    fused = sgd_steps("on", geometry, **options)
+    for step, (reference, candidate) in enumerate(zip(graph, fused)):
+        assert candidate[0] == reference[0], f"step {step} loss"
+        assert np.array_equal(candidate[1], reference[1]), f"step {step} logits"
+        for name, grad in reference[2].items():
+            assert np.array_equal(candidate[2][name], grad), f"step {step} grad {name}"
+        for name, stat in reference[3].items():
+            assert np.array_equal(candidate[3][name], stat), f"step {step} buffer {name}"
+
+
+class TestPerfbenchGeometry:
+    """Bit-identity at the batch and geometries perfbench trains, over three SGD steps.
+
+    BLAS bits depend on GEMM shapes, so the small cases above can pass while
+    the geometries a search trains at diverge.
+    """
+
+    @pytest.mark.parametrize("reset", RESETS)
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    def test_default_wiring(self, geometry, reset):
+        assert_steps_match_graph(geometry, reset=reset)
+
+    @pytest.mark.parametrize("spec_seed", SEARCHED_SPECS)
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    def test_searched_wiring(self, geometry, spec_seed):
+        assert_steps_match_graph(geometry, spec_seed=spec_seed)
+
+
 def fit_smoke(fused: str):
     """A deterministic two-epoch training run; returns the final weights."""
     rng = np.random.default_rng(7)
