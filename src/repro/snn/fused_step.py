@@ -70,6 +70,7 @@ same stale-residual error.
 from __future__ import annotations
 
 import itertools
+import time
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -353,9 +354,9 @@ def fused_dispatch(runner, batch) -> Optional[Tensor]:
     if not frames:
         raise ValueError("no outputs to aggregate")
     with span("train.fused_forward", num_steps=len(frames)) as fwd_span:
-        score = kernel.forward(frames)
+        score = kernel.forward(frames, timed=bool(fwd_span))
         if fwd_span:
-            fwd_span.set(batch=int(score.shape[0]))
+            fwd_span.set(batch=int(score.shape[0]), **kernel.op_ms())
     _count("fused_steps")
     return score
 
@@ -363,6 +364,9 @@ def fused_dispatch(runner, batch) -> Optional[Tensor]:
 # ---------------------------------------------------------------------------
 # the kernel
 # ---------------------------------------------------------------------------
+
+#: op kinds a traced forward or adjoint reports its time under (``<kind>_ms``)
+OP_KINDS = ("conv", "bn", "neuron", "pool", "head")
 
 
 class _FusedKernel:
@@ -381,6 +385,9 @@ class _FusedKernel:
         self._stash: Dict[str, tuple] = {}
         #: owned channel-major scratch views, keyed by role
         self._scratches: Dict[str, np.ndarray] = {}
+        #: seconds per op kind of the current traced sweep (``None`` untraced)
+        self._laps: Optional[Dict[str, float]] = None
+        self._lap_at = 0.0
 
     def release(self) -> None:
         """Drop every owned buffer and invalidate any outstanding adjoint."""
@@ -448,8 +455,29 @@ class _FusedKernel:
             self._scratches[key] = view
         return view
 
+    # -- per-op-kind timing (traced sweeps only) --------------------------
+    def _start_laps(self, timed: bool) -> None:
+        self._laps = dict.fromkeys(OP_KINDS, 0.0) if timed else None
+        self._lap_at = time.perf_counter()
+
+    def _lap(self, kind: Optional[str]) -> None:
+        """Charge the time since the previous lap to ``kind`` (``None``: to no kind)."""
+        laps = self._laps
+        if laps is None:
+            return
+        now = time.perf_counter()
+        if kind is not None:
+            laps[kind] += now - self._lap_at
+        self._lap_at = now
+
+    def op_ms(self) -> Dict[str, float]:
+        """The last traced sweep's milliseconds per op kind, as span attributes."""
+        if self._laps is None:
+            return {}
+        return {f"{kind}_ms": round(seconds * 1e3, 3) for kind, seconds in self._laps.items()}
+
     # -- forward --------------------------------------------------------
-    def forward(self, frames) -> Tensor:
+    def forward(self, frames, timed: bool = False) -> Tensor:
         from repro.snn.temporal import reset_states
 
         plan = self.plan
@@ -469,6 +497,7 @@ class _FusedKernel:
         integrator_state = None
         total = None
         out = None
+        self._start_laps(timed)
         for t, frame in enumerate(frames):
             x = frame.data if isinstance(frame, Tensor) else frame
             for unit in plan.units:
@@ -479,6 +508,7 @@ class _FusedKernel:
                 else:
                     x = self._block_forward(unit, t, x)
             # classifier head: global average pool + linear (+ integrator)
+            self._lap(None)
             if t == 0:
                 self._geom["head"] = x.shape
             pooled = x.mean(axis=(2, 3))
@@ -498,6 +528,7 @@ class _FusedKernel:
             else:
                 out = logits
             total = out if total is None else total + out
+            self._lap("head")
         if self._int_beta is None and plan.integrator is not None:
             self._int_beta = np.asarray(plan.integrator.beta, dtype=out.dtype)
 
@@ -518,8 +549,10 @@ class _FusedKernel:
                     "fused BPTT residuals were overwritten by a newer fused forward "
                     "or released; run backward() before taking the next training step"
                 )
-            with span("train.fused_backward", num_steps=kernel._num_steps):
-                kernel.adjoint(score.grad)
+            with span("train.fused_backward", num_steps=kernel._num_steps) as bwd_span:
+                kernel.adjoint(score.grad, timed=bool(bwd_span))
+                if bwd_span:
+                    bwd_span.set(**kernel.op_ms())
 
         score._backward = _run_adjoint
         return score
@@ -624,9 +657,14 @@ class _FusedKernel:
         return spikes
 
     def _cbn_forward(self, cbn: _CBN, t: int, x: np.ndarray) -> np.ndarray:
+        self._lap(None)
         x = self._conv_forward(cbn.op, t, x)
+        self._lap("conv")
         x = self._bn_forward(cbn, t, x)
-        return self._neuron_forward(cbn, t, x)
+        self._lap("bn")
+        x = self._neuron_forward(cbn, t, x)
+        self._lap("neuron")
+        return x
 
     def _pool_forward(self, unit: _Unit, t: int, x: np.ndarray) -> np.ndarray:
         out, ctx = _avg_pool2d_fwd(
@@ -637,6 +675,7 @@ class _FusedKernel:
             padding=unit.pool_padding,
         )
         self._geom[unit.pool_key] = ctx
+        self._lap("pool")
         return out
 
     def _block_forward(self, unit: _Unit, t: int, x: np.ndarray) -> np.ndarray:
@@ -646,7 +685,9 @@ class _FusedKernel:
             for source, projection in layer.asc:
                 source_output = node_outputs[source]
                 if projection is not None:
+                    self._lap(None)
                     source_output = self._conv_forward(projection, t, source_output)
+                    self._lap("conv")
                 combined = combined + source_output
             if layer.concat:
                 combined = np.concatenate(
@@ -656,7 +697,7 @@ class _FusedKernel:
         return node_outputs[-1]
 
     # -- adjoint ---------------------------------------------------------
-    def adjoint(self, g_score: np.ndarray) -> None:
+    def adjoint(self, g_score: np.ndarray, timed: bool = False) -> None:
         """Reverse-time sweep accumulating parameter gradients.
 
         Expression-for-expression this replicates the registered primitive
@@ -675,6 +716,7 @@ class _FusedKernel:
         n, channels, height, width = head_shape
         pool_count = height * width
 
+        self._start_laps(timed)
         for t in range(num_steps - 1, -1, -1):
             # ---- head: integrator -> linear -> global average pool
             g_out = seed if carry_out is None else carry_out + seed
@@ -691,10 +733,12 @@ class _FusedKernel:
             grad = g_pooled / pool_count
             # a read-only broadcast view: every consumer below reads it elementwise
             g_x = np.broadcast_to(np.expand_dims(grad, axis=(2, 3)), head_shape)
+            self._lap("head")
 
             # ---- trunk, reversed
             for unit in reversed(plan.units):
                 if unit.kind == "transition":
+                    self._lap(None)
                     g_x = _avg_pool2d_vjp(
                         self._geom[unit.pool_key],
                         g_x,
@@ -703,16 +747,22 @@ class _FusedKernel:
                         stride=unit.pool_stride,
                         padding=unit.pool_padding,
                     )[0]
-                    g_x = self._neuron_backward(unit.cbn, t, g_x)
-                    g_x = self._bn_backward(unit.cbn, t, g_x)
-                    g_x = self._conv_backward(unit.cbn.op, t, g_x, need_input=True)
+                    self._lap("pool")
+                    g_x = self._cbn_backward(unit.cbn, t, g_x, need_input=True)
                 elif unit.kind == "block":
                     g_x = self._block_backward(unit, t, g_x)
                 else:  # stem: the encoded frame needs no gradient
-                    g_x = self._neuron_backward(unit.cbn, t, g_x)
-                    g_x = self._bn_backward(unit.cbn, t, g_x)
-                    self._conv_backward(unit.cbn.op, t, g_x, need_input=False)
-                    g_x = None
+                    g_x = self._cbn_backward(unit.cbn, t, g_x, need_input=False)
+
+    def _cbn_backward(self, cbn: _CBN, t: int, g: np.ndarray, need_input: bool):
+        self._lap(None)
+        g = self._neuron_backward(cbn, t, g)
+        self._lap("neuron")
+        g = self._bn_backward(cbn, t, g)
+        self._lap("bn")
+        g = self._conv_backward(cbn.op, t, g, need_input=need_input)
+        self._lap("conv")
+        return g
 
     def _neuron_backward(self, cbn: _CBN, t: int, g_spikes: np.ndarray) -> np.ndarray:
         # spike vjp: dL/dm = dL/dS * surrogate pseudo-derivative; the carried
@@ -817,10 +867,7 @@ class _FusedKernel:
         node_grads[-1] = g_out
         for layer_index in range(len(layers) - 1, -1, -1):
             layer = layers[layer_index]
-            g = node_grads[layer_index + 1]
-            g = self._neuron_backward(layer.cbn, t, g)
-            g = self._bn_backward(layer.cbn, t, g)
-            g = self._conv_backward(layer.cbn.op, t, g, need_input=True)
+            g = self._cbn_backward(layer.cbn, t, node_grads[layer_index + 1], need_input=True)
             if layer.concat:
                 g_seq = g[:, : layer.seq_channels]
                 offset = layer.seq_channels
@@ -835,7 +882,9 @@ class _FusedKernel:
             for source, projection in reversed(layer.asc):
                 g_source = g_seq
                 if projection is not None:
+                    self._lap(None)
                     g_source = self._conv_backward(projection, t, g_seq, need_input=True)
+                    self._lap("conv")
                 node_grads[source] = (
                     g_source if node_grads[source] is None else node_grads[source] + g_source
                 )

@@ -430,6 +430,35 @@ class TestResidualOwnership:
             CrossEntropyLoss()(runner(batch), targets).backward()
 
 
+class TestObservability:
+    def test_traced_step_reports_time_per_op_kind(self):
+        from repro.snn.fused_step import OP_KINDS
+        from repro.trace import FlightRecorder, tracing
+
+        batch, targets = make_batch()
+        runner = TemporalRunner(build_model(spec_seed=1), num_steps=3)
+        recorder = FlightRecorder(capacity=64)
+        with fused_training("on"), tracing(recorder=recorder):
+            CrossEntropyLoss()(runner(batch), targets).backward()
+        spans = {s["name"]: s for s in recorder.spans()}
+        for name in ("train.fused_forward", "train.fused_backward"):
+            attrs = spans[name]["attrs"]
+            kinds = [attrs[f"{kind}_ms"] for kind in OP_KINDS]
+            assert all(ms >= 0.0 for ms in kinds), (name, attrs)
+            assert attrs["conv_ms"] > 0.0 and attrs["bn_ms"] > 0.0 and attrs["neuron_ms"] > 0.0
+            assert attrs["pool_ms"] > 0.0 and attrs["head_ms"] > 0.0
+            duration_ms = (spans[name]["end"] - spans[name]["start"]) * 1e3
+            assert sum(kinds) <= duration_ms, (name, attrs, duration_ms)
+
+    def test_untraced_step_times_nothing(self):
+        batch, targets = make_batch()
+        runner = TemporalRunner(build_model(), num_steps=2)
+        with fused_training("on"):
+            CrossEntropyLoss()(runner(batch), targets).backward()
+        kernel = runner._fused_kernel[1]
+        assert kernel._laps is None and kernel.op_ms() == {}
+
+
 class _FusedObjective:
     """Picklable objective running one fused training step (spec is ignored)."""
 
