@@ -363,6 +363,80 @@ def bench_tracing_overhead(repeats: int, num_steps: int = 5) -> Dict[str, float]
     }
 
 
+def _assert_fused_matches_graph(build, batch, targets) -> None:
+    """One step on each path from the same initial state: loss, logits and
+    every parameter gradient must be bit-identical."""
+    from repro.snn.fused_step import fused_training
+
+    def one_step(runner: TemporalRunner):
+        model = runner.model
+        model.zero_grad()
+        logits = runner(batch)
+        loss = CrossEntropyLoss()(logits, targets)
+        loss.backward()
+        grads = {
+            name: None if p.grad is None else np.array(p.grad)
+            for name, p in model.named_parameters()
+        }
+        return float(loss.item()), np.array(logits.data), grads
+
+    with fused_training("off"):
+        graph_loss, graph_logits, graph_grads = one_step(build())
+    with fused_training("on"):
+        fused_loss, fused_logits, fused_grads = one_step(build())
+    assert graph_loss == fused_loss, "fused loss diverged from graph autograd"
+    assert np.array_equal(graph_logits, fused_logits), "fused logits diverged"
+    for name, reference in graph_grads.items():
+        candidate = fused_grads[name]
+        if reference is None or candidate is None:
+            assert reference is None and candidate is None, f"grad {name}: one path missing"
+            continue
+        assert np.array_equal(reference, candidate), f"fused grad {name} diverged"
+
+
+#: the geometries perfbench's searches train at: (time steps, image size, stage channels)
+PERFBENCH_GEOMETRIES = {"smoke": (4, 10, (4, 6)), "default": (6, 12, (6, 10))}
+
+
+def bench_bptt_geometry(repeats: int) -> Dict[str, Dict[str, float]]:
+    """The fused kernel's forward and adjoint at perfbench's geometries (report only).
+
+    Batch 16 of a default-wiring resnet18, as a search's candidate fine-tune
+    trains it.  Bit-identity with the recorded graph is asserted at each
+    geometry first, since GEMM bits depend on shape.  Times are the best of
+    ``repeats`` steps, in ms; nothing gates them.
+    """
+    from repro.snn.fused_step import fused_training
+
+    rows: Dict[str, Dict[str, float]] = {}
+    for name, (num_steps, size, stages) in PERFBENCH_GEOMETRIES.items():
+        rng = np.random.default_rng(0)
+        batch = rng.random((16, 2, size, size))
+        targets = rng.integers(0, 10, size=16)
+
+        def build() -> TemporalRunner:
+            template = get_template(
+                "resnet18", input_channels=2, num_classes=10, stage_channels=stages
+            )
+            return TemporalRunner(template.build(spiking=True, rng=0), num_steps=num_steps)
+
+        _assert_fused_matches_graph(build, batch, targets)
+        runner = build()
+        forward_s = adjoint_s = float("inf")
+        with fused_training("on"):
+            for _ in range(repeats + 1):  # the first step allocates the kernel's buffers
+                runner.model.zero_grad()
+                start = time.perf_counter()
+                loss = CrossEntropyLoss()(runner(batch), targets)
+                middle = time.perf_counter()
+                loss.backward()
+                end = time.perf_counter()
+                forward_s = min(forward_s, middle - start)
+                adjoint_s = min(adjoint_s, end - middle)
+        rows[name] = {"forward_ms": forward_s * 1e3, "adjoint_ms": adjoint_s * 1e3}
+    return rows
+
+
 def bench_bptt_step(repeats: int) -> Dict[str, float]:
     """One BPTT training step: recorded-graph autograd vs the fused kernel.
 
@@ -385,31 +459,7 @@ def bench_bptt_step(repeats: int) -> Dict[str, float]:
         )
         return TemporalRunner(template.build(spiking=True, rng=0), num_steps=5)
 
-    def one_step(runner: TemporalRunner):
-        model = runner.model
-        model.zero_grad()
-        logits = runner(batch)
-        loss = loss_fn(logits, targets)
-        loss.backward()
-        grads = {
-            name: None if p.grad is None else np.array(p.grad)
-            for name, p in model.named_parameters()
-        }
-        return float(loss.item()), np.array(logits.data), grads
-
-    with fused_training("off"):
-        graph_loss, graph_logits, graph_grads = one_step(build())
-    with fused_training("on"):
-        fused_loss, fused_logits, fused_grads = one_step(build())
-    assert graph_loss == fused_loss, "fused loss diverged from graph autograd"
-    assert np.array_equal(graph_logits, fused_logits), "fused logits diverged"
-    for name, reference in graph_grads.items():
-        candidate = fused_grads[name]
-        if reference is None or candidate is None:
-            assert reference is None and candidate is None, f"grad {name}: one path missing"
-            continue
-        assert np.array_equal(reference, candidate), f"fused grad {name} diverged"
-
+    _assert_fused_matches_graph(build, batch, targets)
     runner = build()
 
     def step() -> None:
@@ -442,6 +492,11 @@ def format_report(payload: Dict[str, Dict[str, float]]) -> str:
         f"fused {bptt['fused_ms']:.1f} ms ({bptt['speedup']:.2f}x, "
         "loss/logits/grads bit-identical before timing)"
     )
+    for name, row in payload.get("bptt_geometry", {}).items():
+        lines.append(
+            f"fused BPTT at perfbench {name} geometry (batch 16): forward "
+            f"{row['forward_ms']:.2f} ms, adjoint {row['adjoint_ms']:.2f} ms (report only)"
+        )
     lines.append("(fast-path outputs verified bit-identical to the autograd path before timing)")
     trace_row = payload["tracing_overhead"]
     lines.append(
@@ -467,6 +522,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "lif_step": bench_lif_step(repeats),
         "temporal_eval": bench_temporal_eval(heavy_repeats),
         "bptt_step": bench_bptt_step(heavy_repeats),
+        "bptt_geometry": bench_bptt_geometry(heavy_repeats),
         "tracing_overhead": bench_tracing_overhead(heavy_repeats),
         "smoke": bool(args.smoke),
     }

@@ -1,77 +1,59 @@
-"""Fused temporal training kernels: one hand-written adjoint per BPTT step.
+"""Fused temporal training kernel: one hand-written adjoint per BPTT step.
 
-Graph autograd records one node per elementwise op per layer per time step —
-for an unrolled SNN that is tens of thousands of closures, intermediate
-tensors and ``O(T x layers)`` allocations per training step.  This module
-replaces the whole unrolled step for the architectures the experiments
-actually train (:class:`~repro.models.template.SkipConnectionNetwork` built
-from stem / DAG blocks / transitions / classifier head with LIF neurons) by
-
-* one **fused forward** that walks the time loop with plain NumPy calls,
-  stashing only the *minimal residuals* the backward pass needs (padded conv
-  inputs, batch-norm centred activations and inverse-std terms, surrogate
-  pseudo-derivatives, pooled head features) into buffers the kernel owns and
-  reuses across its own training steps, and
-* one **hand-written adjoint** that walks the time steps in reverse, reusing
-  those buffers — no per-step graph construction, no per-intermediate
-  allocation beyond the gradients themselves.
+Graph autograd records one node per elementwise op per layer per time step.
+For the networks the experiments train
+(:class:`~repro.models.template.SkipConnectionNetwork` with LIF neurons) this
+module replaces the whole unrolled step by a **fused forward** and a
+**hand-written adjoint** that run *layer-major*: each layer processes all
+``T`` time steps before the next starts, and the adjoint walks the layers
+back the same way.  Every activation, residual (padded conv inputs, centred
+batch-norm activations, inverse-std terms, surrogate pseudo-derivatives,
+pooled head features) and gradient is one ``(T, N, C, ...)`` array the kernel
+owns and reuses across its steps.  Only the recurrences loop over steps: the
+LIF update with its surrogate derivative, the adjoint's membrane carry, the
+running-statistic updates and the readout integrator.  Batch norm, pooling, skip adds and concats, the
+head's stacked ``np.matmul`` and the adjoint arithmetic run once per layer
+over all steps; convolutions stay one GEMM per step.
 
 Bit-equality contract
 ---------------------
 
 The fused path is **bit-identical** to graph autograd (pinned by
-``tests/test_fused_step.py`` and asserted before every timing run in
-``benchmarks/bench_substrate.py``): each neuron step calls the neuron's own
-:meth:`~repro.snn.neurons.SpikingNeuron.dynamics` on arrays, every other
-forward expression replicates the layer forwards verbatim (including the
-dtype-matched scalar promotion of :func:`repro.tensor.ops._ensure_pair` and
-the batch-norm running-statistics updates), and every adjoint expression
-replicates the registered primitive vjps (:mod:`repro.tensor.primitives`) —
-the conv and pooling adjoints *call* the registered vjp functions directly on
-contexts rebuilt from the stashed residuals.  Gradient accumulation follows
-the exact order of the graph's reverse topological sweep: strictly reverse
-time, and within one step the reverse creation order of the layer ops
-(differences limited to IEEE signed zeros, which compare equal and cannot
-affect parameter updates).
+``tests/test_fused_step.py``, at perfbench's batch and geometries too, and
+asserted before every timing run in ``benchmarks/bench_substrate.py``).
+Each neuron step calls the neuron's own
+:meth:`~repro.snn.neurons.SpikingNeuron.dynamics`; every other expression
+replicates the layer forwards and the registered primitive vjps, and the
+conv adjoint *calls* the registered vjp.  The time axis keeps the bits:
+elementwise ops are per element, and the arrays are stored
+``(T, C, N, H, W)``, so a step's slice has the strides of the graph's
+channel-major conv outputs and each reduction sums a channel's contiguous
+``(N, H, W)`` run exactly as the per-step reduction does.  GEMM bits depend
+on shape, so convolutions keep the graph's per-step shapes.  Each parameter
+accumulates its per-step gradients in strictly reverse time, the order of
+the graph's reverse topological sweep (differences are limited to IEEE
+signed zeros, which compare equal and cannot change an update).
 
-Dispatch
---------
-
-:func:`fused_dispatch` follows a thread-local mode (``"auto"`` by default —
-fuse whenever the model qualifies), set by the :func:`fused_training`
-context manager to force it ``"on"`` (raising with the reason when fusion is
-impossible) or ``"off"``.  Routing is tallied in per-thread
-``fused_steps``/``fallback_steps`` counters and process-wide aggregates that
-worker processes merge back into their parent (see
-:class:`repro.core.async_eval.AsyncEvaluationExecutor`).  Anything the
-kernel does not cover — non-:class:`SkipConnectionNetwork` models,
-eval-mode batch norm, active spike recording — falls back to the
-recorded-graph path, which stays the reference.
-
-Aliasing and lifetime
+Dispatch and lifetime
 ---------------------
 
-Each kernel owns its residual stash and channel-major scratches: they are
-allocated on its first forward, reused by its later steps, and belong to no
-process-wide pool, so two runners training interleaved never share storage.
-Nothing that escapes a step may alias them — module states written back after
-a fused forward (membrane, previous spikes, readout membrane) are
-the freshly allocated update arrays, and the returned score tensor owns its
-data.  One kernel instance serves one runner on one thread at a time; a
-second fused forward before ``backward()`` invalidates the first step's
-residuals and the stale adjoint raises instead of silently reusing
-overwritten buffers.  :func:`release_fused` (called when
-:meth:`repro.training.SNNTrainer.fit` ends) frees the buffers at once — the
-recorded loss graph is cyclic garbage that could otherwise keep them alive
-until the next cyclic collection — and a backward after release raises the
-same stale-residual error.
+:func:`fused_dispatch` follows a thread-local mode set by
+:func:`fused_training`: ``"auto"`` (the default) fuses whenever the model
+qualifies, ``"on"`` raises with the reason when it cannot, ``"off"`` never
+fuses.  Per-thread and process-wide ``fused_steps``/``fallback_steps``
+counters tally the routing; worker processes merge theirs into the parent.
+A kernel's buffers belong to no shared pool and nothing that escapes a step
+aliases them.  A second forward before ``backward()`` invalidates the first
+step's residuals, and the stale adjoint raises; so does a backward after
+:func:`release_fused`, which :meth:`repro.training.SNNTrainer.fit` calls to
+free the buffers at once.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -88,17 +70,14 @@ from repro.snn.routing import (
     merge_fused_counters,
     reset_fused_counters,
 )
-from repro.snn.surrogate import _spike_fwd
 from repro.tensor.conv import (
-    _avg_pool2d_fwd,
-    _avg_pool2d_vjp,
     _conv2d_infer,
     _conv2d_vjp,
     _im2col_view,
     _pair,
     conv_output_shape,
 )
-from repro.tensor.tensor import Tensor, _unbroadcast, graph_free, is_grad_enabled
+from repro.tensor.tensor import Tensor, graph_free, is_grad_enabled
 from repro.trace import span
 
 # ---------------------------------------------------------------------------
@@ -120,59 +99,45 @@ class _ConvOp:
         self.groups = int(conv.groups)
 
 
-class _CBN:
+class _CBN(NamedTuple):
     """A conv -> batch-norm -> spiking-neuron pipeline (stem/layer/transition)."""
 
-    __slots__ = ("op", "norm", "neuron", "index", "decay", "reset")
-
-    def __init__(self, op: _ConvOp, norm, neuron, index: int) -> None:
-        self.op = op
-        self.norm = norm
-        self.neuron = neuron
-        self.index = index
-        #: membrane decay factor
-        self.decay = neuron.beta
-        self.reset = neuron.reset_mechanism
+    op: _ConvOp
+    norm: object
+    neuron: object
+    index: int
 
 
-class _BlockLayer:
+class _BlockLayer(NamedTuple):
     """One DAG-block layer: skip wiring + its conv/norm/neuron pipeline."""
 
-    __slots__ = ("cbn", "asc", "concat", "seq_channels")
-
-    def __init__(self, cbn: _CBN, asc, concat, seq_channels: int) -> None:
-        self.cbn = cbn
-        #: ASC sources in forward encounter order: ``(node, projection or None)``
-        self.asc = tuple(asc)
-        #: DSC sources in forward encounter order: ``(node, channels)``
-        self.concat = tuple(concat)
-        #: channels of the pre-concat (sequential + ASC) input
-        self.seq_channels = seq_channels
+    cbn: _CBN
+    #: ASC sources in forward encounter order: ``(node, projection or None)``
+    asc: tuple
+    #: DSC sources in forward encounter order: ``(node, channels)``
+    concat: tuple
+    #: channels of the pre-concat (sequential + ASC) input
+    seq_channels: int
 
 
-class _Unit:
+class _Unit(NamedTuple):
     """One trunk stage: the stem, a DAG block, or a transition layer."""
 
-    __slots__ = ("kind", "cbn", "layers", "pool_kernel", "pool_stride", "pool_padding", "pool_key")
-
-    def __init__(self, kind: str, cbn=None, layers=None, pool=None, pool_key: str = "") -> None:
-        self.kind = kind
-        self.cbn = cbn
-        self.layers = layers
-        if pool is not None:
-            self.pool_kernel, self.pool_stride, self.pool_padding = pool
-        self.pool_key = pool_key
+    kind: str
+    cbn: Optional[_CBN] = None
+    layers: tuple = ()
+    #: a transition's average pool: ``(kernel, stride, padding)`` pairs
+    pool: Optional[tuple] = None
 
 
-class _FusedPlan:
+class _FusedPlan(NamedTuple):
     """Everything the kernel needs, resolved once per (model, runner) pair."""
 
-    def __init__(self, model, units, cbns, fc, integrator) -> None:
-        self.model = model
-        self.units = units
-        self.cbns = cbns
-        self.fc = fc
-        self.integrator = integrator
+    model: object
+    units: List[_Unit]
+    cbns: List[_CBN]
+    fc: object
+    integrator: object
 
     def runtime_blocker(self) -> Optional[str]:
         """Per-call disqualifiers that cheap structural compilation can't see."""
@@ -206,15 +171,13 @@ def _compile(runner):
     conv_ids = itertools.count()
     cbns: List[_CBN] = []
 
-    def conv_op(conv, context: str) -> Optional[_ConvOp]:
-        if type(conv) is not Conv2d:
-            return None
-        if conv.bias is not None:
+    def conv_op(conv) -> Optional[_ConvOp]:
+        if type(conv) is not Conv2d or conv.bias is not None:
             return None
         return _ConvOp(conv, next(conv_ids))
 
     def make_cbn(holder, context: str):
-        op = conv_op(holder.conv, context)
+        op = conv_op(holder.conv)
         if op is None:
             return f"{context}: unsupported convolution (exact Conv2d without bias required)"
         if type(holder.norm) is not BatchNorm2d:
@@ -254,7 +217,7 @@ def _compile(runner):
                     projection = None
                     proj_index = block._projection_index.get((source, destination))
                     if proj_index is not None:
-                        projection = conv_op(block.projections[proj_index], "projection")
+                        projection = conv_op(block.projections[proj_index])
                         if projection is None:
                             return (
                                 f"block {block_index} projection ({source}->{destination}) "
@@ -265,8 +228,8 @@ def _compile(runner):
                     concat.append((source, node_channels[source]))
                 else:
                     return f"block {block_index} has an unknown connection code {code!r}"
-            layers.append(_BlockLayer(cbn, asc, concat, node_channels[layer_index]))
-        units.append(_Unit("block", layers=layers))
+            layers.append(_BlockLayer(cbn, tuple(asc), tuple(concat), node_channels[layer_index]))
+        units.append(_Unit("block", layers=tuple(layers)))
 
         transition_index = model._transition_map[block_index]
         if transition_index is not None:
@@ -281,15 +244,7 @@ def _compile(runner):
                 return f"transition {transition_index} pool is not AvgPool2d"
             kernel = _pair(pool.kernel_size)
             stride = kernel if pool.stride is None else _pair(pool.stride)
-            padding = _pair(pool.padding)
-            units.append(
-                _Unit(
-                    "transition",
-                    cbn=cbn,
-                    pool=(kernel, stride, padding),
-                    pool_key=f"pool{transition_index}",
-                )
-            )
+            units.append(_Unit("transition", cbn=cbn, pool=(kernel, stride, _pair(pool.padding))))
 
     head = model.head
     if type(head) is not ClassifierHead:
@@ -369,91 +324,69 @@ def fused_dispatch(runner, batch) -> Optional[Tensor]:
 OP_KINDS = ("conv", "bn", "neuron", "pool", "head")
 
 
-class _FusedKernel:
-    """Fused forward + hand-written reverse-time adjoint for one plan.
+def _owned(store: Dict, key, shape, dtype, fill, cmajor: bool) -> np.ndarray:
+    """``store``'s buffer for ``key``, (re)allocated when its signature changes.
 
-    Residuals are stashed with :meth:`stash`/:meth:`stashed` into buffers of
-    shape ``(num_steps, *per_step_shape)`` that the kernel owns — the lint
-    rule ``primitive-coverage`` checks that everything a fused forward
-    stashes, its adjoint actually reads.
+    With ``cmajor`` a logical ``(T, N, C, ...)`` buffer is stored
+    ``(T, C, N, ...)``; a ``fill`` is written only into a new buffer.
+    """
+    dtype = np.dtype(dtype)
+    signature = (shape, dtype.str, fill, cmajor)
+    owned = store.get(key)
+    if owned is not None and owned[0] == signature:
+        return owned[1]
+    if cmajor:
+        buf = np.empty((shape[0], shape[2], shape[1]) + shape[3:], dtype).swapaxes(1, 2)
+    else:
+        buf = np.empty(shape, dtype)
+    if fill is not None:
+        buf[...] = fill
+    store[key] = (signature, buf)
+    return buf
+
+
+class _FusedKernel:
+    """Fused forward + hand-written adjoint for one plan, layer by layer.
+
+    Residuals come from :meth:`stash` and are read back with :meth:`stashed`
+    (the lint rule ``primitive-coverage`` checks that the adjoint reads every
+    residual name the forward stashes); transient buffers from
+    :meth:`_cm_scratch`.  The adjoint writes gradients into spent residuals.
     """
 
     def __init__(self, plan: _FusedPlan) -> None:
         self.plan = plan
         self.generation = 0
-        #: owned residual buffers: name -> (signature, (T, ...) array)
-        self._stash: Dict[str, tuple] = {}
-        #: owned channel-major scratch views, keyed by role
-        self._scratches: Dict[str, np.ndarray] = {}
         #: seconds per op kind of the current traced sweep (``None`` untraced)
         self._laps: Optional[Dict[str, float]] = None
         self._lap_at = 0.0
+        self.release()
 
     def release(self) -> None:
         """Drop every owned buffer and invalidate any outstanding adjoint."""
         self.generation += 1
-        self._stash = {}
-        self._scratches = {}
-        self._residuals = {}
+        #: owned residual buffers: name -> (signature, array)
+        self._stash: Dict[str, tuple] = {}
+        #: owned transient buffers: (role, per-step C, H, W) -> (signature, array)
+        self._scratches: Dict[tuple, tuple] = {}
+        self._residuals: Dict[str, np.ndarray] = {}
 
-    # -- residual stash -------------------------------------------------
+    # -- owned buffers ----------------------------------------------------
     def stash(self, name: str, shape, dtype=np.float64, fill=None, cmajor=False) -> np.ndarray:
-        """The kernel's ``(T, *shape)`` residual buffer for ``name``.
-
-        Allocated on first use and reused by later forwards while its
-        signature (shape, dtype, fill, layout) is unchanged — so a ``fill``
-        (e.g. a zero padding border) is written only when the buffer is new.
-        With ``cmajor`` the per-step slots are channel-major ``(N, C, H, W)``
-        views (storage order ``(T, C, N, H, W)``), mirroring the layout the
-        graph path would hold for the same residual — see :meth:`_cm_scratch`
-        for why layout decides bit-equality.
-        """
-        buf = self._residuals.get(name)
-        if buf is None:
-            dtype = np.dtype(dtype)
-            shape = tuple(int(dim) for dim in shape)
-            if cmajor:
-                shape = (shape[1], shape[0]) + shape[2:]
-                self._cmajor.add(name)
-            full = (self._num_steps,) + shape
-            signature = (full, dtype.str, fill, cmajor)
-            owned = self._stash.get(name)
-            if owned is not None and owned[0] == signature:
-                buf = owned[1]
-            else:
-                buf = np.empty(full, dtype)
-                if fill is not None:
-                    buf[...] = fill
-                self._stash[name] = (signature, buf)
-            self._residuals[name] = buf
+        """The residual buffer ``name`` (logical shape ``(T, ...)``) for this step's adjoint."""
+        buf = _owned(self._stash, name, tuple(shape), dtype, fill, cmajor)
+        self._residuals[name] = buf
         return buf
 
-    def stashed(self, name: str, t: int) -> np.ndarray:
-        """The residual stashed under ``name`` at time step ``t``."""
-        view = self._residuals[name][t]
-        if name in self._cmajor:
-            view = view.transpose(1, 0, 2, 3)
-        return view
+    def stashed(self, name: str) -> np.ndarray:
+        """The residual this step's forward stashed under ``name``."""
+        return self._residuals[name]
 
-    def _cm_scratch(self, key: str, shape, dtype=np.float64) -> np.ndarray:
-        """The kernel's channel-major ``(N, C, H, W)`` scratch view for ``key``.
-
-        Graph autograd's gradient buffers are ``np.zeros_like`` of the conv
-        outputs, which are channel-major views — and NumPy's pairwise-summed
-        reductions walk memory order, so sums over a C-contiguous array are
-        NOT bit-identical to sums over the same values channel-major.  Every
-        fused array that feeds a reduction (batch-norm statistics and their
-        ``_unbroadcast`` sums) is therefore materialised into one of these
-        scratches first.  Each is allocated once and reused while its shape
-        and dtype hold (the hot loops request the same scratch once per layer
-        per time step).
-        """
-        view = self._scratches.get(key)
-        if view is None or view.shape != shape or view.dtype != dtype:
-            n, c, h, w = shape
-            view = np.empty((c, n, h, w), dtype).transpose(1, 0, 2, 3)
-            self._scratches[key] = view
-        return view
+    def _cm_scratch(self, role: str, shape, dtype=np.float64) -> np.ndarray:
+        """A channel-major ``(T, N, C, H, W)`` buffer for ``role``, shared by the
+        layers of one channel and spatial size (each is done with it first)."""
+        shape = tuple(shape)
+        return _owned(self._scratches, (role,) + shape[2:], shape, dtype, None, True)
 
     # -- per-op-kind timing (traced sweeps only) --------------------------
     def _start_laps(self, timed: bool) -> None:
@@ -485,60 +418,20 @@ class _FusedKernel:
         self.generation += 1
         generation = self.generation
         self._num_steps = len(frames)
-        self._residuals: Dict[str, np.ndarray] = {}
-        self._cmajor: set = set()
-        self._geom: Dict[str, tuple] = {}
-        # per-neuron temporal state, keyed like each neuron's ``dynamics`` state
-        self._nstate = [dict.fromkeys(cbn.neuron.state_names) for cbn in plan.cbns]
+        self._residuals = {}
+        self._geom: Dict[object, tuple] = {}
         self._fc_wt = np.transpose(plan.fc.weight.data)
-        self._int_beta = None
-        self._score_dtype = None
-
-        integrator_state = None
-        total = None
-        out = None
         self._start_laps(timed)
-        for t, frame in enumerate(frames):
-            x = frame.data if isinstance(frame, Tensor) else frame
-            for unit in plan.units:
-                if unit.kind == "stem" or unit.kind == "transition":
-                    x = self._cbn_forward(unit.cbn, t, x)
-                    if unit.kind == "transition":
-                        x = self._pool_forward(unit, t, x)
-                else:
-                    x = self._block_forward(unit, t, x)
-            # classifier head: global average pool + linear (+ integrator)
-            self._lap(None)
-            if t == 0:
-                self._geom["head"] = x.shape
-            pooled = x.mean(axis=(2, 3))
-            pooled_buf = self.stash("head.pooled", pooled.shape[::-1], pooled.dtype)
-            pooled_buf[t] = pooled.T
-            logits = pooled @ self._fc_wt
-            if plan.fc.bias is not None:
-                logits = logits + plan.fc.bias.data
-            if plan.integrator is not None:
-                if integrator_state is None:
-                    out = logits
-                else:
-                    if self._int_beta is None:
-                        self._int_beta = np.asarray(plan.integrator.beta, dtype=logits.dtype)
-                    out = integrator_state * self._int_beta + logits
-                integrator_state = out
-            else:
-                out = logits
-            total = out if total is None else total + out
-            self._lap("head")
-        if self._int_beta is None and plan.integrator is not None:
-            self._int_beta = np.asarray(plan.integrator.beta, dtype=out.dtype)
-
-        # the membrane-mean readout: score = total / num_steps
-        score_data = total / np.asarray(float(self._num_steps), dtype=total.dtype)
-        self._score_dtype = score_data.dtype
-
-        self._write_back_states(integrator_state)
-
-        score = Tensor(score_data, requires_grad=True)
+        x = np.stack([frame.data if isinstance(frame, Tensor) else frame for frame in frames])
+        for unit in plan.units:
+            if unit.kind == "block":
+                x = self._block_forward(unit, x)
+                continue
+            self._stage(unit.cbn.op, x.shape, cmajor=unit.kind == "transition")[...] = x
+            x = self._cbn_forward(unit.cbn, f"{unit.kind}.out")
+            if unit.kind == "transition":
+                x = self._pool_forward(unit, x)
+        score = Tensor(self._head_forward(x), requires_grad=True)
         kernel = self
 
         def _run_adjoint() -> None:
@@ -546,8 +439,9 @@ class _FusedKernel:
                 return
             if kernel.generation != generation:
                 raise RuntimeError(
-                    "fused BPTT residuals were overwritten by a newer fused forward "
-                    "or released; run backward() before taking the next training step"
+                    "fused BPTT residuals were overwritten by a newer fused forward, "
+                    "spent by an earlier backward or released; run backward() once "
+                    "per fused forward, before taking the next training step"
                 )
             with span("train.fused_backward", num_steps=kernel._num_steps) as bwd_span:
                 kernel.adjoint(score.grad, timed=bool(bwd_span))
@@ -557,338 +451,394 @@ class _FusedKernel:
         score._backward = _run_adjoint
         return score
 
-    def _write_back_states(self, integrator_state) -> None:
-        """Publish final temporal states exactly like the graph path would.
-
-        Everything handed out is an owning array (the last update's fresh
-        result), never a slice of the kernel's residual stash — escaping
-        reused storage would break the aliasing contract.
-        """
-        for cbn, state in zip(self.plan.cbns, self._nstate):
-            for name, value in state.items():
-                setattr(cbn.neuron, name, None if value is None else graph_free(value))
-        if self.plan.integrator is not None and integrator_state is not None:
-            self.plan.integrator.membrane = graph_free(integrator_state)
+    @staticmethod
+    def _publish(module, name: str, value) -> None:
+        """Leave a final state on ``module`` as the graph does; never a kernel buffer."""
+        if value is not None and value.base is not None:
+            value = np.copy(value)
+        setattr(module, name, None if value is None else graph_free(value))
 
     # -- per-stage forwards ---------------------------------------------
-    def _conv_forward(self, op: _ConvOp, t: int, x: np.ndarray) -> np.ndarray:
-        geom = self._geom.get(op.key)
-        if geom is None:
-            n, c, h, w = x.shape
-            oh, ow = conv_output_shape(h, w, (op.kh, op.kw), (op.sh, op.sw), (op.ph, op.pw))
-            # a padding-free conv hands its input to im2col as-is, so the
-            # stash must mirror the input's own layout (channel-major for
-            # spike activations) for the adjoint's weight-grad einsum to see
-            # the graph path's exact strides; padded convs copy through
-            # np.pad either way, which is always C-order
-            pad_cm = not (op.ph or op.pw) and not x.flags["C_CONTIGUOUS"]
-            geom = (n, c, h, w, oh, ow, pad_cm)
-            self._geom[op.key] = geom
-        n, c, h, w, oh, ow, pad_cm = geom
-        self.stash(
-            op.key + ".pad",
-            (n, c, h + 2 * op.ph, w + 2 * op.pw),
-            x.dtype,
-            fill=0.0 if (op.ph or op.pw) else None,
-            cmajor=pad_cm,
-        )
-        slot = self.stashed(op.key + ".pad", t)
-        if op.ph or op.pw:
-            slot[:, :, op.ph : op.ph + h, op.pw : op.pw + w] = x
-        else:
-            slot[...] = x
-        # padding is already applied into the stashed buffer; the GEMM output
-        # is returned as the same channel-major (C, N, H, W)-backed view the
-        # graph path's einsum produces, so downstream reductions (batch-norm
-        # statistics) walk memory in the identical order — bit-identical sums
-        return _conv2d_infer(slot, op.conv.weight.data, None, op.groups, op.sh, op.sw, 0, 0, oh, ow)
+    def _stage(self, op: _ConvOp, shape, cmajor: bool) -> np.ndarray:
+        """Where ``op``'s input goes: the interior of its padded residual buffer.
 
-    def _bn_forward(self, cbn: _CBN, t: int, x: np.ndarray) -> np.ndarray:
-        norm = cbn.norm
-        features = norm.num_features
-        count = x.shape[0] * x.shape[2] * x.shape[3]
-        # open-coded np.mean — same add.reduce + in-place divide the ufunc
-        # machinery performs, minus the per-call wrapper overhead
-        mean = np.add.reduce(x, axis=(0, 2, 3), keepdims=True)
-        mean /= count
-        xc_buf = self.stash(f"b{cbn.index}.xc", x.shape, x.dtype)
-        xc = xc_buf[t]
-        np.subtract(x, mean, out=xc)
-        sq = self._cm_scratch(f"b{cbn.index}.sq", x.shape, x.dtype)
-        np.multiply(xc, xc, out=sq)
-        var = np.add.reduce(sq, axis=(0, 2, 3), keepdims=True)
-        var /= count
-        new_mean = (1 - norm.momentum) * norm.running_mean + norm.momentum * mean.reshape(-1)
-        new_var = (1 - norm.momentum) * norm.running_var + norm.momentum * var.reshape(-1)
-        norm.update_buffer("running_mean", new_mean)
-        norm.update_buffer("running_var", new_var)
-        p = var + norm.eps
-        p_buf = self.stash(f"b{cbn.index}.p", p.shape, p.dtype)
-        p_buf[t] = p
-        denom = p ** 0.5
-        denom_buf = self.stash(f"b{cbn.index}.denom", denom.shape, denom.dtype)
-        denom_buf[t] = denom
-        normalized = xc / denom
-        scale = norm.weight.data.reshape(1, features, 1, 1)
-        shift = norm.bias.data.reshape(1, features, 1, 1)
-        # fresh (not stashed — it escapes as membrane state at t=0) output in
-        # the conv output's channel-major order, like the graph's ufunc chain
-        out = np.empty_like(x)
-        np.multiply(normalized, scale, out=out)
-        np.add(out, shift, out=out)
+        Padded, it is C-order like ``np.pad``'s copy on the graph path; a
+        padding-free conv's im2col reads its input as-is, so that buffer keeps
+        the input's layout (``cmajor``) for the weight-gradient GEMM's strides.
+        """
+        t, n, c, h, w = shape
+        padded = bool(op.ph or op.pw)
+        pad = self.stash(
+            op.key + ".pad",
+            (t, n, c, h + 2 * op.ph, w + 2 * op.pw),
+            fill=0.0 if padded else None,
+            cmajor=cmajor and not padded,
+        )
+        oh, ow = conv_output_shape(h, w, (op.kh, op.kw), (op.sh, op.sw), (op.ph, op.pw))
+        self._geom[op.key] = (n, c, h, w, oh, ow)
+        if padded:
+            return pad[:, :, :, op.ph : op.ph + h, op.pw : op.pw + w]
+        return pad
+
+    def _conv_forward(self, op: _ConvOp) -> np.ndarray:
+        """One GEMM per step over the staged input, into a channel-major scratch."""
+        n, c, h, w, oh, ow = self._geom[op.key]
+        pad = self.stashed(op.key + ".pad")
+        weight = op.conv.weight.data
+        out = self._cm_scratch("conv", (pad.shape[0], n, weight.shape[0], oh, ow))
+        for t in range(pad.shape[0]):
+            out[t] = _conv2d_infer(pad[t], weight, None, op.groups, op.sh, op.sw, 0, 0, oh, ow)
         return out
 
-    def _neuron_forward(self, cbn: _CBN, t: int, drive: np.ndarray) -> np.ndarray:
-        # the neuron's own update, run on arrays; the spike primitive's
-        # forward yields the spikes and the pseudo-derivative the adjoint reads
+    def _bn_forward(self, cbn: _CBN, x: np.ndarray) -> np.ndarray:
+        """Training-mode batch norm over all steps, in place in ``x``."""
+        norm = cbn.norm
+        num_steps, n, features, h, w = x.shape
+        count = n * h * w
+        # open-coded np.mean — same add.reduce + in-place divide the ufunc
+        # machinery performs, minus the per-call wrapper overhead
+        mean = np.add.reduce(x, axis=(1, 3, 4), keepdims=True)
+        mean /= count
+        xc = self.stash(f"b{cbn.index}.xc", x.shape, x.dtype, cmajor=True)
+        np.subtract(x, mean, out=xc)
+        np.multiply(xc, xc, out=x)  # the conv output is spent: x holds the squares
+        var = np.add.reduce(x, axis=(1, 3, 4), keepdims=True)
+        var /= count
+        running_mean, running_var = norm.running_mean, norm.running_var
+        for t in range(num_steps):
+            running_mean = (1 - norm.momentum) * running_mean + norm.momentum * mean[t].reshape(-1)
+            running_var = (1 - norm.momentum) * running_var + norm.momentum * var[t].reshape(-1)
+        norm.update_buffer("running_mean", running_mean)
+        norm.update_buffer("running_var", running_var)
+        p = self.stash(f"b{cbn.index}.p", var.shape, var.dtype)
+        np.add(var, norm.eps, out=p)
+        denom = self.stash(f"b{cbn.index}.denom", var.shape, var.dtype)
+        denom[...] = p ** 0.5
+        np.divide(xc, denom, out=x)
+        np.multiply(x, norm.weight.data.reshape(1, 1, features, 1, 1), out=x)
+        np.add(x, norm.bias.data.reshape(1, 1, features, 1, 1), out=x)
+        return x
+
+    def _neuron_forward(self, cbn: _CBN, drive: np.ndarray, slot: str) -> np.ndarray:
+        """The LIF recurrence: the neuron's own ``dynamics``, the spike and the
+        pseudo-derivative, per step (T-sized temporaries would be fresh pages)."""
         neuron = cbn.neuron
-        state = self._nstate[cbn.index]
-        update, spike_input = neuron.dynamics(state, drive)
-        spikes, (pseudo,) = _spike_fwd(
-            spike_input, True, threshold=neuron.threshold, surrogate=neuron.surrogate
-        )
-        pseudo_buf = self.stash(f"n{cbn.index}.pseudo", pseudo.shape, pseudo.dtype)
-        pseudo_buf[t] = pseudo
-        if cbn.reset == "zero":
-            spikes_buf = self.stash(f"n{cbn.index}.spikes", spikes.shape, spikes.dtype)
-            spikes_buf[t] = spikes
-        state.update(update)
-        state["previous_spikes"] = spikes
+        if neuron.reset_mechanism == "zero":  # the hard reset's adjoint reads the spikes
+            spikes = self.stash(f"n{cbn.index}.spikes", drive.shape, drive.dtype, cmajor=True)
+        else:
+            spikes = self._cm_scratch(slot, drive.shape, drive.dtype)
+        pseudo = self.stash(f"n{cbn.index}.pseudo", drive.shape, drive.dtype, cmajor=True)
+        state = dict.fromkeys(neuron.state_names)
+        for t in range(drive.shape[0]):
+            update, membrane = neuron.dynamics(state, drive[t])
+            np.greater_equal(membrane, neuron.threshold, out=spikes[t])
+            pseudo[t] = neuron.surrogate.derivative(membrane - neuron.threshold)
+            state.update(update)
+            state["previous_spikes"] = spikes[t]
+        for name, value in state.items():
+            self._publish(neuron, name, value)
         return spikes
 
-    def _cbn_forward(self, cbn: _CBN, t: int, x: np.ndarray) -> np.ndarray:
+    def _cbn_forward(self, cbn: _CBN, slot: str) -> np.ndarray:
+        """Conv (input already staged) -> batch norm -> LIF; the spikes land in ``slot``."""
         self._lap(None)
-        x = self._conv_forward(cbn.op, t, x)
+        x = self._conv_forward(cbn.op)
         self._lap("conv")
-        x = self._bn_forward(cbn, t, x)
+        x = self._bn_forward(cbn, x)
         self._lap("bn")
-        x = self._neuron_forward(cbn, t, x)
+        x = self._neuron_forward(cbn, x, slot)
         self._lap("neuron")
         return x
 
-    def _pool_forward(self, unit: _Unit, t: int, x: np.ndarray) -> np.ndarray:
-        out, ctx = _avg_pool2d_fwd(
-            x,
-            want_ctx=True,
-            kernel=unit.pool_kernel,
-            stride=unit.pool_stride,
-            padding=unit.pool_padding,
-        )
-        self._geom[unit.pool_key] = ctx
+    @staticmethod
+    def _pool_taps(unit: _Unit, shape):
+        """The pool's output shape and each kernel tap's strided window slice."""
+        (kh, kw), (sh, sw), (ph, pw) = unit.pool
+        oh, ow = conv_output_shape(shape[3] - 2 * ph, shape[4] - 2 * pw, (kh, kw), (sh, sw), (ph, pw))
+        taps = [
+            (Ellipsis, slice(i, i + sh * oh, sh), slice(j, j + sw * ow, sw))
+            for i in range(kh)
+            for j in range(kw)
+        ]
+        return shape[:3] + (oh, ow), taps
+
+    def _pool_forward(self, unit: _Unit, x: np.ndarray) -> np.ndarray:
+        """Average pooling over all steps, as strided adds of the kernel taps: the
+        input is spikes, so window sums are exact and the means have the pool's bits."""
+        self._geom[unit] = x.shape
+        ph, pw = unit.pool[2]
+        if ph or pw:
+            x = np.pad(x, ((0, 0), (0, 0), (0, 0), (ph, ph), (pw, pw)))
+        shape, taps = self._pool_taps(unit, x.shape)
+        out = self._cm_scratch("pool", shape)
+        np.copyto(out, x[taps[0]])
+        for tap in taps[1:]:
+            out += x[tap]
+        out /= len(taps)
         self._lap("pool")
         return out
 
-    def _block_forward(self, unit: _Unit, t: int, x: np.ndarray) -> np.ndarray:
+    def _block_forward(self, unit: _Unit, x: np.ndarray) -> np.ndarray:
         node_outputs = [x]
-        for layer in unit.layers:
-            combined = node_outputs[-1]
-            for source, projection in layer.asc:
+        for index, layer in enumerate(unit.layers):
+            previous = node_outputs[-1]
+            num_steps, n, _, h, w = previous.shape
+            channels = layer.seq_channels + sum(c for _, c in layer.concat)
+            # a concat's output is C-order, every other input channel-major
+            staged = self._stage(
+                layer.cbn.op, (num_steps, n, channels, h, w), cmajor=not layer.concat
+            )
+            seq = staged[:, :, : layer.seq_channels] if layer.concat else staged
+            if not layer.asc:
+                seq[...] = previous
+                self._lap("conv")
+            # skip edges: ASC adds in encounter order, then the DSC concat
+            for position, (source, projection) in enumerate(layer.asc):
                 source_output = node_outputs[source]
                 if projection is not None:
                     self._lap(None)
-                    source_output = self._conv_forward(projection, t, source_output)
+                    self._stage(projection, source_output.shape, cmajor=True)[...] = source_output
+                    source_output = self._conv_forward(projection)
                     self._lap("conv")
-                combined = combined + source_output
-            if layer.concat:
-                combined = np.concatenate(
-                    [combined] + [node_outputs[source] for source, _ in layer.concat], axis=1
-                )
-            node_outputs.append(self._cbn_forward(layer.cbn, t, combined))
+                np.add(previous if position == 0 else seq, source_output, out=seq)
+            offset = layer.seq_channels
+            for source, source_channels in layer.concat:
+                staged[:, :, offset : offset + source_channels] = node_outputs[source]
+                offset += source_channels
+            node_outputs.append(self._cbn_forward(layer.cbn, f"node{index + 1}"))
         return node_outputs[-1]
+
+    def _head_forward(self, x: np.ndarray):
+        """Global average pool and linear over all steps; the readout integrator per step."""
+        plan = self.plan
+        self._lap(None)
+        num_steps, n, c, h, w = x.shape
+        self._geom["head"] = x.shape
+        pooled = self.stash("head.pooled", (num_steps, n, c), x.dtype, cmajor=True)
+        pooled[...] = x.mean(axis=(3, 4))
+        logits = pooled @ self._fc_wt
+        if plan.fc.bias is not None:
+            logits += plan.fc.bias.data
+        integrator = plan.integrator
+        if integrator is not None:
+            self._int_beta = np.asarray(integrator.beta, dtype=logits.dtype)
+        state = total = None
+        for out in logits:
+            if integrator is not None and state is not None:
+                out = state * self._int_beta + out
+            state = out
+            total = out if total is None else total + out
+        # the membrane-mean readout: score = total / num_steps
+        score_data = total / np.asarray(float(num_steps), dtype=total.dtype)
+        self._score_dtype = score_data.dtype
+        if integrator is not None:
+            self._publish(integrator, "membrane", state)
+        self._lap("head")
+        return score_data
 
     # -- adjoint ---------------------------------------------------------
     def adjoint(self, g_score: np.ndarray, timed: bool = False) -> None:
-        """Reverse-time sweep accumulating parameter gradients.
+        """Reverse sweep accumulating parameter gradients, one layer at a time.
 
         Expression-for-expression this replicates the registered primitive
-        vjps over the graph the fused forward *would* have recorded, in the
-        exact accumulation order of the reverse topological sweep (strictly
-        reverse time; reverse creation order within a step).
+        vjps over the graph the fused forward *would* have recorded.  Each
+        parameter accumulates its per-step gradients in strictly reverse
+        time, as the graph's reverse topological sweep does.
         """
+        self.generation += 1  # the sweep reuses spent residuals as gradient buffers
+        self._start_laps(timed)
+        # a unit's output gradient is the list of its contributions, summed
+        # in the graph's order where it is consumed
+        grads = [self._head_backward(g_score)]
+        for unit in reversed(self.plan.units):
+            if unit.kind == "transition":
+                grads = [self._cbn_backward(unit.cbn, [self._pool_backward(unit, grads)], True)]
+            elif unit.kind == "block":
+                grads = self._block_backward(unit, grads)
+            else:  # stem: the encoded frames need no gradient
+                self._cbn_backward(unit.cbn, grads, need_input=False)
+
+    def _head_backward(self, g_score: np.ndarray) -> np.ndarray:
         plan = self.plan
-        num_steps = self._num_steps
+        num_steps, n, channels, height, width = self._geom["head"]
         # membrane-mean readout: score = total / num_steps
         seed = g_score / np.asarray(float(num_steps), dtype=self._score_dtype)
-        self._ncarry: List[Optional[np.ndarray]] = [None] * len(plan.cbns)
-        carry_out = None
-
-        head_shape = self._geom["head"]
-        n, channels, height, width = head_shape
-        pool_count = height * width
-
-        self._start_laps(timed)
+        g_logits = np.empty((num_steps,) + seed.shape, seed.dtype)
+        carry = None
         for t in range(num_steps - 1, -1, -1):
-            # ---- head: integrator -> linear -> global average pool
-            g_out = seed if carry_out is None else carry_out + seed
+            g_out = seed if carry is None else carry + seed
             if plan.integrator is not None and t > 0:
-                carry_out = g_out * self._int_beta
-            g_logits = g_out
-            if plan.fc.bias is not None:
-                plan.fc.bias.accumulate_grad(_unbroadcast(g_logits, plan.fc.bias.data.shape))
-            pooled = self.stashed("head.pooled", t).T
-            plan.fc.weight.accumulate_grad(
-                np.transpose(_unbroadcast(np.swapaxes(pooled, -1, -2) @ g_logits, self._fc_wt.shape))
-            )
-            g_pooled = _unbroadcast(g_logits @ np.swapaxes(self._fc_wt, -1, -2), pooled.shape)
-            grad = g_pooled / pool_count
-            # a read-only broadcast view: every consumer below reads it elementwise
-            g_x = np.broadcast_to(np.expand_dims(grad, axis=(2, 3)), head_shape)
-            self._lap("head")
+                carry = g_out * self._int_beta
+            g_logits[t] = g_out
+        pooled = self.stashed("head.pooled")
+        g_weight = np.swapaxes(pooled, -1, -2) @ g_logits
+        g_bias = g_logits.sum(axis=1) if plan.fc.bias is not None else None
+        for t in range(num_steps - 1, -1, -1):
+            if g_bias is not None:
+                plan.fc.bias.accumulate_grad(g_bias[t])
+            plan.fc.weight.accumulate_grad(np.transpose(g_weight[t]))
+        grad = (g_logits @ np.swapaxes(self._fc_wt, -1, -2)) / (height * width)
+        self._lap("head")
+        # a read-only broadcast view: every consumer reads it elementwise
+        return np.broadcast_to(grad[..., None, None], self._geom["head"])
 
-            # ---- trunk, reversed
-            for unit in reversed(plan.units):
-                if unit.kind == "transition":
-                    self._lap(None)
-                    g_x = _avg_pool2d_vjp(
-                        self._geom[unit.pool_key],
-                        g_x,
-                        (True,),
-                        kernel=unit.pool_kernel,
-                        stride=unit.pool_stride,
-                        padding=unit.pool_padding,
-                    )[0]
-                    self._lap("pool")
-                    g_x = self._cbn_backward(unit.cbn, t, g_x, need_input=True)
-                elif unit.kind == "block":
-                    g_x = self._block_backward(unit, t, g_x)
-                else:  # stem: the encoded frame needs no gradient
-                    g_x = self._cbn_backward(unit.cbn, t, g_x, need_input=False)
+    def _pool_backward(self, unit: _Unit, grads: List[np.ndarray]) -> np.ndarray:
+        """The registered pool vjp's col2im over all steps: taps add into zeros in order.
 
-    def _cbn_backward(self, cbn: _CBN, t: int, g: np.ndarray, need_input: bool):
+        The result lands in the ``conv`` scratch the transition's neuron
+        adjoint computes in, which then runs in place.
+        """
         self._lap(None)
-        g = self._neuron_backward(cbn, t, g)
+        t, n, c, h, w = self._geom[unit]
+        (kh, kw), _, (ph, pw) = unit.pool
+        # the pooled output's spent forward buffer holds the scaled gradient
+        scaled = self._cm_scratch("pool", grads[0].shape)
+        np.multiply(self._sum(grads, scaled), 1.0 / (kh * kw), out=scaled)
+        padded = self._cm_scratch("conv", (t, n, c, h + 2 * ph, w + 2 * pw))
+        padded[...] = 0.0
+        for tap in self._pool_taps(unit, padded.shape)[1]:
+            padded[tap] += scaled
+        self._lap("pool")
+        return padded[..., ph : ph + h, pw : pw + w]
+
+    @staticmethod
+    def _sum(grads: List[np.ndarray], out: np.ndarray) -> np.ndarray:
+        """The contributions summed in the graph's order (into ``out`` if several)."""
+        if len(grads) == 1:
+            return grads[0]
+        total = np.add(grads[0], grads[1], out=out)
+        for g in grads[2:]:
+            total += g
+        return total
+
+    def _cbn_backward(self, cbn: _CBN, grads: List[np.ndarray], need_input: bool):
+        self._lap(None)
+        g = self._neuron_backward(cbn, grads)
         self._lap("neuron")
-        g = self._bn_backward(cbn, t, g)
+        g = self._bn_backward(cbn, g)
         self._lap("bn")
-        g = self._conv_backward(cbn.op, t, g, need_input=need_input)
+        into = None
+        if need_input:  # into a spent residual: the centred activations, else the input
+            staged, xc = self._staged(cbn.op), self.stashed(f"b{cbn.index}.xc")
+            into = xc if xc.shape == staged.shape else staged
+        g = self._conv_backward(cbn.op, g, into)
         self._lap("conv")
         return g
 
-    def _neuron_backward(self, cbn: _CBN, t: int, g_spikes: np.ndarray) -> np.ndarray:
-        # spike vjp: dL/dm = dL/dS * surrogate pseudo-derivative; the carried
-        # membrane gradient from step t+1 lands first, as in the graph sweep
-        # (IEEE addition is commutative, so local-then-carry is bit-equal).
-        # The result is materialised channel-major like the graph's membrane
-        # grad buffer — batch norm sums it next, and sum order is layout order
-        g_membrane = self._cm_scratch(f"n{cbn.index}.gm", g_spikes.shape)
-        np.multiply(g_spikes, self.stashed(f"n{cbn.index}.pseudo", t), out=g_membrane)
-        carry = self._ncarry[cbn.index]
+    def _neuron_backward(self, cbn: _CBN, grads: List[np.ndarray]) -> np.ndarray:
+        """dL/dmembrane into the ``conv`` scratch: the spike vjp over all steps at
+        once, then the membrane carry from step ``t + 1`` step by step, landing
+        after the local term as in the graph sweep."""
+        pseudo = self.stashed(f"n{cbn.index}.pseudo")
+        g_membrane = self._cm_scratch("conv", pseudo.shape)
+        np.multiply(self._sum(grads, g_membrane), pseudo, out=g_membrane)
+        # the decay in the forward dtype, as the graph's scalar operand
+        decay = g_membrane.dtype.type(cbn.neuron.beta)
+        keep = None
+        if cbn.neuron.reset_mechanism == "zero":
+            # the pseudo-derivative is spent: its buffer holds 1 - spikes
+            keep = np.subtract(1.0, self.stashed(f"n{cbn.index}.spikes"), out=pseudo)
+        # reset terms are detached, so the subtract reset carries unchanged;
+        # at t=0 the membrane *is* the synaptic input
+        carry = None
+        for t in range(g_membrane.shape[0] - 1, 0, -1):
+            step = g_membrane[t]
+            if carry is not None:
+                step += carry
+            carry = np.multiply(step, decay, out=carry)
+            if keep is not None:
+                carry *= keep[t - 1]
         if carry is not None:
-            g_membrane += carry
-        if t > 0:
-            # the decay in the forward dtype, as the graph's scalar operand
-            dtype = self._nstate[cbn.index]["membrane"].dtype
-            g_inner = g_membrane * dtype.type(cbn.decay)
-            if cbn.reset == "zero":
-                g_inner = g_inner * (1.0 - self.stashed(f"n{cbn.index}.spikes", t - 1))
-            # reset terms are detached, so the subtract reset carries unchanged
-            self._ncarry[cbn.index] = g_inner
-        else:
-            self._ncarry[cbn.index] = None
-        # at t=0 the membrane *is* the synaptic input; otherwise the integrate
-        # add passes the gradient through unchanged either way
+            g_membrane[0] += carry
         return g_membrane
 
-    def _bn_backward(self, cbn: _CBN, t: int, g_out: np.ndarray) -> np.ndarray:
+    def _bn_backward(self, cbn: _CBN, g_out: np.ndarray) -> np.ndarray:
+        """The batch-norm adjoint over all steps, in place in ``g_out``.  Every
+        array it sums is channel-major like the graph's gradient buffers: NumPy's
+        pairwise sums walk memory order, so layout decides the bits."""
         norm = cbn.norm
-        features = norm.num_features
-        xc = self.stashed(f"b{cbn.index}.xc", t)
-        denom = self.stashed(f"b{cbn.index}.denom", t)
-        p = self.stashed(f"b{cbn.index}.p", t)
-        shape = xc.shape
-        count = shape[0] * shape[2] * shape[3]
-        reduced = (1, features, 1, 1)
-        scale = norm.weight.data.reshape(reduced)
-        # every array a sum runs over is staged channel-major first, matching
-        # the layout of the graph's zeros_like grad buffers (see _cm_scratch)
-        prod = self._cm_scratch(f"b{cbn.index}.prod", shape)
-        # reductions over the batch axes are open-coded sums: _unbroadcast on a
-        # (N,C,H,W) -> (1,C,1,1) grad is exactly sum(axis=(0,2,3), keepdims)
-        norm.bias.accumulate_grad(
-            g_out.sum(axis=(0, 2, 3), keepdims=True).reshape(norm.bias.data.shape)
-        )
+        xc = self.stashed(f"b{cbn.index}.xc")
+        denom = self.stashed(f"b{cbn.index}.denom")
+        p = self.stashed(f"b{cbn.index}.p")
+        num_steps, n, features, h, w = xc.shape
+        count = n * h * w
+        prod = self.stashed(f"n{cbn.index}.pseudo")  # spent by the neuron adjoint
+        # _unbroadcast of a step's (N,C,H,W) grad to (1,C,1,1) sums axes (0,2,3)
+        g_bias = g_out.sum(axis=(1, 3, 4))
         np.divide(xc, denom, out=prod)  # normalized, recomputed bit-identically
-        np.multiply(g_out, prod, out=prod)
-        norm.weight.accumulate_grad(
-            prod.sum(axis=(0, 2, 3), keepdims=True).reshape(norm.weight.data.shape)
-        )
-        g_norm = g_out * scale
-        # div vjp: a-side g / b, b-side -g * a / b**2 reduced over broadcast axes
-        g_centered = self._cm_scratch(f"b{cbn.index}.gc", shape)
-        np.divide(g_norm, denom, out=g_centered)
-        np.negative(g_norm, out=prod)
-        prod *= xc
+        prod *= g_out
+        g_weight = prod.sum(axis=(1, 3, 4))
+        for t in range(num_steps - 1, -1, -1):
+            norm.bias.accumulate_grad(g_bias[t])
+            norm.weight.accumulate_grad(g_weight[t])
+        g_norm = np.multiply(g_out, norm.weight.data.reshape(1, 1, features, 1, 1), out=g_out)
+        # div vjp: a-side g / b, b-side -g * a / b**2 reduced over broadcast axes;
+        # negation is exact and rounding symmetric, so it moves past the sum
+        np.multiply(g_norm, xc, out=prod)
         prod /= denom ** 2
-        g_denom = prod.sum(axis=(0, 2, 3), keepdims=True)
+        g_denom = -prod.sum(axis=(1, 3, 4), keepdims=True)
+        g_centered = np.divide(g_norm, denom, out=g_out)
         # power vjp for denom = p ** 0.5, then the eps-add passes through
         g_var = g_denom * 0.5 * p ** (0.5 - 1)
         # mean vjp (keepdims): fan the variance gradient back over the batch;
-        # centered * centered contributes the same term through both factor
-        # slots (the broadcast happens inside the ufunc — elementwise values
-        # are layout-free, and prod is done carrying the g_denom operand)
+        # centered * centered contributes the same term through both factor slots
         np.multiply(g_var / count, xc, out=prod)
         g_centered += prod
         g_centered += prod
-        # centered = x - mean: identity into x plus the mean's fan-out; the
-        # add lands in the scratch, which the conv vjp consumes (and copies
-        # through its own C-order reshape) before this layer's next borrow
-        np.negative(g_centered, out=prod)
-        g_mean = prod.sum(axis=(0, 2, 3), keepdims=True)
+        # centered = x - mean: identity into x plus the mean's fan-out
+        g_mean = -g_centered.sum(axis=(1, 3, 4), keepdims=True)
         np.add(g_centered, g_mean / count, out=g_centered)
         return g_centered
 
-    def _conv_backward(
-        self, op: _ConvOp, t: int, g: np.ndarray, need_input: bool
-    ) -> Optional[np.ndarray]:
-        n, c, h, w, oh, ow, _pad_cm = self._geom[op.key]
-        pad = self.stashed(op.key + ".pad", t)
-        weight = op.conv.weight.data
-        col = _im2col_view(pad, op.kh, op.kw, op.sh, op.sw, oh, ow)
-        col_g = col.reshape(n, op.groups, c // op.groups, op.kh, op.kw, oh, ow)
-        w_g = weight.reshape(op.groups, weight.shape[0] // op.groups, c // op.groups, op.kh, op.kw)
-        geometry = (
-            n, c, h, w, op.kh, op.kw, op.sh, op.sw, op.ph, op.pw, oh, ow,
-            weight.shape[0], weight.shape,
-        )
-        grads = _conv2d_vjp(
-            (col_g, w_g, geometry),
-            g,
-            (need_input, True),
-            stride=(op.sh, op.sw),
-            padding=(op.ph, op.pw),
-            groups=op.groups,
-        )
-        op.conv.weight.accumulate_grad(grads[1])
-        return grads[0]
+    def _staged(self, op: _ConvOp) -> np.ndarray:
+        """The interior of ``op``'s padded input residual (its input, as staged)."""
+        n, c, h, w = self._geom[op.key][:4]
+        return self.stashed(op.key + ".pad")[..., op.ph : op.ph + h, op.pw : op.pw + w]
 
-    def _block_backward(self, unit: _Unit, t: int, g_out: np.ndarray) -> np.ndarray:
+    def _conv_backward(self, op: _ConvOp, g: np.ndarray, into=None) -> Optional[np.ndarray]:
+        """The registered conv vjp, one call per step in reverse time.
+
+        Writes the input gradient into ``into`` (``None``: not needed); a
+        step's slot is written only after that step's vjp has read its input.
+        """
+        n, c, h, w, oh, ow = self._geom[op.key]
+        pad = self.stashed(op.key + ".pad")
+        weight = op.conv.weight.data
+        w_g = weight.reshape(op.groups, weight.shape[0] // op.groups, c // op.groups, op.kh, op.kw)
+        geometry = (n, c, h, w, op.kh, op.kw, op.sh, op.sw, op.ph, op.pw, oh, ow, weight.shape[0], weight.shape)
+        for t in range(g.shape[0] - 1, -1, -1):
+            col = _im2col_view(pad[t], op.kh, op.kw, op.sh, op.sw, oh, ow)
+            col_g = col.reshape(n, op.groups, c // op.groups, op.kh, op.kw, oh, ow)
+            grads = _conv2d_vjp(
+                (col_g, w_g, geometry),
+                g[t],
+                (into is not None, True),
+                stride=(op.sh, op.sw),
+                padding=(op.ph, op.pw),
+                groups=op.groups,
+            )
+            op.conv.weight.accumulate_grad(grads[1])
+            if into is not None:
+                into[t] = grads[0]
+        return into
+
+    def _block_backward(self, unit: _Unit, grads: List[np.ndarray]) -> List[np.ndarray]:
         layers = unit.layers
-        node_grads: List[Optional[np.ndarray]] = [None] * (len(layers) + 1)
-        node_grads[-1] = g_out
+        node_grads: List[List[np.ndarray]] = [[] for _ in layers] + [grads]
         for layer_index in range(len(layers) - 1, -1, -1):
             layer = layers[layer_index]
-            g = self._cbn_backward(layer.cbn, t, node_grads[layer_index + 1], need_input=True)
-            if layer.concat:
-                g_seq = g[:, : layer.seq_channels]
-                offset = layer.seq_channels
-                for source, source_channels in layer.concat:
-                    piece = g[:, offset : offset + source_channels]
-                    offset += source_channels
-                    node_grads[source] = (
-                        piece if node_grads[source] is None else node_grads[source] + piece
-                    )
-            else:
-                g_seq = g
+            g = self._cbn_backward(layer.cbn, node_grads[layer_index + 1], need_input=True)
+            g_seq = g[:, :, : layer.seq_channels] if layer.concat else g
+            offset = layer.seq_channels
+            for source, source_channels in layer.concat:
+                node_grads[source].append(g[:, :, offset : offset + source_channels])
+                offset += source_channels
             for source, projection in reversed(layer.asc):
                 g_source = g_seq
                 if projection is not None:
                     self._lap(None)
-                    g_source = self._conv_backward(projection, t, g_seq, need_input=True)
+                    g_source = self._conv_backward(projection, g_seq, self._staged(projection))
                     self._lap("conv")
-                node_grads[source] = (
-                    g_source if node_grads[source] is None else node_grads[source] + g_source
-                )
-            node_grads[layer_index] = (
-                g_seq if node_grads[layer_index] is None else node_grads[layer_index] + g_seq
-            )
+                node_grads[source].append(g_source)
+            node_grads[layer_index].append(g_seq)
         return node_grads[0]

@@ -454,6 +454,55 @@ class TestPrimitiveCoverage:
         )
         assert "primitive-coverage" not in rules_of(report)
 
+    def test_each_residual_name_must_be_read(self, tmp_path):
+        report = lint(
+            tmp_path,
+            {
+                "kernel.py": """
+                class HalfReadKernel:
+                    def forward(self, op, cbn, x):
+                        self.stash(f"b{cbn.index}.xc", x.shape)[...] = x
+                        self.stash(f"b{cbn.index}.denom", x.shape)[...] = x
+                        self.stash(op.key + ".pad", x.shape)[...] = x
+                        return x
+
+                    def adjoint(self, op, layer, g):
+                        g = g * self.stashed(f"b{layer.cbn.index}.xc")
+                        return g * self.stashed(op.key + ".pad")
+                """
+            },
+        )
+        findings = [f for f in report.findings if f.rule == "primitive-coverage"]
+        assert len(findings) == 1
+        assert "'b{}.denom'" in findings[0].message and "write-only" in findings[0].message
+
+    def test_every_residual_name_read_is_clean(self, tmp_path):
+        report = lint(
+            tmp_path,
+            {
+                "kernel.py": """
+                class LayerMajorKernel:
+                    def forward(self, op, cbn, x):
+                        self.stash(f"b{cbn.index}.xc", x.shape)[...] = x
+                        self.stash("head.pooled", x.shape)[...] = x
+                        self.stash(op.key + ".pad", x.shape)[...] = x
+                        return x
+
+                    def adjoint(self, key, index, g):
+                        g = g * self.stashed(f"b{index}.xc") * self.stashed("head.pooled")
+                        return g * self.stashed(key + ".pad")
+
+                class DynamicReader:
+                    def forward(self, x):
+                        self.stash("anything", x.shape)[...] = x
+
+                    def adjoint(self, names):
+                        return [self.stashed(name) for name in names]
+                """
+            },
+        )
+        assert "primitive-coverage" not in rules_of(report)
+
     def test_kwargs_construction_and_stashless_classes_are_out_of_scope(self, tmp_path):
         report = lint(
             tmp_path,

@@ -12,22 +12,26 @@ rule catches statically:
   runtime, but only when the module is imported; the lint flags it at the
   definition site before anything runs, and keeps flagging a primitive that
   is built lazily or behind a feature gate;
-* **write-only residuals** — a kernel class that calls ``self.stash(...)``
-  during its forward sweep while no method of the class ever reads one back
-  via ``self.stashed(...)``.  Residual stashes exist solely to feed the
-  adjoint; a class that stages them and never consumes them is either dead
-  memory traffic on the training hot path or, worse, an adjoint silently
-  recomputing (or guessing) values the forward already saved.
+* **write-only residuals** — a kernel class that stashes a residual with
+  ``self.stash(name, ...)`` during its forward sweep while no method of the
+  class reads that name back via ``self.stashed(name)``.  Residual stashes
+  exist solely to feed the adjoint; one that is staged and never consumed is
+  either dead memory traffic on the training hot path or, worse, an adjoint
+  silently recomputing (or guessing) values the forward already saved.
 
-The residual check is per-class, not per-method: forward and adjoint are
-different methods by design, so the stash/stashed pairing only has to hold
-across the whole class body.
+The residual check runs per name and per class, not per method: forward and
+adjoint are different methods by design.  A name is compared as a template —
+the literal parts of a string, f-string or ``+`` concatenation, with every
+computed part a wildcard — so ``self.stash(f"b{i}.xc", ...)`` pairs with
+``self.stashed(f"b{cbn.index}.xc")``.  A read whose name is wholly computed
+could read anything, so it satisfies every stash; a wholly computed stash
+name cannot be checked and is skipped.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, Optional, Set
 
 from tools.analyze.core import Finding, Module, Rule, register
 
@@ -38,6 +42,22 @@ def _terminal_name(func: ast.expr) -> str:
     if isinstance(func, ast.Attribute):
         return func.attr
     return ""
+
+
+_WILDCARD = "{}"
+
+
+def _name_template(node: Optional[ast.expr]) -> str:
+    """A residual name's literal parts, with each computed part a wildcard."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(
+            part.value if isinstance(part, ast.Constant) else _WILDCARD for part in node.values
+        )
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _name_template(node.left) + _name_template(node.right)
+    return _WILDCARD
 
 
 def _is_self_method_call(node: ast.Call, method: str) -> bool:
@@ -102,21 +122,26 @@ class PrimitiveCoverageRule(Rule):
                 yield from self._walk_classes(module, stmt)
 
     def _check_class(self, module: Module, cls: ast.ClassDef) -> Iterator[Finding]:
-        stash_calls: List[ast.Call] = []
-        reads_stashed = False
+        stashes: Dict[str, ast.Call] = {}
+        reads: Set[str] = set()
         for node in ast.walk(cls):
             if isinstance(node, ast.Call):
+                name = _name_template(node.args[0] if node.args else None)
                 if _is_self_method_call(node, "stash"):
-                    stash_calls.append(node)
+                    stashes.setdefault(name, node)
                 elif _is_self_method_call(node, "stashed"):
-                    reads_stashed = True
-        if stash_calls and not reads_stashed:
+                    reads.add(name)
+        if _WILDCARD in reads:
+            return
+        for name, call in stashes.items():
+            if name == _WILDCARD or name in reads:
+                continue
             yield self.finding(
                 module,
-                stash_calls[0],
-                f"class {cls.name} stashes forward residuals via self.stash(...) "
-                "but no method reads them back via self.stashed(...) — residuals "
-                "exist to feed the reverse-time adjoint, so a write-only stash is "
-                "dead memory traffic on the training hot path (or an adjoint "
-                "ignoring what the forward saved)",
+                call,
+                f"class {cls.name} stashes the forward residual {name!r} via "
+                "self.stash(...) but no method reads it back via self.stashed(...) — "
+                "residuals exist to feed the reverse-time adjoint, so a write-only "
+                "stash is dead memory traffic on the training hot path (or an "
+                "adjoint ignoring what the forward saved)",
             )
