@@ -492,7 +492,7 @@ def format_report(payload: Dict[str, Dict[str, float]]) -> str:
         f"fused {bptt['fused_ms']:.1f} ms ({bptt['speedup']:.2f}x, "
         "loss/logits/grads bit-identical before timing)"
     )
-    for name, row in payload.get("bptt_geometry", {}).items():
+    for name, row in payload["bptt_geometry"].items():
         lines.append(
             f"fused BPTT at perfbench {name} geometry (batch 16): forward "
             f"{row['forward_ms']:.2f} ms, adjoint {row['adjoint_ms']:.2f} ms (report only)"

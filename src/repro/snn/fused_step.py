@@ -468,7 +468,7 @@ class _FusedKernel:
         """
         t, n, c, h, w = shape
         padded = bool(op.ph or op.pw)
-        pad = self.stash(
+        self.stash(
             op.key + ".pad",
             (t, n, c, h + 2 * op.ph, w + 2 * op.pw),
             fill=0.0 if padded else None,
@@ -476,9 +476,7 @@ class _FusedKernel:
         )
         oh, ow = conv_output_shape(h, w, (op.kh, op.kw), (op.sh, op.sw), (op.ph, op.pw))
         self._geom[op.key] = (n, c, h, w, oh, ow)
-        if padded:
-            return pad[:, :, :, op.ph : op.ph + h, op.pw : op.pw + w]
-        return pad
+        return self._staged(op)
 
     def _conv_forward(self, op: _ConvOp) -> np.ndarray:
         """One GEMM per step over the staged input, into a channel-major scratch."""
