@@ -11,11 +11,15 @@ evaluation worker pin every loaded OpenBLAS to one thread
   ``OMP_NUM_THREADS`` is kept;
 * ``one_thread_at_load`` sets ``OPENBLAS_NUM_THREADS`` only inside its
   block, and not at all when the user chose a count;
-* the thread count does not change a training step's gradients.
+* the thread count does not change a training step's gradients;
+* no process the program owns starts a BLAS worker thread: neither a fresh
+  CLI process nor an evaluation worker whose parent runs one thread.
 
 Every case is skipped where no OpenBLAS is loaded (MKL, Accelerate,
-non-Linux).  CI re-runs this file under ``REPRO_MP_START_METHOD=spawn``,
-where only the pool initializer can pin a worker.
+non-Linux), and the worker-thread cases where ``/proc/self/task`` is
+missing.  CI re-runs this file under ``REPRO_MP_START_METHOD=spawn``, where
+only the pool initializer can pin a worker, and where a worker loads NumPy
+from a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -41,20 +46,38 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 pytestmark = pytest.mark.skipif(not blas_threads(), reason="no OpenBLAS loaded")
 
+needs_proc_tasks = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
 
-@pytest.fixture
-def two_blas_threads(monkeypatch):
-    """Run every loaded OpenBLAS on two threads, with no thread variable set.
+
+def _native_threads():
+    """The OS threads of this process that :mod:`threading` does not know of (None without ``/proc``)."""
+    try:
+        return len(os.listdir("/proc/self/task")) - threading.active_count()
+    except OSError:
+        return None
+
+
+def _blas_threads_fixture(count):
+    """A fixture running every loaded OpenBLAS on ``count`` threads, with no thread variable set.
 
     The counts found before are restored afterwards, so the order the tests
     run in does not matter.
     """
-    for name in THREAD_ENV_VARS:
-        monkeypatch.delenv(name, raising=False)
-    before = blas_threads()
-    set_blas_threads(2)
-    yield
-    set_blas_threads(before)
+
+    @pytest.fixture
+    def fixture(monkeypatch):
+        for name in THREAD_ENV_VARS:
+            monkeypatch.delenv(name, raising=False)
+        before = blas_threads()
+        set_blas_threads(count)
+        yield
+        set_blas_threads(before)
+
+    return fixture
+
+
+one_blas_thread = _blas_threads_fixture(1)
+two_blas_threads = _blas_threads_fixture(2)
 
 
 class _ReportBlasThreads:
@@ -66,8 +89,20 @@ class _ReportBlasThreads:
             spec=spec,
             objective_value=0.0,
             accuracy=0.0,
-            extra={"libraries": len(threads), "most_threads": max(threads.values(), default=0)},
+            extra={
+                "libraries": len(threads),
+                "most_threads": max(threads.values(), default=0),
+                "native_threads": _native_threads(),
+            },
         )
+
+
+def _subprocess_env(**variables):
+    """This process's environment with no thread variable, ``src`` importable, and ``variables`` set."""
+    env = {name: value for name, value in os.environ.items() if name not in THREAD_ENV_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.update(variables)
+    return env
 
 
 def test_main_runs_every_openblas_on_one_thread(two_blas_threads, capsys):
@@ -93,12 +128,9 @@ def test_evaluation_worker_runs_one_blas_thread(two_blas_threads, example_spec):
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS caps a user-set count at the core count")
 @pytest.mark.parametrize("variable", THREAD_ENV_VARS)
 def test_a_user_set_thread_count_is_kept(variable):
-    env = {name: value for name, value in os.environ.items() if name not in THREAD_ENV_VARS}
-    env[variable] = "2"
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     completed = subprocess.run(
         [sys.executable, "-m", "repro.cli", "info"],
-        env=env,
+        env=_subprocess_env(**{variable: "2"}),
         capture_output=True,
         text=True,
         timeout=120,
@@ -107,6 +139,36 @@ def test_a_user_set_thread_count_is_kept(variable):
     blas_line = [line for line in completed.stdout.splitlines() if line.startswith("blas:")]
     assert len(blas_line) == 1
     assert "(2 threads)" in blas_line[0] and "(1 thread)" not in blas_line[0]
+
+
+_CLI_NATIVE_THREADS = """
+import os, threading
+from repro.cli import main
+assert main(["info"]) == 0
+print("native threads:", len(os.listdir("/proc/self/task")) - threading.active_count())
+"""
+
+
+@needs_proc_tasks
+def test_a_cli_process_starts_no_blas_worker():
+    completed = subprocess.run(
+        [sys.executable, "-c", _CLI_NATIVE_THREADS],
+        env=_subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert completed.stdout.splitlines()[-1] == "native threads: 0"
+
+
+@needs_proc_tasks
+def test_an_evaluation_worker_starts_no_blas_worker(one_blas_thread, example_spec):
+    with AsyncEvaluationExecutor(_ReportBlasThreads(), workers=2) as executor:
+        assert executor.is_parallel
+        tickets = [executor.submit(example_spec) for _ in range(4)]
+        results = [executor.next_completed().result for _ in tickets]
+    assert [result.extra["native_threads"] for result in results] == [0] * len(tickets)
 
 
 def test_one_thread_at_load_sets_the_variable_only_inside_the_block(monkeypatch):
