@@ -30,10 +30,14 @@ import sys
 import time
 from typing import List, Optional, Sequence
 
+from repro.tensor.blas import blas_threads, native_threads, one_thread_at_load, use_one_blas_thread
+
+with one_thread_at_load():
+    import numpy  # NumPy's OpenBLAS loads here, first, and starts no BLAS worker thread
+
 from repro.data import available_datasets
 from repro.experiments.config import DEFAULT_DATASETS, DEFAULT_MODELS, get_scale
 from repro.models import available_models
-from repro.tensor.blas import blas_threads, use_one_blas_thread
 
 # each command imports its experiment module in its handler, so a process
 # loads only the command it runs (and a replayed search no training code)
@@ -373,9 +377,10 @@ def _command_pareto(args) -> int:
                 "process.startup",
                 repro._IMPORT_STARTED,
                 _MAIN_ENTERED,
-                # the process's CPU time: BLAS start-up threads spin during the imports
+                # the process's CPU time, every thread's, so a BLAS worker spinning beside the imports shows
                 cpu_ms=(_MAIN_CPU_ENTERED - repro._IMPORT_CPU_STARTED) * 1e3,
                 blas_threads=max(blas_threads().values(), default=None),
+                native_threads=native_threads(),
                 maxrss_mb=max_rss_mb(),
             )
         result = run_pareto_front(

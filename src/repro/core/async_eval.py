@@ -36,8 +36,12 @@ shares the parent's loaded datasets) and can be forced with the
 ``forkserver``) — CI uses ``spawn`` to prove the workload survives a fresh
 interpreter.  Every worker runs
 :func:`~repro.tensor.blas.use_one_blas_thread` as its pool initializer, so
-whatever the start method each worker runs BLAS on one thread: the
-parallelism is across processes.
+whatever the start method each worker runs BLAS on one thread (the
+parallelism is across processes) and starts no BLAS worker thread.  A
+spawned worker loads NumPy's OpenBLAS on one thread from the outset; a
+forked one inherits its parent's count of 1 and is left alone, since
+setting the count in a forked child rebuilds the thread pool the library
+loaded with, which costs ~0.1 s of spinning CPU per worker.
 
 Evaluation workers were made stateless in the result-carried-update refactor
 (objectives defer local store mutation, trained state rides back on the

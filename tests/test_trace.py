@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -30,7 +31,7 @@ from repro.core.bayes_opt import BayesianOptimizer
 from repro.core.objectives import EvaluationResult, Objective
 from repro.core.search_space import BlockSearchInfo, SearchSpace
 from repro.experiments.config import get_scale
-from repro.tensor.blas import blas_threads
+from repro.tensor.blas import THREAD_ENV_VARS, blas_threads
 from repro.trace import (
     FlightRecorder,
     absorb,
@@ -464,6 +465,24 @@ class TestTraceCommand:
         # the start-up's CPU time is the whole process's, over the same interval
         assert 0.0 < startup[0]["cpu_ms"] <= startup[0]["duration_ms"] * os.cpu_count() + 1.0
         capsys.readouterr()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+    def test_a_traced_search_process_starts_no_native_thread(self, tmp_path):
+        # a fresh process with no thread variable, as a search runs: this one
+        # loaded NumPy with a BLAS worker per core, so it cannot stand in
+        env = {name: value for name, value in os.environ.items() if name not in THREAD_ENV_VARS}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        trace_path = tmp_path / "pareto.jsonl"
+        argv = ["pareto", "--scale", "smoke", "--model", "single_block", "--iterations", "2"]
+        subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv, "--trace", str(trace_path)],
+            env=env,
+            capture_output=True,
+            timeout=300,
+            check=True,
+        )
+        (startup,) = [span for span in load_trace(trace_path) if span["name"] == "process.startup"]
+        assert startup["attrs"]["native_threads"] == 0
 
     def test_traced_pareto_records_one_data_load_before_the_search(self, tmp_path, capsys):
         from repro.cli import main
