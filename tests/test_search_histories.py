@@ -7,7 +7,9 @@ digest of the shared weight store the run accumulated and, for the Pareto
 engine, the hypervolume trace.  The file was written by :func:`record_run`
 before the four search loops were merged into one, so any change of
 proposal order, RNG consumption, iteration numbering or weight-update order
-shows up here as a mismatch.
+shows up here as a mismatch.  The three ``*_long`` runs (45-48 evaluations)
+were recorded while the GP still extended its Cholesky factor rank by rank,
+before the surrogate became a refit at every proposal.
 
 CI re-runs this file under ``REPRO_MP_START_METHOD=spawn``: the asynchronous
 configurations cross a real process boundary there.
@@ -52,6 +54,15 @@ RUNS = {
         6,
     ),
     "rs": ("rs", dict(rng=3), 10),
+    # longer runs (45-48 evaluations, pool 48): the scale of a paper-scale or
+    # perfbench search, where surrogate rounding has the most room to move a pick
+    "pareto_long": ("pareto", dict(initial_points=4, candidate_pool_size=48, rng=4), 44),
+    "bo_batch3_long": ("bo", dict(initial_points=3, batch_size=3, candidate_pool_size=48, rng=5), 14),
+    "bo_async2_long": (
+        "bo",
+        dict(batch_size=1, candidate_pool_size=48, async_workers=2, rng=6),
+        42,
+    ),
 }
 
 
