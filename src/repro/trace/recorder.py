@@ -53,6 +53,7 @@ class FlightRecorder:
         self._dropped = 0
         self._path = Path(jsonl_path) if jsonl_path is not None else None
         self._file = None
+        self._opened = False
 
     # ------------------------------------------------------------------
     def record(self, span: Dict[str, Any]) -> None:
@@ -64,7 +65,10 @@ class FlightRecorder:
             if self._path is not None:
                 if self._file is None:
                     self._path.parent.mkdir(parents=True, exist_ok=True)
-                    self._file = open(self._path, "a", encoding="utf-8")
+                    # the first open truncates, so a file left by an earlier run
+                    # never mixes into this one; a reopen after close() appends
+                    self._file = open(self._path, "a" if self._opened else "w", encoding="utf-8")
+                    self._opened = True
                 self._file.write(json.dumps(span, default=_json_default) + "\n")
                 self._file.flush()
 
@@ -110,7 +114,7 @@ class FlightRecorder:
         return self._path
 
     def close(self) -> None:
-        """Close the JSONL mirror (the ring stays readable)."""
+        """Close the JSONL mirror (the ring stays readable; a later span reopens it to append)."""
         with self._lock:
             if self._file is not None:
                 self._file.close()

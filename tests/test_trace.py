@@ -207,6 +207,16 @@ class TestFlightRecorder:
         assert loaded[0]["attrs"]["scalar"] == 1.5
         assert loaded[0]["attrs"]["row"] == [0, 1]
 
+    def test_jsonl_mirror_truncates_on_first_open_and_appends_after_close(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_text('{"name": "old run"}\n')
+        recorder = FlightRecorder(capacity=4, jsonl_path=path)
+        recorder.record({"name": "first"})
+        recorder.close()
+        recorder.record({"name": "second"})
+        recorder.close()
+        assert [entry["name"] for entry in load_trace(path)] == ["first", "second"]
+
     def test_drain_empties_ring_but_keeps_dropped(self):
         recorder = FlightRecorder(capacity=2)
         for index in range(3):
@@ -464,6 +474,20 @@ class TestTraceCommand:
         assert maxrss is None or 0 < maxrss <= max_rss_mb()
         # the start-up's CPU time is the whole process's, over the same interval
         assert 0.0 < startup[0]["cpu_ms"] <= startup[0]["duration_ms"] * os.cpu_count() + 1.0
+        capsys.readouterr()
+
+    def test_a_second_traced_run_replaces_the_first_runs_trace(self, tmp_path, capsys):
+        """Two traced replays into one path leave one run's spans, not both runs'."""
+        from repro.cli import main
+
+        trace_path = tmp_path / "pareto.jsonl"
+        argv = ["pareto", "--scale", "smoke", "--model", "single_block", "--iterations", "2"]
+        argv += ["--cache-dir", str(tmp_path / "cache"), "--trace", str(trace_path)]
+        for _ in range(2):
+            assert main(argv) == 0
+        names = [span["name"] for span in load_trace(trace_path)]
+        assert names.count("process.startup") == 1
+        assert names.count("pareto_front") == 1
         capsys.readouterr()
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
