@@ -1,28 +1,24 @@
-"""End-to-end benchmark of the incremental GP search engine.
+"""End-to-end benchmark of the GP search engine.
 
-Five measurements, so the cost of the incremental engine — and of the
+Four measurements, so the cost of the search engine — and of the
 weight-snapshot tier — are tracked numbers instead of claims:
 
-1. **GP posterior update vs. full refit** — time to absorb one new
-   observation into an ``n``-point posterior, either by refitting from
-   scratch (O(n^3)) or by extending the cached Cholesky factor
-   (:meth:`~repro.gp.gp.GaussianProcessRegressor.update`, O(n^2)), at
-   n in {50, 200, 800}.
-2. **End-to-end BO iteration throughput** — wall-clock per Bayesian
+1. **End-to-end BO iteration throughput** — wall-clock per Bayesian
    optimization iteration on a synthetic objective (batch_size=4,
-   constant-liar batches).
-3. **Weight-snapshot overhead** — put (content hash + atomic flat ``.snap``
+   constant-liar batches), with a 300-point history: larger than any
+   search the repo runs, so the per-proposal GP refits show.
+2. **Weight-snapshot overhead** — put (content hash + atomic flat ``.snap``
    write) and replay (one file read + merge into a ``WeightStore``) latency
    of one trained-state snapshot, against the cost of the candidate
    evaluation it saves on a cache hit (a real tiny fine-tune).
-4. **Worker pool vs. serial barrier** — wall-clock per evaluation of the
+3. **Worker pool vs. serial barrier** — wall-clock per evaluation of the
    search loop with ``async_workers=N`` (N evaluations in flight on the
    worker pool, one replacement per absorbed result) against
    ``async_workers=0`` (barrier iterations of ``batch_size=N`` evaluated in
    this process) on a straggler-skewed synthetic objective, where a
    minority of candidates are several times slower than the rest.
-5. **Multi-objective engine** — wall-clock per evaluation of the
-   random-scalarization Pareto search (one incremental GP per objective,
+4. **Multi-objective engine** — wall-clock per evaluation of the
+   random-scalarization Pareto search (one GP per objective,
    front + hypervolume bookkeeping) on a synthetic two-objective trade-off,
    plus the hypervolume-vs-evaluations curve at a few checkpoints so front
    convergence is tracked alongside throughput.
@@ -42,15 +38,13 @@ from __future__ import annotations
 import argparse
 import json
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.core.bayes_opt import BayesianOptimizer
 from repro.core.objectives import EvaluationResult, Objective
 from repro.core.search_space import ArchitectureSpec, BlockSearchInfo, SearchSpace
-from repro.gp.gp import GaussianProcessRegressor
-from repro.gp.kernels import HammingKernel
 
 
 class SyntheticObjective(Objective):
@@ -58,8 +52,7 @@ class SyntheticObjective(Objective):
 
     The value is a smooth function of the encoding so the GP has structure to
     model, but evaluation costs nothing — the benchmark isolates the *search
-    engine* (GP fits, constant-liar proposals), which is exactly what the
-    incremental refactor targets.
+    engine* (GP fits, constant-liar proposals).
     """
 
     def __init__(self) -> None:
@@ -119,38 +112,6 @@ def _time(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def bench_gp_update(sizes: Sequence[int], repeats: int, dim: int = 24) -> List[Dict[str, float]]:
-    """Time a full refit vs. an incremental update of one new observation."""
-    rng = np.random.default_rng(0)
-    rows = []
-    for n in sizes:
-        x = rng.integers(0, 3, size=(n + 1, dim)).astype(np.float64)
-        y = rng.normal(size=n + 1)
-        base = GaussianProcessRegressor(HammingKernel(), noise=1e-3).fit(x[:n], y[:n])
-
-        def refit(x=x, y=y) -> None:
-            GaussianProcessRegressor(HammingKernel(), noise=1e-3).fit(x, y)
-
-        def update(x=x, y=y, n=n, base=base) -> None:
-            # update() rebinds (never mutates) the fitted arrays, so a shallow
-            # clone of the fitted state is enough to restart from `base`
-            gp = GaussianProcessRegressor(HammingKernel(), noise=1e-3)
-            gp.__dict__.update(base.__dict__)
-            gp.update(x[n:], y[n:])
-
-        refit_s = _time(refit, repeats)
-        update_s = _time(update, repeats)
-        rows.append(
-            {
-                "n": float(n),
-                "refit_ms": refit_s * 1e3,
-                "update_ms": update_s * 1e3,
-                "speedup": refit_s / update_s if update_s > 0 else float("inf"),
-            }
-        )
-    return rows
 
 
 def bench_bo_iterations(
@@ -312,7 +273,7 @@ def bench_multi_objective(
     The objective is the instant synthetic trade-off of
     :class:`~repro.core.objectives.SyntheticWeightObjective` (accuracy vs. a
     skip-count-correlated energy), so the timing isolates the engine: two
-    incremental GP updates per observation, scalarised proposals over the
+    GP fits per proposal, scalarised proposals over the
     persistent candidate pool, non-dominated insertion and the hypervolume
     indicator.  Checkpointed hypervolumes make front convergence a tracked
     number next to ms/eval.
@@ -353,25 +314,17 @@ def bench_multi_objective(
 
 
 def format_report(
-    gp_rows: List[Dict[str, float]],
     bo: Dict[str, float],
     snap: Dict[str, float],
     async_rows: Optional[Dict[str, float]] = None,
     mo: Optional[Dict[str, float]] = None,
 ) -> str:
     """Human-readable benchmark report."""
-    lines = ["GP posterior: full refit vs incremental update (one new point)"]
-    lines.append(f"{'n':>6} {'refit ms':>10} {'update ms':>10} {'speedup':>9}")
-    for row in gp_rows:
-        lines.append(
-            f"{int(row['n']):>6} {row['refit_ms']:>10.2f} {row['update_ms']:>10.2f} {row['speedup']:>8.1f}x"
-        )
-    lines.append("")
-    lines.append(
+    lines = [
         f"BO end-to-end (batch_size={int(bo['batch_size'])}, history preseed={int(bo['preseed'])}): "
-        f"{bo['s_per_iter'] * 1e3:.1f} ms/iter"
-    )
-    lines.append("")
+        f"{bo['s_per_iter'] * 1e3:.1f} ms/iter",
+        "",
+    ]
     lines.append(
         f"Weight snapshots ({int(snap['tensors'])} tensors, {snap['snapshot_bytes'] / 1024:.1f} KiB): "
         f"put {snap['put_ms']:.2f} ms, replay {snap['replay_ms']:.2f} ms vs "
@@ -406,12 +359,11 @@ def format_report(
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Benchmark entry point; returns a process exit code."""
-    parser = argparse.ArgumentParser(description="Benchmark the incremental GP search engine")
+    parser = argparse.ArgumentParser(description="Benchmark the GP search engine")
     parser.add_argument("--smoke", action="store_true", help="CI-sized run (fewer repeats/iterations)")
     parser.add_argument("--output", default=None, help="optional path for the JSON timings")
     args = parser.parse_args(argv)
 
-    sizes = (50, 200, 800)
     repeats = 2 if args.smoke else 5
     preseed = 200 if args.smoke else 300
     iterations = 3 if args.smoke else 10
@@ -421,16 +373,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     mo_iterations = 30 if args.smoke else 120
     mo_preseed = 20 if args.smoke else 40
 
-    gp_rows = bench_gp_update(sizes, repeats=repeats)
     bo = bench_bo_iterations(preseed=preseed, iterations=iterations)
     snap = bench_snapshot_store(repeats=repeats)
     async_rows = bench_async_vs_batch(workers=2, iterations=async_iterations)
     mo = bench_multi_objective(preseed=mo_preseed, iterations=mo_iterations)
-    print(format_report(gp_rows, bo, snap, async_rows, mo))
+    print(format_report(bo, snap, async_rows, mo))
 
     if args.output:
         payload = {
-            "gp_update": gp_rows,
             "bo_iterations": bo,
             "snapshot_store": snap,
             "async_executor": async_rows,

@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--objectives",
         default="accuracy,energy",
         help="comma-separated objectives to trade off (accuracy, energy, macs, "
-        "latency, latency_steps, firing_rate); each gets its own incremental GP "
+        "latency, latency_steps, firing_rate); each gets its own GP "
         "surrogate. 'latency' is measured from repeated timed forward passes on "
         "the inference fast path (median of K runs, warmup excluded); "
         "'latency_steps' is the step-count proxy",

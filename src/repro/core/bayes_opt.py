@@ -16,12 +16,11 @@ The optimizer follows Section III-B of the paper:
   :class:`~repro.core.weight_sharing.WeightStore`, so each evaluation is only
   a short fine-tune.
 
-The search engine is **incremental**: the GP surrogate is fitted once and
-every subsequent observation extends its cached Cholesky factor in O(n^2)
-(:meth:`~repro.gp.gp.GaussianProcessRegressor.update`), and the constant-liar
-inner loop conditions a :class:`~repro.gp.gp.FantasizedPosterior` instead of
-refitting per lie — the train-pool cross-kernel block is computed once per
-iteration and grown by one row per fantasy.
+The GP surrogate is refitted from the whole history at every proposal, and
+each constant-liar fantasy is a refit with the lies appended
+(:meth:`~repro.gp.gp.GaussianProcessRegressor.fantasize`).  A search here
+makes tens of observations, where a fit costs about 0.1 ms against the
+~1 s of one candidate evaluation.
 
 The search loop itself is :func:`~repro.core.async_eval.run_search`: the
 optimizer supplies proposals (:meth:`BayesianOptimizer._propose`) and an
@@ -185,12 +184,12 @@ class BayesianOptimizer:
     hyperopt_every:
         Re-tune the kernel hyperparameters (length scale / gamma and signal
         variance, via :func:`~repro.gp.gp.tune_kernel` marginal-likelihood
-        coordinate descent) every ``hyperopt_every`` observations, rebuilding
-        the incremental Cholesky factor **once** per refit and then resuming
-        O(n^2) updates — so the adaptation cost is amortised over the
-        incremental engine instead of paid per iteration.  ``None`` (the
-        default, i.e. K=∞) never adapts: the proposal sequence is exactly
-        that of an optimizer without the parameter (pinned by a seeded test).
+        coordinate descent) every ``hyperopt_every`` observations; the
+        surrogates fitted after a retune use the new kernel.  Each retune
+        costs a few dozen GP fits, so it is amortised over ``hyperopt_every``
+        proposals.  ``None`` (the default, i.e. K=∞) never adapts: the
+        proposal sequence is exactly that of an optimizer without the
+        parameter (pinned by a seeded test).
     """
 
     def __init__(
@@ -235,42 +234,31 @@ class BayesianOptimizer:
         self.weight_store = weight_store if weight_store is not None else resolve_weight_context(objective)[1]
         self._rng = default_rng(rng)
         self.history = OptimizationHistory()
-        # incremental engine state: the persistent surrogate, how many history
-        # records it has absorbed, and the dedup key set grown per evaluation
-        # (rebuilding it from the full history every iteration is O(n) encodes)
-        self._surrogate: Optional[GaussianProcessRegressor] = None
-        self._num_modelled = 0
-        self._modelled_tail: Optional[OptimizationRecord] = None
+        # the dedup key set, grown per evaluation (rebuilding it from the full
+        # history every iteration is O(n) encodes)
         self._evaluated_keys: set = set()
         self._keys_watermark = 0
         self._keys_tail: Optional[OptimizationRecord] = None
         self._history_ref = self.history
         # persistent candidate pool: unevaluated candidates survive across
-        # iterations, and the encoded matrix handed to the GP is grown by the
-        # fresh draws instead of being rebuilt — so the per-iteration encoding
-        # cost is O(top-up), not O(pool).
+        # iterations; the encoded matrix handed to the GP is rebuilt at every
+        # refresh
         self._pool_specs: List[ArchitectureSpec] = []
         self._pool_keys: List[bytes] = []
         self._pool_matrix: Optional[np.ndarray] = None
-        #: testing switch: when False the matrix is re-encoded from the whole
-        #: pool every refresh — proposals must be identical either way
-        self._pool_matrix_cache_enabled = True
 
     # ------------------------------------------------------------------
     def _on_record(self, record: OptimizationRecord) -> None:
         """Observation hook: called once per record appended to the history.
 
-        The base engine needs nothing here (the surrogate absorbs history
-        lazily in :meth:`_fit_surrogate`); subclasses maintaining additional
+        The base engine needs nothing here (the surrogate is fitted from the
+        history in :meth:`_fit_surrogate`); subclasses maintaining additional
         per-observation state — e.g. the multi-objective engine's Pareto
         front and hypervolume trace — override it.
         """
 
     def _reset_incremental_state(self) -> None:
         """Forget everything absorbed from a history that was swapped out."""
-        self._surrogate = None
-        self._num_modelled = 0
-        self._modelled_tail = None
         self._evaluated_keys = set()
         self._keys_watermark = 0
         self._keys_tail = None
@@ -290,8 +278,6 @@ class BayesianOptimizer:
         records = self.history.records
         stale = (
             self._history_ref is not self.history
-            or self._num_modelled > len(records)
-            or (self._num_modelled > 0 and records[self._num_modelled - 1] is not self._modelled_tail)
             or self._keys_watermark > len(records)
             or (self._keys_watermark > 0 and records[self._keys_watermark - 1] is not self._keys_tail)
         )
@@ -316,21 +302,16 @@ class BayesianOptimizer:
         exclude = {default.encode().tobytes()}
         return [default] + self.search_space.sample_batch(self.initial_points - 1, rng=self._rng, exclude=exclude)
 
-    def _maybe_adapt_hyperparameters(self) -> bool:
-        """Re-tune the kernel when ``hyperopt_every`` observations accumulated.
-
-        Returns ``True`` when the kernel changed — the caller must then drop
-        its cached surrogate(s) so the next fit rebuilds the Cholesky factor
-        (once) under the new hyperparameters.
-        """
+    def _maybe_adapt_hyperparameters(self) -> None:
+        """Re-tune the kernel when ``hyperopt_every`` observations accumulated."""
         if self.hyperopt_every is None or not len(self.history):
-            return False
+            return
         if not self.kernel.TUNABLE:
             # nothing to retune — skip the O(n^3) likelihood evaluation a
             # tune_kernel call would spend just to return the kernel unchanged
-            return False
+            return
         if len(self.history) - self._last_hyperopt < self.hyperopt_every:
-            return False
+            return
         from repro.gp.gp import tune_kernel
 
         with span("hyperopt", observations=len(self.history)) as tune_span:
@@ -338,39 +319,18 @@ class BayesianOptimizer:
             y = np.array([record.objective_value for record in self.history], dtype=np.float64)
             tuned, _ = tune_kernel(self.kernel, x, y, self.noise)
             self._last_hyperopt = len(self.history)
-            if tuned is self.kernel:
-                if tune_span:
-                    tune_span.set(changed=False)
-                return False
-            self.kernel = tuned
-            self.hyperopt_refits += 1
             if tune_span:
-                tune_span.set(changed=True)
-        return True
+                tune_span.set(changed=tuned is not self.kernel)
+            if tuned is not self.kernel:
+                self.kernel = tuned
+                self.hyperopt_refits += 1
 
     def _fit_surrogate(self) -> GaussianProcessRegressor:
-        self._guard_incremental_state()
-        if self._maybe_adapt_hyperparameters():
-            # the factored matrix depends on the kernel: rebuild once, then
-            # resume incremental rank-k updates on the new factor
-            self._surrogate = None
-        if self._surrogate is None:
-            # full (re)fit: first iteration, a kernel retune, or a history swap
-            encodings = np.array([record.spec.encode() for record in self.history], dtype=np.float64)
-            values = np.array([record.objective_value for record in self.history], dtype=np.float64)
-            model = GaussianProcessRegressor(kernel=self.kernel, noise=self.noise)
-            model.fit(encodings, values)
-            self._surrogate = model
-        else:
-            new_records = self.history.records[self._num_modelled :]
-            if new_records:
-                # O(n^2 k) rank-k extension of the cached Cholesky factor
-                encodings = np.array([record.spec.encode() for record in new_records], dtype=np.float64)
-                values = np.array([record.objective_value for record in new_records], dtype=np.float64)
-                self._surrogate.update(encodings, values)
-        self._num_modelled = len(self.history)
-        self._modelled_tail = self.history.records[-1] if self.history.records else None
-        return self._surrogate
+        """A GP fitted to the whole history, after a kernel retune when one is due."""
+        self._maybe_adapt_hyperparameters()
+        encodings = np.array([record.spec.encode() for record in self.history], dtype=np.float64)
+        values = np.array([record.objective_value for record in self.history], dtype=np.float64)
+        return GaussianProcessRegressor(kernel=self.kernel, noise=self.noise).fit(encodings, values)
 
     # ------------------------------------------------------------------
     # persistent candidate pool
@@ -378,10 +338,9 @@ class BayesianOptimizer:
     def _refresh_pool(self, exclude_extra: Optional[set] = None) -> None:
         """Drop evaluated pool entries and top the pool back up with fresh draws.
 
-        The pool — candidates plus their encoded matrix — persists across
-        iterations: already-scored candidates whose acquisition never won
-        stay available (the GP re-scores them against the updated posterior
-        for free), and only the top-up draws are encoded.  ``exclude_extra``
+        The pool persists across iterations: already-scored candidates whose
+        acquisition never won stay available, and the GP re-scores them
+        against the updated posterior.  ``exclude_extra``
         adds keys (e.g. the asynchronous loop's pending set) that must neither
         survive in nor be drawn into the pool.
         """
@@ -393,8 +352,6 @@ class BayesianOptimizer:
             if len(keep) != len(self._pool_specs):
                 self._pool_specs = [self._pool_specs[i] for i in keep]
                 self._pool_keys = [self._pool_keys[i] for i in keep]
-                if self._pool_matrix is not None:
-                    self._pool_matrix = self._pool_matrix[keep]
         needed = self.candidate_pool_size - len(self._pool_specs)
         if needed > 0:
             fresh = self.search_space.sample_batch(
@@ -403,82 +360,58 @@ class BayesianOptimizer:
             for spec in fresh:
                 self._pool_specs.append(spec)
                 self._pool_keys.append(spec.encode().tobytes())
-            if fresh and self._pool_matrix_cache_enabled and self._pool_matrix is not None:
-                rows = np.array([spec.encode() for spec in fresh], dtype=np.float64)
-                self._pool_matrix = np.concatenate([self._pool_matrix, rows], axis=0)
-            else:
-                self._pool_matrix = None
-        if self._pool_matrix is None and self._pool_specs:
-            self._pool_matrix = np.array(
-                [spec.encode() for spec in self._pool_specs], dtype=np.float64
-            )
+        self._pool_matrix = np.array([spec.encode() for spec in self._pool_specs], dtype=np.float64)
 
     def _pool_pop(self, index: int) -> ArchitectureSpec:
         """Remove pool candidate ``index`` (it is about to be evaluated)."""
         self._pool_keys.pop(index)
-        if self._pool_matrix is not None:
-            self._pool_matrix = np.delete(self._pool_matrix, index, axis=0)
+        self._pool_matrix = np.delete(self._pool_matrix, index, axis=0)
         return self._pool_specs.pop(index)
 
     def _propose_batch(self, surrogate: GaussianProcessRegressor, iteration: int) -> List[ArchitectureSpec]:
+        """A barrier batch of constant-liar proposals from one posterior.
+
+        Before each pick after the first, the surrogate is refitted with a lie
+        for every earlier pick, pretending each returned the current best, so
+        the batch spreads over the pool instead of piling onto one optimum.
+        """
         with span("propose", iteration=iteration) as propose_span:
             self._refresh_pool()
-            if not self._pool_specs:
-                return []
-            proposals = self._propose_batch_incremental(surrogate, iteration)
+            best_value = self.history.best().objective_value
+            lies: List[np.ndarray] = []
+            proposals: List[ArchitectureSpec] = []
+            while self._pool_specs and len(proposals) < self.batch_size:
+                posterior = surrogate.fantasize(lies, [best_value] * len(lies)) if lies else surrogate
+                mean, std = posterior.predict(self._pool_matrix)
+                scores = self.acquisition(mean, std, best_observed=best_value, iteration=iteration)
+                chosen_index = int(np.argmax(scores))
+                lies.append(self._pool_matrix[chosen_index])
+                proposals.append(self._pool_pop(chosen_index))
             if propose_span:
                 propose_span.set(proposals=len(proposals))
             return proposals
 
-    def _propose_batch_incremental(
-        self, surrogate: GaussianProcessRegressor, iteration: int
-    ) -> List[ArchitectureSpec]:
-        """Constant-liar proposal via rank-1 fantasy updates over the pool.
-
-        The train-pool cross-kernel block is computed once when the fantasy
-        posterior is built; each lie appends one row to it and extends the
-        Cholesky factor by one rank, so the whole batch costs
-        O(k (n^2 + n m)) instead of k full O(n^3) refits.
-        """
-        best_value = self.history.best().objective_value
-        fantasy = surrogate.fantasize(self._pool_matrix)
-        proposals: List[ArchitectureSpec] = []
-        for _ in range(self.batch_size):
-            if not self._pool_specs:
-                break
-            mean, std = fantasy.predict()
-            scores = self.acquisition(mean, std, best_observed=best_value, iteration=iteration)
-            chosen_index = int(np.argmax(scores))
-            proposals.append(self._pool_pop(chosen_index))
-            if self._pool_specs and len(proposals) < self.batch_size:
-                encoding = fantasy.remove(chosen_index)
-                # constant liar: pretend the pick returned the current best
-                fantasy.condition(encoding, best_value)
-        return proposals
-
     def _propose_async(self, in_flight_specs, iteration: int) -> Optional[ArchitectureSpec]:
         """Propose one candidate conditioned on the pending set.
 
-        The surrogate absorbs every absorbed observation first
-        (:meth:`_fit_surrogate`, incremental), then a constant-liar
-        :class:`~repro.gp.gp.FantasizedPosterior` over a fresh pool is
-        conditioned on each pending candidate — pretending, as in a barrier
-        batch, that it will return the incumbent value — so concurrent
-        proposals stay diverse even though none of them has reported back.
+        The surrogate is fitted to every absorbed observation, then refitted
+        with a constant lie for each pending candidate — pretending, as in a
+        barrier batch, that it will return the incumbent value — so
+        concurrent proposals stay diverse even though none of them has
+        reported back.
         """
         with span("propose", iteration=iteration) as propose_span:
             surrogate = self._fit_surrogate()
             # exclusion keys must share the dedup set's dtype (raw int64 encoding
-            # bytes); the float64 view is only for conditioning the posterior
+            # bytes); the GP takes the float64 view
             pending = [spec.encode() for spec in in_flight_specs]
             self._refresh_pool(exclude_extra={encoding.tobytes() for encoding in pending})
             if not self._pool_specs:
                 return None
             best_value = self.history.best().objective_value
-            fantasy = surrogate.fantasize(self._pool_matrix)
-            for encoding in pending:
-                fantasy.condition(encoding.astype(np.float64), best_value)
-            mean, std = fantasy.predict()
+            if pending:
+                surrogate = surrogate.fantasize(pending, [best_value] * len(pending))
+            mean, std = surrogate.predict(self._pool_matrix)
             scores = self.acquisition(mean, std, best_observed=best_value, iteration=iteration)
             if propose_span:
                 propose_span.set(in_flight=len(pending), pool=len(self._pool_specs))

@@ -12,14 +12,14 @@ existing BO stack into a hardware-aware optimizer:
   :mod:`repro.snn.mac`, ``latency_steps`` from the simulation window).  All
   internal vectors are **minimisation** vectors; maximised metrics are
   sign-flipped by their spec.
-* :class:`MultiObjectiveBayesianOptimizer` maintains **one incremental GP per
-  objective** (the same rank-k Cholesky updates as the scalar engine — a new
-  observation is O(n^2) per objective) and proposes candidates by **random
-  scalarization**: per proposal a fresh Chebyshev weight vector is drawn
-  (ParEGO-style, augmented with a small weighted-sum term) and the scalarised
-  posterior is scored by the *existing* acquisition functions (UCB/EI/PI).
-  Resampling the weights every proposal sweeps the whole front instead of
-  converging to one compromise point.
+* :class:`MultiObjectiveBayesianOptimizer` fits **one GP per objective**
+  from the whole history at every proposal, as the scalar engine does, and
+  proposes candidates by **random scalarization**: per proposal a fresh
+  Chebyshev weight vector is drawn (ParEGO-style, augmented with a small
+  weighted-sum term) and the scalarised posterior is scored by the
+  *existing* acquisition functions (UCB/EI/PI).  Resampling the weights
+  every proposal sweeps the whole front instead of converging to one
+  compromise point.
 * Hard constraints (:class:`ObjectiveConstraint`, e.g. ``energy <= budget``)
   weight the acquisition by the posterior probability of feasibility
   (:func:`~repro.gp.acquisition.probability_in_bounds`), so the search spends
@@ -175,7 +175,7 @@ class MultiObjectiveBayesianOptimizer(BayesianOptimizer):
 
     objectives:
         Objective names or :class:`ObjectiveSpec` instances (>= 2).  Each gets
-        its own incremental GP over the architecture encoding.
+        its own GP over the architecture encoding.
     constraints:
         :class:`ObjectiveConstraint` instances; proposals are weighted by the
         posterior probability of satisfying all of them, and the scalarised
@@ -239,7 +239,6 @@ class MultiObjectiveBayesianOptimizer(BayesianOptimizer):
         self._reference_fixed = reference_point is not None
         #: hypervolume after each observation made once the reference existed
         self.hypervolume_history: List[float] = []
-        self._models: Dict[str, GaussianProcessRegressor] = {}
         #: per-objective minimisation values of every observed record, aligned
         #: with the history; grown in :meth:`_on_record`
         self._observed: List[np.ndarray] = []
@@ -250,7 +249,6 @@ class MultiObjectiveBayesianOptimizer(BayesianOptimizer):
     # ------------------------------------------------------------------
     def _reset_incremental_state(self) -> None:
         super()._reset_incremental_state()
-        self._models = {}
         self._rebuild_observations()
 
     def _rebuild_observations(self) -> None:
@@ -304,45 +302,27 @@ class MultiObjectiveBayesianOptimizer(BayesianOptimizer):
         return self.front.hypervolume(self.reference_point)
 
     # ------------------------------------------------------------------
-    # surrogates: one incremental GP per objective
+    # surrogates: one GP per objective
     # ------------------------------------------------------------------
     def _fit_surrogate(self) -> Dict[str, GaussianProcessRegressor]:
-        """Absorb new observations into every per-objective GP (rank-k update).
+        """One GP per objective, each fitted to the whole history.
 
         ``hyperopt_every`` is honoured here too: the shared kernel is re-tuned
         against the first objective's values (the scalar the history records
-        as ``objective_value``), and a changed kernel drops every cached
-        per-objective GP so each rebuilds its Cholesky factor once.
+        as ``objective_value``) before the GPs are fitted.
         """
         self._guard_incremental_state()
-        if self._maybe_adapt_hyperparameters():
-            self._models = {}
+        self._maybe_adapt_hyperparameters()
         if len(self._observed) != len(self.history):
             # records appended to the history from outside never passed
             # through _on_record; replay them before they train the GPs
             self._rebuild_observations()
-        new_records = self.history.records[self._num_modelled :]
-        if new_records:
-            x_new = np.array([record.spec.encode() for record in new_records], dtype=np.float64)
-            x_all: Optional[np.ndarray] = None
-            for spec in self.objectives:
-                model = self._models.get(spec.name)
-                if model is None:
-                    if x_all is None:
-                        # shared across objectives: only the targets differ
-                        x_all = np.array(
-                            [record.spec.encode() for record in self.history], dtype=np.float64
-                        )
-                    y_all = np.array([spec.value(record.metrics) for record in self.history])
-                    model = GaussianProcessRegressor(kernel=self.kernel, noise=self.noise)
-                    model.fit(x_all, y_all)
-                    self._models[spec.name] = model
-                else:
-                    y_new = np.array([spec.value(record.metrics) for record in new_records])
-                    model.update(x_new, y_new)
-        self._num_modelled = len(self.history)
-        self._modelled_tail = self.history.records[-1] if self.history.records else None
-        return self._models
+        encodings = np.array([record.spec.encode() for record in self.history], dtype=np.float64)
+        models: Dict[str, GaussianProcessRegressor] = {}
+        for spec in self.objectives:
+            values = np.array([spec.value(record.metrics) for record in self.history])
+            models[spec.name] = GaussianProcessRegressor(kernel=self.kernel, noise=self.noise).fit(encodings, values)
+        return models
 
     # ------------------------------------------------------------------
     # random-scalarization proposals

@@ -21,7 +21,6 @@ _LAZY_EXPORTS = {
     "Kernel": "repro.gp.kernels",
     "Matern52Kernel": "repro.gp.kernels",
     "RBFKernel": "repro.gp.kernels",
-    "FantasizedPosterior": "repro.gp.gp",
     "GaussianProcessRegressor": "repro.gp.gp",
     "tune_kernel": "repro.gp.gp",
     "AcquisitionFunction": "repro.gp.acquisition",

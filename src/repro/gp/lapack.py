@@ -91,21 +91,14 @@ def solve_triangular(a, b, trans: str = "N") -> np.ndarray:
     """Solve ``a x = b`` (``trans="N"``) or ``a.T x = b`` (``"T"``) for lower-triangular ``a``.
 
     Same result as ``scipy.linalg.solve_triangular(a, b, lower=True,
-    trans=trans, check_finite=False)``, including scipy's handling of an ``a``
-    that is not F-contiguous: LAPACK expects Fortran order, so such an ``a``
-    is passed transposed (upper-triangular) with the transpose flag flipped.
-    The GP's factors are ``[:n, :n]`` views of a C-ordered buffer and take
-    that path.
+    trans=trans, check_finite=False)`` for an F-contiguous ``a``, which is
+    what :func:`cholesky` returns.
     """
     a1 = np.asarray(a)
     b1 = np.asarray(b)
     if b1.size == 0:
         return np.empty_like(b1, dtype=np.float64)
-    transposed = {"N": 0, "T": 1}[trans]
-    if a1.flags.f_contiguous:
-        x, info = dtrtrs(a1, b1, lower=True, trans=transposed)
-    else:
-        x, info = dtrtrs(a1.T, b1, lower=False, trans=not transposed)
+    x, info = dtrtrs(a1, b1, lower=True, trans={"N": 0, "T": 1}[trans])
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     if info < 0:

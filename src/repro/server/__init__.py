@@ -1,6 +1,6 @@
 """Search-as-a-service: an HTTP layer over the search and cache subsystems.
 
-The engine built by the earlier subsystems — incremental GP search, the
+The engine built by the earlier subsystems — GP search, the
 sharded evaluation store, the async executor, the multi-objective Pareto
 layer — runs here as a long-lived service instead of a batch CLI run:
 

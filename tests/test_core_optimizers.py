@@ -96,16 +96,20 @@ class TestBayesianOptimizer:
         assert first.spec == space.default_spec()
         assert first.source == "init"
 
-    def test_no_duplicate_evaluations(self):
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_no_duplicate_evaluations(self, batch_size):
         space = _space(depth=3)
-        optimizer = BayesianOptimizer(space, CountingObjective(), initial_points=3, rng=1)
+        optimizer = BayesianOptimizer(space, CountingObjective(), initial_points=3, batch_size=batch_size, rng=1)
         history = optimizer.optimize(6)
         keys = [record.spec.encode().tobytes() for record in history]
         assert len(keys) == len(set(keys))
 
-    def test_batch_proposals(self):
+    @pytest.mark.parametrize("acquisition", ["ucb", "ei", "pi"])
+    def test_batch_proposals(self, acquisition):
         space = _space(depth=4)
-        optimizer = BayesianOptimizer(space, CountingObjective(), initial_points=2, batch_size=3, rng=0)
+        optimizer = BayesianOptimizer(
+            space, CountingObjective(), acquisition=acquisition, initial_points=2, batch_size=3, rng=0
+        )
         history = optimizer.optimize(2)
         assert history.num_evaluations == 2 + 2 * 3
         # proposals within an iteration are distinct
@@ -115,11 +119,12 @@ class TestBayesianOptimizer:
         for keys in per_iteration.values():
             assert len(keys) == len(set(keys))
 
-    def test_small_space_exhausts_gracefully(self):
+    @pytest.mark.parametrize("batch_size", [1, 2, 4])
+    def test_small_space_exhausts_gracefully(self, batch_size):
         space = SearchSpace([BlockSearchInfo(depth=2)])  # 3 architectures total
-        optimizer = BayesianOptimizer(space, CountingObjective(), initial_points=2, rng=0)
+        optimizer = BayesianOptimizer(space, CountingObjective(), initial_points=2, batch_size=batch_size, rng=0)
         history = optimizer.optimize(10)
-        assert history.num_evaluations <= 3
+        assert history.num_evaluations == 3  # the pool runs dry, mid-batch for batch_size 4
 
     def test_callback_invoked(self):
         space = _space(depth=3)
@@ -141,6 +146,29 @@ class TestBayesianOptimizer:
         optimizer = BayesianOptimizer(space, CountingObjective(), initial_points=2, rng=0)
         optimizer.optimize(3)
         assert optimizer.best_spec() == optimizer.history.best().spec
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_history_swap_resets_what_the_surrogate_models(self, batch_size):
+        """A swapped-in history of the same length must not blend the old
+        run's observations into the surrogate or the dedup keys."""
+        def make(rng):
+            return BayesianOptimizer(
+                _space(depth=5), CountingObjective(), initial_points=4, batch_size=batch_size,
+                candidate_pool_size=8, rng=rng,
+            )
+
+        first = make(2)
+        first.optimize(2)
+        donor = make(99)
+        donor.optimize(2)
+
+        first.history = donor.history
+        first.optimize(1)
+        encodings = {record.spec.encode().tobytes() for record in first.history}
+        surrogate = first._fit_surrogate()
+        assert len(surrogate._x_train) == len(first.history)
+        assert {row.tobytes() for row in surrogate._x_train.astype(np.int64)} == encodings
+        assert first._dedup_keys() == encodings
 
     def test_parameter_validation(self):
         space = _space(depth=3)
@@ -249,23 +277,12 @@ class TestWeightStore:
 
 
 class TestCandidatePoolReuse:
-    """The persistent candidate pool and its incrementally-grown encoded matrix."""
+    """The persistent candidate pool and its encoded matrix."""
 
     def _seeded(self, rng=0, **kwargs):
         defaults = dict(initial_points=3, candidate_pool_size=24, batch_size=2)
         defaults.update(kwargs)
         return BayesianOptimizer(_space(depth=4), CountingObjective(), rng=rng, **defaults)
-
-    def test_cached_matrix_matches_reencoding_path(self):
-        """Satellite acceptance: proposals with the incrementally-maintained
-        encoded matrix are identical to re-encoding the pool every iteration."""
-        cached = self._seeded(rng=7)
-        reencoded = self._seeded(rng=7)
-        reencoded._pool_matrix_cache_enabled = False
-        h1 = cached.optimize(6)
-        h2 = reencoded.optimize(6)
-        assert [r.spec.encode().tolist() for r in h1] == [r.spec.encode().tolist() for r in h2]
-        assert [r.objective_value for r in h1] == [r.objective_value for r in h2]
 
     def test_pool_persists_and_tops_up_across_iterations(self):
         optimizer = self._seeded()

@@ -150,6 +150,71 @@ class TestGaussianProcess:
         assert mean_good[0] < mean_bad[0]
 
 
+def _categorical(rng, total, dim):
+    return rng.integers(0, 3, size=(total, dim)).astype(np.float64)
+
+
+KERNELS = [RBFKernel(), Matern52Kernel(), HammingKernel()]
+
+
+class TestUpdateAndFantasy:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_update_is_a_fit_on_the_joined_data(self, kernel, seed):
+        """Rank-1 and rank-3 updates give the posterior of one fit, bit for bit."""
+        rng = np.random.default_rng(seed)
+        x, y = _categorical(rng, 20, 7), rng.normal(size=20)
+        updated = GaussianProcessRegressor(kernel, noise=1e-3).update(x[:8], y[:8])  # unfitted: a fit
+        for start, stop in ((8, 9), (9, 12), (12, 20)):
+            updated.update(x[start:stop], y[start:stop])
+        full = GaussianProcessRegressor(kernel, noise=1e-3).fit(x, y)
+        query = _categorical(rng, 25, 7)
+        for got, want in zip(updated.predict(query), full.predict(query)):
+            np.testing.assert_array_equal(got, want)
+        assert updated.log_marginal_likelihood() == full.log_marginal_likelihood()
+
+    def test_update_validation(self):
+        gp = GaussianProcessRegressor(RBFKernel(), noise=1e-4).fit(np.zeros((3, 2)), np.arange(3.0))
+        with pytest.raises(ValueError):
+            gp.update(np.zeros((2, 2)), np.zeros(3))  # count mismatch
+        with pytest.raises(ValueError):
+            gp.update(np.zeros((2, 5)), np.zeros(2))  # feature mismatch
+        gp.update(np.zeros((0, 2)), np.zeros(0))  # an empty update observes nothing
+        assert len(gp._x_train) == 3
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_fantasy_keeps_the_base_target_scaling(self, kernel):
+        """Lies are standardised with the base GP's mean and std, which they never shift."""
+        rng = np.random.default_rng(6)
+        x, y, lies = _categorical(rng, 30, 6), rng.normal(size=30), _categorical(rng, 3, 6)
+        gp = GaussianProcessRegressor(kernel, noise=1e-3).fit(x, y)
+        fantasy = gp.fantasize(lies, [y.min()] * 3)
+        assert (fantasy._y_mean, fantasy._y_std) == (gp._y_mean, gp._y_std)
+
+        standardised = (np.concatenate([y, [y.min()] * 3]) - gp._y_mean) / gp._y_std
+        reference = GaussianProcessRegressor(kernel, noise=1e-3, normalize_y=False)
+        reference.fit(np.concatenate([x, lies]), standardised)
+        pool = _categorical(rng, 12, 6)
+        mean_ref, std_ref = reference.predict(pool)
+        mean, std = fantasy.predict(pool)
+        np.testing.assert_allclose(mean, mean_ref * gp._y_std + gp._y_mean, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(std, std_ref * gp._y_std, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_fantasy_leaves_the_base_gp_unchanged(self, kernel):
+        rng = np.random.default_rng(8)
+        gp = GaussianProcessRegressor(kernel, noise=1e-3).fit(_categorical(rng, 10, 4), rng.normal(size=10))
+        pool = _categorical(rng, 5, 4)
+        before, factor = gp.predict(pool), gp._cholesky.copy()
+        assert len(gp.fantasize(pool[:1], [0.0])._x_train) == 11
+        assert len(gp._x_train) == 10
+        np.testing.assert_array_equal(gp._cholesky, factor)
+        for got, want in zip(gp.predict(pool), before):
+            np.testing.assert_array_equal(got, want)
+        with pytest.raises(RuntimeError):
+            GaussianProcessRegressor().fantasize(np.zeros((2, 3)), np.zeros(2))  # nothing to condition
+
+
 class TestAcquisitions:
     def test_ucb_prefers_low_mean_and_high_std(self):
         acq = UpperConfidenceBound(kappa=1.0, decay=1.0)

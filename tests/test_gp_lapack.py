@@ -7,11 +7,11 @@ importing ``scipy.linalg`` and mirrors scipy's ``cholesky`` and
 * factors of GP-shaped Gram matrices (Hamming kernel over binary
   encodings, plus noise and jitter) equal ``scipy.linalg.cholesky``'s bit
   for bit, for n = 1..80 and a few sizes up to 300;
-* triangular solves equal ``scipy.linalg.solve_triangular``'s for
-  F-ordered factors and for the C-ordered ``[:n, :n]`` buffer views the GP
-  keeps, with 1-D and 2-D right-hand sides, plain and transposed;
+* triangular solves equal ``scipy.linalg.solve_triangular``'s for the
+  F-ordered factors the GP keeps, with 1-D and 2-D right-hand sides, plain
+  and transposed;
 * a matrix that is not positive definite raises ``LinAlgError``, so the
-  GP's jitter escalation and refit fallback still fire;
+  GP's jitter escalation still fires;
 * importing ``repro.cli`` and the search it dispatches to loads no scipy
   module but ``_flapack``, and a later ``import scipy.linalg`` reuses that
   one copy, whose OpenBLAS is mapped early enough for
@@ -51,14 +51,6 @@ def _gram(n: int, seed: int) -> np.ndarray:
     return gram + 1e-10 * np.eye(n)
 
 
-def _buffer_view(factor: np.ndarray) -> np.ndarray:
-    """``factor`` as the GP holds it: the top-left corner of a larger C-ordered buffer."""
-    n = factor.shape[0]
-    buffer = np.zeros((n + n // 2 + 1, n + n // 2 + 1))
-    buffer[:n, :n] = factor
-    return buffer[:n, :n]
-
-
 @pytest.mark.parametrize("n", SIZES)
 def test_cholesky_matches_scipy_bit_for_bit(n):
     gram = _gram(n, seed=n)
@@ -73,16 +65,12 @@ def test_cholesky_matches_scipy_bit_for_bit(n):
 def test_solve_triangular_matches_scipy_bit_for_bit(n, trans):
     factor = scipy.linalg.cholesky(_gram(n, seed=n), lower=True)
     rng = np.random.default_rng(1000 + n)
-    right_hand_sides = (rng.standard_normal(n), rng.standard_normal((n, 7)))
-    view = _buffer_view(factor)
-    # both of scipy's call paths (a 1x1 view is contiguous either way)
-    assert factor.flags.f_contiguous and (n == 1 or not view.flags.f_contiguous)
-    for a in (factor, view):
-        for b in right_hand_sides:
-            expected = scipy.linalg.solve_triangular(a, b, lower=True, trans=trans, check_finite=False)
-            got = solve_triangular(a, b, trans=trans)
-            assert got.shape == expected.shape
-            assert np.array_equal(got, expected)
+    assert factor.flags.f_contiguous
+    for b in (rng.standard_normal(n), rng.standard_normal((n, 7))):
+        expected = scipy.linalg.solve_triangular(factor, b, lower=True, trans=trans, check_finite=False)
+        got = solve_triangular(factor, b, trans=trans)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
 
 def test_empty_right_hand_side_returns_empty():
