@@ -8,7 +8,6 @@ Usage (after installing the package)::
     python -m repro.cli adapt   --dataset dvs128-gesture --model mobilenetv2
     python -m repro.cli pareto  --objectives accuracy,energy --energy-budget 50 --scale smoke
     python -m repro.cli serve   --port 8000 --cache-dir results/cache
-    python -m repro.cli cache compact --cache-dir results/cache
     python -m repro.cli trace   results/pareto.trace.jsonl --chrome results/pareto.chrome.json
     python -m repro.cli lint    -- --list-rules
     python -m repro.cli info
@@ -19,8 +18,7 @@ to JSON (``--output``) for later post-processing with
 :mod:`repro.experiments.io`.  ``serve`` is the exception: it runs the same
 engine as a long-lived HTTP service (job submission, Pareto/recommendation
 queries answered from the cache, ``/healthz`` + ``/metrics``) until SIGTERM —
-see ``docs/server.md``.  ``cache compact`` maintains the cache directory both
-kinds of run share.
+see ``docs/server.md``.
 """
 
 from __future__ import annotations
@@ -60,13 +58,9 @@ def _add_cache_argument(parser: argparse.ArgumentParser) -> None:
         "answered from disk and their weight updates are replayed into the "
         "shared weight store",
     )
-    parser.add_argument(
-        "--sharded-cache",
-        action="store_true",
-        help="use the sharded store layout (per-writer JSONL shards under "
-        "<store>.shards/ with a merged read view), so several concurrent search "
-        "processes can share --cache-dir without funnelling appends through one file",
-    )
+    # accepted and ignored: the benchmark's pareto_async2 workload still passes
+    # it (perfbench/run.py:83); drop it when that workload stops passing it
+    parser.add_argument("--sharded-cache", action="store_true", help=argparse.SUPPRESS)
 
 
 def _add_async_argument(parser: argparse.ArgumentParser) -> None:
@@ -194,29 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default worker processes per submitted job (0 = evaluate serially on the "
         "job's own thread; jobs may override per request)",
     )
-    serve.add_argument(
-        "--no-sharded-cache",
-        action="store_true",
-        help="make jobs write single-file stores instead of per-writer shards "
-        "(sharded is the default so several server processes can share --cache-dir)",
-    )
-
-    cache = subparsers.add_parser(
-        "cache",
-        help="maintain a persistent evaluation cache directory (shared by batch runs and `serve`)",
-    )
-    cache.add_argument(
-        "action",
-        choices=["compact"],
-        help="compact: fold per-writer shards into the base JSONL files — run it "
-        "periodically on long-lived cache directories (e.g. one backing `repro serve`) "
-        "so reads stay one-file cheap; safe under concurrent writers",
-    )
-    cache.add_argument(
-        "--cache-dir",
-        required=True,
-        help="cache directory whose sharded stores (<name>.shards/) are compacted in place",
-    )
 
     lint = subparsers.add_parser(
         "lint",
@@ -288,7 +259,6 @@ def _command_table1(args) -> int:
         seed=args.seed,
         async_workers=args.async_workers,
         cache_dir=args.cache_dir,
-        cache_sharded=args.sharded_cache,
     )
     print(format_table1(result))
     if args.output:
@@ -312,7 +282,6 @@ def _command_figure3(args) -> int:
         iterations=args.iterations,
         seed=args.seed,
         cache_dir=args.cache_dir,
-        cache_sharded=args.sharded_cache,
         async_workers=args.async_workers,
     )
     print(format_figure3(result))
@@ -337,7 +306,6 @@ def _command_adapt(args) -> int:
         seed=args.seed,
         async_workers=args.async_workers,
         cache_dir=args.cache_dir,
-        cache_sharded=args.sharded_cache,
     )
     print(adaptation.summary())
     print(f"best architecture: {adaptation.best_spec}")
@@ -392,8 +360,7 @@ def _command_pareto(args) -> int:
             iterations=args.iterations,
             seed=args.seed,
             cache_dir=args.cache_dir,
-            cache_sharded=args.sharded_cache,
-            async_workers=args.async_workers,
+                async_workers=args.async_workers,
         )
     if recorder is not None:
         recorder.close()
@@ -421,7 +388,6 @@ def _command_serve(args) -> int:
             port=args.port,
             scale=args.scale,
             async_workers=args.async_workers,
-            sharded_cache=not args.no_sharded_cache,
         )
     )
     stop = threading.Event()
@@ -442,26 +408,6 @@ def _command_serve(args) -> int:
     server.stop()
     rows = server.catalog.total_rows(refresh=False)
     print(f"shutdown complete: jobs drained, store holds {rows} evaluations", flush=True)
-    return 0
-
-
-def _command_cache(args) -> int:
-    from pathlib import Path
-
-    from repro.core.cache import ShardedEvaluationStore
-
-    cache_dir = Path(args.cache_dir)
-    shard_dirs = sorted(cache_dir.glob(f"*{ShardedEvaluationStore.SHARD_SUFFIX}"))
-    if not shard_dirs:
-        print(f"no sharded stores under {cache_dir}")
-        return 0
-    for shard_dir in shard_dirs:
-        base = shard_dir.with_suffix(".jsonl")
-        summary = ShardedEvaluationStore(base).compact()
-        print(
-            f"{base.name}: {summary['rows']} rows, "
-            f"{summary['shards_merged']} shards merged, {summary['shards_kept']} kept"
-        )
     return 0
 
 
@@ -535,7 +481,6 @@ _COMMANDS = {
     "adapt": _command_adapt,
     "pareto": _command_pareto,
     "serve": _command_serve,
-    "cache": _command_cache,
     "lint": _command_lint,
     "trace": _command_trace,
     "info": _command_info,

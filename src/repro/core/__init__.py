@@ -15,7 +15,7 @@ This package implements Section III of the paper:
 * :mod:`repro.core.weight_sharing` — the shared-weight store that lets BO
   candidates inherit previously trained weights;
 * :mod:`repro.core.cache` / :mod:`repro.core.snapshots` — the persistent
-  evaluation store (JSONL, optionally sharded per writer) and the
+  evaluation store (one append-only JSONL file per configuration) and the
   content-addressed weight-snapshot tier it references;
 * :mod:`repro.core.async_eval` — the evaluation executor (persistent worker
   pool, no batch barrier) and :func:`run_search`, the one search loop every
@@ -63,7 +63,6 @@ _LAZY_EXPORTS = {
     "SNNAdapter": "repro.core.adapter",
     "CachedObjective": "repro.core.cache",
     "PersistentEvaluationStore": "repro.core.cache",
-    "ShardedEvaluationStore": "repro.core.cache",
     "snapshot_store_for": "repro.core.cache",
     "AsyncEvaluationExecutor": "repro.core.async_eval",
     "run_search": "repro.core.async_eval",

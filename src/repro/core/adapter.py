@@ -75,10 +75,6 @@ class AdaptationConfig:
     #: default) sizes the budget to the search itself, so every candidate of
     #: a cached re-run replays warm
     snapshot_keep: Optional[int] = None
-    #: use the sharded store layout (per-writer JSONL shards under
-    #: ``<store>.shards/`` with a merged read view) so several concurrent
-    #: search processes can share ``cache_dir`` without write contention
-    cache_sharded: bool = False
 
     def snapshot_budget(self) -> int:
         """Snapshots to keep: explicit cap, or the full evaluation budget."""
@@ -223,7 +219,6 @@ class SNNAdapter:
             evaluation_store = evaluation_store_for(
                 config.cache_dir,
                 ["adapt", self.splits.name, self.template.name],
-                sharded=config.cache_sharded,
                 seed=config.seed,
                 candidate_epochs=config.candidate_finetune_epochs,
                 firing_rate_weight=config.firing_rate_weight,

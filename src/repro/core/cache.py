@@ -16,23 +16,20 @@ can safely share one store, and a torn trailing line from a crashed run is
 skipped on load instead of poisoning the file.  Plug a store into
 :class:`CachedObjective` (or pass ``--cache-dir`` to the CLI) and evaluations
 survive the process: a later run hits the store instead of re-training.
-:class:`ShardedEvaluationStore` extends the format for many concurrent
-writers: each writer appends to its own JSONL shard under ``<name>.shards/``
-and reads a merged view of every shard, so parallel search processes and
-worker-pool children share one cache directory without write contention.
+Worker-pool children and concurrent search processes append to the same file.
 
 The store is no longer only a batch-run artefact: it is the backing table of
 the long-running HTTP serving layer (:mod:`repro.server`).  ``repro serve``
 holds one read view per store open across requests — :meth:`refresh` reloads
-it only when a backing file actually changed — and answers ``/pareto`` and
+it only when the backing file actually changed — and answers ``/pareto`` and
 ``/recommend`` queries instantly from the accumulated rows, while search jobs
-keep appending to their own shards of the same cache directory.  Long-lived
-directories accumulate one shard per writer; ``repro cache compact`` folds
-them back into the base files (see :meth:`ShardedEvaluationStore.compact`).
+keep appending to the same files.
 
-The on-disk formats (rows, fingerprinted filenames, snapshots, shards) are a
-stable contract documented in ``docs/caching.md``; the serving layer is
-documented in ``docs/server.md``.
+The on-disk formats (rows, fingerprinted filenames, snapshots) are a stable
+contract documented in ``docs/caching.md``; the serving layer is documented
+in ``docs/server.md``.  Rows under a ``<name>.shards/`` directory, written by
+an earlier per-writer layout, are no longer read: those candidates are
+re-evaluated.
 
 Pair the store with a :class:`~repro.core.snapshots.WeightSnapshotStore`
 (:func:`snapshot_store_for`) and hits also restore the *weight-sharing* state:
@@ -49,7 +46,6 @@ import hashlib
 import json
 import os
 import threading
-import uuid
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
@@ -72,9 +68,9 @@ def spec_key(spec: ArchitectureSpec) -> str:
 #
 # Each store instance keeps its own ``hits``/``misses`` counters, but the
 # serving layer's ``/metrics`` endpoint needs one monotone view per process —
-# including lookups made by stores the server never sees (e.g. a job's
-# sharded store, or worker-pool children whose deltas are merged back by the
-# async executor).  Mirrors the fused-training aggregate in
+# including lookups made by stores the server never sees (e.g. a job's own
+# store, or worker-pool children whose deltas are merged back by the async
+# executor).  Mirrors the fused-training aggregate in
 # :mod:`repro.snn.fused_step`.
 # ---------------------------------------------------------------------------
 _STORE_AGGREGATE_LOCK = threading.Lock()
@@ -97,11 +93,6 @@ def merge_store_counters(delta: Dict[str, int]) -> None:
 def _bump_store(key: str) -> None:
     with _STORE_AGGREGATE_LOCK:
         _STORE_AGGREGATE[key] += 1
-
-
-#: (base path, pid) -> this process's shard writer id; see
-#: :meth:`ShardedEvaluationStore._process_writer_id`
-_PROCESS_WRITER_IDS: Dict[tuple, str] = {}
 
 
 def config_fingerprint(**config) -> str:
@@ -133,25 +124,17 @@ def dataset_fingerprint_fields(splits) -> Dict[str, object]:
     }
 
 
-def evaluation_store_for(cache_dir, name_parts, sharded: bool = False, **config) -> "PersistentEvaluationStore":
+def evaluation_store_for(cache_dir, name_parts, **config) -> "PersistentEvaluationStore":
     """Open the store for one (experiment, configuration) combination.
 
     The filename is ``<name_parts joined by '-'>-<fingerprint>.jsonl`` under
     ``cache_dir`` — the single place that defines what makes two runs'
     evaluations comparable.  All experiment wiring (adapter, figure3) goes
     through here so fingerprint coverage cannot drift between call sites.
-
-    With ``sharded=True`` the returned store is a
-    :class:`ShardedEvaluationStore` rooted at the same fingerprinted name:
-    this process appends to its own shard under ``<name>.shards/`` and reads
-    a merged view of every writer's shard (plus any legacy single file), so
-    several concurrent search processes can share the cache directory
-    without funnelling their appends through one file.
     """
     tag = config_fingerprint(**config)
     filename = "-".join([str(part) for part in name_parts] + [tag]) + ".jsonl"
-    store_cls = ShardedEvaluationStore if sharded else PersistentEvaluationStore
-    return store_cls(Path(cache_dir) / filename)
+    return PersistentEvaluationStore(Path(cache_dir) / filename)
 
 
 def snapshot_store_for(
@@ -161,15 +144,13 @@ def snapshot_store_for(
 
     The directory sits next to the store's ``.jsonl`` file and inherits its
     name — including the configuration fingerprint — so snapshots are scoped
-    exactly like the evaluation rows that reference them.  For a
-    :class:`ShardedEvaluationStore` the directory derives from the shared
-    *base* name (not the per-writer shard), so every writer resolves the
-    same snapshot directory and a row written by one process replays in any
-    other; the snapshot store is safe for concurrent writers by design
-    (content addressing, atomic replace, per-digest sidecars).
+    exactly like the evaluation rows that reference them.  Every process
+    writing one store resolves the same snapshot directory, so a row written
+    by one process replays in any other; the snapshot store is safe for
+    concurrent writers by design (content addressing, atomic replace,
+    per-digest sidecars).
     """
-    base = getattr(store, "base_path", store.path)
-    return WeightSnapshotStore(base.with_suffix(".weights"), keep_best=keep_best)
+    return WeightSnapshotStore(store.path.with_suffix(".weights"), keep_best=keep_best)
 
 
 def replay_weight_snapshot(
@@ -294,45 +275,54 @@ class PersistentEvaluationStore:
             path = path / self.FILENAME
         path.parent.mkdir(parents=True, exist_ok=True)
         self.path = path
-        self._rows: Dict[str, Dict[str, object]] = {}
         self.hits = 0
         self.misses = 0
-        self.skipped_lines = 0
         self.reload()
 
     # ------------------------------------------------------------------
-    def _source_paths(self) -> List[Path]:
-        """Files merged into the read view, oldest layer first."""
-        return [self.path] if self.path.exists() else []
-
-    def _sources_signature(self) -> tuple:
-        """(path, mtime_ns, size) of every source file — the staleness check."""
-        signature = []
-        for path in self._source_paths():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            signature.append((str(path), stat.st_mtime_ns, stat.st_size))
-        return tuple(signature)
+    def _signature(self) -> Optional[tuple]:
+        """(mtime_ns, size) of the backing file, or None if it does not exist."""
+        try:
+            stat = self.path.stat()
+        except OSError:
+            return None
+        return stat.st_mtime_ns, stat.st_size
 
     def refresh(self) -> bool:
-        """Reload only if a backing file changed; returns whether it did.
+        """Reload only if the backing file changed; returns whether it did.
 
         A long-running reader (the HTTP serving layer answers ``/pareto`` and
         ``/recommend`` from one store instance across requests) must see rows
-        appended by concurrent search processes without re-parsing every
-        shard per request.  The signature is taken *before* each read, so an
+        appended by concurrent search processes without re-parsing the file
+        per request.  The signature is taken *before* each read, so an
         append racing the read at worst triggers one redundant reload on the
         next call — never a stale view that stays stale.
         """
-        if self._sources_signature() == self._loaded_signature:
+        if self._signature() == self._loaded_signature:
             return False
         self.reload()
         return True
 
-    def _ingest(self, text: str) -> None:
-        """Parse one file's JSONL rows into the in-memory view (latest wins)."""
+    def reload(self) -> int:
+        """(Re)read the backing file; returns the number of rows loaded.
+
+        A duplicate key keeps the latest row; a line that does not parse is
+        counted in ``skipped_lines`` and skipped.  The row dict is replaced
+        whole, so a reader iterating the previous one is not disturbed.
+        """
+        rows: Dict[str, Dict[str, object]] = {}
+        skipped = 0
+        # recorded before reading: rows appended mid-read change the on-disk
+        # signature, so the next refresh() reloads rather than trusting a
+        # view that may have missed them
+        self._loaded_signature = self._signature()
+        try:
+            text = self.path.read_text()
+        except FileNotFoundError:
+            text = ""
+        # a crashed writer can leave a torn line without a newline; remember
+        # to start the next append on a fresh line so it stays parseable
+        self._needs_newline = bool(text) and not text.endswith("\n")
         for line in text.splitlines():
             line = line.strip()
             if not line:
@@ -341,42 +331,11 @@ class PersistentEvaluationStore:
                 row = json.loads(line)
                 key = row["key"]
             except (json.JSONDecodeError, KeyError, TypeError):
-                self.skipped_lines += 1
+                skipped += 1
                 continue
-            self._rows[key] = row
-
-    def reload(self) -> int:
-        """(Re)read the backing file(s); returns the number of rows loaded.
-
-        A source file vanishing mid-read means a concurrent compaction pass
-        folded it into the base file (shards are unlinked only *after* the
-        merged base was atomically replaced), so the whole read is retried:
-        the next pass sees the post-compaction layout and loses no rows.
-        """
-        for attempt in range(3):
-            self._rows.clear()
-            self.skipped_lines = 0
-            self._needs_newline = False
-            vanished = False
-            # recorded before reading: rows appended mid-read change the
-            # on-disk signature, so the next refresh() reloads rather than
-            # trusting a view that may have missed them
-            self._loaded_signature = self._sources_signature()
-            for path in self._source_paths():
-                try:
-                    text = path.read_text()
-                except OSError:
-                    vanished = True
-                    continue
-                if path == self.path:
-                    # a crashed writer can leave a torn line without a
-                    # newline; remember to start the next append on a fresh
-                    # line so it stays parseable
-                    self._needs_newline = bool(text) and not text.endswith("\n")
-                self._ingest(text)
-            if not vanished or attempt == 2:
-                break
-        return len(self._rows)
+            rows[key] = row
+        self._rows, self.skipped_lines = rows, skipped
+        return len(rows)
 
     def get(self, key: str) -> Optional[Dict[str, object]]:
         """Stored row for ``key`` or ``None``; updates the hit/miss counters."""
@@ -396,13 +355,7 @@ class PersistentEvaluationStore:
         if self._needs_newline:
             line = "\n" + line
             self._needs_newline = False
-        try:
-            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        except FileNotFoundError:
-            # the parent directory can disappear under a live store (e.g. a
-            # compaction pass removed an emptied shard directory); recreate it
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
         try:
             # loop on short writes: a partial os.write would otherwise drop
             # the row's tail and concatenate the next writer's line onto it
@@ -443,150 +396,6 @@ class PersistentEvaluationStore:
             "hit_rate": self.hit_rate,
             "skipped_lines": float(self.skipped_lines),
         }
-
-
-class ShardedEvaluationStore(PersistentEvaluationStore):
-    """Per-writer JSONL shards behind one merged read view.
-
-    The single-file store is already safe for concurrent *appends* (each row
-    is one ``O_APPEND`` write), but every process still funnels its writes
-    into one file.  The sharded layout removes even that contention and makes
-    ownership explicit: each writer appends only to its **own** shard under
-    ``<base>.shards/``, while :meth:`reload` merges the legacy single file
-    (if present) plus every shard into one read view — so any number of
-    search processes (or worker-pool children) can share a cache directory
-    and see each other's rows after a reload.
-
-    Layout, given a base path ``evals.jsonl``::
-
-        evals.jsonl                       # optional legacy single-file layer
-        evals.shards/<pid>-<uuid>.jsonl   # one shard per writer
-
-    Duplicate keys resolve deterministically: the legacy file is the oldest
-    layer, shards are merged in sorted filename order, and within a file
-    later lines win.  Rows for one key are interchangeable anyway — the
-    configuration fingerprint embedded in the base filename guarantees every
-    writer evaluated candidates the same way.
-
-    Instances are picklable; an unpickled copy (e.g. the cached objective
-    shipped to a worker process) writes to the receiving **process's own**
-    shard — one shard per (process, base path), however many times the
-    objective is re-pickled — so worker children never interleave with the
-    parent's file and a long search does not scatter one shard per task.
-    """
-
-    SHARD_SUFFIX = ".shards"
-
-    def __init__(self, path: Union[str, Path], writer_id: Optional[str] = None) -> None:
-        base = Path(path)
-        if base.suffix != ".jsonl":
-            base = base / self.FILENAME
-        self.base_path = base
-        self.writer_id = writer_id if writer_id is not None else self._process_writer_id(base)
-        super().__init__(self.shard_dir / f"{self.writer_id}.jsonl")
-
-    @classmethod
-    def _process_writer_id(cls, base_path: Path) -> str:
-        """This process's stable writer id for ``base_path``.
-
-        Cached per (base path, pid): every store instance this process opens
-        on the same base — including copies unpickled per worker task —
-        appends to one shard.  The pid in the cache key means a forked child
-        never inherits its parent's id, and the uuid component keeps ids
-        unique under pid reuse across machines/sessions.
-        """
-        key = (str(base_path), os.getpid())
-        writer_id = _PROCESS_WRITER_IDS.get(key)
-        if writer_id is None:
-            writer_id = f"{os.getpid()}-{uuid.uuid4().hex[:8]}"
-            _PROCESS_WRITER_IDS[key] = writer_id
-        return writer_id
-
-    @property
-    def shard_dir(self) -> Path:
-        """Directory holding the per-writer shard files."""
-        return self.base_path.with_suffix(self.SHARD_SUFFIX)
-
-    def _source_paths(self) -> List[Path]:
-        legacy = [self.base_path] if self.base_path.exists() else []
-        shards = sorted(self.shard_dir.glob("*.jsonl")) if self.shard_dir.exists() else []
-        return legacy + shards
-
-    def compact(self) -> Dict[str, int]:
-        """Merge every shard (and the legacy file) into the base JSONL.
-
-        Long-lived cache directories accumulate one shard per writer process;
-        each reload then re-parses every shard.  Compaction folds the merged
-        read view back into the single base file — after which fresh stores
-        read one file again — while keeping the duplicate-key resolution of
-        :meth:`reload` (the compacted file holds exactly the merged view).
-
-        The pass is atomic and lossless under concurrent writers: the merged
-        view is written to a temporary file and ``os.replace``d over the base
-        path.  Each merged shard is then atomically *renamed* aside before
-        any deletion decision — a writer's next append simply recreates its
-        shard path as a fresh file, which survives untouched — and the
-        renamed file is deleted only if its size still matches the size
-        observed before it was read; if rows landed in it meanwhile, it is
-        renamed back into the shard directory under a carry name and stays a
-        live layer until the next compaction.  (The only remaining window is
-        an append whose ``open()`` resolved the old path right as the rename
-        happened and whose write landed after the post-rename size check — a
-        lost row there costs one re-evaluation, never a corrupted view.)
-
-        Returns a summary dict: ``rows`` written to the base file,
-        ``shards_merged`` (deleted) and ``shards_kept`` (still live).
-        """
-        shard_sizes: Dict[Path, int] = {}
-        for shard in sorted(self.shard_dir.glob("*.jsonl")) if self.shard_dir.exists() else []:
-            try:
-                shard_sizes[shard] = shard.stat().st_size
-            except OSError:  # pragma: no cover - concurrently removed shard
-                continue
-        self.reload()
-        tmp = self.base_path.with_name(self.base_path.name + f".compact-{self.writer_id}.tmp")
-        with open(tmp, "w") as handle:
-            for key in sorted(self._rows):
-                handle.write(json.dumps(self._rows[key], separators=(",", ":")) + "\n")
-        os.replace(tmp, self.base_path)
-        merged = kept = 0
-        for shard, size_before in shard_sizes.items():
-            tombstone = shard.with_name(shard.stem + f".compact-{uuid.uuid4().hex[:8]}.tomb")
-            try:
-                os.replace(shard, tombstone)
-                size_now = tombstone.stat().st_size
-            except OSError:  # pragma: no cover - concurrently removed shard
-                continue
-            if size_now == size_before:
-                tombstone.unlink()
-                merged += 1
-            else:
-                # rows landed after the merge snapshot: keep them as a carry
-                # shard (the original path may already be a writer's fresh
-                # file, so the carry gets its own name)
-                os.replace(tombstone, shard.with_name(shard.stem + "-carry.jsonl"))
-                kept += 1
-        try:
-            self.shard_dir.rmdir()
-        except OSError:
-            pass  # non-empty (kept shards) or already gone
-        # this process's own shard may have been folded in; the next append
-        # starts a fresh shard file, so the newline bookkeeping resets
-        self._needs_newline = False
-        return {"rows": len(self._rows), "shards_merged": merged, "shards_kept": kept}
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        # drop the writer identity: the receiving process must not append to
-        # this process's shard
-        del state["writer_id"], state["path"]
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self.writer_id = self._process_writer_id(self.base_path)
-        self.path = self.shard_dir / f"{self.writer_id}.jsonl"
-        self._needs_newline = False
 
 
 class CachedObjective(Objective):

@@ -148,7 +148,6 @@ def run_figure3(
     iterations: Optional[int] = None,
     seed: int = 0,
     cache_dir: Optional[str] = None,
-    cache_sharded: bool = False,
     async_workers: int = 0,
 ) -> Figure3Result:
     """Run the BO-vs-random-search comparison.
@@ -163,8 +162,6 @@ def run_figure3(
     snapshot, and a hit replays it into the run's ``WeightStore`` — so
     extending a cached run with a larger ``iterations`` budget evaluates the
     fresh tail from the same warm weights as an uncached run.
-    ``cache_sharded`` selects the per-writer shard layout for those stores
-    (safe for many concurrent processes sharing ``cache_dir``), and
     ``async_workers >= 1`` keeps that many of the BO method's candidate
     evaluations in flight on a worker pool instead of running barrier
     iterations in this process; the run stays a pure function of ``seed``
@@ -197,8 +194,8 @@ def run_figure3(
                 **dataset_fingerprint_fields(splits),
             )
             name = ["figure3", splits.name, template.name]
-            bo_store = evaluation_store_for(cache_dir, name + ["bo"], sharded=cache_sharded, **fingerprint)
-            rs_store = evaluation_store_for(cache_dir, name + ["rs"], sharded=cache_sharded, **fingerprint)
+            bo_store = evaluation_store_for(cache_dir, name + ["bo"], **fingerprint)
+            rs_store = evaluation_store_for(cache_dir, name + ["rs"], **fingerprint)
 
         bo_objective = _make_objective(template, splits, scale, run_seed, weight_sharing=True)
         if bo_store is not None:

@@ -129,7 +129,6 @@ def run_pareto_front(
     iterations: Optional[int] = None,
     seed: int = 0,
     cache_dir: Optional[str] = None,
-    cache_sharded: bool = False,
     async_workers: int = 0,
     progress: Optional[Callable[[Dict[str, object]], None]] = None,
     should_stop: Optional[Callable[[], bool]] = None,
@@ -188,7 +187,6 @@ def run_pareto_front(
         store = evaluation_store_for(
             cache_dir,
             ["pareto", splits.name, template.name],
-            sharded=cache_sharded,
             seed=seed,
             training=asdict(training),
             **latency_fields,

@@ -130,7 +130,6 @@ def run_table1_cell(
     seed: int = 0,
     async_workers: int = 0,
     cache_dir: Optional[str] = None,
-    cache_sharded: bool = False,
 ) -> AdaptationResult:
     """Run the adaptation pipeline for a single (dataset, model) pair.
 
@@ -139,8 +138,6 @@ def run_table1_cell(
     of the candidate's trained weights — and re-used by any later run sharing
     the directory, which replays the snapshots into its shared weight store
     so the final fine-tune starts warm even on a fully-cached run.
-    ``cache_sharded`` switches that store to the per-writer shard layout so
-    concurrent processes sharing ``cache_dir`` never contend on one file.
     ``async_workers >= 1`` keeps that many BO candidate evaluations in flight
     on a worker pool instead of running barrier iterations in this process.
     """
@@ -153,7 +150,6 @@ def run_table1_cell(
     )
     config = _adaptation_config(scale, dataset, seed, async_workers)
     config.cache_dir = cache_dir
-    config.cache_sharded = cache_sharded
     adapter = SNNAdapter(template, splits, config)
     return adapter.run()
 
@@ -165,7 +161,6 @@ def run_table1(
     seed: int = 0,
     async_workers: int = 0,
     cache_dir: Optional[str] = None,
-    cache_sharded: bool = False,
 ) -> Table1Result:
     """Run the full Table-I grid (datasets x models)."""
     scale = scale or get_scale()
@@ -181,7 +176,6 @@ def run_table1(
                 seed=seed,
                 async_workers=async_workers,
                 cache_dir=cache_dir,
-                cache_sharded=cache_sharded,
             )
             table.results.append(result)
             table.rows.append(Table1Row.from_result(dataset, model, result))

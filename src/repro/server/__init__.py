@@ -1,7 +1,7 @@
 """Search-as-a-service: an HTTP layer over the search and cache subsystems.
 
 The engine built by the earlier subsystems — GP search, the
-sharded evaluation store, the async executor, the multi-objective Pareto
+persistent evaluation store, the async executor, the multi-objective Pareto
 layer — runs here as a long-lived service instead of a batch CLI run:
 
 * ``POST /jobs`` submits a search job (single- or multi-objective) executed

@@ -17,7 +17,7 @@ Graceful shutdown (:meth:`ReproServer.stop`, triggered by SIGTERM/SIGINT in
 2. every running job is asked to stop; each drains its in-flight evaluations
    through the async executor's waiting close, records a partial result and
    ends in state ``stopped`` — evaluation rows are appended synchronously by
-   whichever process evaluated them, so the writer shards on disk already
+   whichever process evaluated them, so the store files on disk already
    hold every completed evaluation (nothing is buffered in memory);
 3. the HTTP listener is shut down and the catalog takes a final refresh, so
    the last log line reports the true row count.
@@ -68,9 +68,6 @@ class ServerConfig:
     scale: Optional[str] = None
     #: default worker processes per job (0 = serial evaluation in the job thread)
     async_workers: int = 0
-    #: jobs write per-writer shards so several server processes (or external
-    #: searches) can share one cache directory without write contention
-    sharded_cache: bool = True
     #: per-job join timeout during shutdown (None waits for a full drain)
     shutdown_timeout: Optional[float] = None
 
@@ -205,7 +202,6 @@ class ReproServer:
             config.cache_dir,
             default_scale=config.scale,
             default_async_workers=config.async_workers,
-            sharded_cache=config.sharded_cache,
             registry=self.registry,
         )
         self.health = HealthMonitor(self.catalog, self.jobs)

@@ -4,18 +4,16 @@
 rows the cache directory has accumulated — across however many fingerprinted
 stores past searches (and currently running jobs) have created.  Re-opening
 and re-parsing every store per request would dominate the request cost, so
-the catalog holds one long-lived :class:`~repro.core.cache.ShardedEvaluationStore`
-read view per base file and relies on
+the catalog holds one long-lived
+:class:`~repro.core.cache.PersistentEvaluationStore` read view per
+``*.jsonl`` file and relies on
 :meth:`~repro.core.cache.PersistentEvaluationStore.refresh` — a cheap
-(path, mtime, size) signature check — to reload a store only when one of its
-backing files actually changed.  A fully-cached request therefore touches no
-JSONL parsing at all.
+(mtime, size) signature check — to reload a store only when its file
+actually changed.  A fully-cached request therefore touches no JSONL parsing
+at all.
 
-The sharded store class is used for *every* base file because it reads both
-layouts: a legacy single ``<name>.jsonl`` plus any per-writer shards under
-``<name>.shards/``.  The catalog never writes: running jobs append through
-their own store instances, and the catalog picks the rows up on the next
-signature change.
+The catalog never writes: running jobs append through their own store
+instances, and the catalog picks the rows up on the next signature change.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ import threading
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.core.cache import ShardedEvaluationStore
+from repro.core.cache import PersistentEvaluationStore
 
 
 class StoreCatalog:
@@ -33,25 +31,16 @@ class StoreCatalog:
     def __init__(self, cache_dir) -> None:
         self.cache_dir = Path(cache_dir)
         self._lock = threading.Lock()
-        self._stores: Dict[str, ShardedEvaluationStore] = {}
+        self._stores: Dict[str, PersistentEvaluationStore] = {}
 
     # ------------------------------------------------------------------
-    def _discover(self) -> List[str]:
-        """Store base names present on disk (base files and/or shard dirs)."""
-        if not self.cache_dir.is_dir():
-            return []
-        names = {path.stem for path in self.cache_dir.glob("*.jsonl")}
-        for shard_dir in self.cache_dir.glob(f"*{ShardedEvaluationStore.SHARD_SUFFIX}"):
-            if shard_dir.is_dir() and any(shard_dir.glob("*.jsonl")):
-                names.add(shard_dir.name[: -len(ShardedEvaluationStore.SHARD_SUFFIX)])
-        return sorted(names)
-
     def refresh(self) -> int:
         """Discover new stores and refresh stale ones; returns the store count."""
         with self._lock:
-            for name in self._discover():
-                if name not in self._stores:
-                    self._stores[name] = ShardedEvaluationStore(self.cache_dir / f"{name}.jsonl")
+            paths = sorted(self.cache_dir.glob("*.jsonl")) if self.cache_dir.is_dir() else []
+            for path in paths:
+                if path.stem not in self._stores:
+                    self._stores[path.stem] = PersistentEvaluationStore(path)
             for store in self._stores.values():
                 store.refresh()
             return len(self._stores)
@@ -60,15 +49,15 @@ class StoreCatalog:
         with self._lock:
             return sorted(self._stores)
 
-    def get(self, name: str) -> Optional[ShardedEvaluationStore]:
+    def get(self, name: str) -> Optional[PersistentEvaluationStore]:
         with self._lock:
             return self._stores.get(name)
 
     # ------------------------------------------------------------------
     def iter_rows(self, store: Optional[str] = None) -> Iterator[Tuple[str, dict]]:
-        """Yield ``(store name, row)`` over the merged view of every store.
+        """Yield ``(store name, row)`` over every store's rows.
 
-        ``store`` filters to base names containing the given substring (the
+        ``store`` filters to store names containing the given substring (the
         fingerprint suffix makes exact names unwieldy for operators).
         Callers must :meth:`refresh` first; iteration itself takes no lock
         beyond snapshotting the store list, because each store's row dict is

@@ -4,7 +4,7 @@
 driving the existing engine — :func:`~repro.experiments.pareto_front.run_pareto_front`
 for multi-objective requests, a scalar
 :class:`~repro.core.bayes_opt.BayesianOptimizer` run for single-objective
-(accuracy) requests — with the async executor and the sharded evaluation
+(accuracy) requests — with the async executor and the persistent evaluation
 store underneath, against the server's shared cache directory.  Each absorbed
 evaluation is appended to the job's event log (sequence-numbered, so
 ``GET /jobs/<id>/events`` can stream and resume), and terminal states are
@@ -221,13 +221,11 @@ class JobManager:
         cache_dir,
         default_scale: Optional[str] = None,
         default_async_workers: int = 0,
-        sharded_cache: bool = True,
         registry=None,
     ) -> None:
         self.cache_dir = str(cache_dir)
         self.default_scale = default_scale
         self.default_async_workers = int(default_async_workers)
-        self.sharded_cache = bool(sharded_cache)
         self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
         self._shutting_down = False
@@ -379,7 +377,6 @@ class JobManager:
             iterations=params["iterations"],
             seed=params["seed"],
             cache_dir=self.cache_dir,
-            cache_sharded=self.sharded_cache,
             async_workers=params["async_workers"],
             progress=lambda event: self._progress(job, event),
             should_stop=job.stop_event.is_set,
@@ -412,7 +409,6 @@ class JobManager:
         store = evaluation_store_for(
             self.cache_dir,
             ["search", splits.name, template.name],
-            sharded=self.sharded_cache,
             seed=seed,
             training=asdict(training),
             **dataset_fingerprint_fields(splits),

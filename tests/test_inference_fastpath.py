@@ -10,7 +10,7 @@ Four concerns, each pinned independently:
   returned tensor, under interleaved and nested evaluations;
 * **latency plumbing** — the timed ``latency_ms`` metric must flow through
   ``EvaluationResult.metrics`` → store rows → cache replay → the multi-
-  objective engine, including sharded async runs;
+  objective engine, including async runs;
 * **hyperparameter adaptation** — ``BayesianOptimizer(hyperopt_every=K)``
   must leave the K=∞ proposal sequence untouched and actually refit when
   enabled.
@@ -415,7 +415,7 @@ class TestLatencyMetric:
         assert len(optimizer.front) >= 1
 
     @pytest.mark.parametrize(
-        "engine", [dict(), dict(async_workers=2, cache_sharded=True)], ids=["serial", "async-sharded"]
+        "engine", [dict(), dict(async_workers=2)], ids=["serial", "async"]
     )
     def test_cached_rerun_replays_latency_front(self, tmp_path, engine):
         """Acceptance: pareto over accuracy/energy/latency replays identically —

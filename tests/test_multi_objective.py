@@ -8,7 +8,7 @@ can be compared bit-for-bit.
 import numpy as np
 import pytest
 
-from repro.core.cache import CachedObjective, PersistentEvaluationStore, ShardedEvaluationStore
+from repro.core.cache import CachedObjective, PersistentEvaluationStore, spec_key
 from repro.core.multi_objective import (
     MultiObjectiveBayesianOptimizer,
     ObjectiveConstraint,
@@ -290,10 +290,15 @@ class TestCachedReplay:
         )
         assert first.hypervolume_history == pytest.approx(second.hypervolume_history)
 
-    def test_sharded_store_replays_across_writers(self, tmp_path):
-        base = tmp_path / "evals.jsonl"
-        _, first = _cached_run(ShardedEvaluationStore(base), async_workers=2)
-        _, second = _cached_run(ShardedEvaluationStore(base), async_workers=2, poison=True)
+    def test_worker_rows_replay_from_one_file(self, tmp_path):
+        """Both worker processes append to one file, and a fresh store over it
+        replays the search."""
+        path = tmp_path / "evals.jsonl"
+        _, first = _cached_run(PersistentEvaluationStore(path), async_workers=2)
+        store = PersistentEvaluationStore(path)
+        assert set(store.keys()) == {spec_key(record.spec) for record in first.history}
+        assert store.skipped_lines == 0 and [p.name for p in tmp_path.iterdir()] == ["evals.jsonl"]
+        _, second = _cached_run(store, async_workers=2, poison=True)
         np.testing.assert_allclose(
             first.front.values_array(), second.front.values_array()
         )

@@ -2,8 +2,8 @@
 
 Pins the issue's acceptance criteria end-to-end at smoke scale: the run
 produces a non-dominated front, the hypervolume trace is non-decreasing, and
-a fully-cached re-run (including ``async_workers=2`` over a sharded store)
-reproduces the identical front without re-evaluating a single candidate.
+a fully-cached re-run (including ``async_workers=2``, whose worker processes
+append to one store file) reproduces the identical front without re-evaluating a single candidate.
 """
 
 import numpy as np
@@ -93,13 +93,15 @@ def _front_key(result):
 
 class TestCachedRoundTrip:
     @pytest.mark.parametrize(
-        "engine", [dict(), dict(async_workers=2, cache_sharded=True)], ids=["serial", "async-sharded"]
+        "engine", [dict(), dict(async_workers=2)], ids=["serial", "async"]
     )
     def test_fully_cached_rerun_reproduces_the_front(self, tmp_path, engine):
         """Acceptance: the run round-trips through the persistent store — a
         re-run answers every candidate from disk and emits the same front."""
         cold = run_smoke(cache_dir=str(tmp_path), **engine)
         assert cold.fresh_evaluations == cold.num_evaluations
+        # every writer, workers included, appended to the one store file
+        assert sorted(path.suffix for path in tmp_path.iterdir()) == [".jsonl", ".weights"]
         warm = run_smoke(cache_dir=str(tmp_path), **engine)
         assert warm.fresh_evaluations == 0
         assert warm.num_evaluations == cold.num_evaluations

@@ -144,9 +144,19 @@ class TestCLI:
         captured = capsys.readouterr().out
         assert "cifar10-dvs" in captured and "resnet18" in captured
 
-    def test_unknown_command_rejected(self):
+    @pytest.mark.parametrize("argv", [["explode"], ["cache", "compact", "--cache-dir", "x"]])
+    def test_unknown_command_rejected(self, argv):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["explode"])
+            build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("command", ["table1", "figure3", "adapt", "pareto"])
+    def test_hidden_shard_flag_is_a_no_op(self, command, capsys):
+        """The benchmark's pareto_async2 workload still passes the flag."""
+        assert build_parser().parse_args([command, "--sharded-cache"]).command == command
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        printed = capsys.readouterr().out
+        assert "--cache-dir" in printed and "shard" not in printed
 
     def test_figure1_command_smoke(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "smoke")

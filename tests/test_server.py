@@ -196,6 +196,24 @@ class TestReadEndpoints:
         assert status == 400 and "energy_budget" in body["error"]
 
 
+class TestStoreCatalog:
+    def test_reading_leaves_the_cache_directory_unchanged(self, tmp_path):
+        seed_cache(tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        catalog = StoreCatalog(tmp_path)
+        assert catalog.refresh() == 1
+        assert catalog.total_rows() == len(SEED_ROWS)
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_shards_directory_of_the_earlier_layout_is_not_read(self, tmp_path):
+        seed_cache(tmp_path)
+        (tmp_path / "old.shards").mkdir()
+        (tmp_path / "old.shards" / "1-ab.jsonl").write_text('{"key": "9,9", "objective_value": 0.1}\n')
+        catalog = StoreCatalog(tmp_path)
+        assert catalog.refresh() == 1 and catalog.store_names() == ["seed-demo"]
+        assert catalog.total_rows() == len(SEED_ROWS)
+
+
 class TestJobs:
     def test_validation_errors(self, server):
         status, body = post_json(server.url + "/jobs", {"dataset": "imagenet"})
