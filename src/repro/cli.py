@@ -360,7 +360,7 @@ def _command_pareto(args) -> int:
             iterations=args.iterations,
             seed=args.seed,
             cache_dir=args.cache_dir,
-                async_workers=args.async_workers,
+            async_workers=args.async_workers,
         )
     if recorder is not None:
         recorder.close()

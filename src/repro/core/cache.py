@@ -263,8 +263,9 @@ class PersistentEvaluationStore:
 
     The whole file is loaded into memory on construction (rows are tiny); a
     duplicate key keeps the *latest* row, and a torn/corrupt line — possible
-    only as the trailing line of a crashed writer — is skipped.  ``hits`` /
-    ``misses`` count :meth:`get` lookups, mirroring :class:`CachedObjective`.
+    only where a writer crashed mid-row — is skipped.  Several processes may
+    append to one file at once: each row is one ``O_APPEND`` write.  ``hits``
+    / ``misses`` count :meth:`get` lookups, mirroring :class:`CachedObjective`.
     """
 
     FILENAME = "evaluations.jsonl"

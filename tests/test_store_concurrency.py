@@ -212,10 +212,11 @@ def test_pickled_store_appends_to_the_same_file(tmp_path):
 
 
 def test_every_writer_resolves_one_snapshot_directory(tmp_path):
-    path = evaluation_store_for(tmp_path, ["exp"], seed=0).path
-    writer, reader = PersistentEvaluationStore(path), PersistentEvaluationStore(path)
-    assert type(evaluation_store_for(tmp_path, ["exp"], seed=0)) is PersistentEvaluationStore
-    assert snapshot_store_for(writer).directory == snapshot_store_for(reader).directory == path.with_suffix(".weights")
+    writer = evaluation_store_for(tmp_path, ["exp"], seed=0)
+    assert type(writer) is PersistentEvaluationStore
+    reader = PersistentEvaluationStore(writer.path)
+    weights = writer.path.with_suffix(".weights")
+    assert snapshot_store_for(writer).directory == snapshot_store_for(reader).directory == weights
     digest = snapshot_store_for(writer).put({"w": np.ones(3)}, score=0.5)
     np.testing.assert_array_equal(snapshot_store_for(reader).get(digest)["w"], np.ones(3))
 
