@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         "posterior probability of staying within the budget, and the report "
         "flags which front points comply",
     )
-    pareto.add_argument("--iterations", type=int, default=None, help="evaluations after the warm start")
+    pareto.add_argument("--iterations", type=int, default=None, help="total evaluations, the warm start included")
     _add_cache_argument(pareto)
     _add_async_argument(pareto)
     _add_trace_arguments(pareto)

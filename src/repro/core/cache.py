@@ -42,6 +42,7 @@ as warm as uncached ones.
 from __future__ import annotations
 
 import dataclasses
+import fcntl
 import hashlib
 import json
 import os
@@ -263,8 +264,9 @@ class PersistentEvaluationStore:
 
     The whole file is loaded into memory on construction (rows are tiny); a
     duplicate key keeps the *latest* row, and a torn/corrupt line — possible
-    only where a writer crashed mid-row — is skipped.  Several processes may
-    append to one file at once: each row is one ``O_APPEND`` write.  ``hits``
+    only where a writer crashed mid-row — is skipped, and the next row starts
+    on a fresh line.  Several processes may append to one file at once: each
+    row is one ``O_APPEND`` write under an exclusive ``flock``.  ``hits``
     / ``misses`` count :meth:`get` lookups, mirroring :class:`CachedObjective`.
     """
 
@@ -321,9 +323,6 @@ class PersistentEvaluationStore:
             text = self.path.read_text()
         except FileNotFoundError:
             text = ""
-        # a crashed writer can leave a torn line without a newline; remember
-        # to start the next append on a fresh line so it stays parseable
-        self._needs_newline = bool(text) and not text.endswith("\n")
         for line in text.splitlines():
             line = line.strip()
             if not line:
@@ -353,11 +352,17 @@ class PersistentEvaluationStore:
         """Persist one row under ``key`` with a single atomic append."""
         payload = {"key": key, **row}
         line = json.dumps(payload, separators=(",", ":")) + "\n"
-        if self._needs_newline:
-            line = "\n" + line
-            self._needs_newline = False
-        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
         try:
+            # a writer that crashed, in this process or any other and at any
+            # time since this store loaded, can leave a torn line without a
+            # newline: start on a fresh line so this row stays parseable.  The
+            # lock keeps a live writer's half-copied row from reading as torn;
+            # a dead writer's lock is released with its descriptor
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                line = "\n" + line
             # loop on short writes: a partial os.write would otherwise drop
             # the row's tail and concatenate the next writer's line onto it
             view = memoryview(line.encode("utf-8"))

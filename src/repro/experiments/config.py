@@ -20,6 +20,8 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence
 
+from repro.training.config import SNNTrainingConfig, TrainingConfig
+
 
 @dataclass(frozen=True)
 class ExperimentScale:
@@ -172,3 +174,26 @@ def model_kwargs(scale: ExperimentScale, model: str, input_channels: int, num_cl
     else:
         kwargs["stage_channels"] = tuple(scale.stage_channels)
     return kwargs
+
+
+def training_recipe(
+    scale: ExperimentScale, epochs: int, seed: int, optimizer: str = "sgd", spiking: bool = True
+) -> TrainingConfig:
+    """The one training recipe: ``scale``'s batch and rate, momentum 0.9.
+
+    Every experiment derives its configurations here: the ANN reference
+    (``spiking=False``), the vanilla SNN and the candidate fine-tune differ
+    only in ``epochs``.  The candidate fine-tune configuration is also part
+    of every search store's fingerprint.
+    """
+    fields = dict(
+        epochs=epochs,
+        batch_size=scale.batch_size,
+        learning_rate=scale.learning_rate,
+        optimizer=optimizer,
+        momentum=0.9,
+        seed=seed,
+    )
+    if spiking:
+        return SNNTrainingConfig(num_steps=scale.num_steps, **fields)
+    return TrainingConfig(**fields)

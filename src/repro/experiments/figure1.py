@@ -27,11 +27,11 @@ import numpy as np
 from repro.core.adjacency import ASC, DSC
 from repro.data import load_dataset
 from repro.data.loaders import ArrayDataset, DatasetSplits
-from repro.experiments.config import ExperimentScale, dataset_kwargs, get_scale
-from repro.models.single_block import build_single_block_template, single_block_sweep_spec
+from repro.experiments.config import ExperimentScale, dataset_kwargs, get_scale, training_recipe
+from repro.experiments.pareto_front import load_problem
+from repro.models.single_block import single_block_sweep_spec
 from repro.models.specs import NeuronConfig
 from repro.snn.mac import MACCounter
-from repro.training.config import SNNTrainingConfig, TrainingConfig
 from repro.training.snn_trainer import SNNTrainer
 from repro.training.trainer import Trainer
 
@@ -111,37 +111,13 @@ def run_figure1(
 ) -> Figure1Result:
     """Run the Fig. 1 sweep for one connection type ("dsc" or "asc")."""
     scale = scale or get_scale()
-    if splits is None:
-        splits = load_dataset(dataset, **dataset_kwargs(scale, dataset))
+    splits, template = load_problem(scale, dataset, "single_block", splits=splits)
     ann_splits = static_splits(splits)
     n_skip_values = n_skip_values if n_skip_values is not None else [0, 1, 2, 3]
-
-    input_channels = splits.sample_shape[1] if splits.is_temporal else splits.sample_shape[0]
-    template = build_single_block_template(
-        input_channels=input_channels,
-        num_classes=splits.num_classes,
-        channels=scale.single_block_channels,
-    )
     neuron = NeuronConfig()
     result = Figure1Result(connection_type=connection_type, dataset_name=splits.name)
-
-    ann_config = TrainingConfig(
-        epochs=scale.ann_epochs,
-        batch_size=scale.batch_size,
-        learning_rate=scale.learning_rate,
-        optimizer="sgd",
-        momentum=0.9,
-        seed=seed,
-    )
-    snn_config = SNNTrainingConfig(
-        epochs=scale.snn_epochs,
-        batch_size=scale.batch_size,
-        learning_rate=scale.learning_rate,
-        optimizer="sgd",
-        momentum=0.9,
-        num_steps=scale.num_steps,
-        seed=seed,
-    )
+    ann_config = training_recipe(scale, scale.ann_epochs, seed, spiking=False)
+    snn_config = training_recipe(scale, scale.snn_epochs, seed)
 
     for n_skip in n_skip_values:
         spec = single_block_sweep_spec(n_skip, connection_type)

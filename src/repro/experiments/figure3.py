@@ -21,26 +21,15 @@ and has a smaller run-to-run spread.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.bayes_opt import BayesianOptimizer, OptimizationHistory
-from repro.core.cache import (
-    CachedObjective,
-    dataset_fingerprint_fields,
-    evaluation_store_for,
-    snapshot_store_for,
-)
-from repro.core.objectives import AccuracyDropObjective
 from repro.core.random_search import RandomSearch
-from repro.core.weight_sharing import WeightStore
-from repro.data import load_dataset
-from repro.data.loaders import DatasetSplits
-from repro.experiments.config import ExperimentScale, dataset_kwargs, get_scale, model_kwargs
-from repro.models import get_template
-from repro.training.config import SNNTrainingConfig
+from repro.experiments.config import ExperimentScale, get_scale
+from repro.experiments.pareto_front import build_search, load_problem
 
 
 @dataclass
@@ -107,39 +96,6 @@ class Figure3Result:
         return self.bo_curve.final_mean() >= self.rs_curve.final_mean() - 1e-12
 
 
-def _training_config(scale: ExperimentScale, seed: int) -> SNNTrainingConfig:
-    """Candidate fine-tune configuration (also fingerprinted for the cache)."""
-    return SNNTrainingConfig(
-        epochs=scale.candidate_finetune_epochs,
-        batch_size=scale.batch_size,
-        learning_rate=scale.learning_rate,
-        optimizer="sgd",
-        momentum=0.9,
-        num_steps=scale.num_steps,
-        seed=seed,
-    )
-
-
-def _make_objective(
-    template,
-    splits: DatasetSplits,
-    scale: ExperimentScale,
-    seed: int,
-    weight_sharing: bool,
-) -> AccuracyDropObjective:
-    training = _training_config(scale, seed)
-    store = WeightStore() if weight_sharing else None
-    return AccuracyDropObjective(
-        template=template,
-        splits=splits,
-        training_config=training,
-        weight_store=store,
-        update_store=weight_sharing,
-        measure_firing_rate=False,
-        build_seed=seed,
-    )
-
-
 def run_figure3(
     scale: Optional[ExperimentScale] = None,
     dataset: str = "cifar10-dvs",
@@ -171,61 +127,36 @@ def run_figure3(
     num_runs = num_runs if num_runs is not None else scale.figure3_runs
     iterations = iterations if iterations is not None else scale.search_iterations
 
-    splits = load_dataset(dataset, **dataset_kwargs(scale, dataset))
-    input_channels = splits.sample_shape[1] if splits.is_temporal else splits.sample_shape[0]
-    template = get_template(
-        model, **model_kwargs(scale, model, input_channels=input_channels, num_classes=splits.num_classes)
-    )
+    splits, template = problem = load_problem(scale, dataset, model)
     space = template.search_space()
+    name = ["figure3", splits.name, template.name]
 
     result = Figure3Result(dataset_name=splits.name, model_name=template.name)
     for run_index in range(num_runs):
         run_seed = seed + run_index
-
-        bo_store = rs_store = None
-        if cache_dir is not None:
-            # one store per run seed, method and evaluation config: evaluations
-            # from a differently-seeded run are not comparable (different
-            # weight init), and reusing them would collapse the run-to-run
-            # variance this figure reports
-            fingerprint = dict(
-                seed=run_seed,
-                training=asdict(_training_config(scale, run_seed)),
-                **dataset_fingerprint_fields(splits),
-            )
-            name = ["figure3", splits.name, template.name]
-            bo_store = evaluation_store_for(cache_dir, name + ["bo"], **fingerprint)
-            rs_store = evaluation_store_for(cache_dir, name + ["rs"], **fingerprint)
-
-        bo_objective = _make_objective(template, splits, scale, run_seed, weight_sharing=True)
-        if bo_store is not None:
-            # snapshots only matter for the weight-sharing method; random
-            # search trains from scratch so its results carry no weight state.
-            # keep_best covers the full evaluation budget so the warm-equality
-            # guarantee of a cached re-run holds for every candidate
-            bo_objective = CachedObjective(
-                bo_objective,
-                store=bo_store,
-                snapshots=snapshot_store_for(bo_store, keep_best=max(iterations, 1)),
-            )
-        initial = min(scale.bo_initial_points, max(1, iterations // 3))
+        # one store per run seed and method: evaluations from a
+        # differently-seeded run are not comparable (different weight init),
+        # and reusing them would collapse the run-to-run variance this figure
+        # reports; each method writes its own file because weight sharing
+        # makes their evaluation semantics differ
+        bo_search, rs_search = (
+            build_search(scale, problem, run_seed, ["accuracy"], shared, iterations, cache_dir, name + [method])
+            for method, shared in (("bo", True), ("rs", False))
+        )
         bo = BayesianOptimizer(
             space,
-            bo_objective,
-            initial_points=initial,
+            bo_search.objective,
+            initial_points=bo_search.initial_points,
             batch_size=1,
             candidate_pool_size=48,
             async_workers=async_workers,
             rng=run_seed,
         )
-        bo_history = bo.optimize(max(iterations - initial, 0))
+        bo_history = bo.optimize(bo_search.iterations)
         result.bo_curve.runs.append(bo_history.incumbent_accuracies())
         result.histories.append(bo_history)
 
-        rs_objective = _make_objective(template, splits, scale, run_seed, weight_sharing=False)
-        if rs_store is not None:
-            rs_objective = CachedObjective(rs_objective, store=rs_store)
-        rs = RandomSearch(space, rs_objective, rng=run_seed + 1000)
+        rs = RandomSearch(space, rs_search.objective, rng=run_seed + 1000)
         rs_history = rs.optimize(iterations)
         result.rs_curve.runs.append(rs_history.incumbent_accuracies())
         result.histories.append(rs_history)

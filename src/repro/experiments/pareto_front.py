@@ -22,12 +22,13 @@ its seed and worker count).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.cache import (
     CachedObjective,
+    PersistentEvaluationStore,
     dataset_fingerprint_fields,
     evaluation_store_for,
     row_metrics,
@@ -37,15 +38,23 @@ from repro.core.pareto import ParetoFront
 from repro.core.multi_objective import (
     MultiObjectiveBayesianOptimizer,
     ObjectiveConstraint,
+    get_objective_spec,
     resolve_objective_specs,
 )
-from repro.core.objectives import AccuracyDropObjective
+from repro.core.objectives import AccuracyDropObjective, Objective
 from repro.core.weight_sharing import WeightStore
 from repro.data import load_dataset
-from repro.experiments.config import ExperimentScale, dataset_kwargs, get_scale, model_kwargs
+from repro.data.loaders import DatasetSplits
+from repro.experiments.config import (
+    ExperimentScale,
+    dataset_kwargs,
+    get_scale,
+    model_kwargs,
+    training_recipe,
+)
 from repro.models import get_template
+from repro.models.specs import NetworkTemplate
 from repro.trace import span
-from repro.training.config import SNNTrainingConfig
 
 
 class SearchStopped(Exception):
@@ -107,16 +116,100 @@ class ParetoResult:
         ]
 
 
-def _training_config(scale: ExperimentScale, seed: int) -> SNNTrainingConfig:
-    """Candidate fine-tune configuration (also fingerprinted for the cache)."""
-    return SNNTrainingConfig(
-        epochs=scale.candidate_finetune_epochs,
-        batch_size=scale.batch_size,
-        learning_rate=scale.learning_rate,
-        optimizer="sgd",
-        momentum=0.9,
-        num_steps=scale.num_steps,
-        seed=seed,
+def load_problem(
+    scale: ExperimentScale, dataset: str, model: str, splits: Optional[DatasetSplits] = None
+) -> Tuple[DatasetSplits, NetworkTemplate]:
+    """``(splits, template)`` of one problem at ``scale``; pass ``splits`` to reuse loaded data."""
+    if splits is None:
+        splits = load_dataset(dataset, **dataset_kwargs(scale, dataset))
+    input_channels = splits.sample_shape[1] if splits.is_temporal else splits.sample_shape[0]
+    template = get_template(
+        model, **model_kwargs(scale, model, input_channels=input_channels, num_classes=splits.num_classes)
+    )
+    return splits, template
+
+
+@dataclass
+class Search:
+    """A search's objective and store, as :func:`build_search` wires them."""
+
+    #: the candidate objective, cached when a store is open
+    objective: Objective
+    store: Optional[PersistentEvaluationStore]
+    #: warm-start evaluations, then the evaluations proposed after them
+    initial_points: int
+    iterations: int
+    known_keys: frozenset = frozenset()
+
+    def fresh_evaluations(self, evaluated: int) -> int:
+        """Evaluations that ran, out of ``evaluated`` absorbed.
+
+        Counted as store growth, not by this process's miss counter: worker
+        processes append their misses' rows, and the reload merges them in.
+        """
+        if self.store is None:
+            return evaluated
+        self.store.reload()
+        return len(set(self.store.keys()) - self.known_keys)
+
+
+def build_search(
+    scale: ExperimentScale,
+    problem: Tuple[DatasetSplits, NetworkTemplate],
+    seed: int,
+    objectives: Sequence[str],
+    weight_sharing: bool,
+    evaluations: int,
+    cache_dir: Optional[str],
+    store_name: Sequence[str],
+) -> Search:
+    """One search's objective, store and warm start; ``evaluations`` is its total budget.
+
+    Each candidate gets :func:`training_recipe`'s short fine-tune, from one
+    shared :class:`WeightStore` with ``weight_sharing``, else from scratch,
+    and measures what ``objectives`` read.  With ``cache_dir`` the store is ``store_name`` plus a fingerprint of
+    the seed, recipe, latency setting and data, and a weight-sharing search
+    keeps one snapshot per evaluation, so a cached re-run replays warm.
+    """
+    splits, template = problem
+    training = training_recipe(scale, scale.candidate_finetune_epochs, seed)
+    metrics = {get_objective_spec(name).metric for name in objectives}
+    # each measurement runs only when an objective reads it: the energy model
+    # (firing rate, MACs, energy) costs a MAC trace per architecture, and
+    # every timed-latency pass costs latency_runs + warmup forward passes
+    needs_latency = "latency_ms" in metrics
+    objective = AccuracyDropObjective(
+        template=template,
+        splits=splits,
+        training_config=training,
+        weight_store=WeightStore() if weight_sharing else None,
+        update_store=weight_sharing,
+        measure_firing_rate=False,
+        measure_energy=bool(metrics - {"val_accuracy", "latency_ms"}),
+        measure_latency=needs_latency,
+        build_seed=seed,
+    )
+    search_objective, store = objective, None
+    if cache_dir is not None:
+        # a latency search never replays rows that lack latency_ms
+        latency_fields = {"latency_runs": objective.latency_runs} if needs_latency else {}
+        store = evaluation_store_for(
+            cache_dir,
+            store_name,
+            seed=seed,
+            training=asdict(training),
+            **latency_fields,
+            **dataset_fingerprint_fields(splits),
+        )
+        snapshots = snapshot_store_for(store, keep_best=max(evaluations, 1)) if weight_sharing else None
+        search_objective = CachedObjective(objective, store=store, snapshots=snapshots)
+    initial = min(scale.bo_initial_points, max(1, evaluations // 3))
+    return Search(
+        search_objective,
+        store,
+        initial_points=initial,
+        iterations=max(evaluations - initial, 0),
+        known_keys=frozenset(store.keys()) if store is not None else frozenset(),
     )
 
 
@@ -135,9 +228,9 @@ def run_pareto_front(
 ) -> ParetoResult:
     """Run the multi-objective search and return the Pareto front.
 
-    ``iterations`` is the number of BO evaluations after the warm start
-    (default: the scale's ``search_iterations``).  ``energy_budget`` adds the
-    hard constraint ``energy_nj <= budget`` (feasibility-weighted
+    ``iterations`` is the total number of evaluations, the warm start
+    included (default: the scale's ``search_iterations``).  ``energy_budget``
+    adds the hard constraint ``energy_nj <= budget`` (feasibility-weighted
     acquisition); the reported front still contains every non-dominated
     point, with :meth:`ParetoResult.feasible_front` selecting the compliant
     subset.  The cache flags behave exactly as in the other experiments.
@@ -153,63 +246,30 @@ def run_pareto_front(
     scale = scale or get_scale()
     iterations = iterations if iterations is not None else scale.search_iterations
     specs = resolve_objective_specs(objectives)
-
-    splits = load_dataset(dataset, **dataset_kwargs(scale, dataset))
-    input_channels = splits.sample_shape[1] if splits.is_temporal else splits.sample_shape[0]
-    template = get_template(
-        model, **model_kwargs(scale, model, input_channels=input_channels, num_classes=splits.num_classes)
+    splits, template = problem = load_problem(scale, dataset, model)
+    # every pareto row carries the energy model's metrics, whatever the
+    # objectives: GET /pareto and /recommend answer from them
+    search = build_search(
+        scale,
+        problem,
+        seed,
+        ["energy", *objectives],
+        weight_sharing=True,
+        evaluations=iterations,
+        cache_dir=cache_dir,
+        store_name=["pareto", splits.name, template.name],
     )
-    space = template.search_space()
-
-    training = _training_config(scale, seed)
-    # the real timed-latency measurement only runs when an objective will read
-    # it — every timed pass costs latency_runs + warmup forward passes
-    needs_latency = any(spec.metric == "latency_ms" for spec in specs)
-    objective = AccuracyDropObjective(
-        template=template,
-        splits=splits,
-        training_config=training,
-        weight_store=WeightStore(),
-        measure_energy=True,
-        measure_latency=needs_latency,
-        build_seed=seed,
-    )
-    search_objective = objective
-    store = None
-    known_keys: set = set()
-    if cache_dir is not None:
-        # latency-enabled runs measure strictly more than plain runs, so they
-        # get their own fingerprint: a store written before timed latency
-        # existed (rows without latency_ms) is never replayed into a latency
-        # search — those candidates are simply re-evaluated — while plain
-        # accuracy/energy runs keep hitting their pre-existing stores
-        latency_fields = {"latency_runs": objective.latency_runs} if needs_latency else {}
-        store = evaluation_store_for(
-            cache_dir,
-            ["pareto", splits.name, template.name],
-            seed=seed,
-            training=asdict(training),
-            **latency_fields,
-            **dataset_fingerprint_fields(splits),
-        )
-        known_keys = set(store.keys())
-        search_objective = CachedObjective(
-            objective,
-            store=store,
-            snapshots=snapshot_store_for(store, keep_best=max(iterations + scale.bo_initial_points, 1)),
-        )
 
     constraints = []
     if energy_budget is not None:
         constraints.append(ObjectiveConstraint("energy", upper=float(energy_budget)))
 
-    initial = min(scale.bo_initial_points, max(1, iterations // 3))
     optimizer = MultiObjectiveBayesianOptimizer(
-        space,
-        search_objective,
+        template.search_space(),
+        search.objective,
         objectives=specs,
         constraints=constraints,
-        initial_points=initial,
+        initial_points=search.initial_points,
         batch_size=1,
         candidate_pool_size=48,
         async_workers=async_workers,
@@ -248,19 +308,10 @@ def run_pareto_front(
             objectives=",".join(spec.name for spec in specs),
             async_workers=async_workers,
         ):
-            history = optimizer.optimize(max(iterations - initial, 0), callback=_callback)
+            history = optimizer.optimize(search.iterations, callback=_callback)
     except SearchStopped:
         stopped = True
         history = optimizer.history
-
-    if store is not None:
-        # fresh evaluations are counted as store growth rather than by the
-        # parent-side miss counter: with worker processes, misses (and their
-        # row appends) happen in the children, which the reload merges back
-        store.reload()
-        fresh = len(set(store.keys()) - known_keys)
-    else:
-        fresh = len(history)
 
     result = ParetoResult(
         dataset_name=splits.name,
@@ -273,7 +324,7 @@ def run_pareto_front(
             else []
         ),
         num_evaluations=len(history),
-        fresh_evaluations=fresh,
+        fresh_evaluations=search.fresh_evaluations(len(history)),
         energy_budget=energy_budget,
         stopped=stopped,
     )

@@ -13,7 +13,7 @@ higher than the vanilla one (more skip connections raise activity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.adapter import AdaptationConfig, AdaptationResult, SNNAdapter
@@ -25,10 +25,9 @@ from repro.experiments.config import (
     ExperimentScale,
     dataset_kwargs,
     get_scale,
-    model_kwargs,
+    training_recipe,
 )
-from repro.models import get_template
-from repro.training.config import SNNTrainingConfig, TrainingConfig
+from repro.experiments.pareto_front import load_problem
 
 #: dataset -> optimizer choice used in the paper's experimental setup
 PAPER_OPTIMIZERS: Dict[str, str] = {
@@ -92,23 +91,8 @@ def _adaptation_config(
     scale: ExperimentScale, dataset: str, seed: int, async_workers: int = 0
 ) -> AdaptationConfig:
     optimizer = PAPER_OPTIMIZERS.get(dataset, "sgd")
-    ann_training = TrainingConfig(
-        epochs=scale.ann_epochs,
-        batch_size=scale.batch_size,
-        learning_rate=scale.learning_rate,
-        optimizer=optimizer,
-        momentum=0.9,
-        seed=seed,
-    )
-    snn_training = SNNTrainingConfig(
-        epochs=scale.snn_epochs,
-        batch_size=scale.batch_size,
-        learning_rate=scale.learning_rate,
-        optimizer=optimizer,
-        momentum=0.9,
-        num_steps=scale.num_steps,
-        seed=seed,
-    )
+    ann_training = training_recipe(scale, scale.ann_epochs, seed, optimizer, spiking=False)
+    snn_training = training_recipe(scale, scale.snn_epochs, seed, optimizer)
     return AdaptationConfig(
         ann_training=ann_training,
         snn_training=snn_training,
@@ -142,12 +126,7 @@ def run_table1_cell(
     on a worker pool instead of running barrier iterations in this process.
     """
     scale = scale or get_scale()
-    if splits is None:
-        splits = load_dataset(dataset, **dataset_kwargs(scale, dataset))
-    input_channels = splits.sample_shape[1] if splits.is_temporal else splits.sample_shape[0]
-    template = get_template(
-        model, **model_kwargs(scale, model, input_channels=input_channels, num_classes=splits.num_classes)
-    )
+    splits, template = load_problem(scale, dataset, model, splits=splits)
     config = _adaptation_config(scale, dataset, seed, async_workers)
     config.cache_dir = cache_dir
     adapter = SNNAdapter(template, splits, config)

@@ -23,26 +23,17 @@ import threading
 import time
 import traceback
 import uuid
-from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.bayes_opt import BayesianOptimizer
 from repro.trace import FlightRecorder, tracing
-from repro.core.cache import (
-    CachedObjective,
-    dataset_fingerprint_fields,
-    evaluation_store_for,
-    snapshot_store_for,
-)
 from repro.core.multi_objective import get_objective_spec
-from repro.core.objectives import AccuracyDropObjective
-from repro.core.weight_sharing import WeightStore
-from repro.data import available_datasets, load_dataset
-from repro.experiments.config import dataset_kwargs, get_scale, model_kwargs
+from repro.data import available_datasets
+from repro.experiments.config import get_scale
 from repro.experiments.io import pareto_to_dict
-from repro.experiments.pareto_front import SearchStopped, _training_config, run_pareto_front
-from repro.models import available_models, get_template
+from repro.experiments.pareto_front import SearchStopped, build_search, load_problem, run_pareto_front
+from repro.models import available_models
 
 #: job states; the last three are terminal
 QUEUED, RUNNING, COMPLETED, FAILED, STOPPED = (
@@ -384,46 +375,27 @@ class JobManager:
         return result.stopped, pareto_to_dict(result)
 
     def _run_single_objective(self, job: Job) -> Tuple[bool, Dict[str, object]]:
-        """Scalar accuracy search mirroring the pareto harness's wiring."""
+        """Scalar accuracy search, wired by the same constructor as the pareto harness."""
         params = job.params
         scale = get_scale(params["scale"])
         seed = params["seed"]
-        iterations = params["iterations"]
-        splits = load_dataset(params["dataset"], **dataset_kwargs(scale, params["dataset"]))
-        input_channels = splits.sample_shape[1] if splits.is_temporal else splits.sample_shape[0]
-        template = get_template(
-            params["model"],
-            **model_kwargs(
-                scale, params["model"], input_channels=input_channels, num_classes=splits.num_classes
-            ),
-        )
-        training = _training_config(scale, seed)
-        objective = AccuracyDropObjective(
-            template=template,
-            splits=splits,
-            training_config=training,
-            weight_store=WeightStore(),
-            measure_energy=True,
-            build_seed=seed,
-        )
-        store = evaluation_store_for(
-            self.cache_dir,
-            ["search", splits.name, template.name],
-            seed=seed,
-            training=asdict(training),
-            **dataset_fingerprint_fields(splits),
-        )
-        known_keys = set(store.keys())
-        initial = min(scale.bo_initial_points, max(1, iterations // 3))
-        search_objective = CachedObjective(
-            objective,
-            store=store,
-            snapshots=snapshot_store_for(store, keep_best=max(iterations, 1)),
+        splits, template = problem = load_problem(scale, params["dataset"], params["model"])
+        # the search optimises accuracy; its rows also carry energy, so that
+        # GET /pareto and /recommend can answer from them
+        search = build_search(
+            scale,
+            problem,
+            seed,
+            ["accuracy", "energy"],
+            weight_sharing=True,
+            evaluations=params["iterations"],
+            cache_dir=self.cache_dir,
+            store_name=["search", splits.name, template.name],
         )
         optimizer = BayesianOptimizer(
             template.search_space(),
-            search_objective,
-            initial_points=initial,
+            search.objective,
+            initial_points=search.initial_points,
             batch_size=1,
             candidate_pool_size=48,
             async_workers=params["async_workers"],
@@ -452,16 +424,15 @@ class JobManager:
 
         stopped = False
         try:
-            optimizer.optimize(max(iterations - initial, 0), callback=callback)
+            optimizer.optimize(search.iterations, callback=callback)
         except SearchStopped:
             stopped = True
         history = optimizer.history
-        store.reload()
         best = history.best() if len(history) else None
         result: Dict[str, object] = {
             "objective": "accuracy",
             "num_evaluations": len(history),
-            "fresh_evaluations": len(set(store.keys()) - known_keys),
+            "fresh_evaluations": search.fresh_evaluations(len(history)),
             "incumbent_curve": [float(v) for v in history.incumbent_values()],
         }
         if best is not None:

@@ -92,6 +92,17 @@ class TestPersistentEvaluationStore:
         reloaded.put("after", {"objective_value": 2.0})
         assert PersistentEvaluationStore(path).get("after") is not None
 
+    def test_torn_line_written_after_load_does_not_swallow_next_row(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store = PersistentEvaluationStore(path)
+        store.put("first", {"objective_value": 1.0})
+        with open(path, "a") as handle:  # another writer, crashed mid-write
+            handle.write('{"key":"torn","v":')
+        store.put("second", {"objective_value": 2.0})
+        reloaded = PersistentEvaluationStore(path)
+        assert sorted(reloaded.keys()) == ["first", "second"]
+        assert reloaded.skipped_lines == 1
+
     def test_result_row_roundtrip(self):
         space = make_space()
         spec = space.sample(rng=0)
