@@ -139,7 +139,7 @@ class Search:
     #: warm-start evaluations, then the evaluations proposed after them
     initial_points: int
     iterations: int
-    known_keys: frozenset = frozenset()
+    known_keys: frozenset
 
     def fresh_evaluations(self, evaluated: int) -> int:
         """Evaluations that ran, out of ``evaluated`` absorbed.
@@ -167,9 +167,10 @@ def build_search(
 
     Each candidate gets :func:`training_recipe`'s short fine-tune, from one
     shared :class:`WeightStore` with ``weight_sharing``, else from scratch,
-    and measures what ``objectives`` read.  With ``cache_dir`` the store is ``store_name`` plus a fingerprint of
-    the seed, recipe, latency setting and data, and a weight-sharing search
-    keeps one snapshot per evaluation, so a cached re-run replays warm.
+    and measures what ``objectives`` read.  With ``cache_dir`` the store is
+    ``store_name`` plus a fingerprint of the seed, recipe, latency setting and
+    data, and a weight-sharing search keeps one snapshot per evaluation, so a
+    cached re-run replays warm.
     """
     splits, template = problem
     training = training_recipe(scale, scale.candidate_finetune_epochs, seed)
