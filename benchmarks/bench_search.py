@@ -150,8 +150,8 @@ def bench_snapshot_store(repeats: int) -> Dict[str, float]:
     """Snapshot put/replay latency vs. the evaluation cost a replay avoids.
 
     The state is a real trained candidate (single-block template, tiny
-    synthetic event data), so tensor count and sizes match what an adapter
-    run persists; the evaluation cost is the wall-clock of that candidate's
+    synthetic event data), so tensor count and sizes match what a table1
+    search persists; the evaluation cost is the wall-clock of that candidate's
     one-epoch fine-tune — the work a store hit skips while the snapshot
     replay keeps its weight updates.
     """

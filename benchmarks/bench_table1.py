@@ -1,15 +1,17 @@
 """Benchmark regenerating Table I: adaptation results per dataset and model.
 
-For every (dataset, model) cell the full :class:`repro.core.SNNAdapter`
-pipeline runs (ANN reference when applicable, vanilla SNN conversion,
-search-space construction, GP+UCB Bayesian optimization with weight sharing,
+For every (dataset, model) cell the full adaptation pipeline of
+:func:`repro.experiments.run_table1_cell` runs (ANN reference when applicable,
+vanilla SNN conversion, GP+UCB Bayesian optimization through the shared
+search constructor with every candidate fine-tuned from the vanilla SNN,
 final fine-tune) and the paper's columns are printed:
 
     ANN accuracy | SNN accuracy | Optimized SNN accuracy | SNN firing rate | Optimized firing rate
 
-Expected shape: the optimized SNN never does worse than the vanilla SNN
-conversion (the paper reports average gains of +8-11 percentage points), and
-its firing rate is moderately higher.
+Expected shape: the optimized SNN beats the vanilla SNN conversion (the
+paper reports average gains of +8-11 percentage points), and its firing rate
+is moderately higher.  The validation split chooses between the two models,
+so the test columns can show a loss; at small scales they often do.
 
 Each dataset is one benchmark (three models per dataset) so the harness
 reports one timing per paper row-group.  Run with ``-s`` to see the table.
@@ -42,10 +44,11 @@ def _run_dataset(dataset: str) -> Table1Result:
 def _check(table: Table1Result) -> None:
     assert len(table.rows) == len(DEFAULT_MODELS)
     for row in table.rows:
-        # the adapter falls back to the vanilla conversion, so it never regresses
-        assert row.optimized_accuracy >= row.snn_accuracy - 1e-9
         assert 0.0 <= row.snn_firing_rate <= 1.0
         assert 0.0 <= row.optimized_firing_rate <= 1.0
+    for result in table.results:
+        # the validation split chooses the reported model
+        assert result.optimized_val_accuracy >= result.snn_val_accuracy
 
 
 @pytest.mark.benchmark(group="table1", min_rounds=1, max_time=1.0, warmup=False)

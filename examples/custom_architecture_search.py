@@ -10,8 +10,8 @@ free.  This example
 1. defines a custom 3-block hybrid architecture (a dense block followed by two
    residual-style blocks, one of them with a depthwise layer),
 2. derives its search space and inspects the admissible connection types,
-3. runs a short Bayesian-optimization search with an *energy-aware* objective
-   (accuracy drop + firing-rate penalty),
+3. runs a short Bayesian-optimization search minimising the accuracy drop,
+   with weight sharing between candidates,
 4. prints the best architecture found and its skip layout per block.
 
 Run:  python examples/custom_architecture_search.py
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.core import ASC, DSC, BlockAdjacency
 from repro.core.bayes_opt import BayesianOptimizer
-from repro.core.objectives import AccuracyDropObjective, EnergyAwareObjective
+from repro.core.objectives import AccuracyDropObjective
 from repro.core.weight_sharing import WeightStore
 from repro.core.adjacency import connection_name
 from repro.data import load_dataset
@@ -75,15 +75,13 @@ def main() -> None:
         note = f", DSC forbidden at {restricted}" if restricted else ""
         print(f"  block {info.name!r}: depth {info.depth}, {len(info.positions())} positions{note}")
 
-    # energy-aware objective: minimise accuracy drop + 0.2 * firing rate
-    base = AccuracyDropObjective(
+    objective = AccuracyDropObjective(
         template=template,
         splits=splits,
         training_config=SNNTrainingConfig(epochs=2, batch_size=16, learning_rate=0.05,
                                           momentum=0.9, num_steps=5, seed=0),
         weight_store=WeightStore(),
     )
-    objective = EnergyAwareObjective(base, firing_rate_weight=0.2)
 
     optimizer = BayesianOptimizer(space, objective, acquisition="ucb", initial_points=3,
                                   candidate_pool_size=48, rng=0)

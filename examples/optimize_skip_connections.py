@@ -2,13 +2,15 @@
 
 This example runs the full Fig. 2 pipeline on one (model, dataset) pair:
 
-1. build the ResNet-18-style template,
-2. train the vanilla SNN conversion (the architecture's default residual wiring),
-3. construct the search space of per-block adjacency matrices,
-4. run Gaussian-process Bayesian optimization with UCB acquisition and weight
-   sharing to find the skip configuration that minimises the accuracy drop,
-5. compare against random search with the same evaluation budget,
-6. print a Table-I-style row and the Fig.-3-style incumbent curves.
+1. build the ResNet-18-style template and its search space of per-block
+   adjacency matrices,
+2. train the vanilla SNN conversion (the architecture's default residual
+   wiring),
+3. run Gaussian-process Bayesian optimization with UCB acquisition and weight
+   sharing, every candidate fine-tuned from the vanilla SNN, to find the skip
+   configuration that minimises the accuracy drop,
+4. compare against random search with the same evaluation budget,
+5. print a Table-I-style row and the Fig.-3-style incumbent curves.
 
 Run:  python examples/optimize_skip_connections.py            (default budget)
       REPRO_SCALE=smoke python examples/optimize_skip_connections.py   (fast)
@@ -18,80 +20,32 @@ from __future__ import annotations
 
 import os
 
-from repro.core import BayesianOptimizer, RandomSearch, WeightStore
-from repro.core.adapter import AdaptationConfig, SNNAdapter
-from repro.core.objectives import AccuracyDropObjective
-from repro.data import load_dataset
-from repro.experiments.config import dataset_kwargs, get_scale, model_kwargs
-from repro.experiments.reporting import format_series
-from repro.models import get_template
-from repro.training.snn_trainer import SNNTrainingConfig
-from repro.training.trainer import TrainingConfig
+from repro.experiments import format_figure3, get_scale, run_figure3, run_table1_cell
+from repro.experiments.pareto_front import load_problem
 
 
 def main() -> None:
     scale = get_scale(os.environ.get("REPRO_SCALE", "default"))
     print(f"experiment scale: {scale.name}")
 
-    dataset = "cifar10-dvs"
-    model = "resnet18"
-    splits = load_dataset(dataset, **dataset_kwargs(scale, dataset))
-    input_channels = splits.sample_shape[1]
-    template = get_template(
-        model, **model_kwargs(scale, model, input_channels=input_channels, num_classes=splits.num_classes)
-    )
+    dataset, model = "cifar10-dvs", "resnet18"
+    splits, template = load_problem(scale, dataset, model)
     space = template.search_space()
     print(f"{splits.summary()}")
     print(f"search space: {space.size():,} candidate architectures over {space.encoding_length()} skip positions")
 
-    # ------------------------------------------------------------------
     # full adaptation pipeline (Table I quantities)
-    # ------------------------------------------------------------------
-    config = AdaptationConfig(
-        ann_training=TrainingConfig(epochs=scale.ann_epochs, batch_size=scale.batch_size,
-                                    learning_rate=scale.learning_rate, momentum=0.9, seed=scale.seed),
-        snn_training=SNNTrainingConfig(epochs=scale.snn_epochs, batch_size=scale.batch_size,
-                                       learning_rate=scale.learning_rate, momentum=0.9,
-                                       num_steps=scale.num_steps, seed=scale.seed),
-        candidate_finetune_epochs=scale.candidate_finetune_epochs,
-        final_finetune_epochs=scale.final_finetune_epochs,
-        bo_iterations=scale.bo_iterations,
-        bo_initial_points=scale.bo_initial_points,
-        seed=scale.seed,
-    )
-    adapter = SNNAdapter(template, splits, config)
-    result = adapter.run()
+    result = run_table1_cell(dataset, model, scale=scale, splits=splits, seed=scale.seed)
     print()
     print("=== adaptation result (one Table-I row) ===")
     print(result.summary())
     print(f"best architecture: {result.best_spec}")
     print(f"skip counts by type: {result.best_spec.count_by_type()}")
 
-    # ------------------------------------------------------------------
     # BO vs random search on the same budget (Fig. 3 flavour)
-    # ------------------------------------------------------------------
     print()
     print("=== search comparison (Fig. 3 flavour) ===")
-    budget = scale.search_iterations
-    training = SNNTrainingConfig(
-        epochs=scale.candidate_finetune_epochs, batch_size=scale.batch_size,
-        learning_rate=scale.learning_rate, momentum=0.9, num_steps=scale.num_steps, seed=scale.seed,
-    )
-    bo_objective = AccuracyDropObjective(template, splits, training, weight_store=WeightStore(), measure_firing_rate=False)
-    bo = BayesianOptimizer(space, bo_objective, initial_points=scale.bo_initial_points, rng=scale.seed)
-    bo_history = bo.optimize(max(budget - scale.bo_initial_points, 1))
-
-    rs_objective = AccuracyDropObjective(template, splits, training, measure_firing_rate=False)
-    rs = RandomSearch(space, rs_objective, rng=scale.seed + 1)
-    rs_history = rs.optimize(budget)
-
-    print(format_series("Our HPO (incumbent accuracy)      ", bo_history.incumbent_accuracies()))
-    print(format_series("random search (incumbent accuracy)", rs_history.incumbent_accuracies()))
-    print(
-        f"final: BO {100 * bo_history.incumbent_accuracies()[-1]:.2f}% "
-        f"vs RS {100 * rs_history.incumbent_accuracies()[-1]:.2f}% "
-        f"after {budget} evaluations each"
-    )
+    print(format_figure3(run_figure3(scale, dataset, model, num_runs=1, seed=scale.seed)))
 
 
 if __name__ == "__main__":

@@ -8,25 +8,22 @@ The package is organised bottom-up:
   firing-rate and MAC/energy metrics;
 * :mod:`repro.gp` — Gaussian-process regression and acquisition functions;
 * :mod:`repro.core` — the paper's contribution: adjacency-matrix skip encoding,
-  search-space construction, Bayesian optimization, random-search baseline and
-  the end-to-end ANN→SNN adaptation pipeline;
+  search-space construction, Bayesian optimization and the random-search
+  baseline;
 * :mod:`repro.models` — DAG skip-blocks and the ResNet-18 / DenseNet-121 /
   MobileNetV2 / single-block templates;
 * :mod:`repro.data` — synthetic CIFAR-10, CIFAR-10-DVS and DVS128-Gesture
   stand-ins;
 * :mod:`repro.training` — shared training/evaluation harness;
 * :mod:`repro.experiments` — harnesses regenerating Fig. 1, Table I, Fig. 3
-  and the accuracy–energy–latency Pareto front.
+  and the accuracy–energy–latency Pareto front, and the end-to-end ANN→SNN
+  adaptation pipeline of Table I.
 
 Quickstart::
 
-    from repro.data import load_dataset
-    from repro.models import get_template
-    from repro.core import SNNAdapter, AdaptationConfig
+    from repro.experiments import get_scale, run_table1_cell
 
-    splits = load_dataset("cifar10-dvs", num_samples=200, image_size=12, num_steps=6)
-    template = get_template("resnet18", input_channels=2, num_classes=10)
-    result = SNNAdapter(template, splits, AdaptationConfig()).run()
+    result = run_table1_cell("cifar10-dvs", "resnet18", scale=get_scale("smoke"))
     print(result.summary())
 """
 
@@ -56,13 +53,11 @@ _LAZY_EXPORTS = {
     "training": "repro.training",
     "ASC": "repro.core",
     "DSC": "repro.core",
-    "AdaptationConfig": "repro.core",
     "ArchitectureSpec": "repro.core",
     "BayesianOptimizer": "repro.core",
     "BlockAdjacency": "repro.core",
     "RandomSearch": "repro.core",
     "SearchSpace": "repro.core",
-    "SNNAdapter": "repro.core",
     "WeightSnapshotStore": "repro.core",
     "WeightStore": "repro.core",
     "WeightUpdate": "repro.core",

@@ -8,7 +8,7 @@ This package implements Section III of the paper:
 * :mod:`repro.core.search_space` — construction of the space of all adjacency
   matrices for a given ANN topology (step 1 of Fig. 2);
 * :mod:`repro.core.objectives` — the accuracy-drop objective ``f(A)`` with
-  weight sharing and short fine-tuning, plus energy-aware variants;
+  weight sharing and short fine-tuning;
 * :mod:`repro.core.bayes_opt` — Gaussian-process Bayesian optimization with
   UCB acquisition and parallel candidate proposal (step 2 of Fig. 2);
 * :mod:`repro.core.random_search` — the random-search baseline of Fig. 3;
@@ -20,13 +20,15 @@ This package implements Section III of the paper:
 * :mod:`repro.core.async_eval` — the evaluation executor (persistent worker
   pool, no batch barrier) and :func:`run_search`, the one search loop every
   optimizer runs on (ticket-order absorption and weight-update merging);
-* :mod:`repro.core.adapter` — the end-to-end ANN→SNN adaptation pipeline
-  (:class:`SNNAdapter`) producing the Table-I quantities;
 * :mod:`repro.core.pareto` / :mod:`repro.core.multi_objective` — the
   multi-objective subsystem: Pareto-front bookkeeping (non-dominated
   insertion, hypervolume) and the random-scalarization
   multi-objective Bayesian optimizer over pluggable accuracy / energy /
   latency objectives (``docs/multi_objective.md``).
+
+The end-to-end ANN→SNN adaptation pipeline producing the Table-I quantities
+is :func:`repro.experiments.run_table1_cell`, which searches through the same
+constructor as every other experiment.
 
 ``docs/architecture.md`` has the full module map and the data flow of one
 search iteration.
@@ -51,16 +53,12 @@ _LAZY_EXPORTS = {
     "WeightUpdate": "repro.core.weight_sharing",
     "WeightSnapshotStore": "repro.core.snapshots",
     "AccuracyDropObjective": "repro.core.objectives",
-    "EnergyAwareObjective": "repro.core.objectives",
     "EvaluationResult": "repro.core.objectives",
     "Objective": "repro.core.objectives",
     "BayesianOptimizer": "repro.core.bayes_opt",
     "OptimizationHistory": "repro.core.bayes_opt",
     "OptimizationRecord": "repro.core.bayes_opt",
     "RandomSearch": "repro.core.random_search",
-    "AdaptationConfig": "repro.core.adapter",
-    "AdaptationResult": "repro.core.adapter",
-    "SNNAdapter": "repro.core.adapter",
     "CachedObjective": "repro.core.cache",
     "PersistentEvaluationStore": "repro.core.cache",
     "snapshot_store_for": "repro.core.cache",

@@ -179,7 +179,7 @@ class BayesianOptimizer:
     weight_store:
         The shared store those payloads merge into.  Defaults to the store
         discovered on the objective itself (walking wrapper chains such as
-        ``CachedObjective(EnergyAwareObjective(AccuracyDropObjective))``);
+        ``CachedObjective(AccuracyDropObjective)``);
         pass it explicitly when the objective is an opaque callable.
     hyperopt_every:
         Re-tune the kernel hyperparameters (length scale / gamma and signal

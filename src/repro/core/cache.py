@@ -130,8 +130,9 @@ def evaluation_store_for(cache_dir, name_parts, **config) -> "PersistentEvaluati
 
     The filename is ``<name_parts joined by '-'>-<fingerprint>.jsonl`` under
     ``cache_dir`` — the single place that defines what makes two runs'
-    evaluations comparable.  All experiment wiring (adapter, figure3) goes
-    through here so fingerprint coverage cannot drift between call sites.
+    evaluations comparable.  Every search is wired through here, by
+    :func:`~repro.experiments.pareto_front.build_search`, so fingerprint
+    coverage cannot drift between call sites.
     """
     tag = config_fingerprint(**config)
     filename = "-".join([str(part) for part in name_parts] + [tag]) + ".jsonl"
@@ -184,12 +185,7 @@ def replay_weight_snapshot(
         score=float(score) if score is not None else None,
         snapshot=str(reference["snapshot"]),
     )
-    if (
-        base is not None
-        and weight_store is not None
-        and getattr(base, "update_store", True)
-        and not getattr(base, "defer_updates", False)
-    ):
+    if base is not None and weight_store is not None and not getattr(base, "defer_updates", False):
         result.weight_update.apply(weight_store)
 
 

@@ -1,4 +1,4 @@
-"""Search objectives: the accuracy-drop function ``f(A)`` and energy-aware variants.
+"""Search objectives: the accuracy-drop function ``f(A)``.
 
 The Bayesian optimizer minimises ``f(A)`` — the accuracy drop between the
 reference ANN and the SNN built with adjacency assignment ``A`` (Section
@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.core.search_space import ArchitectureSpec
 from repro.core.weight_sharing import WeightStore, WeightUpdate
-from repro.models.specs import NeuronConfig
 from repro.trace import max_rss_mb, span
 from repro.training.config import SNNTrainingConfig
 from repro.tensor.random import default_rng
@@ -105,27 +104,26 @@ class AccuracyDropObjective(Objective):
         which has the same minimiser.
     weight_store:
         Optional shared-weight store.  When provided each candidate starts
-        from the shared weights and, if ``update_store`` is enabled, the store
-        is refreshed from the best candidate so far.  The trained state also
+        from the shared weights, and the store is refreshed from the best
+        candidate so far.  The trained state also
         rides back on the result as ``weight_update``, so orchestrators that
         evaluate in worker processes (where a local store mutation would be
         lost) can merge it in the parent; setting :attr:`defer_updates`
         disables the local mutation entirely, making evaluation side-effect
         free (the orchestrator then owns every store update, and evaluation
         order within a batch cannot influence results).
-    measure_firing_rate / measure_macs:
-        Record spiking statistics / MAC counts for every candidate (needed by
-        the energy-aware objective and by the Table-I report).  MAC counting
-        traces a real forward pass, but the count depends only on the
-        architecture — never on the trained weights — so traces are memoised
-        by architecture fingerprint (:attr:`mac_traces` counts the actual
-        forward traces performed, for tests and profiling).
+    measure_firing_rate:
+        Record the candidate's average firing rate on the validation split.
     measure_energy:
-        Additionally derive the energy/latency metric fields
-        (:func:`repro.snn.mac.energy_metrics`) from the MAC count, the
-        measured firing rate and the simulation window; implies both
-        ``measure_macs`` and ``measure_firing_rate``.  The fields land in
-        ``EvaluationResult.metrics`` for the multi-objective search layer.
+        Count the candidate's MACs and derive the energy/latency metric
+        fields (:func:`repro.snn.mac.energy_metrics`) from them, the measured
+        firing rate and the simulation window; implies
+        ``measure_firing_rate``.  MAC counting traces a real forward pass,
+        but the count depends only on the architecture — never on the
+        trained weights — so traces are memoised by architecture fingerprint
+        (:attr:`mac_traces` counts the actual forward traces performed, for
+        tests and profiling).  The fields land in ``EvaluationResult.metrics``
+        for the multi-objective search layer.
     measure_latency:
         Measure the candidate's **real inference latency**: a repeated timed
         forward pass over one validation batch on the graph-free fast path
@@ -145,12 +143,9 @@ class AccuracyDropObjective(Objective):
         template: NetworkTemplate,
         splits: DatasetSplits,
         training_config: Optional[SNNTrainingConfig] = None,
-        neuron_config: Optional[NeuronConfig] = None,
         reference_accuracy: Optional[float] = None,
         weight_store: Optional[WeightStore] = None,
-        update_store: bool = True,
         measure_firing_rate: bool = True,
-        measure_macs: bool = False,
         measure_energy: bool = False,
         measure_latency: bool = False,
         latency_runs: int = 5,
@@ -159,13 +154,10 @@ class AccuracyDropObjective(Objective):
         self.template = template
         self.splits = splits
         self.training_config = training_config or SNNTrainingConfig(epochs=2, batch_size=16)
-        self.neuron_config = neuron_config or NeuronConfig()
         self.reference_accuracy = reference_accuracy
         self.weight_store = weight_store
-        self.update_store = bool(update_store)
         self.measure_energy = bool(measure_energy)
         self.measure_firing_rate = bool(measure_firing_rate) or self.measure_energy
-        self.measure_macs = bool(measure_macs) or self.measure_energy
         self.measure_latency = bool(measure_latency)
         if latency_runs < 1:
             raise ValueError(f"latency_runs must be >= 1, got {latency_runs}")
@@ -189,7 +181,6 @@ class AccuracyDropObjective(Objective):
         model = self.template.build(
             spec,
             spiking=True,
-            neuron_config=self.neuron_config,
             rng=default_rng(self.build_seed),
         )
         if self.weight_store is not None and not self.weight_store.is_empty:
@@ -231,7 +222,7 @@ class AccuracyDropObjective(Objective):
                     accuracy = trainer.evaluate(model, self.splits.val)
 
             macs = 0.0
-            if self.measure_macs and len(self.splits.val):
+            if self.measure_energy and len(self.splits.val):
                 with span("evaluate.macs"):
                     macs = self._count_macs(spec, model)
 
@@ -259,19 +250,17 @@ class AccuracyDropObjective(Objective):
         metrics: Dict[str, float] = {"val_accuracy": float(accuracy)}
         if self.measure_firing_rate:
             metrics["firing_rate"] = float(firing_rate)
-        if self.measure_energy and macs > 0:
+        if macs > 0:
             from repro.snn.mac import energy_metrics
 
             metrics.update(
                 energy_metrics(macs, firing_rate, int(self.training_config.num_steps))
             )
-        elif macs > 0:
-            metrics["macs"] = float(macs)
         if latency_ms is not None:
             metrics["latency_ms"] = float(latency_ms)
 
         weight_update = None
-        if self.weight_store is not None and self.update_store:
+        if self.weight_store is not None:
             # state_dict() copies, so the payload is a frozen snapshot of the
             # fine-tuned weights, not a view into the live model
             weight_update = WeightUpdate(state=model.state_dict(), score=float(accuracy))
@@ -320,63 +309,15 @@ class AccuracyDropObjective(Objective):
         return macs
 
 
-class EnergyAwareObjective(Objective):
-    """Accuracy drop regularised by spiking activity.
-
-    The paper motivates the optimization as a *trade-off* between accuracy
-    drop and energy efficiency; this wrapper adds a penalty proportional to
-    the measured firing rate (and optionally the MAC count relative to the
-    skip-free baseline), so the search prefers architectures that close the
-    accuracy gap without saturating spike traffic.
-    """
-
-    def __init__(
-        self,
-        base: AccuracyDropObjective,
-        firing_rate_weight: float = 0.1,
-        mac_weight: float = 0.0,
-        mac_reference: Optional[float] = None,
-    ) -> None:
-        if firing_rate_weight < 0 or mac_weight < 0:
-            raise ValueError("penalty weights must be non-negative")
-        self.base = base
-        self.firing_rate_weight = float(firing_rate_weight)
-        self.mac_weight = float(mac_weight)
-        self.mac_reference = mac_reference
-        if mac_weight > 0:
-            self.base.measure_macs = True
-        self.base.measure_firing_rate = True
-
-    def __call__(self, spec: ArchitectureSpec) -> EvaluationResult:
-        result = self.base(spec)
-        penalty = self.firing_rate_weight * result.firing_rate
-        if self.mac_weight > 0 and result.macs > 0:
-            reference = self.mac_reference or result.macs
-            penalty += self.mac_weight * (result.macs / max(reference, 1.0) - 1.0)
-        value = result.objective_value + penalty
-        return EvaluationResult(
-            spec=result.spec,
-            objective_value=value,
-            accuracy=result.accuracy,
-            firing_rate=result.firing_rate,
-            macs=result.macs,
-            extra={**result.extra, "penalty": penalty, "raw_objective": result.objective_value},
-            metrics=result.metrics,
-            weight_update=result.weight_update,
-            telemetry=result.telemetry,
-        )
-
-
 def resolve_weight_context(objective) -> Tuple[Optional[AccuracyDropObjective], Optional[WeightStore]]:
     """Find the weight-sharing base objective behind a chain of wrappers.
 
-    Orchestrators need two things the objective may hide behind wrappers
-    (:class:`EnergyAwareObjective`, :class:`~repro.core.cache.CachedObjective`):
-    the base objective whose ``defer_updates`` flag controls local store
-    mutation, and the shared :class:`WeightStore` that result-carried updates
-    merge into.
-    Wrappers are followed through their ``objective``/``base`` attributes;
-    returns ``(None, None)`` for opaque callables or store-less objectives.
+    Orchestrators need two things the objective may hide behind a
+    :class:`~repro.core.cache.CachedObjective`: the base objective whose
+    ``defer_updates`` flag controls local store mutation, and the shared
+    :class:`WeightStore` that result-carried updates merge into.
+    Wrappers are followed through their ``objective`` attribute; returns
+    ``(None, None)`` for opaque callables or store-less objectives.
     """
     seen = set()
     node = objective
@@ -385,7 +326,7 @@ def resolve_weight_context(objective) -> Tuple[Optional[AccuracyDropObjective], 
         store = getattr(node, "weight_store", None)
         if store is not None and hasattr(node, "defer_updates"):
             return node, store
-        node = getattr(node, "objective", None) or getattr(node, "base", None)
+        node = getattr(node, "objective", None)
     return None, None
 
 
@@ -402,7 +343,6 @@ class SyntheticWeightObjective(Objective):
 
     def __init__(self, weight_store: Optional[WeightStore] = None, state_size: int = 8) -> None:
         self.weight_store = weight_store
-        self.update_store = True
         self.defer_updates = False
         self.state_size = int(state_size)
         self.num_evaluations = 0
@@ -417,7 +357,7 @@ class SyntheticWeightObjective(Objective):
             f"cand.{spec_fingerprint(spec)}.bias": encoding * 0.5,
         }
         weight_update = None
-        if self.weight_store is not None and self.update_store:
+        if self.weight_store is not None:
             weight_update = WeightUpdate(state=state, score=accuracy)
             if not self.defer_updates:
                 weight_update.apply(self.weight_store)

@@ -27,6 +27,7 @@ _LAZY_EXPORTS = {
     "Figure1Result": "repro.experiments.figure1",
     "run_figure1": "repro.experiments.figure1",
     "run_figure1_pair": "repro.experiments.figure1",
+    "AdaptationResult": "repro.experiments.table1",
     "Table1Result": "repro.experiments.table1",
     "Table1Row": "repro.experiments.table1",
     "run_table1": "repro.experiments.table1",

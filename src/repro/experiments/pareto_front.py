@@ -130,6 +130,55 @@ def load_problem(
 
 
 @dataclass
+class Pretrained:
+    """The trained default-wiring SNN a warm search starts from (:func:`pretrain`)."""
+
+    #: the vanilla SNN's parameters and buffers
+    state: Dict[str, np.ndarray]
+    #: the ANN's test accuracy; None on event data, which has no ANN
+    reference_accuracy: Optional[float]
+    test_accuracy: float
+    val_accuracy: float
+    firing_rate: float
+    #: the optimizer the base trained with; its candidates fine-tune with it
+    optimizer: str
+
+
+def pretrain(
+    scale: ExperimentScale, problem: Tuple[DatasetSplits, NetworkTemplate], seed: int, optimizer: str = "sgd"
+) -> Pretrained:
+    """Train the vanilla SNN: the template's default wiring, from the ANN on static data.
+
+    On static data the ANN trains first; its test accuracy becomes the
+    search's reference and its weights initialise the SNN (the conversion
+    step).  Both train with :func:`training_recipe` for the scale's epochs.
+    """
+    from repro.training.snn_trainer import SNNTrainer
+    from repro.training.trainer import Trainer
+
+    splits, template = problem
+    model = template.build(template.default_architecture(), spiking=True, rng=seed)
+    reference_accuracy = None
+    if not splits.is_temporal:
+        ann = template.build(spiking=False, rng=seed)
+        trainer = Trainer(training_recipe(scale, scale.ann_epochs, seed, optimizer, spiking=False))
+        trainer.fit_splits(ann, splits)
+        reference_accuracy = trainer.evaluate(ann, splits.test)
+        model.load_state_dict(ann.state_dict(), strict=False)
+    trainer = SNNTrainer(training_recipe(scale, scale.snn_epochs, seed, optimizer))
+    trainer.fit_splits(model, splits)
+    test_accuracy, stats = trainer.evaluate_with_firing_rate(model, splits.test)
+    return Pretrained(
+        state=model.state_dict(),
+        reference_accuracy=reference_accuracy,
+        test_accuracy=test_accuracy,
+        val_accuracy=trainer.evaluate(model, splits.val),
+        firing_rate=stats.average_firing_rate,
+        optimizer=optimizer,
+    )
+
+
+@dataclass
 class Search:
     """A search's objective and store, as :func:`build_search` wires them."""
 
@@ -162,18 +211,22 @@ def build_search(
     evaluations: int,
     cache_dir: Optional[str],
     store_name: Sequence[str],
+    base: Optional[Pretrained] = None,
 ) -> Search:
     """One search's objective, store and warm start; ``evaluations`` is its total budget.
 
     Each candidate gets :func:`training_recipe`'s short fine-tune, from one
     shared :class:`WeightStore` with ``weight_sharing``, else from scratch,
-    and measures what ``objectives`` read.  With ``cache_dir`` the store is
-    ``store_name`` plus a fingerprint of the seed, recipe, latency setting and
-    data, and a weight-sharing search keeps one snapshot per evaluation, so a
-    cached re-run replays warm.
+    and measures what ``objectives`` read.  A ``base`` seeds the shared store
+    with its weights and sets the objective's reference accuracy.  With
+    ``cache_dir`` the store is ``store_name`` plus a fingerprint of the seed,
+    recipe, latency setting, data and the base's content, and a
+    weight-sharing search keeps one snapshot per evaluation, so a cached
+    re-run replays warm.
     """
     splits, template = problem
-    training = training_recipe(scale, scale.candidate_finetune_epochs, seed)
+    optimizer = base.optimizer if base is not None else "sgd"
+    training = training_recipe(scale, scale.candidate_finetune_epochs, seed, optimizer)
     metrics = {get_objective_spec(name).metric for name in objectives}
     # each measurement runs only when an objective reads it: the energy model
     # (firing rate, MACs, energy) costs a MAC trace per architecture, and
@@ -183,8 +236,8 @@ def build_search(
         template=template,
         splits=splits,
         training_config=training,
-        weight_store=WeightStore() if weight_sharing else None,
-        update_store=weight_sharing,
+        reference_accuracy=base.reference_accuracy if base is not None else None,
+        weight_store=WeightStore(base.state if base is not None else None) if weight_sharing else None,
         measure_firing_rate=False,
         measure_energy=bool(metrics - {"val_accuracy", "latency_ms"}),
         measure_latency=needs_latency,
@@ -194,12 +247,20 @@ def build_search(
     if cache_dir is not None:
         # a latency search never replays rows that lack latency_ms
         latency_fields = {"latency_runs": objective.latency_runs} if needs_latency else {}
+        base_fields = {}
+        if base is not None:
+            from repro.core.snapshots import state_digest
+
+            # the base's content, not the recipe that trained it, names what
+            # every candidate starts from
+            base_fields = {"base": state_digest(base.state), "reference_accuracy": base.reference_accuracy}
         store = evaluation_store_for(
             cache_dir,
             store_name,
             seed=seed,
             training=asdict(training),
             **latency_fields,
+            **base_fields,
             **dataset_fingerprint_fields(splits),
         )
         snapshots = snapshot_store_for(store, keep_best=max(evaluations, 1)) if weight_sharing else None

@@ -174,27 +174,39 @@ print(f"HIT {{result.objective_value:.6f}}")
         assert cached.hits == 1 and cached.misses == 1
 
 
-class TestAdapterWithPersistentCache:
-    def test_adapter_runs_with_cache_dir(self, tmp_path, single_block_template, tiny_dvs_splits):
+class TestTable1CellWithPersistentCache:
+    def test_table1_cell_runs_with_cache_dir(self, tmp_path, tiny_dvs_splits):
         """The full adaptation pipeline works with the store attached (and the
         store must not shadow the weight-sharing store used for the final
         fine-tune)."""
-        from repro.core.adapter import AdaptationConfig, SNNAdapter
-        from repro.training.snn_trainer import SNNTrainingConfig
+        from repro.experiments import get_scale, run_table1_cell
 
-        config = AdaptationConfig(
-            snn_training=SNNTrainingConfig(epochs=1, batch_size=8, num_steps=4),
-            candidate_finetune_epochs=1,
-            final_finetune_epochs=1,
-            bo_iterations=1,
-            bo_initial_points=2,
-            bo_candidate_pool=4,
-            cache_dir=str(tmp_path),
+        scale = get_scale("smoke").with_overrides(bo_iterations=1)
+        result = run_table1_cell(
+            "cifar10-dvs", "single_block", scale=scale, splits=tiny_dvs_splits, cache_dir=str(tmp_path)
         )
-        result = SNNAdapter(single_block_template, tiny_dvs_splits, config).run()
         assert result.history.num_evaluations >= 2
         store_files = list(tmp_path.glob("*.jsonl"))
         assert len(store_files) == 1 and store_files[0].stat().st_size > 0
+
+    def test_cached_rerun_reports_the_same_row(self, tmp_path, tiny_dvs_splits):
+        """The pretrained base is deterministic, so a re-run names the same
+        store, answers every candidate from it and reports the same row."""
+        from repro.experiments import get_scale, run_table1_cell
+
+        scale = get_scale("smoke").with_overrides(bo_iterations=1)
+
+        def run():
+            result = run_table1_cell(
+                "cifar10-dvs", "single_block", scale=scale, splits=tiny_dvs_splits, cache_dir=str(tmp_path)
+            )
+            (store,) = tmp_path.glob("adapt-*.jsonl")
+            return result, store.read_text()
+
+        (first, rows), (second, rows_again) = run(), run()
+        assert rows_again == rows
+        assert second.summary() == first.summary()
+        assert [r.objective_value for r in second.history] == [r.objective_value for r in first.history]
 
 
 class TestBayesOptWithPersistentCache:

@@ -2,7 +2,7 @@
 
 To keep these fast the optimizers are exercised against *synthetic* objectives
 defined directly on the architecture encoding (no network training); the
-integration with real training objectives is covered by the adapter smoke
+integration with real training objectives is covered by the Table-I smoke
 tests in ``test_integration.py``.
 """
 

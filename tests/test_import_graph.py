@@ -109,10 +109,10 @@ def test_import_repro_loads_no_substrate_and_names_resolve():
 import json, sys
 import repro
 loaded = sorted(sys.modules)
-names = [repro.SNNAdapter, repro.Tensor, repro.experiments.run_figure1, repro.nn.init, repro.tensor.tensor_sum]
+names = [repro.experiments.run_table1_cell, repro.Tensor, repro.experiments.run_figure1, repro.nn.init, repro.tensor.tensor_sum]
 print(json.dumps({"loaded": loaded, "names": [getattr(value, "__name__", "") for value in names]}))
 """
     result = _run(script)
     assert _forbidden(result["loaded"]) == []
     assert not [name for name in result["loaded"] if name.startswith("repro.") and name != "repro._lazy"]
-    assert result["names"] == ["SNNAdapter", "Tensor", "run_figure1", "repro.nn.init", "sum"]
+    assert result["names"] == ["run_table1_cell", "Tensor", "run_figure1", "repro.nn.init", "sum"]

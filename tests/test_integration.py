@@ -1,8 +1,8 @@
 """End-to-end integration tests at smoke scale.
 
-These exercise the full pipelines (training objectives, the SNN adapter, the
-experiment harnesses) on tiny synthetic data.  They assert structural
-correctness — the right quantities are produced, weight sharing kicks in, the
+These exercise the full pipelines (training objectives, the Table-I
+adaptation pipeline, the experiment harnesses) on tiny synthetic data.  They
+assert structural correctness — the right quantities are produced, weight sharing kicks in, the
 search only visits admissible architectures — rather than accuracy levels,
 which are meaningless at this scale.
 """
@@ -10,15 +10,12 @@ which are meaningless at this scale.
 import numpy as np
 import pytest
 
-from repro.core.adapter import AdaptationConfig, SNNAdapter
 from repro.core.bayes_opt import BayesianOptimizer
-from repro.core.objectives import AccuracyDropObjective, EnergyAwareObjective
+from repro.core.objectives import AccuracyDropObjective
 from repro.core.weight_sharing import WeightStore
 from repro.experiments import run_figure1, run_figure3, run_table1_cell
 from repro.experiments.config import SMOKE
-from repro.models import build_single_block_template, get_template
 from repro.training.snn_trainer import SNNTrainingConfig
-from repro.training.trainer import TrainingConfig
 
 
 def _fast_snn_config(epochs=1):
@@ -31,13 +28,14 @@ class TestAccuracyDropObjective:
             template=single_block_template,
             splits=tiny_dvs_splits,
             training_config=_fast_snn_config(),
-            measure_macs=True,
+            measure_energy=True,
         )
         result = objective(single_block_template.default_architecture())
         assert 0.0 <= result.accuracy <= 1.0
         assert result.objective_value == pytest.approx(1.0 - result.accuracy)
         assert 0.0 <= result.firing_rate <= 1.0
         assert result.macs > 0
+        assert result.metrics["macs"] == result.macs
 
     def test_reference_accuracy_defines_drop(self, single_block_template, tiny_dvs_splits):
         objective = AccuracyDropObjective(
@@ -67,17 +65,6 @@ class TestAccuracyDropObjective:
         report = store.apply_to(model)
         assert report["loaded"] > 0
 
-    def test_energy_aware_objective_adds_penalty(self, single_block_template, tiny_dvs_splits):
-        base = AccuracyDropObjective(
-            template=single_block_template,
-            splits=tiny_dvs_splits,
-            training_config=_fast_snn_config(),
-        )
-        wrapped = EnergyAwareObjective(base, firing_rate_weight=0.5)
-        result = wrapped(single_block_template.default_architecture())
-        assert result.objective_value >= result.extra["raw_objective"]
-        assert result.extra["penalty"] == pytest.approx(0.5 * result.firing_rate)
-
 
 class TestBayesianOptimizationWithTraining:
     def test_search_runs_and_respects_space(self, single_block_template, tiny_dvs_splits):
@@ -96,33 +83,23 @@ class TestBayesianOptimizationWithTraining:
             assert space.contains(record.spec)
 
 
-class TestSNNAdapter:
-    @pytest.fixture
-    def adaptation_config(self):
-        return AdaptationConfig(
-            ann_training=TrainingConfig(epochs=1, batch_size=16, learning_rate=0.05, seed=0),
-            snn_training=_fast_snn_config(),
-            candidate_finetune_epochs=1,
-            final_finetune_epochs=1,
-            bo_iterations=1,
-            bo_initial_points=2,
-            seed=0,
-        )
+class TestTable1Cell:
+    #: three evaluations: two warm-start points and one BO iteration
+    scale = SMOKE.with_overrides(bo_iterations=1)
 
-    def test_adapter_on_event_data_omits_ann(self, tiny_dvs_splits, adaptation_config):
-        template = build_single_block_template(input_channels=2, num_classes=10, channels=4)
-        result = SNNAdapter(template, tiny_dvs_splits, adaptation_config).run()
+    def test_cell_on_event_data_omits_ann(self, tiny_dvs_splits):
+        result = run_table1_cell("cifar10-dvs", "single_block", scale=self.scale, splits=tiny_dvs_splits)
         assert result.ann_accuracy is None
         assert result.accuracy_drop_before is None
         assert 0.0 <= result.snn_accuracy <= 1.0
-        assert result.optimized_accuracy >= result.snn_accuracy  # adapter never regresses
+        # the validation split chooses the reported model
+        assert result.optimized_val_accuracy >= result.snn_val_accuracy
         assert result.history.num_evaluations == 3
         assert result.best_spec.num_blocks() == 1
         assert "optimized SNN" in result.summary()
 
-    def test_adapter_on_static_data_trains_ann(self, tiny_static_splits, adaptation_config):
-        template = build_single_block_template(input_channels=3, num_classes=10, channels=4)
-        result = SNNAdapter(template, tiny_static_splits, adaptation_config).run()
+    def test_cell_on_static_data_trains_ann(self, tiny_static_splits):
+        result = run_table1_cell("cifar10", "single_block", scale=self.scale, splits=tiny_static_splits)
         assert result.ann_accuracy is not None
         assert result.accuracy_drop_before is not None
         assert result.accuracy_drop_after is not None

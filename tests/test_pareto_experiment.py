@@ -6,6 +6,8 @@ a fully-cached re-run (including ``async_workers=2``, whose worker processes
 append to one store file) reproduces the identical front without re-evaluating a single candidate.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,16 @@ from repro.cli import main
 from repro.core.pareto import non_dominated_mask
 from repro.experiments import get_scale
 from repro.experiments.io import load_result, save_result
-from repro.experiments.pareto_front import format_pareto, plot_pareto, run_pareto_front
+from repro.core.objectives import resolve_weight_context
+from repro.experiments.pareto_front import (
+    Pretrained,
+    build_search,
+    format_pareto,
+    plot_pareto,
+    pretrain,
+    run_pareto_front,
+)
+from repro.models import build_single_block_template
 
 SMOKE = get_scale("smoke")
 
@@ -152,3 +163,59 @@ class TestParetoCLI:
         )
         assert code == 0
         assert "energy budget" in capsys.readouterr().out
+
+
+class TestBuildSearchFromBase:
+    """``build_search(base=...)``: what a pretrained base sets, and how the store names it."""
+
+    @pytest.fixture
+    def problem(self, tiny_dvs_splits, single_block_template):
+        return tiny_dvs_splits, single_block_template
+
+    @pytest.fixture
+    def base(self, single_block_template):
+        model = single_block_template.build(single_block_template.default_architecture(), spiking=True, rng=0)
+        return Pretrained(model.state_dict(), 0.7, 0.2, 0.3, 0.1, "adam")
+
+    def search(self, problem, cache_dir, base=None):
+        smoke = get_scale("smoke")
+        return build_search(smoke, problem, 0, ["accuracy"], True, 4, str(cache_dir), ["adapt", "t"], base=base)
+
+    def test_base_seeds_the_store_the_reference_and_the_recipe(self, problem, base, tmp_path):
+        objective, store = resolve_weight_context(self.search(problem, tmp_path, base).objective)
+        assert objective.reference_accuracy == 0.7
+        assert objective.training_config.optimizer == "adam"
+        state = store.state_dict()
+        assert sorted(state) == sorted(base.state)
+        assert all(np.array_equal(state[key], value) for key, value in base.state.items())
+
+    def test_without_a_base_the_store_starts_empty(self, problem, tmp_path):
+        objective, store = resolve_weight_context(self.search(problem, tmp_path).objective)
+        assert objective.reference_accuracy is None
+        assert objective.training_config.optimizer == "sgd"
+        assert store.is_empty
+
+    def test_store_name_follows_the_base_content(self, problem, base, tmp_path):
+        def store_name(base):
+            return self.search(problem, tmp_path, base).store.path.name
+
+        named = store_name(base)
+        assert named != store_name(None)
+        assert store_name(dataclasses.replace(base, state=dict(base.state), test_accuracy=0.9)) == named
+        key = sorted(base.state)[0]
+        changed = dict(base.state, **{key: base.state[key] + 1.0})
+        assert store_name(dataclasses.replace(base, state=changed)) != named
+        assert store_name(dataclasses.replace(base, reference_accuracy=None)) != named
+
+    def test_pretrain_trains_an_ann_only_on_static_data(self, problem, tiny_static_splits):
+        smoke = get_scale("smoke")
+        static_template = build_single_block_template(input_channels=3, num_classes=10, channels=4)
+        event = pretrain(smoke, problem, 0)
+        static = pretrain(smoke, (tiny_static_splits, static_template), 0)
+        assert event.reference_accuracy is None and event.optimizer == "sgd"
+        assert 0.0 <= static.reference_accuracy <= 1.0
+        template = problem[1]
+        assert sorted(event.state) == sorted(template.build(template.default_architecture(), spiking=True).state_dict())
+        for result in (event, static):
+            assert 0.0 <= result.test_accuracy <= 1.0 and 0.0 <= result.val_accuracy <= 1.0
+            assert 0.0 <= result.firing_rate <= 1.0
