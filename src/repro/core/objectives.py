@@ -105,13 +105,13 @@ class AccuracyDropObjective(Objective):
     weight_store:
         Optional shared-weight store.  When provided each candidate starts
         from the shared weights, and the store is refreshed from the best
-        candidate so far.  The trained state also
-        rides back on the result as ``weight_update``, so orchestrators that
-        evaluate in worker processes (where a local store mutation would be
-        lost) can merge it in the parent; setting :attr:`defer_updates`
-        disables the local mutation entirely, making evaluation side-effect
-        free (the orchestrator then owns every store update, and evaluation
-        order within a batch cannot influence results).
+        candidate so far.  The trained state also rides back on the result
+        as ``weight_update``, so orchestrators that evaluate in worker
+        processes (where a local store mutation would be lost) can merge it
+        in the parent; setting :attr:`defer_updates` disables the local
+        mutation entirely, making evaluation side-effect free (the
+        orchestrator then owns every store update, and evaluation order
+        within a batch cannot influence results).
     measure_firing_rate:
         Record the candidate's average firing rate on the validation split.
     measure_energy:

@@ -145,7 +145,7 @@ class Pretrained:
 
 
 def pretrain(
-    scale: ExperimentScale, problem: Tuple[DatasetSplits, NetworkTemplate], seed: int, optimizer: str = "sgd"
+    scale: ExperimentScale, problem: Tuple[DatasetSplits, NetworkTemplate], seed: int, optimizer: str
 ) -> Pretrained:
     """Train the vanilla SNN: the template's default wiring, from the ANN on static data.
 

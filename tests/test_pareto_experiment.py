@@ -210,10 +210,10 @@ class TestBuildSearchFromBase:
     def test_pretrain_trains_an_ann_only_on_static_data(self, problem, tiny_static_splits):
         smoke = get_scale("smoke")
         static_template = build_single_block_template(input_channels=3, num_classes=10, channels=4)
-        event = pretrain(smoke, problem, 0)
-        static = pretrain(smoke, (tiny_static_splits, static_template), 0)
+        event = pretrain(smoke, problem, 0, "sgd")
+        static = pretrain(smoke, (tiny_static_splits, static_template), 0, "adam")
         assert event.reference_accuracy is None and event.optimizer == "sgd"
-        assert 0.0 <= static.reference_accuracy <= 1.0
+        assert 0.0 <= static.reference_accuracy <= 1.0 and static.optimizer == "adam"
         template = problem[1]
         assert sorted(event.state) == sorted(template.build(template.default_architecture(), spiking=True).state_dict())
         for result in (event, static):
